@@ -13,6 +13,12 @@ three rules:
 
 The unit is ``1 = I_1 + ... + I_m``.  Only the nilpotent-block tensor is
 user input; rules 1 and 3 are hard-coded so they cannot be mis-specified.
+
+Products use the sparse list of non-zero structure constants ``c_rsk``
+that :class:`AlgebraSpec` builds from the three rules: ``m + 2 (n - m)``
+entries from rules 1 and 3 plus two per off-diagonal nilpotent product.
+The dense ``(n, n, n)`` table :attr:`AlgebraSpec.table` is built lazily, on
+first use, as an independent oracle for validation and tests.
 """
 
 from __future__ import annotations
@@ -126,7 +132,8 @@ class AlgebraSpec:
         ``m == n`` (empty) or ``m == 1`` (the only possible selector).
     """
 
-    __slots__ = ("n", "m", "products", "u_map", "_table", "_unit", "_b_support")
+    __slots__ = ("n", "m", "products", "u_map", "_left", "_right", "_coeffs", "_starts",
+                 "_table", "_unit", "_b_support")
 
     def __init__(self, n: int, m: int, products=None, u_map=None):
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -137,7 +144,8 @@ class AlgebraSpec:
         self.m = m
         self.products = self._canonical_products(products or {})
         self.u_map = self._canonical_u_map(u_map)
-        self._table = self._build_table()
+        self._left, self._right, self._coeffs, self._starts = self._build_triples()
+        self._table = None
         self._unit = np.zeros(n, dtype=np.complex128)
         self._unit[:m] = 1.0
         self._b_support = self._build_b_support()
@@ -188,6 +196,30 @@ class AlgebraSpec:
             raise StructureError(f"u_map has non-nilpotent keys {sorted(extra)}")
         return {s: int(u_map[s]) for s in nil}
 
+    def _build_triples(self):
+        """Non-zero structure constants ``c_rsk`` as parallel arrays (0-based).
+
+        Returns ``(lefts, rights, coeffs, starts)``: entry ``j`` says that
+        ``I_r I_s`` has ``coeffs[j]`` on ``I_k`` for ``r, s = lefts[j],
+        rights[j]``.  Entries are sorted by target ``k``; ``starts[k]`` opens
+        the run of target ``k``.  Rules 1 and 3 give every
+        target at least one entry, so there are exactly ``n`` runs.
+        """
+        n, m = self.n, self.m
+        entries = [(u, u, u, 1.0) for u in range(m)]  # (k, r, s, c)
+        for s in range(m, n):
+            u = self.u_map[s + 1] - 1
+            entries += [(s, u, s, 1.0), (s, s, u, 1.0)]
+        for (left, right, target), value in self.products.items():
+            entries.append((target - 1, left - 1, right - 1, value))
+            if left != right:
+                entries.append((target - 1, right - 1, left - 1, value))
+        entries.sort(key=lambda e: e[:3])
+        targets, lefts, rights, coeffs = zip(*entries)
+        starts = np.flatnonzero(np.diff(targets, prepend=-1))
+        return (np.array(lefts), np.array(rights),
+                np.array(coeffs, dtype=np.complex128), starts)
+
     def _build_table(self) -> np.ndarray:
         n, m = self.n, self.m
         t = np.zeros((n, n, n), dtype=np.complex128)
@@ -214,7 +246,16 @@ class AlgebraSpec:
 
     @property
     def table(self) -> np.ndarray:
-        """Full multiplication tensor, ``table[r, s, k]`` 0-based (read-only)."""
+        """Full multiplication tensor, ``table[r, s, k]`` 0-based (read-only).
+
+        Built from the three rules on first access and cached.  Products do
+        not use it: they run on the sparse structure constants.  The table
+        is an independent oracle for :func:`validate_algebra` and tests.
+        """
+        if self._table is None:
+            table = self._build_table()
+            table.flags.writeable = False
+            self._table = table
         return self._table
 
     @property
@@ -263,8 +304,34 @@ def multiply(a: Element, b: Element, spec: AlgebraSpec) -> Element:
 
 
 def _multiply_coords(a, b, spec):
-    """Product on raw coordinate arrays; broadcasts over leading axes."""
-    return np.einsum("...r,...s,rsk->...k", a, b, spec._table)
+    """Product on raw coordinate arrays; broadcasts over leading axes.
+
+    Gathers ``a[..., r] * b[..., s] * c_rsk`` over the sparse non-zero
+    structure constants of ``spec`` and sums each target's run: O(nnz) work
+    per product, against O(n^3) for a contraction with the dense
+    :attr:`AlgebraSpec.table`, which this never builds.  No step calls BLAS,
+    so results do not depend on the BLAS thread count.
+    """
+    terms = np.take(np.asarray(a, dtype=np.complex128), spec._left, axis=-1)
+    other = np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1)
+    shape = np.broadcast_shapes(terms.shape, other.shape)
+    if terms.shape != shape:
+        terms, other = other, terms
+    # multiply in place and drop the other factor, so that at most two
+    # arrays of the gathered size are alive at once
+    terms = np.multiply(terms, other, out=terms if terms.shape == shape else None)
+    del other
+    terms *= spec._coeffs
+    return np.add.reduceat(terms, spec._starts, axis=-1)
+
+
+def _left_mul_coords(a, spec):
+    """Matrices ``L`` with ``L @ b = a * b`` on raw coordinates, shape ``(..., n, n)``.
+
+    Column ``s`` of ``L`` is ``a * I_s``; broadcasts over leading axes of ``a``.
+    """
+    basis = np.eye(spec.n, dtype=np.complex128)
+    return np.stack([_multiply_coords(a, e, spec) for e in basis], axis=-1)
 
 
 def functional(u: int, a: Element, spec: AlgebraSpec) -> complex:
@@ -278,7 +345,7 @@ def left_mul_matrix(a: Element, spec: AlgebraSpec) -> np.ndarray:
     """Matrix ``L`` with ``L @ coords(b) = coords(a * b)`` for every ``b``."""
     if a.n != spec.n:
         raise ValueError(f"dimension mismatch: {a.n} vs n={spec.n}")
-    return np.einsum("r,rsk->ks", a.coords, spec._table)
+    return _left_mul_coords(a.coords, spec)
 
 
 def oracle_inverse(a: Element, spec: AlgebraSpec) -> Element:
@@ -340,7 +407,7 @@ def validate_algebra(spec: AlgebraSpec, tolerance: float = 1e-12) -> ValidationR
     at construction) raises.
     """
     n, m = spec.n, spec.m
-    t = spec._table
+    t = spec.table
 
     rule1_ok = True
     for r in range(m):
@@ -404,7 +471,7 @@ def _nilpotency_index(spec: AlgebraSpec) -> int:
     while span.shape[0] > 0:
         if q > n - m + 1:
             return 0  # not nilpotent within the triangular bound
-        prods = np.einsum("ar,bs,rsk->abk", nil_rows, span, spec._table).reshape(-1, n)
+        prods = np.einsum("ar,bs,rsk->abk", nil_rows, span, spec.table).reshape(-1, n)
         span = _row_basis(prods)
         q += 1
     return q

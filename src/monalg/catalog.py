@@ -21,6 +21,7 @@ __all__ = [
     "builtin_algebra",
     "builtin_frames",
     "builtin_names",
+    "builtin_theorem5_condition",
     "list_builtins",
 ]
 
@@ -66,6 +67,19 @@ def builtin_algebra(name: str) -> AlgebraSpec:
     raise SpecFormatError(
         f"unknown built-in algebra {name!r}; known: {', '.join(builtin_names())}"
     )
+
+
+def builtin_theorem5_condition(name: str) -> int | None:
+    """The structure-constant condition the built-in ``name`` satisfies.
+
+    ``None`` for a name that is not a built-in: nothing is known about an
+    algebra read from a file, whatever the file is called.
+    """
+    if name in _EXAMPLES:
+        return 4
+    if _SEMISIMPLE_RE.match(name):
+        return 1
+    return None
 
 
 def builtin_frames(spec: AlgebraSpec) -> dict:

@@ -18,7 +18,12 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import validate_algebra
-from .catalog import builtin_algebra, builtin_frames, list_builtins
+from .catalog import (
+    builtin_algebra,
+    builtin_frames,
+    builtin_theorem5_condition,
+    list_builtins,
+)
 from .curves import Circle2D, QuadratureOptions, coordinate_plane
 from .errors import MonalgError, SpecFormatError
 from .integrals import VerificationReport, compute_lambda
@@ -79,13 +84,17 @@ class ExperimentConfig:
         return self
 
 
+def _is_algebra_file(name: str) -> bool:
+    path = Path(name)
+    return path.suffix == ".json" or path.exists()
+
+
 def _resolve_algebra(name: str):
     """A built-in name or a JSON file path; returns (spec, display_name)."""
     if not name:
         raise SpecFormatError("no algebra given; use --algebra NAME_OR_FILE")
-    path = Path(name)
-    if path.suffix == ".json" or path.exists():
-        return load_algebra(path), str(path)
+    if _is_algebra_file(name):
+        return load_algebra(name), str(Path(name))
     return builtin_algebra(name), name
 
 
@@ -109,10 +118,9 @@ def _suite_options(config: ExperimentConfig, spec, algebra_name) -> dict:
         for key in ("axiom_tol", "oracle_tol", "cr_tol", "lambda_tol",
                     "morera_tol", "formula_tol"):
             options[key] = config.tol
-    if algebra_name.startswith("example"):
-        options["expected_theorem5_condition"] = 4
-    elif algebra_name.startswith("semisimple"):
-        options["expected_theorem5_condition"] = 1
+    expected = None if _is_algebra_file(algebra_name) else builtin_theorem5_condition(algebra_name)
+    if expected is not None:
+        options["expected_theorem5_condition"] = expected
     return options
 
 

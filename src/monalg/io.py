@@ -176,10 +176,15 @@ def load_curve(path):
             return Polyline(
                 np.asarray(data["vertices"], dtype=float),
                 closed=bool(data.get("closed", False)),
+                orientation=int(data.get("orientation", 1)),
                 quadrature=quad,
             )
         if kind == "triangle":
-            return Triangle(np.asarray(data["vertices"], dtype=float), quadrature=quad)
+            return Triangle(
+                np.asarray(data["vertices"], dtype=float),
+                orientation=int(data.get("orientation", 1)),
+                quadrature=quad,
+            )
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"{path}: malformed {kind} record: {exc}") from exc
     raise SpecFormatError(f"{path}: unknown curve kind {kind!r}")

@@ -87,7 +87,9 @@ def gauss_segment(f, tol: float = 1e-10, order: int = 16, cap: int = 4096) -> Qu
         tau = (offsets[:, None] + base_nodes[None, :] * width).ravel()
         weights = np.broadcast_to(base_weights * width, (panels, order)).ravel()
         vals = np.asarray(f(tau))
-        value = np.tensordot(weights, vals, axes=(0, 0))
+        # einsum reduces without BLAS, so the sum does not depend on the
+        # BLAS thread count
+        value = np.einsum("q,q...->...", weights, vals)
         nodes = tau.size
         if prev is not None:
             delta = float(np.linalg.norm(np.atleast_1d(value - prev)))

@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, validate_algebra
-from .algebra import _multiply_coords
+from .algebra import _left_mul_coords, _multiply_coords
 from .curves import Circle2D, Polyline, QuadratureOptions, TriangleSampler, coordinate_plane
 from .frames import Frame, embed_many
 from .integrals import (
@@ -133,8 +133,7 @@ def suite_oracle(spec, frames, seed, options) -> list:
     emb = embed_many(frame, xs)
 
     ours = _inverse_coords(emb, spec)
-    table = spec._table
-    stacked = np.einsum("Nr,rsk->Nks", emb, table)
+    stacked = _left_mul_coords(emb, spec)
     rhs = np.broadcast_to(spec.unit_coords()[:, None], (len(emb), spec.n, 1))
     oracle = np.linalg.solve(stacked, rhs)[..., 0]
     inv_residual = float(np.max(np.linalg.norm(ours - oracle, axis=1)))

@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from monalg.algebra import (
     AlgebraSpec,
     Element,
+    _multiply_coords,
     basis_element,
     functional,
     left_mul_matrix,
@@ -15,6 +18,7 @@ from monalg.algebra import (
     validate_algebra,
     zero_element,
 )
+from monalg.catalog import builtin_algebra
 from monalg.errors import SingularElementError, StructureError
 
 
@@ -102,6 +106,96 @@ def test_nilpotency_property():
         for f in factors[1:]:
             prod = multiply(prod, f, spec)
         assert prod.norm() <= 1e-12
+
+
+# -- sparse product kernel against the dense table ----------------------------
+
+
+def chain(n):
+    # one idempotent, I_a I_b = I_{a+b-1} on the radical
+    return AlgebraSpec(n, 1, {
+        (a, b, a + b - 1): 1 for a in range(2, n + 1) for b in range(a, n + 1) if a + b - 1 <= n
+    })
+
+
+@st.composite
+def structure_tensors(draw):
+    """Random (not necessarily associative) specs with complex constants."""
+    n = draw(st.integers(1, 8))
+    m = draw(st.integers(1, n))
+    u_map = {s: draw(st.integers(1, m)) for s in range(m + 1, n + 1)}
+    products = {}
+    if m < n:
+        nil = st.integers(m + 1, n)
+        value = st.complex_numbers(max_magnitude=3.0, allow_nan=False, allow_infinity=False)
+        for _ in range(draw(st.integers(0, 2 * (n - m) ** 2))):
+            left, right = sorted((draw(nil), draw(nil)))
+            products[(left, right, draw(st.integers(1, n)))] = draw(value)
+    return AlgebraSpec(n, m, products, u_map=u_map)
+
+
+SHAPE_PAIRS = [((), ()), ((7,), ()), ((), (7,)), ((3, 4), (3, 4)), ((3, 1), (4,))]
+
+
+def random_coords(rng, shape, n):
+    return rng.standard_normal(shape + (n,)) + 1j * rng.standard_normal(shape + (n,))
+
+
+def assert_matches_dense(spec, rng):
+    table = spec.table
+    for shape_a, shape_b in SHAPE_PAIRS:
+        a = random_coords(rng, shape_a, spec.n)
+        b = random_coords(rng, shape_b, spec.n)
+        sparse = _multiply_coords(a, b, spec)
+        dense = np.einsum("...r,...s,rsk->...k", a, b, table)
+        # relative to the sum of term magnitudes, the scale of rounding error
+        scale = np.einsum("...r,...s,rsk->...k", abs(a), abs(b), abs(table))
+        assert sparse.shape == dense.shape
+        assert np.all(np.abs(sparse - dense) <= 1e-13 * scale)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=structure_tensors(), seed=st.integers(0, 2**32 - 1))
+def test_sparse_product_matches_dense_table_random(spec, seed):
+    assert_matches_dense(spec, np.random.default_rng(seed))
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [builtin_algebra(f"example{i}") for i in range(1, 5)]
+    + [builtin_algebra("semisimple:m=1"), builtin_algebra("semisimple:m=12"), chain(12)],
+    ids=["example1", "example2", "example3", "example4", "semisimple1", "semisimple12", "chain12"],
+)
+def test_sparse_product_matches_dense_table_builtins(spec):
+    assert_matches_dense(spec, np.random.default_rng(spec.n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=structure_tensors(), seed=st.integers(0, 2**32 - 1))
+def test_left_mul_matrix_and_operand_swap(spec, seed):
+    rng = np.random.default_rng(seed)
+    a = random_element(rng, spec.n)
+    b = random_element(rng, spec.n)
+    ab = multiply(a, b, spec).coords
+    assert ab.tobytes() == multiply(b, a, spec).coords.tobytes()
+    via_matrix = left_mul_matrix(a, spec) @ b.coords
+    scale = np.abs(left_mul_matrix(Element(abs(a.coords)), spec)) @ abs(b.coords)
+    assert np.all(np.abs(via_matrix - ab) <= 1e-13 * scale)
+
+
+def test_products_never_build_the_dense_table():
+    spec = chain(12)
+    # rules 1 and 3 give m + 2 (n - m) constants, each off-diagonal product two
+    off_diagonal = sum(left != right for left, right, _ in spec.products)
+    diagonal = len(spec.products) - off_diagonal
+    assert len(spec._left) == 1 + 2 * 11 + 2 * off_diagonal + diagonal
+    a = random_element(np.random.default_rng(5), 12)
+    multiply(a, a, spec)
+    left_mul_matrix(a, spec)
+    assert spec._table is None
+    table = spec.table
+    assert table.shape == (12, 12, 12) and spec.table is table
+    assert not table.flags.writeable
 
 
 # -- functionals -------------------------------------------------------------

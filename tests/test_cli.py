@@ -1,7 +1,13 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import monalg
+from monalg.catalog import builtin_algebra
 from monalg.cli import ExperimentConfig, main
 from monalg.io import save_algebra
 from monalg.algebra import AlgebraSpec
@@ -92,6 +98,23 @@ def test_report_determinism(tmp_path, capsys):
     assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
 
 
+def test_reports_do_not_depend_on_blas_threads(tmp_path):
+    src = str(Path(monalg.__file__).resolve().parents[1])
+    reports = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        prefix = tmp_path / f"threads{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "monalg.cli", "verify", "--algebra", "semisimple:m=12",
+             "--suite", "formula", "--seed", "5", "--out", str(prefix)],
+            env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode in (0, 1), proc.stderr
+        reports.append((tmp_path / f"threads{threads}.json").read_bytes())
+    assert reports[0] == reports[1]
+
+
 def test_seed_changes_sampled_reports(tmp_path, capsys):
     base = ["verify", "--algebra", "example1", "--suite", "oracle"] + QUICK
     a = tmp_path / "a"
@@ -136,6 +159,21 @@ def test_predicates_command(capsys):
     assert main(["predicates", "--algebra", "example4"]) == 0
     out = capsys.readouterr().out
     assert "condition=4" in out
+
+
+def test_theorem5_expectation_only_for_builtins(tmp_path, monkeypatch, capsys):
+    # a user file whose name starts like a built-in is not held to its condition
+    monkeypatch.chdir(tmp_path)
+    save_algebra(builtin_algebra("example1"), tmp_path / "example_mine.json")
+    tolerances = {}
+    for algebra in ("example_mine.json", "example1"):
+        assert main(["verify", "--algebra", algebra, "--suite", "predicates",
+                     "--out", "report"]) == 0
+        payload = json.loads((tmp_path / "report.json").read_text())
+        (check,) = [c for c in payload["checks"]
+                    if c["name"] == "predicates/structure-constants"]
+        tolerances[algebra] = check["tolerance"]
+    assert tolerances == {"example_mine.json": None, "example1": 0.0}
 
 
 def test_frame_file_flag(tmp_path, capsys):

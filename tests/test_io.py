@@ -153,6 +153,23 @@ def test_curve_files(tmp_path):
         load_curve(write(tmp_path, "unknown.json", {"kind": "spiral"}))
 
 
+@pytest.mark.parametrize(
+    "record, cls",
+    [
+        ({"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1]], "closed": True}, Polyline),
+        ({"kind": "triangle", "vertices": [[0, 0], [1, 0], [0, 1]]}, Triangle),
+    ],
+    ids=["polyline", "triangle"],
+)
+def test_curve_files_keep_orientation(tmp_path, record, cls):
+    forward = load_curve(write(tmp_path, "forward.json", record))
+    backward = load_curve(write(tmp_path, "backward.json", {**record, "orientation": -1}))
+    assert isinstance(backward, cls)
+    assert forward.orientation == 1 and backward.orientation == -1
+    assert np.array_equal(backward.vertices, forward.vertices)
+    assert backward.quadrature == forward.quadrature
+
+
 def test_function_files(tmp_path):
     spec = builtin_algebra("example2")
     poly = load_function(
