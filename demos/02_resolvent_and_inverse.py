@@ -2,8 +2,10 @@
 
 Points x in R^k embed as zeta = sum_j x_j e_j.  The resolvent
 (t - zeta)^{-1} expands into simple poles at the spectral values xi_u plus
-higher-order pole terms on the nilpotent coordinates, with coefficients
-from a short recurrence.  The dense linear solve cross-checks everything.
+higher-order pole terms on the nilpotent coordinates.  The library sums it
+as one finite expansion over the nilpotent radical; the paper's recurrence
+coefficients printed below give the same pole terms, and the dense linear
+solve cross-checks everything.
 """
 
 import numpy as np

@@ -2,7 +2,9 @@
 
 A function of the embedded variable is monogenic when its Gateaux quotients
 converge; numerically this shows up as second-order decay of the
-characteristic difference residuals, and as exact reconstruction by the
+characteristic difference residuals.  The principal extension assembles a
+function from per-component holomorphic scalars; it is evaluated as a finite
+Taylor expansion over the nilpotent radical, which equals the paper's
 per-component contour formula.
 """
 
@@ -29,8 +31,8 @@ frame = builtin_frames(spec)["default"]
 x = np.array([0.3, -0.2, 0.5])
 
 # The principal extension of the identity scalar F(t) = t reproduces the
-# variable itself: per idempotent component a contour integral of the
-# resolvent picks out exactly the right residues.
+# variable itself: the Taylor terms of t at the spectral value are the
+# residues the contour formula picks out.
 ident = HolomorphicScalarSpec("polynomial", (0, 1))
 phi = PrincipalExtension(F=(ident,), G=(None,) * 4)
 reconstruction = eval_function(phi, frame, x, spec)

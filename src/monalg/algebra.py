@@ -133,7 +133,7 @@ class AlgebraSpec:
     """
 
     __slots__ = ("n", "m", "products", "u_map", "_left", "_right", "_coeffs", "_starts",
-                 "_table", "_unit", "_b_support")
+                 "_table", "_unit")
 
     def __init__(self, n: int, m: int, products=None, u_map=None):
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -148,7 +148,6 @@ class AlgebraSpec:
         self._table = None
         self._unit = np.zeros(n, dtype=np.complex128)
         self._unit[:m] = 1.0
-        self._b_support = self._build_b_support()
 
     # -- construction ------------------------------------------------------
 
@@ -233,14 +232,6 @@ class AlgebraSpec:
             t[left - 1, right - 1, target - 1] = value
             t[right - 1, left - 1, target - 1] = value
         return t
-
-    def _build_b_support(self) -> dict:
-        """For each (q, s): list of (p, coeff) with coeff the I_s part of I_q I_p."""
-        support: dict[tuple[int, int], list[tuple[int, complex]]] = {}
-        for (left, right, target), value in self.products.items():
-            for q, p in ((left, right), (right, left)) if left != right else ((left, right),):
-                support.setdefault((q, target), []).append((p, value))
-        return support
 
     # -- derived data ------------------------------------------------------
 

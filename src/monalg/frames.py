@@ -129,13 +129,18 @@ def spectral(frame: Frame, x, spec: AlgebraSpec) -> SpectralData:
     x = np.asarray(x, dtype=np.float64)
     coords = x @ frame.a
     xi = coords[: spec.m]
-    min_abs = float(np.min(np.abs(xi)))
-    scale = max(1.0, float(np.linalg.norm(x)))
     return SpectralData(
         xi=tuple(complex(v) for v in xi),
-        invertible=bool(min_abs > 1e-13 * scale),
-        min_abs_xi=min_abs,
+        invertible=not np.any(_vanishing_xi(x, xi)),
+        min_abs_xi=float(np.min(np.abs(xi))),
     )
+
+
+def _vanishing_xi(x, xi) -> np.ndarray:
+    """Mask of the spectral values ``xi`` (shape (..., m)) that count as zero
+    at the points ``x`` (shape (..., k)): ``|xi_u| <= 1e-13 max(1, |x|)``."""
+    scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
+    return np.abs(xi) <= 1e-13 * scale[..., None]
 
 
 def frame_coordinates(frame: Frame, elem: Element, tol: float = 1e-10) -> np.ndarray:

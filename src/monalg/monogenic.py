@@ -2,23 +2,27 @@
 
 Three variants are built in: polynomials in the variable, resolvent kernels
 ``zeta -> (t e_1 - zeta)^{-1}``, and the principal extension that assembles a
-function from per-component holomorphic scalars by contour integration
-against the resolvent.  Gateaux quotients and finite-difference residuals of
-the characteristic differential conditions probe monogenicity numerically.
+function from per-component holomorphic scalars.  The paper defines the
+principal extension by contour integrals against the resolvent; for an
+admissible contour each residue is a Taylor term, so it is evaluated as the
+finite expansion over the radical of :mod:`monalg.resolvent` with the
+scalars' Taylor coefficients at the spectral values.  Gateaux quotients and
+finite-difference residuals of the characteristic differential conditions
+probe monogenicity numerically.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, basis_element, multiply, zero_element
+from .algebra import AlgebraSpec, Element, zero_element
 from .algebra import _multiply_coords
 from .errors import PoleError
 from .frames import Frame, embed_many, frame_coordinates
-from .quadrature import trapezoid_periodic
-from .resolvent import _resolvent_coords
+from .resolvent import _check_pole, _radical_series, _resolvent_coords
 
 __all__ = [
     "HolomorphicScalarSpec",
@@ -69,24 +73,39 @@ class HolomorphicScalarSpec:
         return np.roots(np.asarray(self.denom[::-1], dtype=np.complex128))
 
     def __call__(self, t):
+        return self._taylor(t, 0)[0]
+
+    def _taylor(self, t, order: int) -> np.ndarray:
+        """Taylor coefficients ``f^(k)(t) / k!`` for ``k = 0..order``.
+
+        Stacked on a new leading axis, shape ``(order + 1,) + t.shape``.
+        """
         t = np.asarray(t, dtype=np.complex128)
         if self.kind == "exponential":
             c, a = self.coeffs
-            return c * np.exp(a * t)
-        num = _polyval(self.coeffs, t)
+            e = np.exp(a * t)
+            return np.stack([c * a**k / math.factorial(k) * e for k in range(order + 1)])
+        num = _poly_taylor(self.coeffs, t, order)
         if self.kind == "polynomial":
             return num
-        den = _polyval(self.denom, t)
-        if np.any(np.abs(den) < 1e-13 * (1.0 + np.abs(t))):
+        den = _poly_taylor(self.denom, t, order)
+        if np.any(np.abs(den[0]) < 1e-13 * (1.0 + np.abs(t))):
             raise PoleError("rational scalar evaluated at one of its poles")
-        return num / den
+        # series division: num = den * out, solved order by order
+        out = np.empty_like(num)
+        for k in range(order + 1):
+            out[k] = (num[k] - sum(den[j] * out[k - j] for j in range(1, k + 1))) / den[0]
+        return out
 
 
-def _polyval(coeffs, t):
-    acc = np.zeros_like(t)
-    for c in reversed(coeffs):
-        acc = acc * t + c
-    return acc
+def _poly_taylor(coeffs, t, order: int) -> np.ndarray:
+    """Taylor coefficients of ``sum_p coeffs[p] t^p``: the k-th is the
+    polynomial ``sum_p comb(p, k) coeffs[p] t^(p-k)``, evaluated by Horner."""
+    out = np.zeros((order + 1,) + t.shape, dtype=np.complex128)
+    for k in range(order + 1):
+        for p in range(len(coeffs) - 1, k - 1, -1):
+            out[k] = out[k] * t + math.comb(p, k) * coeffs[p]
+    return out
 
 
 @dataclass(frozen=True)
@@ -146,11 +165,14 @@ class ResolventKernel:
 @dataclass(frozen=True)
 class PrincipalExtension:
     """Assembles a function from holomorphic scalars F_u (idempotent parts)
-    and G_s (nilpotent parts) via contour integrals against the resolvent.
+    and G_s (nilpotent parts): ``sum_u F_u(zeta) I_u + sum_s G_s(zeta) I_s``.
 
-    ``contours[u-1]`` must wind once around the u-th spectral value and
-    exclude the others; ``None`` picks circles centred on the spectral
-    values with radius half the separation.
+    The paper writes each term as a contour integral against the resolvent.
+    Optional ``contours[u-1]`` are only validated: each must wind once
+    around the u-th spectral value, exclude the others and keep the poles
+    of the scalars on that component outside.  The value does not depend on
+    them, because for an admissible contour every residue is exactly a
+    Taylor term of the scalar at the spectral value.
     """
 
     F: tuple  # length m of HolomorphicScalarSpec or None
@@ -205,9 +227,10 @@ def eval_batch(phi, frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
     if isinstance(phi, Polynomial):
         return _eval_polynomial(phi, emb, spec)
     if isinstance(phi, ResolventKernel):
-        return _eval_kernel(phi, emb, spec)
+        _check_pole(phi.t, emb[..., : spec.m])
+        return _resolvent_coords(phi.t, emb, spec)
     if isinstance(phi, PrincipalExtension):
-        return np.stack([_eval_principal(phi, e, spec) for e in emb])
+        return _eval_principal(phi, emb, spec)
     if callable(phi):
         rows = []
         for x in xs:
@@ -224,52 +247,23 @@ def _eval_polynomial(phi: Polynomial, emb: np.ndarray, spec: AlgebraSpec) -> np.
     return acc
 
 
-def _eval_kernel(phi: ResolventKernel, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
-    t = phi.t
-    xi = emb[..., : spec.m]
-    dist = np.abs(t - xi)
-    if np.any(dist <= 1e-13 * (1.0 + abs(t))):
-        u = int(np.argwhere(dist <= 1e-13 * (1.0 + abs(t)))[0][-1]) + 1
-        raise PoleError(f"kernel parameter t={t} meets spectral value {u}", u=u, t=t)
-    return _resolvent_coords(t, emb, spec)
-
-
-def _auto_contours(xi: np.ndarray, phi: PrincipalExtension, spec: AlgebraSpec):
-    """Separating circles around each spectral value."""
-    m = spec.m
-    contours = []
-    for u in range(m):
-        constraints = [abs(xi[u] - xi[v]) for v in range(m) if v != u]
-        scalars = [phi.F[u]] + [
-            g for s, g in enumerate(phi.G) if g is not None and spec.u_map[m + 1 + s] == u + 1
-        ]
-        for scalar in scalars:
-            if scalar is not None:
-                constraints.extend(abs(p - xi[u]) for p in scalar.poles())
-        if any(c == 0.0 for c in constraints):
-            raise PoleError(
-                f"cannot separate spectral value {u + 1} from a coincident pole"
-            )
-        radius = 0.5 * min(constraints) if constraints else 1.0
-        contours.append(ScalarCircle(complex(xi[u]), radius))
-    return contours
-
-
 def _check_contour(circle: ScalarCircle, u: int, xi: np.ndarray, scalar_poles=()):
-    """Enclosure of xi_u, exclusion of the others, no pole on or inside."""
+    """Enclosure of xi_u, exclusion of the others, no pole on or inside.
+
+    ``xi`` holds the spectral values of a batch of points, shape (..., m).
+    """
     margin = 1e-8 * circle.radius
-    inside = abs(xi[u] - circle.center)
-    if inside >= circle.radius - margin:
+    dist = np.abs(xi - circle.center)
+    if np.any(dist[..., u] >= circle.radius - margin):
         raise PoleError(
             f"contour {u + 1} does not strictly enclose its spectral value", u=u + 1
         )
-    for v, val in enumerate(xi):
+    for v in range(xi.shape[-1]):
         if v == u:
             continue
-        d = abs(val - circle.center)
-        if abs(d - circle.radius) <= margin:
+        if np.any(np.abs(dist[..., v] - circle.radius) <= margin):
             raise PoleError(f"spectral value {v + 1} lies on contour {u + 1}", u=v + 1)
-        if d < circle.radius:
+        if np.any(dist[..., v] < circle.radius):
             raise PoleError(
                 f"contour {u + 1} also encloses spectral value {v + 1}", u=v + 1
             )
@@ -280,54 +274,28 @@ def _check_contour(circle: ScalarCircle, u: int, xi: np.ndarray, scalar_poles=()
             )
 
 
-def _contour_integral(scalar, circle: ScalarCircle, emb: np.ndarray, spec: AlgebraSpec):
-    """``integral over the circle of scalar(t) * resolvent(t) dt``."""
-
-    def integrand(theta):
-        t = circle.center + circle.radius * np.exp(1j * theta)
-        dt = 1j * circle.radius * np.exp(1j * theta)
-        vals = _resolvent_coords(t, emb[None, :], spec)
-        return (scalar(t) * dt)[:, None] * vals
-
-    res = trapezoid_periodic(integrand, tol=1e-12)
-    return res.value
-
-
 def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     n, m = spec.n, spec.m
     if len(phi.F) != m:
         raise ValueError(f"expected {m} idempotent scalars, got {len(phi.F)}")
     if phi.G and len(phi.G) != n - m:
         raise ValueError(f"expected {n - m} nilpotent scalars, got {len(phi.G)}")
-    xi = emb[:m]
-    contours = list(phi.contours) if phi.contours is not None else _auto_contours(xi, phi, spec)
-    if len(contours) != m:
-        raise ValueError(f"expected {m} contours, got {len(contours)}")
-    for u in range(m):
-        poles = []
-        scalars = [phi.F[u]] + [
-            g for s, g in enumerate(phi.G)
-            if g is not None and spec.u_map[m + 1 + s] == u + 1
-        ]
-        for scalar in scalars:
-            if scalar is not None:
-                poles.extend(scalar.poles())
-        _check_contour(contours[u], u, xi, poles)
-
-    total = np.zeros(n, dtype=np.complex128)
-    for u in range(m):
-        if phi.F[u] is None:
-            continue
-        block = _contour_integral(phi.F[u], contours[u], emb, spec)
-        total += _multiply_coords(basis_element(u + 1, n).coords, block, spec)
-    for s_off, g in enumerate(phi.G):
-        if g is None:
-            continue
-        s = m + 1 + s_off
-        u = spec.u_map[s]
-        block = _contour_integral(g, contours[u - 1], emb, spec)
-        total += _multiply_coords(basis_element(s, n).coords, block, spec)
-    return total / (2j * np.pi)
+    xi = emb[..., :m]
+    # (scalar, its basis column, the column of the spectral value it sees)
+    parts = [(f, u, u) for u, f in enumerate(phi.F)]
+    parts += [(g, s, spec.u_map[s + 1] - 1) for s, g in enumerate(phi.G, start=m)]
+    parts = [part for part in parts if part[0] is not None]
+    if phi.contours is not None:
+        if len(phi.contours) != m:
+            raise ValueError(f"expected {m} contours, got {len(phi.contours)}")
+        for u, circle in enumerate(phi.contours):
+            poles = [p for scalar, _, v in parts if v == u for p in scalar.poles()]
+            _check_contour(circle, u, xi, poles)
+    order = n - m
+    coeffs = np.zeros((order + 1,) + emb.shape, dtype=np.complex128)
+    for scalar, col, u in parts:
+        coeffs[..., col] = scalar._taylor(xi[..., u], order)
+    return _radical_series(coeffs.__getitem__, emb, spec)
 
 
 # -- differentiability probes -------------------------------------------------

@@ -1,6 +1,18 @@
-"""Closed-form resolvent and inverse of embedded points.
+"""Resolvent and inverse of embedded points by one expansion over the radical.
 
-For ``zeta = sum_j x_j e_j`` the resolvent ``(t e_1 - zeta)^{-1}`` expands as
+Write ``zeta = S + N`` with ``S = sum_u xi_u I_u`` semisimple and ``N`` in the
+nilpotent radical.  A product of ``n - m + 1`` radical elements vanishes, so
+every function of ``zeta`` holomorphic at the spectral values is a finite
+sum (Higham, *Functions of Matrices*, SIAM 2008, ch. 1):
+
+    f(zeta) = sum_{k <= n-m} c_k N^k,    c_k = sum_u f^(k)(xi_u) / k! I_u.
+
+:func:`_radical_series` evaluates that sum by Horner; the resolvent takes
+``c_k = (t - xi)^{-k-1}``, the inverse ``c_k = (-1)^k xi^{-k-1}``.
+
+The paper's closed form is kept as an independent oracle for tests, behind
+:func:`recurrence_coefficients`.  There the resolvent ``(t e_1 - zeta)^{-1}``
+reads
 
     sum_u (t - xi_u)^{-1} I_u
         + sum_{s > m} sum_{r=2}^{s-m+1} Q_{r,s} (t - xi_{u_s})^{-r} I_s
@@ -22,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, _multiply_coords
 from .errors import PoleError, SingularElementError
-from .frames import Frame, embed_many
+from .frames import Frame, _vanishing_xi, embed_many
 
 __all__ = [
     "ResolventCoefficients",
@@ -48,50 +60,59 @@ class ResolventCoefficients:
     Qt: dict
 
 
-def _b_value(spec: AlgebraSpec, q: int, s: int, t_of):
-    """B_{q,s} given a lookup ``t_of(p)`` for the nilpotent components."""
+# -- the paper's recurrences (oracle) -----------------------------------------
+
+
+def _b_support(spec: AlgebraSpec) -> dict:
+    """For each (q, s): list of (p, coeff) with coeff the I_s part of I_q I_p."""
+    support: dict[tuple[int, int], list[tuple[int, complex]]] = {}
+    for (left, right, target), value in spec.products.items():
+        for q, p in ((left, right), (right, left)) if left != right else ((left, right),):
+            support.setdefault((q, target), []).append((p, value))
+    return support
+
+
+def _b_value(support: dict, q: int, s: int, t_map: dict) -> complex:
+    """B_{q,s} from the nilpotent components ``t_map``."""
     acc = 0.0 + 0.0j
-    for p, coeff in spec._b_support.get((q, s), ()):
+    for p, coeff in support.get((q, s), ()):
         if p <= s - 1:
-            acc = acc + t_of(p) * coeff
+            acc = acc + t_map[p] * coeff
     return acc
 
 
-def _q_tables(spec: AlgebraSpec, t_of, sign: float):
-    """Recurrence tables Q (sign=+1) or Qt (sign=-1) as {(r, s): value}.
-
-    ``t_of(p)`` may return scalars or arrays; the recurrences broadcast.
-    """
+def _q_tables(spec: AlgebraSpec, support: dict, t_map: dict, sign: float):
+    """Recurrence tables Q (sign=+1) or Qt (sign=-1) as {(r, s): value}."""
     n, m = spec.n, spec.m
     b: dict = {}
     q_map: dict = {}
     for s in range(m + 1, n + 1):
-        q_map[(2, s)] = sign * t_of(s)
+        q_map[(2, s)] = sign * t_map[s]
         for r in range(3, s - m + 2):
             acc = 0.0 + 0.0j
             for q in range(r + m - 2, s):
                 key = (q, s)
                 if key not in b:
-                    b[key] = _b_value(spec, q, s, t_of)
+                    b[key] = _b_value(support, q, s, t_map)
                 acc = acc + q_map[(r - 1, q)] * b[key]
             q_map[(r, s)] = sign * acc
     return q_map, b
 
 
 def recurrence_coefficients(frame: Frame, x, spec: AlgebraSpec) -> ResolventCoefficients:
-    """Evaluate T, B, Q, Qt at one point ``x``."""
+    """Evaluate T, B, Q, Qt at one point ``x`` by the paper's recurrences."""
     x = np.asarray(x, dtype=np.float64)
     coords = x @ frame.a
     n, m = spec.n, spec.m
+    support = _b_support(spec)
     t_map = {s: complex(coords[s - 1]) for s in range(m + 1, n + 1)}
-    t_of = t_map.__getitem__
-    q_map, b_partial = _q_tables(spec, t_of, +1.0)
-    qt_map, _ = _q_tables(spec, t_of, -1.0)
+    q_map, b_partial = _q_tables(spec, support, t_map, +1.0)
+    qt_map, _ = _q_tables(spec, support, t_map, -1.0)
     # complete B over the full documented index range
     b_map = {}
     for s in range(m + 1, n + 1):
         for q in range(m + 1, s):
-            b_map[(q, s)] = complex(b_partial.get((q, s), _b_value(spec, q, s, t_of)))
+            b_map[(q, s)] = complex(b_partial.get((q, s), _b_value(support, q, s, t_map)))
     return ResolventCoefficients(
         T=t_map,
         B=b_map,
@@ -103,47 +124,61 @@ def recurrence_coefficients(frame: Frame, x, spec: AlgebraSpec) -> ResolventCoef
 # -- batch kernels -----------------------------------------------------------
 
 
+def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
+    """``sum_{k <= n-m} c_k N^k`` by Horner, ``N`` the radical part of ``emb``.
+
+    ``coeff(k)`` returns the leading coordinates of ``c_k``, of shape
+    ``(..., m)`` or ``(..., n)`` (the others are zero), where ``...`` is the
+    shape of the result; it is called once per ``k``, from ``n - m`` down
+    to 0, so only one coefficient array need be alive at a time.
+    """
+    n, m = spec.n, spec.m
+    c = coeff(n - m)
+    acc = np.zeros(c.shape[:-1] + (n,), dtype=np.complex128)
+    acc[..., : c.shape[-1]] = c
+    if m < n:  # a semisimple algebra needs no copy of the radical part
+        nil = np.array(emb, dtype=np.complex128)
+        nil[..., :m] = 0.0
+    for k in range(n - m - 1, -1, -1):
+        acc = _multiply_coords(acc, nil, spec)
+        c = coeff(k)
+        acc[..., : c.shape[-1]] += c
+    return acc
+
+
+# numpy's complex ``**`` is several times slower than a complex product, so
+# the k = 0 coefficient, the only one of a semisimple algebra, skips it.
+
+
 def _inverse_coords(emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     """Inverse coordinates for embedded points; ``emb`` has shape (..., n).
 
     No invertibility guard here; callers check the spectrum first.
     """
-    n, m = spec.n, spec.m
-    xi = emb[..., :m]
-    out = np.empty_like(emb)
-    out[..., :m] = 1.0 / xi
-    if m == n:
-        return out
-    t_of = lambda p: emb[..., p - 1]
-    qt_map, _ = _q_tables(spec, t_of, -1.0)
-    for s in range(m + 1, n + 1):
-        xius = xi[..., spec.u_map[s] - 1]
-        acc = np.zeros(emb.shape[:-1], dtype=np.complex128)
-        for r in range(2, s - m + 2):
-            acc = acc + qt_map[(r, s)] * xius ** (-r)
-        out[..., s - 1] = acc
-    return out
+    inv = 1.0 / emb[..., : spec.m]
+    return _radical_series(lambda k: inv * (-inv) ** k if k else inv, emb, spec)
 
 
 def _resolvent_coords(t, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     """Resolvent coordinates; ``t`` broadcasts against ``emb[..., 0]``."""
-    n, m = spec.n, spec.m
     t = np.asarray(t, dtype=np.complex128)
-    xi = emb[..., :m]
-    shape = np.broadcast_shapes(t.shape, emb.shape[:-1])
-    out = np.empty(shape + (n,), dtype=np.complex128)
-    out[..., :m] = 1.0 / (t[..., None] - xi)
-    if m == n:
-        return out
-    t_of = lambda p: emb[..., p - 1]
-    q_map, _ = _q_tables(spec, t_of, +1.0)
-    for s in range(m + 1, n + 1):
-        denom = t - xi[..., spec.u_map[s] - 1]
-        acc = np.zeros(shape, dtype=np.complex128)
-        for r in range(2, s - m + 2):
-            acc = acc + q_map[(r, s)] * denom ** (-r)
-        out[..., s - 1] = acc
-    return out
+    r = 1.0 / (t[..., None] - emb[..., : spec.m])
+    return _radical_series(lambda k: r ** (k + 1) if k else r, emb, spec)
+
+
+def _check_pole(t: complex, xi: np.ndarray) -> None:
+    """Raise :class:`PoleError` when ``t`` meets a spectral value in ``xi``.
+
+    ``xi`` has shape (..., m); the threshold is ``1e-13 (1 + |t|)``.
+    """
+    hits = np.argwhere(np.abs(t - xi) <= 1e-13 * (1.0 + abs(t)))
+    if hits.size:
+        u = int(hits[0][-1]) + 1
+        raise PoleError(
+            f"t={t} collides with spectral value xi_{u}={complex(xi[tuple(hits[0])])}",
+            u=u,
+            t=t,
+        )
 
 
 # -- public operations -------------------------------------------------------
@@ -158,49 +193,35 @@ def resolvent(t: complex, frame: Frame, x, spec: AlgebraSpec) -> Element:
     x = np.asarray(x, dtype=np.float64)
     emb = x @ frame.a
     t = complex(t)
-    for u in range(spec.m):
-        if abs(t - emb[u]) <= 1e-13 * (1.0 + abs(t)):
-            raise PoleError(
-                f"t={t} collides with spectral value xi_{u + 1}={complex(emb[u])}",
-                u=u + 1,
-                t=t,
-            )
+    _check_pole(t, emb[: spec.m])
     return Element(_resolvent_coords(t, emb, spec))
 
 
 def inverse(frame: Frame, x, spec: AlgebraSpec) -> Element:
-    """Closed-form inverse of the embedded point ``zeta = embed(frame, x)``.
+    """Inverse of the embedded point ``zeta = embed(frame, x)``.
 
     Raises :class:`SingularElementError` when some ``xi_u`` vanishes.
     """
-    x = np.asarray(x, dtype=np.float64)
-    emb = x @ frame.a
-    scale = max(1.0, float(np.linalg.norm(x)))
-    offending = [u + 1 for u in range(spec.m) if abs(emb[u]) <= 1e-13 * scale]
-    if offending:
-        raise SingularElementError(
-            f"embedded point is not invertible (xi vanishes at u={offending})",
-            xi=emb[: spec.m],
-            offending=offending,
-        )
-    return Element(_inverse_coords(emb, spec))
+    return Element(inverse_many(frame, x, spec))
 
 
-def inverse_many(frame: Frame, xs, spec: AlgebraSpec, min_abs_xi: float = 0.0) -> np.ndarray:
+def inverse_many(frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
     """Batch inverse coordinates for points ``xs`` of shape (..., k).
 
-    Raises :class:`SingularElementError` when any point comes within
-    ``max(min_abs_xi, 1e-13)`` of the noninvertible locus.
+    Raises :class:`SingularElementError` when some ``xi_u`` of a point
+    vanishes, with the threshold of :func:`monalg.frames.spectral`.
     """
+    xs = np.asarray(xs, dtype=np.float64)
     emb = embed_many(frame, xs)
     xi = emb[..., : spec.m]
-    floor = max(min_abs_xi, 1e-13)
-    bad = np.abs(xi) <= floor
+    bad = _vanishing_xi(xs, xi)
     if np.any(bad):
-        where = np.argwhere(bad)[0]
+        entry = tuple(int(i) for i in np.argwhere(np.any(bad, axis=-1))[0])
+        offending = [int(u) + 1 for u in np.flatnonzero(bad[entry])]
+        where = f" {entry}" if entry else ""
         raise SingularElementError(
-            f"batch contains a point within {floor:g} of the noninvertible locus "
-            f"(entry {tuple(int(i) for i in where[:-1])}, u={int(where[-1]) + 1})",
-            offending=[int(where[-1]) + 1],
+            f"embedded point{where} is not invertible (xi vanishes at u={offending})",
+            xi=xi[entry],
+            offending=offending,
         )
     return _inverse_coords(emb, spec)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from monalg.algebra import AlgebraSpec, Element, basis_element, multiply
+from monalg.catalog import builtin_algebra, builtin_frames
 from monalg.errors import PoleError
 from monalg.frames import Frame, embed, spectral
 from monalg.monogenic import (
@@ -13,11 +14,13 @@ from monalg.monogenic import (
     ScalarCircle,
     constant,
     cr_residual,
+    eval_batch,
     eval_function,
     gateaux_quotient,
     zeta,
     zeta_power,
 )
+from monalg.quadrature import trapezoid_periodic
 from monalg.resolvent import resolvent
 
 
@@ -329,3 +332,103 @@ def test_cr_residual_principal_extension():
     phi = PrincipalExtension(F=(ident,), G=(None,) * 4)
     res = cr_residual(phi, frame, [0.4, 0.2, -0.1], 1e-3, spec)
     assert max(res) <= 1e-6
+
+
+# -- the single expansion against the paper's contour formula ------------------
+
+
+def split_two_idempotent():
+    # I_5 sits on the second idempotent, so G_5 sees xi_2
+    return AlgebraSpec(5, 2, {(3, 3, 4): 1}, u_map={3: 1, 4: 1, 5: 2})
+
+
+def split_frame(spec):
+    return Frame.from_rows(spec, [1j, 1j, 1, 0, 1], [0, 1, 0, 1, 1j])
+
+
+def contour_oracle(phi, frame, x, spec, circles):
+    """sum over scalars of (1 / 2 pi i) * I_col * integral of scalar(t) (t - zeta)^{-1} dt,
+    the circle of the spectral value the scalar sees, by the periodic trapezoid rule."""
+    parts = [(f, u + 1, u) for u, f in enumerate(phi.F)]
+    parts += [(g, s, spec.u_map[s] - 1) for s, g in enumerate(phi.G, start=spec.m + 1)]
+    total = np.zeros(spec.n, dtype=np.complex128)
+    for scalar, col, u in (part for part in parts if part[0] is not None):
+        center, radius = circles[u]
+
+        def integrand(theta):
+            t = center + radius * np.exp(1j * theta)
+            res = np.stack([resolvent(tk, frame, x, spec).coords for tk in t])
+            return (scalar(t) * 1j * (t - center))[:, None] * res
+
+        block = trapezoid_periodic(integrand, tol=1e-14, start=32, cap=128).value
+        total += multiply(basis_element(col, spec.n), Element(block), spec).coords
+    return total / (2j * np.pi)
+
+
+EXP = HolomorphicScalarSpec("exponential", (1.0, 0.5))
+POLE5 = HolomorphicScalarSpec("rational", (1.0,), denom=(-5.0, 1.0))
+RATIONAL = HolomorphicScalarSpec("rational", (1.0, 2.0j), denom=(4.0, -1.0, 1.0))
+CUBIC = HolomorphicScalarSpec("polynomial", (1.0, -2.0, 0.5, 1.0j))
+
+
+@pytest.mark.parametrize("case", [
+    ("example1", PrincipalExtension(F=(EXP,), G=(CUBIC, None, RATIONAL, EXP))),
+    ("example1", PrincipalExtension(F=(RATIONAL,), G=(EXP, EXP, None, CUBIC))),
+    ("example1", PrincipalExtension(F=(CUBIC,), G=(RATIONAL, None, None, POLE5))),
+    ("example4", PrincipalExtension(F=(POLE5,), G=(EXP, None, POLE5, None))),
+    ("example4", PrincipalExtension(F=(EXP,), G=(RATIONAL, CUBIC, EXP, POLE5))),
+    ("split_two_idempotent", PrincipalExtension(F=(EXP, RATIONAL), G=(CUBIC, POLE5, EXP))),
+    ("split_two_idempotent", PrincipalExtension(F=(CUBIC, POLE5), G=(EXP, None, RATIONAL))),
+], ids=["e1-exp", "e1-rational", "e1-poly", "e4-mixed", "e4-exp", "two-exp", "two-poly"])
+def test_principal_extension_matches_contour_formula(case):
+    name, phi = case
+    if name == "split_two_idempotent":
+        spec = split_two_idempotent()
+        frame = split_frame(spec)
+    else:
+        spec = builtin_algebra(name)
+        frame = builtin_frames(spec)["default"]
+    rng = np.random.default_rng(73)
+    xs = []
+    while len(xs) < 3:
+        x = rng.uniform(-0.6, 0.6, size=frame.k)
+        xi = np.array(spectral(frame, x, spec).xi)
+        if spec.m == 1 or abs(xi[0] - xi[1]) >= 0.5:
+            xs.append(x)
+    values = eval_batch(phi, frame, np.array(xs), spec)
+    for x, value in zip(xs, values):
+        xi = np.array(spectral(frame, x, spec).xi)
+        # poles of RATIONAL sit near +-2i, of POLE5 at 5: radius 0.5 keeps them out
+        radius = 0.5 if spec.m == 1 else 0.5 * abs(xi[0] - xi[1])
+        ref = contour_oracle(phi, frame, x, spec, [(v, radius) for v in xi])
+        assert np.max(np.abs(value - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_principal_extension_at_coincident_spectral_values():
+    # x_3 = 0 puts xi_1 = xi_2 = xi: no contour separates them, but the
+    # expansion is finite there.  F = G = exp gives (1 + I_3 + I_4 + I_5)
+    # exp(zeta) with exp(zeta) = e^xi (1 + N + N^2 / 2), as N^3 = 0.
+    spec = split_two_idempotent()
+    frame = split_frame(spec)
+    x = np.array([0.3, -0.4, 0.0])
+    z = embed(frame, x, spec)
+    xi = z.coords[0]
+    assert xi == z.coords[1]
+    nil = Element(np.concatenate([[0, 0], z.coords[2:]]))
+    one = spec.unit()
+    series = one + nil + 0.5 * multiply(nil, nil, spec)
+    exp_zeta = np.exp(xi) * series
+    expected = multiply(Element([1, 1, 1, 1, 1]), exp_zeta, spec)
+    expo = HolomorphicScalarSpec("exponential", (1, 1))
+    out = eval_function(PrincipalExtension(F=(expo,) * 2, G=(expo,) * 3), frame, x, spec)
+    assert (out - expected).norm() <= 1e-14 * expected.norm()
+
+
+def test_principal_extension_rejects_scalar_pole_at_spectral_value():
+    spec = example1()
+    frame = default_frame(spec)
+    x = np.array([0.5, 0.2, -0.3])
+    xi = spectral(frame, x, spec).xi[0]
+    rational = HolomorphicScalarSpec("rational", (1,), denom=(-xi, 1))
+    with pytest.raises(PoleError, match="pole"):
+        eval_function(PrincipalExtension(F=(rational,)), frame, x, spec)

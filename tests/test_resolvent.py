@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_algebra import chain, structure_tensors
 
 from monalg.algebra import (
     AlgebraSpec,
@@ -12,9 +15,17 @@ from monalg.algebra import (
     unit_element,
     validate_algebra,
 )
+from monalg.catalog import builtin_algebra, builtin_frames
 from monalg.errors import PoleError, SingularElementError
-from monalg.frames import Frame, embed, spectral
-from monalg.resolvent import inverse, recurrence_coefficients, resolvent
+from monalg.frames import Frame, embed, embed_many, spectral
+from monalg.resolvent import (
+    _inverse_coords,
+    _resolvent_coords,
+    inverse,
+    inverse_many,
+    recurrence_coefficients,
+    resolvent,
+)
 
 
 def example1():
@@ -270,3 +281,110 @@ def test_noninvertible_locus_consistency():
         assert abs(data.xi[0]) <= 1e-12 * max(1.0, np.linalg.norm(x))
         with pytest.raises(SingularElementError):
             oracle_inverse(embed(frame, x, spec), spec)
+
+
+# -- the single expansion against the paper's recurrences ----------------------
+
+
+def power_chains(spec):
+    """An associative algebra with the n, m and u_map of ``spec``: the
+    radical indices of each idempotent, in increasing order, are the powers
+    x_u, x_u^2, ... of a truncated polynomial ring."""
+    products = {}
+    for u in range(1, spec.m + 1):
+        block = [s for s in range(spec.m + 1, spec.n + 1) if spec.u_map[s] == u]
+        for i in range(len(block)):
+            for j in range(i, len(block) - i - 1):
+                products[(block[i], block[j], block[i + j + 1])] = 1
+    return AlgebraSpec(spec.n, spec.m, products, u_map=spec.u_map)
+
+
+def random_frame(spec, rng):
+    # separated real offsets keep the spectral values of distinct idempotents apart
+    rows = []
+    for offset in (1j * np.ones(spec.m), 0.7 * np.arange(spec.m)):
+        nil = rng.standard_normal(spec.n - spec.m) + 1j * rng.standard_normal(spec.n - spec.m)
+        rows.append(np.concatenate([offset, nil]))
+    return Frame.from_rows(spec, *rows)
+
+
+def formula_resolvent(t, frame, x, spec):
+    """The module docstring's closed form with ``recurrence_coefficients``."""
+    co = recurrence_coefficients(frame, x, spec)
+    xi = embed(frame, x, spec).coords[: spec.m]
+    out = np.zeros(spec.n, dtype=np.complex128)
+    out[: spec.m] = 1.0 / (t - xi)
+    for (r, s), q in co.Q.items():
+        out[s - 1] += q * (t - xi[spec.u_map[s] - 1]) ** (-r)
+    return out
+
+
+def formula_inverse(frame, x, spec):
+    co = recurrence_coefficients(frame, x, spec)
+    xi = embed(frame, x, spec).coords[: spec.m]
+    out = np.zeros(spec.n, dtype=np.complex128)
+    out[: spec.m] = 1.0 / xi
+    for (r, s), qt in co.Qt.items():
+        out[s - 1] += qt * xi[spec.u_map[s] - 1] ** (-r)
+    return out
+
+
+def assert_expansion_matches_recurrences(spec, frame, rng, count=8):
+    xs, ts = [], []
+    while len(xs) < count:
+        x = rng.uniform(-1.5, 1.5, size=frame.k)
+        t = complex(*rng.standard_normal(2)) * 2.0
+        xi = np.array(spectral(frame, x, spec).xi)
+        if np.min(np.abs(xi)) < 0.25 or np.min(np.abs(t - xi)) < 0.25:
+            continue
+        xs.append(x)
+        ts.append(t)
+    xs, ts = np.array(xs), np.array(ts)
+    emb = embed_many(frame, xs)
+    batch_inv = _inverse_coords(emb, spec)
+    batch_res = _resolvent_coords(ts, emb, spec)
+    for i, (x, t) in enumerate(zip(xs, ts)):
+        inv_ref = formula_inverse(frame, x, spec)
+        res_ref = formula_resolvent(t, frame, x, spec)
+        for ours, ref in ((inverse(frame, x, spec).coords, inv_ref), (batch_inv[i], inv_ref),
+                          (resolvent(t, frame, x, spec).coords, res_ref), (batch_res[i], res_ref)):
+            assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize(
+    "name", ["example1", "example2", "example3", "example4", "two_idempotent", "chain12"]
+)
+def test_expansion_matches_recurrences(name):
+    rng = np.random.default_rng(71)
+    if name == "two_idempotent":
+        spec = two_idempotent()
+        frame = Frame.from_rows(spec, [1j, 1j, 1, 0], [0, 1, 0, 1])
+    elif name == "chain12":
+        spec = chain(12)
+        frame = random_frame(spec, rng)
+    else:
+        spec = builtin_algebra(name)
+        frame = builtin_frames(spec)["default"]
+    assert_expansion_matches_recurrences(spec, frame, rng)
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=structure_tensors().map(power_chains), seed=st.integers(0, 2**32 - 1))
+def test_expansion_matches_recurrences_random(spec, seed):
+    assert validate_algebra(spec).ok
+    rng = np.random.default_rng(seed)
+    assert_expansion_matches_recurrences(spec, random_frame(spec, rng), rng, count=4)
+
+
+def test_inverse_many_uses_the_relative_singularity_threshold():
+    # xi_1 = 1e-11 is below 1e-13 |x| = 1e-10: every entry point agrees
+    spec = example1()
+    frame = builtin_frames(spec)["default"]
+    x = np.array([1e-11, 0.0, 1e3])
+    assert not spectral(frame, x, spec).invertible
+    with pytest.raises(SingularElementError):
+        inverse(frame, x, spec)
+    with pytest.raises(SingularElementError) as err:
+        inverse_many(frame, np.stack([[0.5, 0.5, 0.0], x]), spec)
+    assert err.value.offending == (1,)
+    assert "(1,)" in str(err.value)
