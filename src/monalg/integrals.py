@@ -122,8 +122,8 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
 
     ``psi`` may be a built-in function variant, an object with an
     ``eval_many(frame, xs, spec)`` method, or a pointwise callable
-    ``x -> Element``.  Circles refine by node doubling, polylines by
-    per-segment Gauss panels.
+    ``x -> Element``.  Circles refine by node doubling, polylines by Gauss
+    panels bisected per segment, with all segments refined as one stack.
     """
     if isinstance(gamma, Triangle):
         gamma = gamma.boundary()
@@ -154,34 +154,52 @@ def _circle_integral(psi, gamma, frame, spec, tol):
     return IntegralResult(value, res.error_estimate, res.nodes, res.converged, res.history)
 
 
+class _SegmentStack:
+    """Integrands ``psi(a_s + tau (b_s - a_s))`` of S straight segments.
+
+    Called by :func:`gauss_segment` as a stack: ``seg`` names the segment
+    of each parameter in ``taus``.
+    """
+
+    def __init__(self, psi, frame, spec, starts, directions):
+        self.psi = psi
+        self.frame = frame
+        self.spec = spec
+        self.starts = starts
+        self.directions = directions
+
+    def __len__(self):
+        return len(self.starts)
+
+    def __call__(self, taus, seg):
+        xs = self.starts[seg] + taus[:, None] * self.directions[seg]
+        try:
+            return _evaluate(self.psi, self.frame, xs, self.spec)
+        except MonalgError as exc:
+            raise _locate_failure(self.psi, self.frame, xs, taus, self.spec, exc) from exc
+
+
+def _segment_integrals(psi, starts, ends, frame, spec, tol, opts):
+    """``psi dzeta`` over each segment ``starts[s] -> ends[s]``, one stack.
+
+    Returns the (S, n) segment integrals, the (S, n) increments ``dzeta``
+    and the stack's :class:`QuadratureResult`; ``tol`` holds per segment.
+    """
+    directions = ends - starts
+    res = gauss_segment(_SegmentStack(psi, frame, spec, starts, directions), tol=tol,
+                        order=opts.nodes_per_segment, cap=opts.segment_cap)
+    dz = directions @ frame.a
+    return _multiply_coords(res.value, dz, spec), dz, res
+
+
 def _polyline_integral(psi, gamma, frame, spec, tol):
-    total = np.zeros(spec.n, dtype=np.complex128)
-    error = 0.0
-    nodes = 0
-    converged = True
-    history = []
-    seg_tol = tol / max(1, len(gamma.segments()))
-    for a_pt, b_pt in gamma.segments():
-        direction = np.asarray(b_pt) - np.asarray(a_pt)
-        dz = direction @ frame.a
-
-        def integrand(taus, a_pt=a_pt, direction=direction):
-            xs = a_pt + taus[:, None] * direction
-            try:
-                return _evaluate(psi, frame, xs, spec)
-            except MonalgError as exc:
-                raise _locate_failure(psi, frame, xs, taus, spec, exc) from exc
-
-        opts = gamma.quadrature
-        res = gauss_segment(integrand, tol=seg_tol, order=opts.nodes_per_segment,
-                            cap=opts.segment_cap)
-        total = total + _multiply_coords(res.value, dz, spec)
-        error += res.error_estimate * float(np.linalg.norm(dz))
-        nodes += res.nodes
-        converged = converged and res.converged
-        history.extend(res.history)
-    value = Element(gamma.orientation * total)
-    return IntegralResult(value, error, nodes, converged, history)
+    segments = np.array(gamma.segments())  # (S, 2, k)
+    seg_tol = tol / len(segments)
+    parts, dz, res = _segment_integrals(psi, segments[:, 0], segments[:, 1], frame, spec,
+                                        seg_tol, gamma.quadrature)
+    error = float(np.sum(res.segment_deltas * np.linalg.norm(dz, axis=1)))
+    value = Element(gamma.orientation * parts.sum(axis=0))
+    return IntegralResult(value, error, res.nodes, res.converged, res.history)
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -345,20 +363,39 @@ def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
 
 def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
                  n_triangles: int = 200, tol: float = 1e-8,
-                 rng: np.random.Generator | None = None) -> VerificationReport:
-    """Worst triangle-boundary integral over randomly sampled triangles."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+                 rng: np.random.Generator | None = None,
+                 triangles: list[Triangle] | None = None) -> VerificationReport:
+    """Worst triangle-boundary integral over randomly sampled triangles.
+
+    ``triangles`` reuses triangles drawn earlier in place of ``n_triangles``
+    draws from ``sampler``.  The 3T boundary segments are refined as one
+    stack, each to the tolerance :func:`line_integral` gives it.
+    """
+    if triangles is None:
+        rng = rng if rng is not None else np.random.default_rng(0)
+        triangles = [sampler.sample(rng) for _ in range(n_triangles)]
     worst = 0.0
     worst_triangle = None
     nodes = 0
-    for _ in range(n_triangles):
-        tri = sampler.sample(rng)
-        res = line_integral(phi, tri, frame, spec)
-        nodes += res.nodes
-        norm = res.value.norm()
-        if norm > worst:
-            worst = norm
-            worst_triangle = tri.vertices.tolist()
+    converged = True
+    if triangles:
+        opts = triangles[0].quadrature
+        if any(tri.quadrature != opts for tri in triangles):
+            raise ValueError("stacked triangles need the same quadrature options")
+        starts = np.array([tri.vertices for tri in triangles])  # (T, 3, k)
+        ends = np.roll(starts, -1, axis=1)
+        k = starts.shape[2]
+        # line_integral's default tolerance, split over three segments
+        parts, _, res = _segment_integrals(phi, starts.reshape(-1, k), ends.reshape(-1, k),
+                                           frame, spec, 1e-10 / 3, opts)
+        # the orientation flips the sign of a boundary integral, not its norm
+        norms = np.linalg.norm(parts.reshape(len(triangles), 3, spec.n).sum(axis=1), axis=1)
+        if norms.max() > 0.0:
+            worst_index = int(np.argmax(norms))
+            worst = float(norms[worst_index])
+            worst_triangle = triangles[worst_index].vertices.tolist()
+        nodes = res.nodes
+        converged = res.converged
     return VerificationReport(
         name="triangle-boundary-integral",
         residual=worst,
@@ -366,9 +403,10 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
         value=worst,
         reference=0.0,
         diagnostics={
-            "triangles": n_triangles,
+            "triangles": len(triangles),
             "nodes": nodes,
             "worst_triangle": worst_triangle,
+            "converged": converged,
         },
     )
 

@@ -42,13 +42,21 @@ def _phi_set(spec: AlgebraSpec):
     ]
 
 
-def _control(spec: AlgebraSpec):
-    def psi(x):
-        coords = np.zeros(spec.n, dtype=np.complex128)
+class _Control:
+    """The non-monogenic necessity control ``x -> x_2 I_1``."""
+
+    def __init__(self, spec: AlgebraSpec):
+        self.n = spec.n
+
+    def __call__(self, x) -> Element:
+        coords = np.zeros(self.n, dtype=np.complex128)
         coords[0] = x[1]
         return Element(coords)
 
-    return psi
+    def eval_many(self, frame, xs, spec) -> np.ndarray:
+        out = np.zeros((len(xs), self.n), dtype=np.complex128)
+        out[:, 0] = xs[:, 1]
+        return out
 
 
 def _sample_invertible(rng, frame: Frame, spec: AlgebraSpec, count: int,
@@ -210,7 +218,7 @@ def suite_cauchy(spec, frames, seed, options) -> list:
             rep.name = f"cauchy/{cname}[{pname}]"
             out.append(rep)
     # necessity control: the non-monogenic function must NOT integrate to zero
-    control_rep = cauchy_theorem_check(_control(spec), _standard_circle(frame.k, options=options),
+    control_rep = cauchy_theorem_check(_Control(spec), _standard_circle(frame.k, options=options),
                                        frame, spec, tol=np.inf)
     observed = control_rep.residual
     out.append(
@@ -270,15 +278,15 @@ def suite_morera(spec, frames, seed, options) -> list:
     sampler = TriangleSampler(np.zeros(frame.k), 1.0)
     n_triangles = options.get("triangles", 200)
     tol = options.get("morera_tol", 1e-8)
+    rng = _rng(seed, 6)
+    triangles = [sampler.sample(rng) for _ in range(n_triangles)]
     out = []
     for name, phi in _phi_set(spec):
-        rep = morera_check(phi, frame, spec, sampler, n_triangles=n_triangles,
-                           tol=tol, rng=_rng(seed, 6))
+        rep = morera_check(phi, frame, spec, sampler, tol=tol, triangles=triangles)
         rep.name = f"morera/{name}"
         out.append(rep)
-    control_rep = morera_check(_control(spec), frame, spec, sampler,
-                               n_triangles=n_triangles, tol=np.inf,
-                               rng=_rng(seed, 6))
+    control_rep = morera_check(_Control(spec), frame, spec, sampler, tol=np.inf,
+                               triangles=triangles)
     observed = control_rep.residual
     out.append(
         VerificationReport(

@@ -44,6 +44,88 @@ def test_gauss_segment_smooth_function():
     assert abs(res.value[0] - (np.e - 1.0)) <= 1e-12
 
 
+def _segment_integrands():
+    """Forty easy integrands, one that needs many levels, one that hits the cap."""
+    def slow(t):
+        return np.stack([np.sqrt(t + 1e-3), 1j * np.sqrt(t + 1e-3)], axis=1)
+
+    def stuck(t):
+        return np.stack([np.sqrt(t + 1e-8), np.abs(t - 1 / 3)], axis=1)
+
+    easy = [lambda t, a=a: np.stack([np.exp(a * t), np.cos(3 * a * t) + 1j * t**5], axis=1)
+            for a in np.linspace(-2.0, 2.0, 40)]
+    return easy[:20] + [slow] + easy[20:] + [stuck]
+
+
+class _Stack:
+    """A segment stack over ``integrands`` that records the points it receives."""
+
+    def __init__(self, integrands):
+        self.integrands = integrands
+        self.points = 0
+        self.calls = []  # (points, segments) of each call
+
+    def __len__(self):
+        return len(self.integrands)
+
+    def __call__(self, tau, seg):
+        self.points += len(tau)
+        self.calls.append((len(tau), len(np.unique(seg))))
+        out = np.empty((len(tau), 2), dtype=np.complex128)
+        for s in np.unique(seg):
+            out[seg == s] = self.integrands[s](tau[seg == s])
+        return out
+
+
+@pytest.mark.parametrize("cap", [4096, 64])
+def test_gauss_stack_matches_single_segment_calls(cap):
+    integrands = _segment_integrands()
+    stacked = gauss_segment(_Stack(integrands), cap=cap)
+    singles = [gauss_segment(f, cap=cap) for f in integrands]
+    assert stacked.value.shape == (len(integrands), 2)
+    for s, single in enumerate(singles):
+        scale = np.abs(single.value)
+        assert np.all(np.abs(stacked.value[s] - single.value) <= 1e-14 * scale)
+        assert stacked.segment_nodes[s] == single.nodes
+        assert stacked.segment_converged[s] == single.converged
+        assert stacked.segment_deltas[s] == pytest.approx(single.error_estimate, rel=1e-12)
+    assert stacked.nodes == sum(single.nodes for single in singles)
+    assert stacked.converged is False
+    # the mix exercises every stopping rule: converged early, late, at the cap
+    nodes = [single.nodes for single in singles]
+    assert singles[0].converged and nodes[0] == 32
+    assert nodes[-1] == cap and not singles[-1].converged
+    if cap == 4096:
+        assert singles[20].converged and nodes[20] >= 512
+    else:
+        assert nodes[20] == cap and not singles[20].converged
+    # one history entry per level, carrying the largest delta of the level
+    assert len(stacked.history) == max(len(single.history) for single in singles)
+    assert stacked.history[0][1] == pytest.approx(
+        max(single.history[0][1] for single in singles), rel=1e-12)
+
+
+def test_gauss_stack_history_counts_the_evaluated_points():
+    stack = _Stack(_segment_integrands())
+    res = gauss_segment(stack)
+    history = res.history
+    assert history[0][0] // 2 + sum(nodes for nodes, _ in history) == stack.points
+    # a level evaluates only the segments that have not converged
+    assert history[-1][0] < history[0][0] * 2 ** (len(history) - 1)
+
+
+def test_gauss_stack_streams_blocks_of_whole_segments():
+    stack = _Stack(_segment_integrands())
+    gauss_segment(stack)
+    # a call holds whole segments and at most 512 points, unless a single
+    # segment is larger
+    for points, segments in stack.calls:
+        assert points % segments == 0
+        assert points <= 512 or segments == 1
+    # the first level of 42 segments of 16 nodes streams as 32 + 10 segments
+    assert stack.calls[:2] == [(512, 32), (160, 10)]
+
+
 def test_circle_geometry():
     circle = Circle2D(np.zeros(3), 2.0, coordinate_plane(3, 1, 2))
     tau = np.array([0.0, np.pi / 2])

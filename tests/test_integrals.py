@@ -3,9 +3,19 @@
 import numpy as np
 import pytest
 
+from test_algebra import chain
+from test_resolvent import random_frame
+
 from monalg.algebra import AlgebraSpec, Element, basis_element
-from monalg.curves import Circle2D, Polyline, Triangle, TriangleSampler, coordinate_plane
-from monalg.errors import EmbracingError, IntegrationError
+from monalg.curves import (
+    Circle2D,
+    Polyline,
+    QuadratureOptions,
+    Triangle,
+    TriangleSampler,
+    coordinate_plane,
+)
+from monalg.errors import EmbracingError, IntegrationError, PoleError
 from monalg.frames import Frame, embed
 from monalg.integrals import (
     cauchy_formula_check,
@@ -17,6 +27,7 @@ from monalg.integrals import (
     winding_certificate,
 )
 from monalg.monogenic import ResolventKernel, constant, zeta, zeta_power
+from monalg.suites import _Control
 
 
 def example1():
@@ -314,6 +325,98 @@ def test_morera_control_fails():
                           tol=1e-8, rng=np.random.default_rng(89))
     assert not report.passed
     assert report.residual >= 1e-3
+
+
+def _per_triangle_morera(phi, frame, spec, triangles):
+    """Morera's worst boundary integral by one line integral per triangle."""
+    worst, worst_triangle, nodes = 0.0, None, 0
+    for tri in triangles:
+        res = line_integral(phi, tri, frame, spec)
+        nodes += res.nodes
+        if res.value.norm() > worst:
+            worst, worst_triangle = res.value.norm(), tri.vertices.tolist()
+    return worst, worst_triangle, nodes
+
+
+@pytest.mark.parametrize("name", ["example1", "chain12"])
+def test_morera_stack_matches_per_triangle_line_integrals(name):
+    if name == "chain12":
+        spec = chain(12)
+        frame = random_frame(spec, np.random.default_rng(5))
+    else:
+        spec = example1()
+        frame = default_frame(spec)
+    sampler = TriangleSampler(np.zeros(frame.k), 1.0)
+    rng = np.random.default_rng(97)
+    triangles = [sampler.sample(rng) for _ in range(40)]
+    for phi in (zeta(spec), zeta_power(3, spec), ResolventKernel(3 + 3j), _Control(spec)):
+        report = morera_check(phi, frame, spec, sampler, triangles=triangles)
+        worst, worst_triangle, nodes = _per_triangle_morera(phi, frame, spec, triangles)
+        assert abs(report.residual - worst) <= 1e-13
+        assert report.diagnostics["nodes"] == nodes
+        assert report.diagnostics["converged"] is True
+    # the control's residuals are far above roundoff, so its worst triangle is fixed
+    assert worst > 1e-3
+    assert report.diagnostics["worst_triangle"] == worst_triangle
+
+
+def test_morera_reuses_predrawn_triangles():
+    spec = example1()
+    frame = default_frame(spec)
+    sampler = TriangleSampler(np.zeros(3), 1.0)
+    sampled = morera_check(zeta_power(2, spec), frame, spec, sampler, n_triangles=30,
+                           rng=np.random.default_rng(61))
+    rng = np.random.default_rng(61)
+    triangles = [sampler.sample(rng) for _ in range(30)]
+    reused = morera_check(zeta_power(2, spec), frame, spec, sampler, triangles=triangles)
+    assert reused.residual == sampled.residual
+    assert reused.diagnostics == sampled.diagnostics
+
+
+def test_morera_reports_unconverged_segments():
+    spec = example1()
+    frame = default_frame(spec)
+    sampler = TriangleSampler(np.zeros(3), 1.0)
+    rng = np.random.default_rng(67)
+    drawn = [sampler.sample(rng) for _ in range(5)]
+    starved = [Triangle(tri.vertices, quadrature=QuadratureOptions(segment_cap=16))
+               for tri in drawn]
+    phi = ResolventKernel(3 + 3j)
+    assert morera_check(phi, frame, spec, sampler, triangles=drawn).diagnostics["converged"]
+    report = morera_check(phi, frame, spec, sampler, triangles=starved)
+    assert report.diagnostics["converged"] is False
+    assert report.diagnostics["nodes"] == 5 * 3 * 16
+
+
+def test_morera_failure_names_tau():
+    # one Gauss node of the first segment is a planted pole; the failing
+    # block is re-evaluated pointwise to name it
+    spec = example1()
+    frame = default_frame(spec)
+    sampler = TriangleSampler(np.zeros(3), 1.0)
+    rng = np.random.default_rng(71)
+    planted = Triangle(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]]))
+    triangles = [sampler.sample(rng) for _ in range(10)] + [planted]
+    node = np.polynomial.legendre.leggauss(16)[0][5] * 0.5 + 0.5
+
+    def psi(x):
+        if x[0] == node and x[1] == 0.0 and x[2] == 0.0:
+            raise PoleError("planted pole")
+        return Element(np.asarray(x[0] * basis_element(1, 5).coords))
+
+    with pytest.raises(IntegrationError, match="tau=") as err:
+        morera_check(psi, frame, spec, sampler, triangles=triangles)
+    assert err.value.tau == node
+
+
+def test_suite_control_is_pointwise_control_vectorised():
+    spec = example1()
+    frame = default_frame(spec)
+    xs = np.random.default_rng(73).uniform(-1, 1, size=(50, 3))
+    control = _Control(spec)
+    batched = control.eval_many(frame, xs, spec)
+    assert np.array_equal(batched, np.stack([control_psi(x).coords for x in xs]))
+    assert np.array_equal(batched, np.stack([control(x).coords for x in xs]))
 
 
 # -- integral formula ------------------------------------------------------------
