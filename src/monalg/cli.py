@@ -298,7 +298,8 @@ def _add_common(parser, with_suite=False):
     parser.add_argument("--out", default=None,
                         help="output prefix for .json/.txt/.csv reports")
     parser.add_argument("--nodes-cap", dest="nodes_cap", type=int, default=None,
-                        help="quadrature refinement cap")
+                        help="node cap of circle refinement; polyline segments keep "
+                             "their cap of 4096 nodes")
     if with_suite:
         parser.add_argument("--suite", action="append", default=None,
                             help=f"suites to run (comma-separated); known: "

@@ -169,12 +169,19 @@ class Triangle:
     def k(self) -> int:
         return self.vertices.shape[1]
 
+    @property
+    def closed(self) -> bool:
+        return True
+
     def boundary(self) -> Polyline:
         return Polyline(self.vertices, closed=True, orientation=self.orientation,
                         quadrature=self.quadrature)
 
     def segments(self):
         return self.boundary().segments()
+
+    def sample(self, per_segment: int = 64) -> np.ndarray:
+        return self.boundary().sample(per_segment)
 
     def length(self) -> float:
         return self.boundary().length()
@@ -190,7 +197,7 @@ Curve = Circle2D | Polyline | Triangle
 
 
 def is_closed(curve) -> bool:
-    if isinstance(curve, Circle2D) or isinstance(curve, Triangle):
+    if isinstance(curve, Circle2D):
         return True
     return bool(curve.closed)
 

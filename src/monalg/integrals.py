@@ -102,6 +102,9 @@ class LambdaResult:
 
 # -- line integrals ----------------------------------------------------------
 
+# Default tolerance of one line integral.
+_LINE_TOL = 1e-10
+
 
 def _locate_failure(psi, frame, xs, taus, spec, exc) -> IntegrationError:
     """Re-evaluate pointwise to name the parameter where evaluation failed."""
@@ -117,7 +120,7 @@ def _locate_failure(psi, frame, xs, taus, spec, exc) -> IntegrationError:
 
 
 def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
-                  tol: float = 1e-10) -> IntegralResult:
+                  tol: float = _LINE_TOL) -> IntegralResult:
     """Integral of ``psi`` against ``dzeta`` along the curve.
 
     ``psi`` may be a built-in function variant, an object with an
@@ -125,8 +128,6 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
     ``x -> Element``.  Circles refine by node doubling, polylines by Gauss
     panels bisected per segment, with all segments refined as one stack.
     """
-    if isinstance(gamma, Triangle):
-        gamma = gamma.boundary()
     if isinstance(gamma, Circle2D):
         return _circle_integral(psi, gamma, frame, spec, tol)
     return _polyline_integral(psi, gamma, frame, spec, tol)
@@ -207,8 +208,6 @@ def _polyline_integral(psi, gamma, frame, spec, tol):
 
 def _curve_loop_points(gamma, density: int) -> np.ndarray:
     """Closed loop of sample points in canonical traversal order."""
-    if isinstance(gamma, Triangle):
-        gamma = gamma.boundary()
     if isinstance(gamma, Circle2D):
         return gamma.sample(density)
     if not gamma.closed:
@@ -275,7 +274,7 @@ class _InverseIntegrand:
         return _inverse_coords(emb, spec)
 
 
-def compute_lambda(spec: AlgebraSpec, frame: Frame, circle, tol: float = 1e-10,
+def compute_lambda(spec: AlgebraSpec, frame: Frame, circle, tol: float = _LINE_TOL,
                    singular_floor: float = 1e-8) -> LambdaResult:
     """The element ``integral of zeta^{-1} dzeta`` over the circle.
 
@@ -308,8 +307,6 @@ def matched_lambda_circle(gamma, center_x) -> Circle2D:
     if isinstance(gamma, Circle2D):
         return Circle2D(np.zeros(gamma.k), gamma.radius, gamma.plane,
                         orientation=gamma.orientation, quadrature=gamma.quadrature)
-    if isinstance(gamma, Triangle):
-        gamma = gamma.boundary()
     rel = gamma.vertices - center
     _, sv, vh = np.linalg.svd(rel, full_matrices=False)
     if sv.size < 2 or sv[1] <= 1e-12 * sv[0]:
@@ -330,8 +327,6 @@ def matched_lambda_circle(gamma, center_x) -> Circle2D:
 
 
 def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
-    if isinstance(gamma, Triangle):
-        gamma = gamma.boundary()
     pts = gamma.sample(samples) if isinstance(gamma, Circle2D) else gamma.sample(per_segment=32)
     vals = _evaluate(psi, frame, pts, spec)
     return float(np.max(np.linalg.norm(vals, axis=-1)))
@@ -387,7 +382,7 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
         k = starts.shape[2]
         # line_integral's default tolerance, split over three segments
         parts, _, res = _segment_integrals(phi, starts.reshape(-1, k), ends.reshape(-1, k),
-                                           frame, spec, 1e-10 / 3, opts)
+                                           frame, spec, _LINE_TOL / 3, opts)
         # the orientation flips the sign of a boundary integral, not its norm
         norms = np.linalg.norm(parts.reshape(len(triangles), 3, spec.n).sum(axis=1), axis=1)
         if norms.max() > 0.0:
@@ -414,20 +409,13 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
 class _FormulaIntegrand:
     """Batch evaluator of ``x -> phi(x) * (embedded (x - x0))^{-1}``."""
 
-    def __init__(self, phi, center, floor=1e-8):
+    def __init__(self, phi, center):
         self.phi = phi
-        self.center = np.asarray(center, dtype=np.float64)
-        self.floor = floor
+        self.inverse = _InverseIntegrand(shift=center)
 
     def eval_many(self, frame, xs, spec):
         vals = _evaluate(self.phi, frame, xs, spec)
-        emb = embed_many(frame, xs - self.center)
-        xi = emb[..., : spec.m]
-        if np.any(np.abs(xi) <= self.floor):
-            raise IntegrationError(
-                f"curve approaches the shifted noninvertible locus (within {self.floor:g})"
-            )
-        return _multiply_coords(vals, _inverse_coords(emb, spec), spec)
+        return _multiply_coords(vals, self.inverse.eval_many(frame, xs, spec), spec)
 
 
 def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,

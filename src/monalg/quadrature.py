@@ -1,13 +1,16 @@
-"""Quadrature engines: periodic trapezoid and composite Gauss-Legendre.
+"""Quadrature: one refinement loop, two rules.
 
-Periodic analytic integrands get the trapezoid rule with node doubling; it
-converges geometrically there.  Non-periodic segment integrands get a fixed
-Gauss-Legendre order with segment bisection until the result plateaus.
-Both engines operate on vectorised integrands ``f(tau) -> (len(tau), d)``.
+:func:`_refine` doubles the node count per level until two successive levels
+agree or the node cap is reached.  A rule gives a level's nodes and its sum:
+the periodic trapezoid (:func:`trapezoid_periodic`, geometric convergence for
+analytic periodic integrands) or bisected Gauss-Legendre panels on [0, 1]
+(:func:`gauss_segment`).  Integrands are vectorised, ``f(tau) -> (len(tau),
+d)``, or stacks of integrands refined together.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,9 +25,9 @@ class QuadratureResult:
     """Value of one refinement run plus its diagnostics.
 
     ``history`` lists ``(nodes, delta)`` pairs, where ``delta`` is the
-    change against the previous refinement level.  A stack of segments
-    (see :func:`gauss_segment`) also reports each segment's final delta,
-    node count and convergence flag.
+    change against the previous refinement level.  The ``segment_*``
+    arrays hold each integrand's final delta, node count and convergence
+    flag; a stack (see :func:`_refine`) has one entry per integrand.
     """
 
     value: np.ndarray
@@ -37,108 +40,106 @@ class QuadratureResult:
     segment_converged: np.ndarray | None = None
 
 
-def trapezoid_periodic(f, tol: float = 1e-10, start: int = 64, cap: int = 2**16,
-                       min_doublings: int = 2) -> QuadratureResult:
-    """Integrate a 2-pi-periodic vector integrand by node doubling.
-
-    Stops when two successive levels differ by less than ``tol`` (and at
-    least ``min_doublings`` doublings happened, guarding against aliasing),
-    or at the node cap.
-    """
-    n = int(start)
-    prev = None
-    history = []
-    doublings = 0
-    while True:
-        tau = np.arange(n) * (TWO_PI / n)
-        vals = np.asarray(f(tau))
-        value = vals.mean(axis=0) * TWO_PI
-        if prev is not None:
-            delta = float(np.linalg.norm(np.atleast_1d(value - prev)))
-            history.append((n, delta))
-            if delta <= tol and doublings >= min_doublings:
-                return QuadratureResult(value, delta, n, True, history)
-        if 2 * n > cap:
-            delta = history[-1][1] if history else float("inf")
-            return QuadratureResult(value, delta, n, False, history)
-        prev = value
-        n *= 2
-        doublings += 1
-
-
-_GAUSS_CACHE: dict = {}
-
-
-def _gauss_rule(order: int):
-    if order not in _GAUSS_CACHE:
-        nodes, weights = np.polynomial.legendre.leggauss(order)
-        _GAUSS_CACHE[order] = (0.5 * (nodes + 1.0), 0.5 * weights)  # on [0, 1]
-    return _GAUSS_CACHE[order]
-
-
-# Whole segments are grouped into blocks of about this many points per
+# Whole integrands are grouped into blocks of about this many points per
 # integrand call, which bounds the memory one refinement level needs.
 _BLOCK_POINTS = 512
 
 
-def gauss_segment(f, tol: float = 1e-10, order: int = 16, cap: int = 4096) -> QuadratureResult:
-    """Integrate vector integrands over [0, 1] by bisected Gauss panels.
+def _refine(f, rule, tol: float, cap: int, first_test: int = 1) -> QuadratureResult:
+    """Refine ``f`` level by level; ``rule(level)`` gives nodes and their sum.
 
-    ``f`` is one integrand ``f(tau)``, or a stack of S segment integrands:
-    a sized object with ``len(f) == S``, called as ``f(tau, seg)`` where
-    ``seg`` names the segment of each node.  Each segment doubles its panel
-    count until two successive levels agree within ``tol`` or its node
-    count would exceed ``cap``.  A level evaluates only the segments still
-    refining, in blocks of whole segments of about ``_BLOCK_POINTS`` points.
-
-    For a stack, ``value`` has one row per segment, ``nodes`` sums the
-    segments' node counts, ``error_estimate`` is their largest delta and
-    ``converged`` holds when every segment converged.  ``history`` holds
-    one ``(points evaluated over the refining segments, largest delta)``
-    entry per level after the first.
+    ``f`` is one integrand ``f(tau)`` or a stack of S integrands: a sized
+    object called as ``f(tau, seg)``, ``seg`` naming each node's integrand.
+    Each integrand refines until two levels agree within ``tol`` (from level
+    ``first_test`` on) or its node count would exceed ``cap``.  A level
+    evaluates only the integrands still refining, in blocks of whole
+    integrands of about ``_BLOCK_POINTS`` points.  For a stack, ``value`` has
+    one row per integrand, ``nodes`` is their sum, ``error_estimate`` their
+    largest delta and ``converged`` holds when all converged; ``history``
+    holds one ``(points evaluated, largest delta)`` entry per level after
+    the first.
     """
     stacked = hasattr(f, "__len__")
     count = len(f) if stacked else 1
     evaluate = f if stacked else (lambda tau, seg: f(tau))
-    base_nodes, base_weights = _gauss_rule(order)
     value = None
     deltas = np.full(count, np.inf)
     nodes = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
-    panels = 1
     history = []
+    level = 0
     while active.size:
-        width = 1.0 / panels
-        offsets = np.arange(panels) * width
-        tau = (offsets[:, None] + base_nodes[None, :] * width).ravel()
-        weights = np.broadcast_to(base_weights * width, (panels, order)).ravel()
+        tau, level_sum = rule(level)
         per_block = max(1, _BLOCK_POINTS // tau.size)
-        level = []
+        sums = []
         for first in range(0, active.size, per_block):
             seg = active[first:first + per_block]
             vals = np.asarray(evaluate(np.tile(tau, seg.size), np.repeat(seg, tau.size)))
-            vals = vals.reshape(seg.size, tau.size, *vals.shape[1:])
-            # einsum reduces without BLAS, so the sum does not depend on the
-            # BLAS thread count
-            level.append(np.einsum("q,sq...->s...", weights, vals))
-        level = np.concatenate(level)
+            sums.append(level_sum(vals.reshape(seg.size, tau.size, *vals.shape[1:])))
+        sums = np.concatenate(sums)
         nodes[active] = tau.size
         if value is None:
-            value = level
+            value = sums
         else:
-            change = np.linalg.norm((level - value[active]).reshape(active.size, -1), axis=1)
-            value[active] = level
+            change = np.linalg.norm((sums - value[active]).reshape(active.size, -1), axis=1)
+            value[active] = sums
             deltas[active] = change
             history.append((active.size * tau.size, float(change.max())))
-            done = change <= tol
-            converged[active[done]] = True
-            active = active[~done]
+            if level >= first_test:
+                done = change <= tol
+                converged[active[done]] = True
+                active = active[~done]
         if 2 * tau.size > cap:
             break
-        panels *= 2
+        level += 1
     if not stacked:
         return QuadratureResult(value[0], float(deltas[0]), int(nodes[0]), bool(converged[0]),
                                 history, deltas, nodes, converged)
     return QuadratureResult(value, float(deltas.max()), int(nodes.sum()),
                             bool(converged.all()), history, deltas, nodes, converged)
+
+
+# No trapezoid convergence before two doublings: the first two levels may alias.
+_TRAPEZOID_FIRST_TEST = 2
+
+
+def trapezoid_periodic(f, tol: float = 1e-10, start: int = 64,
+                       cap: int = 2**16) -> QuadratureResult:
+    """Integrate 2-pi-periodic integrands over [0, 2 pi] by node doubling.
+
+    Level ``l`` has ``start * 2^l`` equispaced nodes; ``f`` and the result
+    are as for :func:`_refine`.
+    """
+    def rule(level):
+        n = int(start) * 2**level
+        return np.arange(n) * (TWO_PI / n), lambda vals: vals.mean(axis=1) * TWO_PI
+
+    return _refine(f, rule, tol, cap, first_test=_TRAPEZOID_FIRST_TEST)
+
+
+@functools.cache
+def _gauss_rule(order: int):
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    return 0.5 * (nodes + 1.0), 0.5 * weights  # on [0, 1]
+
+
+def gauss_segment(f, tol: float = 1e-10, order: int = 16, cap: int = 4096) -> QuadratureResult:
+    """Integrate integrands over [0, 1] by bisected Gauss-Legendre panels.
+
+    Level ``l`` has ``2^l`` panels of ``order`` nodes each; ``f`` and the
+    result are as for :func:`_refine`.
+    """
+    base_nodes, base_weights = _gauss_rule(order)
+
+    def rule(level):
+        panels = 2**level
+        width = 1.0 / panels
+        offsets = np.arange(panels) * width
+        tau = (offsets[:, None] + base_nodes[None, :] * width).ravel()
+        weights = np.broadcast_to(base_weights * width, (panels, order)).ravel()
+        # einsum reduces without BLAS, so the sum does not depend on the
+        # BLAS thread count
+        return tau, lambda vals: np.einsum("q,sq...->s...", weights, vals)
+
+    return _refine(f, rule, tol, cap)

@@ -58,7 +58,7 @@ def _segment_integrands():
 
 
 class _Stack:
-    """A segment stack over ``integrands`` that records the points it receives."""
+    """A stack over ``integrands`` that records the points it receives."""
 
     def __init__(self, integrands):
         self.integrands = integrands
@@ -124,6 +124,74 @@ def test_gauss_stack_streams_blocks_of_whole_segments():
         assert points <= 512 or segments == 1
     # the first level of 42 segments of 16 nodes streams as 32 + 10 segments
     assert stack.calls[:2] == [(512, 32), (160, 10)]
+
+
+def _periodic_integrands(a=1.01):
+    """Harmonics, ``1 / (a - cos tau)``, an alias of the first two levels and a rough one."""
+    harmonics = [lambda t, k=k: np.stack([np.exp(1j * k * t), np.cos(k * t) ** 2], axis=1)
+                 for k in range(1, 9)]
+
+    def pole(t):
+        return np.stack([1.0 / (a - np.cos(t)), 1j * np.sin(t) / (a - np.cos(t))], axis=1)
+
+    def alias(t):
+        # sums to 2 pi on 64 and 128 nodes, to its integral 0 from 256 on
+        return np.stack([np.cos(128 * t), np.zeros_like(t)], axis=1).astype(complex)
+
+    def rough(t):
+        return np.stack([np.abs(np.sin(t)), 1j * np.abs(np.cos(t)) ** 3], axis=1)
+
+    return harmonics[:4] + [pole] + harmonics[4:] + [alias, rough]
+
+
+@pytest.mark.parametrize("cap", [2**16, 256])
+def test_trapezoid_stack_matches_single_calls(cap):
+    integrands = _periodic_integrands()
+    stacked = trapezoid_periodic(_Stack(integrands), cap=cap)
+    singles = [trapezoid_periodic(f, cap=cap) for f in integrands]
+    assert stacked.value.shape == (len(integrands), 2)
+    for s, single in enumerate(singles):
+        assert np.array_equal(stacked.value[s], single.value)
+        assert stacked.segment_nodes[s] == single.nodes
+        assert stacked.segment_converged[s] == single.converged
+    assert stacked.nodes == sum(single.nodes for single in singles)
+    assert stacked.converged is False
+    # harmonics converge on the first level that may stop, the rough one never
+    nodes = [single.nodes for single in singles]
+    assert nodes[0] == 256 and singles[0].converged
+    assert nodes[-1] == cap and not singles[-1].converged
+    # the pole near the circle needs 512 nodes
+    expected = 2.0 * np.pi / np.sqrt(1.01**2 - 1.0)
+    assert singles[4].converged == (cap > 256)
+    if cap > 256:
+        assert nodes[4] == 512
+        assert abs(singles[4].value[0] - expected) <= 1e-12 * expected
+    assert len(stacked.history) == max(len(single.history) for single in singles)
+
+
+def test_trapezoid_waits_two_doublings_before_converging():
+    alias = _periodic_integrands()[-2]
+    res = trapezoid_periodic(alias)
+    # levels 0 and 1 agree on the aliased sum 2 pi; level 2 shows the change
+    assert res.history[0] == (128, 0.0)
+    assert res.history[1][1] == pytest.approx(2.0 * np.pi)
+    assert res.converged and res.nodes == 512
+    assert abs(res.value[0]) <= 1e-12
+    stack = _Stack([alias] * 3)
+    stacked = trapezoid_periodic(stack)
+    assert list(stacked.segment_nodes) == [512] * 3
+    assert stacked.history[0] == (3 * 128, 0.0)
+
+
+def test_trapezoid_stack_history_counts_the_evaluated_points():
+    for cap in (2**16, 256):
+        stack = _Stack(_periodic_integrands())
+        history = trapezoid_periodic(stack, cap=cap).history
+        assert history[0][0] // 2 + sum(nodes for nodes, _ in history) == stack.points
+        # whole integrands of at most 512 points per call
+        for points, integrands in stack.calls:
+            assert points % integrands == 0
+            assert points <= 512 or integrands == 1
 
 
 def test_circle_geometry():

@@ -315,6 +315,21 @@ def test_control_on_axis_aligned_triangle_closed_form():
     res = line_integral(control_psi, tri, frame, spec)
     expected = -0.5 * basis_element(1, 5).coords
     assert np.max(np.abs(res.value.coords - expected)) <= 1e-12
+    # a triangle is read as the closed polyline of its boundary, either way round
+    center = np.array([0.25, 0.25, 0.0])
+    for curve in (tri, tri.reversed()):
+        poly = curve.boundary()
+        for psi in (control_psi, zeta_power(2, spec)):
+            a, b = line_integral(psi, curve, frame, spec), line_integral(psi, poly, frame, spec)
+            assert np.array_equal(a.value.coords, b.value.coords)
+            assert (a.nodes, a.converged, a.history) == (b.nodes, b.converged, b.history)
+            a, b = (cauchy_theorem_check(psi, c, frame, spec) for c in (curve, poly))
+            assert (a.residual, a.tolerance) == (b.residual, b.tolerance)
+        assert (winding_certificate(curve, frame, center, spec)
+                == winding_certificate(poly, frame, center, spec))
+        a, b = matched_lambda_circle(curve, center), matched_lambda_circle(poly, center)
+        assert (a.radius, a.orientation, a.quadrature) == (b.radius, b.orientation, b.quadrature)
+        assert np.array_equal(a.plane, b.plane) and np.array_equal(a.center, b.center)
 
 
 def test_morera_control_fails():
