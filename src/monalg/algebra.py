@@ -14,11 +14,10 @@ three rules:
 The unit is ``1 = I_1 + ... + I_m``.  Only the nilpotent-block tensor is
 user input; rules 1 and 3 are hard-coded so they cannot be mis-specified.
 
-Products use the sparse list of non-zero structure constants ``c_rsk``
-that :class:`AlgebraSpec` builds from the three rules: ``m + 2 (n - m)``
-entries from rules 1 and 3 plus two per off-diagonal nilpotent product.
-The dense ``(n, n, n)`` table :attr:`AlgebraSpec.table` is built lazily, on
-first use, as an independent oracle for validation and tests.
+Products, and the axiom checks of :func:`validate_algebra`, use the sparse
+list of non-zero structure constants ``c_rsk`` that :class:`AlgebraSpec`
+builds from the three rules: ``m + 2 (n - m)`` entries from rules 1 and 3
+plus two per off-diagonal nilpotent product.
 """
 
 from __future__ import annotations
@@ -126,14 +125,14 @@ class AlgebraSpec:
         Mapping ``(left, right, target) -> complex`` (all 1-based) giving the
         coefficient of ``I_target`` in ``I_left I_right`` for nilpotent
         ``left, right``.  Either factor order may be given; conflicting
-        duplicates are rejected, the table is symmetrized.
+        duplicates are rejected, the constants are symmetrized.
     u_map:
         Mapping ``s -> u_s`` for ``s`` in ``[m+1, n]``.  May be omitted when
         ``m == n`` (empty) or ``m == 1`` (the only possible selector).
     """
 
     __slots__ = ("n", "m", "products", "u_map", "_left", "_right", "_coeffs", "_starts",
-                 "_table", "_unit")
+                 "_unit")
 
     def __init__(self, n: int, m: int, products=None, u_map=None):
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -145,7 +144,6 @@ class AlgebraSpec:
         self.products = self._canonical_products(products or {})
         self.u_map = self._canonical_u_map(u_map)
         self._left, self._right, self._coeffs, self._starts = self._build_triples()
-        self._table = None
         self._unit = np.zeros(n, dtype=np.complex128)
         self._unit[:m] = 1.0
 
@@ -219,35 +217,7 @@ class AlgebraSpec:
         return (np.array(lefts), np.array(rights),
                 np.array(coeffs, dtype=np.complex128), starts)
 
-    def _build_table(self) -> np.ndarray:
-        n, m = self.n, self.m
-        t = np.zeros((n, n, n), dtype=np.complex128)
-        for u in range(m):
-            t[u, u, u] = 1.0
-        for s in range(m + 1, n + 1):
-            u = self.u_map[s]
-            t[u - 1, s - 1, s - 1] = 1.0
-            t[s - 1, u - 1, s - 1] = 1.0
-        for (left, right, target), value in self.products.items():
-            t[left - 1, right - 1, target - 1] = value
-            t[right - 1, left - 1, target - 1] = value
-        return t
-
     # -- derived data ------------------------------------------------------
-
-    @property
-    def table(self) -> np.ndarray:
-        """Full multiplication tensor, ``table[r, s, k]`` 0-based (read-only).
-
-        Built from the three rules on first access and cached.  Products do
-        not use it: they run on the sparse structure constants.  The table
-        is an independent oracle for :func:`validate_algebra` and tests.
-        """
-        if self._table is None:
-            table = self._build_table()
-            table.flags.writeable = False
-            self._table = table
-        return self._table
 
     @property
     def dim_nilpotent(self) -> int:
@@ -299,9 +269,9 @@ def _multiply_coords(a, b, spec):
 
     Gathers ``a[..., r] * b[..., s] * c_rsk`` over the sparse non-zero
     structure constants of ``spec`` and sums each target's run: O(nnz) work
-    per product, against O(n^3) for a contraction with the dense
-    :attr:`AlgebraSpec.table`, which this never builds.  No step calls BLAS,
-    so results do not depend on the BLAS thread count.
+    per product, against O(n^3) for a contraction with a dense ``(n, n, n)``
+    table.  No step calls BLAS, so results do not depend on the BLAS thread
+    count.
     """
     terms = np.take(np.asarray(a, dtype=np.complex128), spec._left, axis=-1)
     other = np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1)
@@ -398,40 +368,39 @@ def validate_algebra(spec: AlgebraSpec, tolerance: float = 1e-12) -> ValidationR
     at construction) raises.
     """
     n, m = spec.n, spec.m
-    t = spec.table
+    basis = np.eye(n, dtype=np.complex128)
+    idem, nil = basis[:m], basis[m:]
 
-    rule1_ok = True
-    for r in range(m):
-        for s in range(m):
-            expected = np.zeros(n)
-            if r == s:
-                expected[r] = 1.0
-            if not np.array_equal(t[r, s], expected):
-                rule1_ok = False
+    # rules 1 and 3 and the unit: products of basis elements, compared exactly
+    rule1 = np.zeros((m, m, n))
+    rule1[range(m), range(m), range(m)] = 1.0
+    rule1_ok = np.array_equal(_multiply_coords(idem[:, None], idem, spec), rule1)
 
     rule2_support_ok = all(
         target >= max(left, right) + 1 for (left, right, target) in spec.products
     )
 
-    rule3_ok = True
+    rule3 = np.zeros((m, n - m, n))
     for s in range(m + 1, n + 1):
-        u = spec.u_map[s]
-        for r in range(1, m + 1):
-            expected = np.zeros(n)
-            if r == u:
-                expected[s - 1] = 1.0
-            if not np.array_equal(t[r - 1, s - 1], expected):
-                rule3_ok = False
+        rule3[spec.u_map[s] - 1, s - m - 1, s - 1] = 1.0
+    rule3_ok = np.array_equal(_multiply_coords(idem[:, None], nil, spec), rule3)
 
-    # assoc[r, s, p, w] = coords of (I_r I_s) I_p - I_r (I_s I_p)
-    assoc = np.einsum("rsk,kpw->rspw", t, t) - np.einsum("spk,rkw->rspw", t, t)
-    nil = slice(m, n)
-    idem = slice(0, m)
-    a1 = float(np.max(np.abs(assoc[nil, nil, nil, :]))) if m < n else 0.0
-    a2 = float(np.max(np.abs(assoc[idem, nil, nil, :]))) if m < n else 0.0
+    unit_prod = _multiply_coords(spec.unit_coords(), basis, spec)
+    unit_ok = bool(np.max(np.abs(unit_prod - basis)) <= tolerance)
 
-    unit_prod = np.einsum("r,rsk->sk", spec.unit_coords(), t)
-    unit_ok = bool(np.max(np.abs(unit_prod - np.eye(n))) <= tolerance)
+    # (I_r I_s) I_p - I_r (I_s I_p) for nilpotent s, p: A1 for a nilpotent
+    # r, A2 for an idempotent one; one left factor at a time bounds memory
+    a1 = a2 = 0.0
+    if m < n:
+        sp = _multiply_coords(nil[:, None], nil, spec)
+        for r in range(n):
+            rs = _multiply_coords(basis[r], nil, spec)
+            assoc = _multiply_coords(rs[:, None], nil, spec) - _multiply_coords(basis[r], sp, spec)
+            worst = float(np.max(np.abs(assoc)))
+            if r < m:
+                a2 = max(a2, worst)
+            else:
+                a1 = max(a1, worst)
 
     nilpotency_index = _nilpotency_index(spec) if rule2_support_ok else 0
 
@@ -462,7 +431,7 @@ def _nilpotency_index(spec: AlgebraSpec) -> int:
     while span.shape[0] > 0:
         if q > n - m + 1:
             return 0  # not nilpotent within the triangular bound
-        prods = np.einsum("ar,bs,rsk->abk", nil_rows, span, spec.table).reshape(-1, n)
+        prods = _multiply_coords(nil_rows[:, None], span, spec).reshape(-1, n)
         span = _row_basis(prods)
         q += 1
     return q

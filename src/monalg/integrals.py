@@ -97,6 +97,7 @@ class LambdaResult:
     deviation_from_two_pi_i: float
     error_estimate: float
     nodes: int
+    converged: bool
     history: list = field(default_factory=list)
 
 
@@ -293,6 +294,7 @@ def compute_lambda(spec: AlgebraSpec, frame: Frame, circle, tol: float = _LINE_T
         deviation_from_two_pi_i=float(np.linalg.norm(lam.coords - two_pi_i)),
         error_estimate=res.error_estimate,
         nodes=res.nodes,
+        converged=res.converged,
         history=res.history,
     )
 
@@ -419,9 +421,15 @@ class _FormulaIntegrand:
 
 
 def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
-                         lambda_circle: Circle2D | None = None,
+                         lam: LambdaResult | None = None,
                          tol: float = 1e-8) -> VerificationReport:
-    """Compare ``lambda * phi(center)`` with the formula integral around it."""
+    """Compare ``lambda * phi(center)`` with the formula integral around it.
+
+    ``lam`` is the lambda that scales the reference; by default it is
+    computed on ``matched_lambda_circle(gamma, center_x)``.  Passing it in
+    lets checks on one curve share one lambda integral.  The report is
+    converged only when both the formula integral and ``lam`` are.
+    """
     center = np.asarray(center_x, dtype=np.float64)
     cert = winding_certificate(gamma, frame, center, spec)
     if not cert.embraces_once:
@@ -429,9 +437,8 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
             f"curve does not embrace the center once: windings {cert.windings}",
             certificate=cert,
         )
-    if lambda_circle is None:
-        lambda_circle = matched_lambda_circle(gamma, center)
-    lam = compute_lambda(spec, frame, lambda_circle)
+    if lam is None:
+        lam = compute_lambda(spec, frame, matched_lambda_circle(gamma, center))
     if any(w != 1 for w in lam.windings):
         raise EmbracingError(
             f"lambda circle does not wind once: {lam.windings}",
@@ -450,7 +457,7 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
             "windings": cert.windings,
             "lambda_deviation": lam.deviation_from_two_pi_i,
             "nodes": res.nodes,
-            "converged": res.converged,
+            "converged": res.converged and lam.converged,
             "history": res.history,
         },
     )

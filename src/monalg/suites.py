@@ -18,6 +18,7 @@ from .integrals import (
     cauchy_formula_check,
     cauchy_theorem_check,
     compute_lambda,
+    matched_lambda_circle,
     morera_check,
 )
 from .monogenic import ResolventKernel, constant, cr_residual, zeta, zeta_power
@@ -319,8 +320,9 @@ def suite_formula(spec, frames, seed, options) -> list:
     tol = options.get("formula_tol", 1e-8)
     out = []
     for cname, curve in curves:
+        lam = compute_lambda(spec, frame, matched_lambda_circle(curve, center))
         for pname, phi in phis:
-            rep = cauchy_formula_check(phi, center, curve, frame, spec, tol=tol)
+            rep = cauchy_formula_check(phi, center, curve, frame, spec, lam=lam, tol=tol)
             rep.name = f"formula/{cname}[{pname}]"
             out.append(rep)
     return out

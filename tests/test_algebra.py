@@ -9,6 +9,7 @@ from monalg.algebra import (
     AlgebraSpec,
     Element,
     _multiply_coords,
+    _nilpotency_index,
     basis_element,
     functional,
     left_mul_matrix,
@@ -111,6 +112,22 @@ def test_nilpotency_property():
 # -- sparse product kernel against the dense table ----------------------------
 
 
+def dense_table(spec):
+    """The full multiplication tensor ``t[r, s, k]`` (0-based) from the three rules."""
+    n, m = spec.n, spec.m
+    t = np.zeros((n, n, n), dtype=np.complex128)
+    for u in range(m):
+        t[u, u, u] = 1.0
+    for s in range(m + 1, n + 1):
+        u = spec.u_map[s]
+        t[u - 1, s - 1, s - 1] = 1.0
+        t[s - 1, u - 1, s - 1] = 1.0
+    for (left, right, target), value in spec.products.items():
+        t[left - 1, right - 1, target - 1] = value
+        t[right - 1, left - 1, target - 1] = value
+    return t
+
+
 def chain(n):
     # one idempotent, I_a I_b = I_{a+b-1} on the radical
     return AlgebraSpec(n, 1, {
@@ -134,6 +151,11 @@ def structure_tensors(draw):
     return AlgebraSpec(n, m, products, u_map=u_map)
 
 
+BUILTINS = ([builtin_algebra(f"example{i}") for i in range(1, 5)]
+            + [builtin_algebra("semisimple:m=1"), builtin_algebra("semisimple:m=12"), chain(12)])
+BUILTIN_IDS = ["example1", "example2", "example3", "example4", "semisimple1", "semisimple12",
+               "chain12"]
+
 SHAPE_PAIRS = [((), ()), ((7,), ()), ((), (7,)), ((3, 4), (3, 4)), ((3, 1), (4,))]
 
 
@@ -142,7 +164,7 @@ def random_coords(rng, shape, n):
 
 
 def assert_matches_dense(spec, rng):
-    table = spec.table
+    table = dense_table(spec)
     for shape_a, shape_b in SHAPE_PAIRS:
         a = random_coords(rng, shape_a, spec.n)
         b = random_coords(rng, shape_b, spec.n)
@@ -160,12 +182,7 @@ def test_sparse_product_matches_dense_table_random(spec, seed):
     assert_matches_dense(spec, np.random.default_rng(seed))
 
 
-@pytest.mark.parametrize(
-    "spec",
-    [builtin_algebra(f"example{i}") for i in range(1, 5)]
-    + [builtin_algebra("semisimple:m=1"), builtin_algebra("semisimple:m=12"), chain(12)],
-    ids=["example1", "example2", "example3", "example4", "semisimple1", "semisimple12", "chain12"],
-)
+@pytest.mark.parametrize("spec", BUILTINS, ids=BUILTIN_IDS)
 def test_sparse_product_matches_dense_table_builtins(spec):
     assert_matches_dense(spec, np.random.default_rng(spec.n))
 
@@ -192,10 +209,8 @@ def test_products_never_build_the_dense_table():
     a = random_element(np.random.default_rng(5), 12)
     multiply(a, a, spec)
     left_mul_matrix(a, spec)
-    assert spec._table is None
-    table = spec.table
-    assert table.shape == (12, 12, 12) and spec.table is table
-    assert not table.flags.writeable
+    validate_algebra(spec)
+    assert not hasattr(spec, "table") and "_table" not in AlgebraSpec.__slots__
 
 
 # -- functionals -------------------------------------------------------------
@@ -335,6 +350,60 @@ def test_validate_support_violation_flagged():
     report = validate_algebra(spec)
     assert not report.rule2_support_ok
     assert not report.ok
+
+
+def dense_nilpotency_index(spec, table):
+    """Least q with every product of q radical elements zero, by einsum."""
+    n, m = spec.n, spec.m
+    nil_rows = np.eye(n)[m:]
+    span, q = nil_rows, 1
+    while span.shape[0] > 0:
+        if q > n - m + 1:
+            return 0
+        prods = np.einsum("ar,bs,rsk->abk", nil_rows, span, table).reshape(-1, n)
+        _, sv, vh = np.linalg.svd(prods, full_matrices=False)
+        span = vh[sv > 1e-12 * max(1.0, sv[0] if sv.size else 1.0)]
+        q += 1
+    return q
+
+
+def assert_validation_matches_dense(spec):
+    report = validate_algebra(spec)
+    t = dense_table(spec)
+    n, m = spec.n, spec.m
+    expected1 = np.einsum("rs,rk->rsk", np.eye(m), np.eye(n)[:m])
+    assert report.rule1_ok == np.array_equal(t[:m, :m], expected1)
+    expected3 = np.zeros((m, n - m, n))
+    for s in range(m + 1, n + 1):
+        expected3[spec.u_map[s] - 1, s - m - 1, s - 1] = 1.0
+    assert report.rule3_ok == np.array_equal(t[:m, m:], expected3)
+    unit_prod = np.einsum("r,rsk->sk", spec.unit_coords(), t)
+    assert report.unit_ok == bool(np.max(np.abs(unit_prod - np.eye(n))) <= report.tolerance)
+
+    index = dense_nilpotency_index(spec, t)
+    assert _nilpotency_index(spec) == index
+    assert report.nilpotency_index == (index if report.rule2_support_ok else 0)
+
+    # assoc[r, s, p, w] = coords of (I_r I_s) I_p - I_r (I_s I_p), with the
+    # sum of term magnitudes as the scale of rounding error
+    assoc = np.einsum("rsk,kpw->rspw", t, t) - np.einsum("spk,rkw->rspw", t, t)
+    a = abs(t)
+    scale = np.einsum("rsk,kpw->rspw", a, a) + np.einsum("spk,rkw->rspw", a, a)
+    for r, got in ((slice(m, n), report.assoc_A1_max_residual),
+                   (slice(0, m), report.assoc_A2_max_residual)):
+        want = np.abs(assoc[r, m:, m:]).max(initial=0.0)
+        assert abs(got - want) <= 1e-13 * scale[r, m:, m:].max(initial=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=structure_tensors())
+def test_validation_matches_dense_oracle_random(spec):
+    assert_validation_matches_dense(spec)
+
+
+@pytest.mark.parametrize("spec", BUILTINS, ids=BUILTIN_IDS)
+def test_validation_matches_dense_oracle_builtins(spec):
+    assert_validation_matches_dense(spec)
 
 
 # -- structural errors -------------------------------------------------------

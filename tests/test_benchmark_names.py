@@ -1,7 +1,8 @@
 """The benchmark's per-layer span names still name public functions of monalg.
 
 ``perfbench/spans.py`` times the public functions of its traced modules by
-name; a name in ``BENCHMARK.json`` that no longer resolves would make
+name; a name in ``BENCHMARK.json`` that no longer resolves, or that a run
+no longer reaches (a suite that bypasses a public check), would make
 ``perfbench/run.py --trace 1`` report it as not measured.
 """
 
@@ -9,6 +10,9 @@ import importlib
 import importlib.util
 import inspect
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -60,3 +64,36 @@ def test_span_name_resolves_to_a_public_function(name):
 def test_every_traced_layer_is_checked():
     layers = {name.split(".")[0] for name in _span_names()}
     assert layers >= {"quadrature", "integrals", "monogenic", "curves", "io"}
+
+
+# The tracer rewrites module namespaces, so the traced run gets its own process.
+TRACED_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import monalg.cli as cli
+from spans import Tracer
+tracer = Tracer()
+tracer.install()
+code = cli.main(["verify", "--algebra", "example1", "--suite", "all", "--seed", "1",
+                 "--out", sys.argv[2]])
+with open(sys.argv[3], "w") as handle:
+    json.dump({"exit": code, "spans": tracer.stats}, handle)
+"""
+
+
+def test_traced_run_measures_every_span(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    stats_path = tmp_path / "stats.json"
+    proc = subprocess.run([sys.executable, "-c", TRACED_RUN, str(ROOT / "perfbench"),
+                           str(tmp_path / "r"), str(stats_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    stats = json.loads(stats_path.read_text())
+    assert stats["exit"] == 0
+    unmeasured = []
+    for name in _span_names():
+        span, key = name.rsplit(".", 1)
+        if not stats["spans"].get(span, {}).get(key):
+            unmeasured.append(name)
+    assert unmeasured == []

@@ -7,6 +7,7 @@ from test_algebra import chain
 from test_resolvent import random_frame
 
 from monalg.algebra import AlgebraSpec, Element, basis_element
+from monalg.catalog import builtin_algebra, builtin_frames
 from monalg.curves import (
     Circle2D,
     Polyline,
@@ -27,7 +28,7 @@ from monalg.integrals import (
     winding_certificate,
 )
 from monalg.monogenic import ResolventKernel, constant, zeta, zeta_power
-from monalg.suites import _Control
+from monalg.suites import _Control, run_suites
 
 
 def example1():
@@ -484,6 +485,54 @@ def test_formula_radius_homotopy_stability():
         assert report.passed
         values.append(report.value.coords)
     assert np.max(np.abs(values[0] - values[1])) <= 1e-8
+
+
+def test_formula_given_lambda_matches_default():
+    spec = example1()
+    frame = default_frame(spec)
+    center = np.array([0.1, 0.2, 0.0])
+    offsets = np.array([[0.5, 0.5, 0], [-0.5, 0.5, 0], [-0.5, -0.5, 0], [0.5, -0.5, 0]])
+    square = Polyline(center + offsets, closed=True)
+    lam = compute_lambda(spec, frame, matched_lambda_circle(square, center))
+    assert lam.converged
+    phi = zeta_power(2, spec)
+    default = cauchy_formula_check(phi, center, square, frame, spec)
+    given = cauchy_formula_check(phi, center, square, frame, spec, lam=lam)
+    assert given.value.coords.tobytes() == default.value.coords.tobytes()
+    assert given.reference.coords.tobytes() == default.reference.coords.tobytes()
+    assert given.residual == default.residual
+    assert given.diagnostics == default.diagnostics
+
+
+def test_formula_suite_computes_each_lambda_once(monkeypatch):
+    import monalg.integrals
+    import monalg.suites
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return compute_lambda(*args, **kwargs)
+
+    monkeypatch.setattr(monalg.integrals, "compute_lambda", counted)
+    monkeypatch.setattr(monalg.suites, "compute_lambda", counted)
+    spec = builtin_algebra("example1")
+    reports = monalg.suites.suite_formula(spec, builtin_frames(spec), 1, {})
+    assert len(reports) == 9
+    assert len(calls) == 3  # one per curve, shared by its three functions
+
+
+def test_formula_converged_reads_its_lambda():
+    # At a cap of 64 nodes the matched lambda circle of the square stops
+    # unconverged while the square's own segments converge at 256 nodes.
+    spec = builtin_algebra("example1")
+    reports = run_suites(["formula"], spec, builtin_frames(spec), seed=1,
+                         options={"nodes_cap": 64})
+    square = [rep for rep in reports if rep.name.startswith("formula/square")]
+    assert len(square) == 3
+    for rep in square:
+        assert rep.diagnostics["nodes"] == 256
+        assert rep.diagnostics["converged"] is False
 
 
 def test_formula_embracing_violation():
