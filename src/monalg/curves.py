@@ -29,7 +29,6 @@ class QuadratureOptions:
     """Initial node counts and the refinement cap for one curve."""
 
     nodes_on_circle: int = 64
-    nodes_per_segment: int = 16
     cap: int = 2**16
     segment_cap: int = 4096
 

@@ -189,7 +189,7 @@ def _segment_integrals(psi, starts, ends, frame, spec, tol, opts):
     """
     directions = ends - starts
     res = gauss_segment(_SegmentStack(psi, frame, spec, starts, directions), tol=tol,
-                        order=opts.nodes_per_segment, cap=opts.segment_cap)
+                        cap=opts.segment_cap)
     dz = directions @ frame.a
     return _multiply_coords(res.value, dz, spec), dz, res
 

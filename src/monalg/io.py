@@ -158,9 +158,11 @@ def load_curve(path):
     """Read a tagged curve record: circle2d, polyline, or triangle."""
     data = _read_json(path)
     kind = data.get("kind")
+    if "nodes_per_segment" in data:
+        raise SpecFormatError(f"{path}: nodes_per_segment is no longer read; "
+                              "segment panels have a fixed 15 nodes")
     quad = QuadratureOptions(
         nodes_on_circle=int(data.get("nodes_on_circle", 64)),
-        nodes_per_segment=int(data.get("nodes_per_segment", 16)),
         cap=int(data.get("refinement_cap", 2**16)),
     )
     try:

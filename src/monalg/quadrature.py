@@ -3,14 +3,16 @@
 :func:`_refine` doubles the node count per level until two successive levels
 agree or the node cap is reached.  A rule gives a level's nodes and its sum:
 the periodic trapezoid (:func:`trapezoid_periodic`, geometric convergence for
-analytic periodic integrands) or bisected Gauss-Legendre panels on [0, 1]
-(:func:`gauss_segment`).  Integrands are vectorised, ``f(tau) -> (len(tau),
-d)``, or stacks of integrands refined together.
+analytic periodic integrands) or bisected G7/K15 Gauss-Kronrod panels on
+[0, 1] (:func:`gauss_segment`).  A rule may also give a reference sum for
+level 0 from the same values: the Kronrod panels use their embedded 7-point
+Gauss sum, so a segment that is smooth enough is accepted after one level
+of 15 evaluations.  Integrands are vectorised, ``f(tau) -> (len(tau), d)``,
+or stacks of integrands refined together.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,10 +26,14 @@ TWO_PI = 2.0 * np.pi
 class QuadratureResult:
     """Value of one refinement run plus its diagnostics.
 
-    ``history`` lists ``(nodes, delta)`` pairs, where ``delta`` is the
-    change against the previous refinement level.  The ``segment_*``
-    arrays hold each integrand's final delta, node count and convergence
-    flag; a stack (see :func:`_refine`) has one entry per integrand.
+    ``history`` lists one ``(nodes, delta)`` pair per level after the first,
+    where ``delta`` is the change against the previous level.  A level-0
+    test against an embedded reference adds no entry, so the points
+    evaluated are ``nodes`` when ``history`` is empty and otherwise half the
+    first entry's nodes plus the nodes of every entry (for a stack, as long
+    as no integrand stopped at level 0).  The ``segment_*`` arrays hold each
+    integrand's final delta, node count and convergence flag; a stack (see
+    :func:`_refine`) has one entry per integrand.
     """
 
     value: np.ndarray
@@ -45,19 +51,22 @@ class QuadratureResult:
 _BLOCK_POINTS = 512
 
 
-def _refine(f, rule, tol: float, cap: int, first_test: int = 1) -> QuadratureResult:
+def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
+            reference=None) -> QuadratureResult:
     """Refine ``f`` level by level; ``rule(level)`` gives nodes and their sum.
 
     ``f`` is one integrand ``f(tau)`` or a stack of S integrands: a sized
     object called as ``f(tau, seg)``, ``seg`` naming each node's integrand.
-    Each integrand refines until two levels agree within ``tol`` (from level
-    ``first_test`` on) or its node count would exceed ``cap``.  A level
-    evaluates only the integrands still refining, in blocks of whole
-    integrands of about ``_BLOCK_POINTS`` points.  For a stack, ``value`` has
-    one row per integrand, ``nodes`` is their sum, ``error_estimate`` their
-    largest delta and ``converged`` holds when all converged; ``history``
-    holds one ``(points evaluated, largest delta)`` entry per level after
-    the first.
+    Each integrand refines until its level agrees within ``tol`` with the
+    level before (from level ``first_test`` on) or its node count would
+    exceed ``cap``.  ``reference``, when given, maps level 0's values of
+    each integrand, shaped ``(integrands, nodes, ...)``, to a reference sum
+    that level 0 is tested against.  A level evaluates only the integrands
+    still refining, in blocks of whole integrands of about ``_BLOCK_POINTS``
+    points.  For a stack, ``value`` has one row per integrand, ``nodes`` is
+    their sum, ``error_estimate`` their largest delta and ``converged``
+    holds when all converged; ``history`` holds one ``(points evaluated,
+    largest delta)`` entry per level after the first.
     """
     stacked = hasattr(f, "__len__")
     count = len(f) if stacked else 1
@@ -72,20 +81,27 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 1) -> QuadratureRes
     while active.size:
         tau, level_sum = rule(level)
         per_block = max(1, _BLOCK_POINTS // tau.size)
-        sums = []
+        sums, refs = [], []
         for first in range(0, active.size, per_block):
             seg = active[first:first + per_block]
             vals = np.asarray(evaluate(np.tile(tau, seg.size), np.repeat(seg, tau.size)))
-            sums.append(level_sum(vals.reshape(seg.size, tau.size, *vals.shape[1:])))
+            vals = vals.reshape(seg.size, tau.size, *vals.shape[1:])
+            sums.append(level_sum(vals))
+            if level == 0 and reference is not None:
+                refs.append(reference(vals))
         sums = np.concatenate(sums)
         nodes[active] = tau.size
-        if value is None:
-            value = sums
-        else:
-            change = np.linalg.norm((sums - value[active]).reshape(active.size, -1), axis=1)
+        if level:
+            previous = value[active]
             value[active] = sums
+        else:
+            previous = np.concatenate(refs) if refs else None
+            value = sums
+        if previous is not None:
+            change = np.linalg.norm((sums - previous).reshape(active.size, -1), axis=1)
             deltas[active] = change
-            history.append((active.size * tau.size, float(change.max())))
+            if level:
+                history.append((active.size * tau.size, float(change.max())))
             if level >= first_test:
                 done = change <= tol
                 converged[active[done]] = True
@@ -118,28 +134,64 @@ def trapezoid_periodic(f, tol: float = 1e-10, start: int = 64,
     return _refine(f, rule, tol, cap, first_test=_TRAPEZOID_FIRST_TEST)
 
 
-@functools.cache
-def _gauss_rule(order: int):
-    nodes, weights = np.polynomial.legendre.leggauss(order)
-    return 0.5 * (nodes + 1.0), 0.5 * weights  # on [0, 1]
+# G7/K15 Gauss-Kronrod pair on [-1, 1] (QUADPACK ``qk15``; Piessens et al.,
+# *QUADPACK*, 1983): the positive Kronrod nodes in decreasing order, the odd
+# positions being the 7-point Gauss nodes, and their weights.
+_XGK = np.array([
+    0.991455371120812639206854697526329,
+    0.949107912342758524526189684047851,
+    0.864864423359769072789712788640926,
+    0.741531185599394439863864773280788,
+    0.586087235467691130294144845693013,
+    0.405845151377397166906606412076961,
+    0.207784955007898467600689403773245,
+    0.000000000000000000000000000000000,
+])
+_WGK = np.array([
+    0.022935322010529224963732008058970,
+    0.063092092629978553290700663189204,
+    0.104790010322250183839876322541518,
+    0.140653259715525918745189590510238,
+    0.169004726639267902826583426598550,
+    0.190350578064785409913256402421014,
+    0.204432940075298892414161999234649,
+    0.209482141084727828012999174891714,
+])
+_WG = np.array([
+    0.129484966168869693270611432679082,
+    0.279705391489276667901467771423780,
+    0.381830050505118944950369775488975,
+    0.417959183673469387755102040816327,
+])
+# The 15 nodes and weights on [0, 1] in increasing order; the Gauss nodes
+# sit at the odd positions 1, 3, ..., 13.
+_KRONROD_NODES = 0.5 * (1.0 + np.concatenate([-_XGK, _XGK[-2::-1]]))
+_KRONROD_WEIGHTS = 0.5 * np.concatenate([_WGK, _WGK[-2::-1]])
+_GAUSS_WEIGHTS = 0.5 * np.concatenate([_WG, _WG[-2::-1]])
 
 
-def gauss_segment(f, tol: float = 1e-10, order: int = 16, cap: int = 4096) -> QuadratureResult:
-    """Integrate integrands over [0, 1] by bisected Gauss-Legendre panels.
+def _weighted_sum(weights):
+    # einsum reduces without BLAS, so the sum does not depend on the BLAS
+    # thread count
+    return lambda vals: np.einsum("q,sq...->s...", weights, vals)
 
-    Level ``l`` has ``2^l`` panels of ``order`` nodes each; ``f`` and the
-    result are as for :func:`_refine`.
+
+def gauss_segment(f, tol: float = 1e-10, cap: int = 4096) -> QuadratureResult:
+    """Integrate integrands over [0, 1] by bisected G7/K15 Gauss-Kronrod panels.
+
+    Level ``l`` has ``2^l`` panels of 15 Kronrod nodes each.  Level 0 is
+    accepted when its Kronrod sum is within ``tol`` of the 7-point Gauss sum
+    embedded in the same 15 values; every later level is compared with the
+    previous level's Kronrod sum.  ``f`` and the result are as for
+    :func:`_refine`.
     """
-    base_nodes, base_weights = _gauss_rule(order)
-
     def rule(level):
         panels = 2**level
         width = 1.0 / panels
         offsets = np.arange(panels) * width
-        tau = (offsets[:, None] + base_nodes[None, :] * width).ravel()
-        weights = np.broadcast_to(base_weights * width, (panels, order)).ravel()
-        # einsum reduces without BLAS, so the sum does not depend on the
-        # BLAS thread count
-        return tau, lambda vals: np.einsum("q,sq...->s...", weights, vals)
+        tau = (offsets[:, None] + _KRONROD_NODES[None, :] * width).ravel()
+        weights = np.tile(_KRONROD_WEIGHTS * width, panels)
+        return tau, _weighted_sum(weights)
 
-    return _refine(f, rule, tol, cap)
+    embedded = _weighted_sum(_GAUSS_WEIGHTS)
+    return _refine(f, rule, tol, cap, reference=lambda vals: embedded(vals[:, 1::2]))

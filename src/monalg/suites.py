@@ -253,6 +253,7 @@ def suite_lambda(spec, frames, seed, options) -> list:
                     "windings": lam.windings,
                     "nodes": lam.nodes,
                     "history": lam.history,
+                    "converged": lam.converged,
                 },
             )
         )
@@ -369,7 +370,8 @@ def suite_predicates(spec, frames, seed, options) -> list:
                     f"predicates/lambda-consistency[{fname}]",
                     lam.deviation_from_two_pi_i,
                     lam_tol,
-                    diagnostics={"theorem6": th6, "theorem7": th7, "holds5": th5.holds},
+                    diagnostics={"theorem6": th6, "theorem7": th7, "holds5": th5.holds,
+                                 "converged": lam.converged},
                 )
             )
         else:
@@ -378,7 +380,8 @@ def suite_predicates(spec, frames, seed, options) -> list:
                     f"predicates/lambda-measured[{fname}]",
                     lam.deviation_from_two_pi_i,
                     None,
-                    diagnostics={"note": "no structure-constant guarantee applies"},
+                    diagnostics={"note": "no structure-constant guarantee applies",
+                                 "converged": lam.converged},
                 )
             )
     return out

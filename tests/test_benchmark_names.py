@@ -15,7 +15,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from monalg import quadrature
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -97,3 +100,21 @@ def test_traced_run_measures_every_span(tmp_path):
         if not stats["spans"].get(span, {}).get(key):
             unmeasured.append(name)
     assert unmeasured == []
+
+
+@pytest.mark.parametrize("engine, integrand", [
+    ("trapezoid_periodic", lambda t: np.exp(np.cos(t))[:, None]),
+    ("gauss_segment", lambda t: np.exp(t)[:, None]),  # accepted at level 0
+    ("gauss_segment", lambda t: np.sqrt(t + 1e-3)[:, None]),
+], ids=["trapezoid", "gauss-level0", "gauss-refined"])
+def test_quadrature_counts_match_the_evaluated_points(engine, integrand):
+    # the benchmark derives its point and level counts from the history of
+    # one call; they must equal what the integrand really saw
+    seen = []
+
+    def f(tau):
+        seen.append(len(tau))
+        return integrand(tau)
+
+    result = getattr(quadrature, engine)(f)
+    assert SPANS.quadrature_counts(result) == (sum(seen), len(seen))

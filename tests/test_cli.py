@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import monalg
 from monalg.catalog import builtin_algebra
 from monalg.cli import ExperimentConfig, main
@@ -58,6 +60,29 @@ def test_verify_lambda_suite(tmp_path, capsys):
     assert payload["config"]["seed"] == 7
     assert (tmp_path / "report.txt").exists()
     assert (tmp_path / "report.csv").read_text().startswith("check,nodes,delta")
+
+
+BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+
+
+@pytest.mark.parametrize("algebra, names", [
+    (["--algebra", "example1"],
+     ["lambda/deviation[default]", "lambda/deviation[in-s]",
+      "predicates/lambda-consistency[default]", "predicates/lambda-consistency[in-s]"]),
+    (["--algebra", str(BENCH_DATA / "chain12.json"),
+      "--frame", str(BENCH_DATA / "chain12_frame.json")],
+     ["lambda/deviation[default]", "predicates/lambda-measured[default]"]),
+], ids=["example1", "chain12"])
+@pytest.mark.parametrize("cap, converged", [(["--nodes-cap", "64"], False), ([], True)],
+                         ids=["cap64", "default-cap"])
+def test_lambda_checks_report_convergence(tmp_path, capsys, algebra, names, cap, converged):
+    prefix = tmp_path / "report"
+    assert main(["verify", *algebra, "--suite", "lambda,predicates", *cap,
+                 "--out", str(prefix)]) == 0
+    checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+    for name in names:
+        assert checks[name]["diagnostics"]["converged"] is converged
+        assert checks[name]["passed"]
 
 
 def test_verify_semisimple_all(capsys):

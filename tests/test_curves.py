@@ -11,7 +11,13 @@ from monalg.curves import (
     coordinate_plane,
     triangle_quality,
 )
-from monalg.quadrature import gauss_segment, trapezoid_periodic
+from monalg.quadrature import (
+    _GAUSS_WEIGHTS,
+    _KRONROD_NODES,
+    _KRONROD_WEIGHTS,
+    gauss_segment,
+    trapezoid_periodic,
+)
 
 
 def test_trapezoid_pure_harmonics_vanish():
@@ -42,6 +48,56 @@ def test_gauss_segment_polynomial_exact():
 def test_gauss_segment_smooth_function():
     res = gauss_segment(lambda tau: np.exp(tau)[:, None])
     assert abs(res.value[0] - (np.e - 1.0)) <= 1e-12
+
+
+def test_kronrod_panel_exactness():
+    # K15 is exact for monomials up to degree 23 on [0, 1], its embedded G7
+    # up to degree 13 and no further
+    for degree in range(24):
+        kronrod = _KRONROD_WEIGHTS @ _KRONROD_NODES**degree
+        assert abs(kronrod - 1.0 / (degree + 1)) <= 1e-15
+    gauss_nodes = _KRONROD_NODES[1::2]
+    for degree in range(14):
+        assert abs(_GAUSS_WEIGHTS @ gauss_nodes**degree - 1.0 / (degree + 1)) <= 1e-15
+    assert abs(_GAUSS_WEIGHTS @ gauss_nodes**14 - 1.0 / 15) > 1e-10
+    assert np.all(np.diff(_KRONROD_NODES) > 0)
+
+
+def test_kronrod_panel_embeds_gauss_legendre_7():
+    nodes, weights = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(_KRONROD_NODES[1::2], 0.5 * (nodes + 1.0), rtol=0, atol=1e-15)
+    assert np.allclose(_GAUSS_WEIGHTS, 0.5 * weights, rtol=0, atol=1e-15)
+
+
+def test_gauss_segment_level_zero_uses_the_embedded_estimate():
+    # exact for both sums: accepted after one level of 15 nodes
+    res = gauss_segment(lambda tau: (tau**13)[:, None])
+    assert (res.nodes, res.converged, res.history) == (15, True, [])
+    assert res.error_estimate <= 1e-15
+    # K15 is still exact at degree 20, but G7 is not, so level 0 is not
+    # accepted and level 1 confirms the value
+    res = gauss_segment(lambda tau: (tau**20)[:, None])
+    assert res.nodes == 30 and res.converged and len(res.history) == 1
+    assert abs(res.value[0] - 1.0 / 21) <= 1e-15
+
+
+def test_gauss_segment_near_singular_converges():
+    res = gauss_segment(lambda tau: np.sqrt(tau + 1e-3)[:, None], tol=1e-10)
+    expected = 2.0 / 3.0 * ((1.0 + 1e-3) ** 1.5 - 1e-3**1.5)
+    assert res.converged
+    assert abs(res.value[0] - expected) <= 1e-10
+
+
+def test_gauss_segment_disagreeing_sums_refine_past_level_zero():
+    def f(tau):
+        return (1.0 / (tau + 0.01))[:, None]
+
+    one_level = gauss_segment(f, cap=15)
+    assert one_level.nodes == 15 and not one_level.converged
+    assert one_level.error_estimate > 1e-10  # |K15 - G7| at level 0
+    res = gauss_segment(f)
+    assert res.converged and res.nodes > 15 and res.history
+    assert abs(res.value[0] - np.log(101.0)) <= 1e-10
 
 
 def _segment_integrands():
@@ -91,25 +147,30 @@ def test_gauss_stack_matches_single_segment_calls(cap):
         assert stacked.segment_deltas[s] == pytest.approx(single.error_estimate, rel=1e-12)
     assert stacked.nodes == sum(single.nodes for single in singles)
     assert stacked.converged is False
-    # the mix exercises every stopping rule: converged early, late, at the cap
+    # the mix exercises every stopping rule: converged on the embedded test
+    # of level 0, early, late, at the cap (the last level of 15 * 2^l <= cap)
     nodes = [single.nodes for single in singles]
-    assert singles[0].converged and nodes[0] == 32
-    assert nodes[-1] == cap and not singles[-1].converged
+    last = {4096: 3840, 64: 60}[cap]
+    assert singles[10].converged and nodes[10] == 15 and singles[10].history == []
+    assert singles[0].converged and nodes[0] == 30
+    assert nodes[-1] == last and not singles[-1].converged
     if cap == 4096:
-        assert singles[20].converged and nodes[20] >= 512
+        assert singles[20].converged and nodes[20] >= 480
     else:
-        assert nodes[20] == cap and not singles[20].converged
-    # one history entry per level, carrying the largest delta of the level
+        assert nodes[20] == last and not singles[20].converged
+    # one history entry per level after the first, carrying the largest
+    # delta of the level
     assert len(stacked.history) == max(len(single.history) for single in singles)
     assert stacked.history[0][1] == pytest.approx(
-        max(single.history[0][1] for single in singles), rel=1e-12)
+        max(single.history[0][1] for single in singles if single.history), rel=1e-12)
 
 
 def test_gauss_stack_history_counts_the_evaluated_points():
     stack = _Stack(_segment_integrands())
     res = gauss_segment(stack)
     history = res.history
-    assert history[0][0] // 2 + sum(nodes for nodes, _ in history) == stack.points
+    # level 0 evaluates every segment; history counts the levels after it
+    assert len(stack) * 15 + sum(nodes for nodes, _ in history) == stack.points
     # a level evaluates only the segments that have not converged
     assert history[-1][0] < history[0][0] * 2 ** (len(history) - 1)
 
@@ -122,8 +183,8 @@ def test_gauss_stack_streams_blocks_of_whole_segments():
     for points, segments in stack.calls:
         assert points % segments == 0
         assert points <= 512 or segments == 1
-    # the first level of 42 segments of 16 nodes streams as 32 + 10 segments
-    assert stack.calls[:2] == [(512, 32), (160, 10)]
+    # the first level of 42 segments of 15 nodes streams as 34 + 8 segments
+    assert stack.calls[:2] == [(510, 34), (120, 8)]
 
 
 def _periodic_integrands(a=1.01):

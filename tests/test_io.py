@@ -170,6 +170,15 @@ def test_curve_files_keep_orientation(tmp_path, record, cls):
     assert backward.quadrature == forward.quadrature
 
 
+@pytest.mark.parametrize("kind", ["circle2d", "polyline", "triangle"])
+def test_curve_files_reject_nodes_per_segment(tmp_path, kind):
+    # segment panels have a fixed size, so the key would silently do nothing
+    record = {"kind": kind, "center": [0, 0], "radius": 1.0, "plane": [[1, 0], [0, 1]],
+              "vertices": [[0, 0], [1, 0], [0, 1]], "nodes_per_segment": 16}
+    with pytest.raises(SpecFormatError, match="nodes_per_segment"):
+        load_curve(write(tmp_path, "curve.json", record))
+
+
 def test_function_files(tmp_path):
     spec = builtin_algebra("example2")
     poly = load_function(
