@@ -267,14 +267,34 @@ def multiply(a: Element, b: Element, spec: AlgebraSpec) -> Element:
 def _multiply_coords(a, b, spec):
     """Product on raw coordinate arrays; broadcasts over leading axes.
 
-    Gathers ``a[..., r] * b[..., s] * c_rsk`` over the sparse non-zero
-    structure constants of ``spec`` and sums each target's run: O(nnz) work
-    per product, against O(n^3) for a contraction with a dense ``(n, n, n)``
-    table.  No step calls BLAS, so results do not depend on the BLAS thread
-    count.
+    With an empty radical (``m = n``) the algebra is ``C^m`` and the product
+    is componentwise.  Otherwise it gathers ``a[..., r] * b[..., s] * c_rsk``
+    over the sparse non-zero structure constants of ``spec`` and sums each
+    target's run: O(nnz) work per product, against O(n^3) for a contraction
+    with a dense ``(n, n, n)`` table.  No step calls BLAS, so results do not
+    depend on the BLAS thread count.
+
+    On a semisimple algebra the two ways give the same bits, bar the sign
+    of an exact zero (the gather's factor ``c_uuu = 1 + 0j`` turns ``-0.0``
+    into ``+0.0``), because the componentwise branch multiplies as the
+    gather does: the factor of the broadcast shape first, in place on a
+    copy.  Both matter: where numpy fuses multiply-adds, ``a * b`` and
+    ``b * a`` can differ in the last bit, and it does not fuse a one-element
+    product made in place.
     """
-    terms = np.take(np.asarray(a, dtype=np.complex128), spec._left, axis=-1)
-    other = np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1)
+    a = np.asarray(a, dtype=np.complex128)
+    b = np.asarray(b, dtype=np.complex128)
+    if spec.m == spec.n:
+        shape = np.broadcast(a, b).shape
+        if a.shape != shape:
+            a, b = b, a
+        if a.shape != shape:
+            return a * b
+        out = a.copy()
+        out *= b
+        return out
+    terms = np.take(a, spec._left, axis=-1)
+    other = np.take(b, spec._right, axis=-1)
     shape = np.broadcast_shapes(terms.shape, other.shape)
     if terms.shape != shape:
         terms, other = other, terms

@@ -168,13 +168,29 @@ def _cmd_validate(args) -> int:
     return 0 if report.ok else 1
 
 
-def run_experiment(config: ExperimentConfig, extra_options: dict | None = None) -> int:
-    """Resolve the config, run its suites, emit reports; 0 iff all passed."""
+def _write_timings(rows) -> None:
+    """One stderr row per suite run: wall seconds and ``compute_lambda`` calls."""
+    sys.stderr.write(f"{'suite':<12} {'wall_s':>9} {'lambdas':>8}\n")
+    for name, seconds, calls in rows:
+        sys.stderr.write(f"{name:<12} {seconds:>9.4f} {calls:>8d}\n")
+
+
+def run_experiment(config: ExperimentConfig, extra_options: dict | None = None,
+                   timings: bool = False) -> int:
+    """Resolve the config, run its suites, emit reports; 0 iff all passed.
+
+    With ``timings``, a per-suite table goes to stderr; the reports and the
+    ``--out`` files do not change.
+    """
     spec, name = _resolve_algebra(config.algebra)
     frames = _resolve_frames(spec, config.frame, name)
     options = _suite_options(config, spec, name)
     options.update(extra_options or {})
-    reports = run_suites(config.suites, spec, frames, seed=config.seed, options=options)
+    rows = [] if timings else None
+    reports = run_suites(config.suites, spec, frames, seed=config.seed, options=options,
+                         timings=rows)
+    if rows is not None:
+        _write_timings(rows)
     meta = {
         "algebra": name,
         "frames": sorted(frames),
@@ -193,7 +209,7 @@ def _cmd_verify(args) -> int:
         extra["triangles"] = args.triangles
     if getattr(args, "points", None) is not None:
         extra["points"] = args.points
-    return run_experiment(config, extra)
+    return run_experiment(config, extra, timings=args.timings)
 
 
 def _lambda_circles(k: int, cap: int):
@@ -308,6 +324,9 @@ def _add_common(parser, with_suite=False):
                             help="triangle count for the Morera suite")
         parser.add_argument("--points", type=int, default=None,
                             help="sample count for the oracle suite")
+        parser.add_argument("--timings", action="store_true",
+                            help="print each suite's wall seconds and compute_lambda "
+                                 "calls to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:

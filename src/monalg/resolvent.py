@@ -130,15 +130,18 @@ def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     ``coeff(k)`` returns the leading coordinates of ``c_k``, of shape
     ``(..., m)`` or ``(..., n)`` (the others are zero), where ``...`` is the
     shape of the result; it is called once per ``k``, from ``n - m`` down
-    to 0, so only one coefficient array need be alive at a time.
+    to 0, so only one coefficient array need be alive at a time.  A
+    semisimple algebra (``n = m``) has no radical: the sum is ``c_0``, which
+    is returned as it comes, not copied.
     """
     n, m = spec.n, spec.m
+    if m == n:
+        return np.asarray(coeff(0), dtype=np.complex128)
     c = coeff(n - m)
     acc = np.zeros(c.shape[:-1] + (n,), dtype=np.complex128)
     acc[..., : c.shape[-1]] = c
-    if m < n:  # a semisimple algebra needs no copy of the radical part
-        nil = np.array(emb, dtype=np.complex128)
-        nil[..., :m] = 0.0
+    nil = np.array(emb, dtype=np.complex128)
+    nil[..., :m] = 0.0
     for k in range(n - m - 1, -1, -1):
         acc = _multiply_coords(acc, nil, spec)
         c = coeff(k)

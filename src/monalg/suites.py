@@ -3,9 +3,16 @@
 Each suite returns a list of reports; the union of the suites is what the
 command line runs.  Random draws always come from a generator derived from
 the experiment seed plus a per-suite tag, so reports are reproducible.
+
+State lives for one :func:`run_suites` call and no longer: a
+:class:`_LambdaMemo` holds the lambda integrals of that call, so the lambda
+and predicates suites integrate each frame's lambda on the standard circle
+once between them.  A suite called alone makes its own memo.
 """
 
 from __future__ import annotations
+
+import time
 
 import numpy as np
 
@@ -100,6 +107,29 @@ def _standard_curves(k: int, options):
     square[:, 1] = [0.9, 0.9, -0.9, -0.9]
     curves.append(("square", Polyline(square, closed=True, quadrature=quad)))
     return curves
+
+
+class _LambdaMemo:
+    """The lambda integrals of one :func:`run_suites` call.
+
+    ``standard`` maps a frame name to its ``LambdaResult`` on the standard
+    unit circle; ``calls`` counts the ``compute_lambda`` calls made through
+    the memo.
+    """
+
+    def __init__(self):
+        self.standard = {}
+        self.calls = 0
+
+    def compute(self, spec: AlgebraSpec, frame: Frame, circle):
+        self.calls += 1
+        return compute_lambda(spec, frame, circle)
+
+    def on_standard_circle(self, spec: AlgebraSpec, fname: str, frame: Frame, options):
+        if fname not in self.standard:
+            circle = _standard_circle(frame.k, options=options)
+            self.standard[fname] = self.compute(spec, frame, circle)
+        return self.standard[fname]
 
 
 # -- suites --------------------------------------------------------------------
@@ -234,11 +264,12 @@ def suite_cauchy(spec, frames, seed, options) -> list:
     return out
 
 
-def suite_lambda(spec, frames, seed, options) -> list:
+def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
+    lambdas = lambdas or _LambdaMemo()
     out = []
     tol = options.get("lambda_tol", 1e-8)
     for fname, frame in frames.items():
-        lam = compute_lambda(spec, frame, _standard_circle(frame.k, options=options))
+        lam = lambdas.on_standard_circle(spec, fname, frame, options)
         two_pi_i = 2j * np.pi
         idem_residual = float(
             np.max(np.abs(lam.idempotent_part - two_pi_i * np.ones(spec.m)))
@@ -302,7 +333,8 @@ def suite_morera(spec, frames, seed, options) -> list:
     return out
 
 
-def suite_formula(spec, frames, seed, options) -> list:
+def suite_formula(spec, frames, seed, options, lambdas=None) -> list:
+    lambdas = lambdas or _LambdaMemo()
     frame = frames["default"]
     k = frame.k
     center = np.zeros(k)
@@ -321,7 +353,7 @@ def suite_formula(spec, frames, seed, options) -> list:
     tol = options.get("formula_tol", 1e-8)
     out = []
     for cname, curve in curves:
-        lam = compute_lambda(spec, frame, matched_lambda_circle(curve, center))
+        lam = lambdas.compute(spec, frame, matched_lambda_circle(curve, center))
         for pname, phi in phis:
             rep = cauchy_formula_check(phi, center, curve, frame, spec, lam=lam, tol=tol)
             rep.name = f"formula/{cname}[{pname}]"
@@ -329,7 +361,8 @@ def suite_formula(spec, frames, seed, options) -> list:
     return out
 
 
-def suite_predicates(spec, frames, seed, options) -> list:
+def suite_predicates(spec, frames, seed, options, lambdas=None) -> list:
+    lambdas = lambdas or _LambdaMemo()
     out = []
     th5 = theorem5_predicate(spec)
     expected = options.get("expected_theorem5_condition")
@@ -363,7 +396,7 @@ def suite_predicates(spec, frames, seed, options) -> list:
         th6 = theorem6_predicate(frame, spec)
         th7 = theorem7_predicate(frame, spec) if spec.dim_nilpotent == 4 else False
         guaranteed = th5.holds or th6 or th7
-        lam = compute_lambda(spec, frame, _standard_circle(frame.k, options=options))
+        lam = lambdas.on_standard_circle(spec, fname, frame, options)
         if guaranteed:
             out.append(
                 VerificationReport(
@@ -399,15 +432,30 @@ SUITES = {
 }
 
 
+# suites that take the run's lambda memo as ``lambdas=``
+_LAMBDA_SUITES = frozenset({"lambda", "formula", "predicates"})
+
+
 def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
-               options: dict | None = None) -> list:
-    """Run the named suites in order and concatenate their reports."""
+               options: dict | None = None, timings: list | None = None) -> list:
+    """Run the named suites in order and concatenate their reports.
+
+    One :class:`_LambdaMemo` lives for this call: a frame's lambda on the
+    standard circle is integrated once and read by both the lambda and the
+    predicates suites.  When ``timings`` is a list, one row ``(suite, wall
+    seconds, compute_lambda calls)`` is appended to it per suite run.
+    """
     options = options or {}
     if names == ["all"] or names == "all":
         names = list(SUITES)
+    lambdas = _LambdaMemo()
     reports = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
-        reports.extend(SUITES[name](spec, frames, seed, options))
+        shared = {"lambdas": lambdas} if name in _LAMBDA_SUITES else {}
+        calls, start = lambdas.calls, time.perf_counter()
+        reports.extend(SUITES[name](spec, frames, seed, options, **shared))
+        if timings is not None:
+            timings.append((name, time.perf_counter() - start, lambdas.calls - calls))
     return reports

@@ -123,6 +123,24 @@ def test_report_determinism(tmp_path, capsys):
     assert (tmp_path / "first.json").read_bytes() == (tmp_path / "second.json").read_bytes()
 
 
+def test_timings_go_to_stderr_and_leave_the_reports_alone(tmp_path, capsys):
+    args = ["verify", "--algebra", "example1", "--suite", "lambda,formula,predicates",
+            "--seed", "3"]
+    assert main(args + ["--out", str(tmp_path / "plain")]) == 0
+    plain = capsys.readouterr()
+    assert main(args + ["--out", str(tmp_path / "timed"), "--timings"]) == 0
+    timed = capsys.readouterr()
+    for suffix in (".json", ".csv", ".txt"):
+        assert ((tmp_path / f"plain{suffix}").read_bytes()
+                == (tmp_path / f"timed{suffix}").read_bytes())
+    assert timed.out == plain.out and plain.err == ""
+    header, *rows = timed.err.splitlines()
+    assert header.split() == ["suite", "wall_s", "lambdas"]
+    assert [row.split()[0] for row in rows] == ["lambda", "formula", "predicates"]
+    assert [int(row.split()[2]) for row in rows] == [2, 3, 0]
+    assert all(float(row.split()[1]) >= 0.0 for row in rows)
+
+
 def test_reports_do_not_depend_on_blas_threads(tmp_path):
     src = str(Path(monalg.__file__).resolve().parents[1])
     reports = []

@@ -18,6 +18,7 @@ from monalg.curves import (
 )
 from monalg.errors import EmbracingError, IntegrationError, PoleError
 from monalg.frames import Frame, embed
+from monalg.io import report_record
 from monalg.integrals import (
     cauchy_formula_check,
     cauchy_theorem_check,
@@ -524,6 +525,29 @@ def test_formula_suite_computes_each_lambda_once(monkeypatch):
     reports = monalg.suites.suite_formula(spec, builtin_frames(spec), 1, {})
     assert len(reports) == 9
     assert len(calls) == 3  # one per curve, shared by its three functions
+
+
+@pytest.mark.parametrize("name", ["example1", "semisimple:m=12"])
+def test_a_run_integrates_each_standard_lambda_once(monkeypatch, name):
+    import monalg.suites
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return compute_lambda(*args, **kwargs)
+
+    monkeypatch.setattr(monalg.suites, "compute_lambda", counted)
+    spec = builtin_algebra(name)
+    frames = builtin_frames(spec)
+    everything = run_suites(["all"], spec, frames, seed=1)
+    # three formula curves, then one standard circle per frame for the
+    # lambda suite that the predicates suite reads back
+    assert len(frames) == 2 and len(calls) == 5
+    alone = run_suites(["predicates"], spec, frames, seed=1)
+    assert len(calls) == 7
+    predicates = [rep for rep in everything if rep.name.startswith("predicates/")]
+    assert [report_record(rep) for rep in alone] == [report_record(rep) for rep in predicates]
 
 
 def test_formula_converged_reads_its_lambda():

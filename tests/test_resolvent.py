@@ -105,6 +105,18 @@ def test_resolvent_semisimple_closed_form():
     assert np.allclose(out.coords, expected, atol=1e-15)
 
 
+def test_semisimple_inverse_and_resolvent_are_bitwise_reciprocals():
+    spec = builtin_algebra("semisimple:m=12")
+    rng = np.random.default_rng(12)
+    emb = rng.standard_normal((3, 5, 12)) + 1j * rng.standard_normal((3, 5, 12))
+    t = rng.standard_normal(5) + 1j * rng.standard_normal(5)
+    assert _inverse_coords(emb, spec).tobytes() == (1.0 / emb).tobytes()
+    expected = 1.0 / (t[..., None] - emb)
+    assert _resolvent_coords(t, emb, spec).tobytes() == expected.tobytes()
+    real = rng.standard_normal(12) + 3.0
+    assert _inverse_coords(real, spec).dtype == np.complex128
+
+
 @pytest.mark.parametrize("make_spec", [example1, example4, two_idempotent])
 def test_resolvent_matches_oracle(make_spec):
     spec = make_spec()
