@@ -60,7 +60,6 @@ from .monogenic import (
     Polynomial,
     PrincipalExtension,
     ResolventKernel,
-    ScalarCircle,
     constant,
     cr_residual,
     eval_function,

@@ -40,6 +40,27 @@ from .suites import SUITES, run_suites
 __all__ = ["ExperimentConfig", "main", "run_experiment"]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_str_or_null(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+# Each config-file field: (accepts its JSON value, what it expects).
+_CONFIG_FIELDS = {
+    "algebra": (lambda v: isinstance(v, str), "a string"),
+    "frame": (_is_str_or_null, "a string or null"),
+    "suites": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
+               "a list of strings"),
+    "tol": (lambda v: v is None or _is_int(v) or isinstance(v, float), "a number or null"),
+    "seed": (_is_int, "an integer"),
+    "out": (_is_str_or_null, "a string or null"),
+    "nodes_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
+}
+
+
 @dataclass
 class ExperimentConfig:
     """One archivable experiment: inputs, checks, tolerances, outputs."""
@@ -60,10 +81,16 @@ class ExperimentConfig:
             raise SpecFormatError(f"cannot read {path}: {exc}") from exc
         except json.JSONDecodeError as exc:
             raise SpecFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        known = {f for f in cls.__dataclass_fields__}
-        unknown = set(data) - known
+        if not isinstance(data, dict):
+            raise SpecFormatError(f"{path}: a config file holds one JSON object")
+        unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise SpecFormatError(f"{path}: unknown config fields {sorted(unknown)}")
+        for key, value in data.items():
+            accepts, expected = _CONFIG_FIELDS[key]
+            if not accepts(value):
+                raise SpecFormatError(f"{path}: config field {key!r} must be {expected}, "
+                                      f"got {value!r}")
         return cls(**data)
 
     def merge_flags(self, args) -> "ExperimentConfig":
@@ -247,6 +274,7 @@ def _cmd_lambda(args) -> int:
                     diagnostics={
                         "windings": lam.windings,
                         "nodes": lam.nodes,
+                        "converged": lam.converged,
                         "nilpotent_residuals": lam.nilpotent_residuals,
                         "history": lam.history,
                     },

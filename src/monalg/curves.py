@@ -1,10 +1,11 @@
 """Curves in the real k-dimensional parameter space.
 
-Three kinds cover the verification needs: planar circles (periodic, smooth),
-polylines (open or closed), and triangles (closed three-vertex polylines with
-a quality measure).  Reversal flips an orientation flag instead of reshuffling
-vertices, so a reversed integral reuses the same quadrature nodes and negates
-term by term.
+Two kinds cover the verification needs: planar circles (periodic, smooth,
+always closed) and polylines (open or closed).  A triangle is a closed
+three-vertex polyline with a quality measure.  All curves share ``k``,
+``closed``, ``orientation``, ``length``, ``reversed`` and ``sample(density)``.
+Reversal flips an orientation flag instead of reshuffling vertices, so a
+reversed integral reuses the same quadrature nodes and negates term by term.
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ def coordinate_plane(k: int, i: int, j: int) -> np.ndarray:
 @dataclass(frozen=True)
 class Circle2D:
     """Circle of given radius around ``center`` inside a 2-plane of R^k."""
+
+    closed = True  # a class attribute, not a field
 
     center: np.ndarray
     radius: float
@@ -147,58 +150,20 @@ def triangle_quality(vertices: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class Triangle:
-    """Closed triangle boundary; vertices must be affinely independent."""
+class Triangle(Polyline):
+    """Closed three-vertex polyline; vertices must be affinely independent."""
 
-    vertices: np.ndarray  # (3, k)
-    orientation: int = 1
-    quadrature: QuadratureOptions = field(default_factory=QuadratureOptions)
+    closed: bool = field(default=True, init=False)
 
     def __post_init__(self):
-        vertices = np.asarray(self.vertices, dtype=np.float64)
-        object.__setattr__(self, "vertices", vertices)
-        if vertices.shape[0] != 3 or vertices.ndim != 2:
+        super().__post_init__()
+        if self.vertices.shape[0] != 3:
             raise ValueError("triangle needs exactly three vertices")
-        if triangle_quality(vertices) <= 0.0:
+        if triangle_quality(self.vertices) <= 0.0:
             raise ValueError("triangle vertices are affinely dependent")
-        if self.orientation not in (-1, 1):
-            raise ValueError("orientation must be +1 or -1")
-
-    @property
-    def k(self) -> int:
-        return self.vertices.shape[1]
-
-    @property
-    def closed(self) -> bool:
-        return True
-
-    def boundary(self) -> Polyline:
-        return Polyline(self.vertices, closed=True, orientation=self.orientation,
-                        quadrature=self.quadrature)
-
-    def segments(self):
-        return self.boundary().segments()
-
-    def sample(self, per_segment: int = 64) -> np.ndarray:
-        return self.boundary().sample(per_segment)
-
-    def length(self) -> float:
-        return self.boundary().length()
 
     def quality(self) -> float:
         return triangle_quality(self.vertices)
-
-    def reversed(self) -> "Triangle":
-        return replace(self, orientation=-self.orientation)
-
-
-Curve = Circle2D | Polyline | Triangle
-
-
-def is_closed(curve) -> bool:
-    if isinstance(curve, Circle2D):
-        return True
-    return bool(curve.closed)
 
 
 @dataclass

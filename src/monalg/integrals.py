@@ -16,7 +16,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Element, multiply
 from .algebra import _multiply_coords
-from .curves import Circle2D, Triangle, TriangleSampler, is_closed
+from .curves import Circle2D, Triangle, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
 from .frames import Frame, embed_many
 from .monogenic import eval_batch, eval_function
@@ -207,15 +207,6 @@ def _polyline_integral(psi, gamma, frame, spec, tol):
 # -- winding numbers ----------------------------------------------------------
 
 
-def _curve_loop_points(gamma, density: int) -> np.ndarray:
-    """Closed loop of sample points in canonical traversal order."""
-    if isinstance(gamma, Circle2D):
-        return gamma.sample(density)
-    if not gamma.closed:
-        raise ValueError("winding numbers need a closed curve")
-    return gamma.sample(per_segment=density)
-
-
 def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec,
                         density: int = 256) -> EmbraceCertificate:
     """Winding number of each spectral image around the image of the center.
@@ -224,12 +215,14 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec,
     increment stays below pi/2.  Raises :class:`IntegrationError` when the
     curve meets the shifted noninvertible locus.
     """
+    if not gamma.closed:
+        raise ValueError("winding numbers need a closed curve")
     center = np.asarray(center_x, dtype=np.float64)
     xi0 = (center @ frame.a)[: spec.m]
-    orientation = getattr(gamma, "orientation", 1)
     scale = 1.0 + float(np.linalg.norm(center))
     for _ in range(12):
-        pts = _curve_loop_points(gamma, density)
+        # canonical traversal order; the orientation flag is applied below
+        pts = gamma.sample(density)
         w = (pts @ frame.a)[:, : spec.m] - xi0  # (N, m)
         radii = np.abs(w)
         if np.min(radii) <= 1e-12 * scale:
@@ -246,7 +239,7 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec,
             windings = np.rint(sums)
             if np.max(np.abs(sums - windings)) < 1e-6:
                 return EmbraceCertificate(
-                    windings=tuple(int(orientation * v) for v in windings)
+                    windings=tuple(int(gamma.orientation * v) for v in windings)
                 )
         density *= 2
     raise IntegrationError("winding computation failed to stabilise")
@@ -255,35 +248,40 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec,
 # -- the constant lambda -------------------------------------------------------
 
 
+# Spectral values at or below this modulus count as on the noninvertible
+# locus, where ``zeta^{-1}`` is not evaluated.
+_SINGULAR_FLOOR = 1e-8
+
+
 class _InverseIntegrand:
     """Batch evaluator of ``x -> (embedded x)^{-1}`` with a spectral floor."""
 
-    def __init__(self, shift=None, floor=1e-8):
+    def __init__(self, shift=None):
         self.shift = shift
-        self.floor = floor
 
     def eval_many(self, frame, xs, spec):
         pts = xs if self.shift is None else xs - self.shift
         emb = embed_many(frame, pts)
         xi = emb[..., : spec.m]
-        if np.any(np.abs(xi) <= self.floor):
-            bad = int(np.argwhere(np.abs(xi) <= self.floor)[0][0])
+        near = np.abs(xi) <= _SINGULAR_FLOOR
+        if near.any():
+            bad = int(np.argwhere(near)[0][0])
             raise IntegrationError(
-                f"curve sample {bad} lies within {self.floor:g} of the "
+                f"curve sample {bad} lies within {_SINGULAR_FLOOR:g} of the "
                 "noninvertible locus"
             )
         return _inverse_coords(emb, spec)
 
 
-def compute_lambda(spec: AlgebraSpec, frame: Frame, circle, tol: float = _LINE_TOL,
-                   singular_floor: float = 1e-8) -> LambdaResult:
+def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,
+                   tol: float = _LINE_TOL) -> LambdaResult:
     """The element ``integral of zeta^{-1} dzeta`` over the circle.
 
     Also reports the idempotent projection (equal to 2 pi i times the unit
     for winding-one circles) and the leftover nilpotent component integrals.
     """
     cert = winding_certificate(circle, frame, np.zeros(circle.k), spec)
-    res = line_integral(_InverseIntegrand(floor=singular_floor), circle, frame, spec, tol=tol)
+    res = line_integral(_InverseIntegrand(), circle, frame, spec, tol=tol)
     lam = res.value
     two_pi_i = 2j * np.pi * spec.unit_coords()
     return LambdaResult(
@@ -337,7 +335,7 @@ def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
 def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
                          tol: float | None = None) -> VerificationReport:
     """Closed-curve integral of a monogenic function; the residual is its norm."""
-    if not is_closed(gamma_closed):
+    if not gamma_closed.closed:
         raise ValueError("the integral-theorem check needs a closed curve")
     res = line_integral(phi, gamma_closed, frame, spec)
     if tol is None:

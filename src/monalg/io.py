@@ -23,7 +23,6 @@ from .monogenic import (
     Polynomial,
     PrincipalExtension,
     ResolventKernel,
-    ScalarCircle,
 )
 
 __all__ = [
@@ -227,6 +226,12 @@ def load_function(path, spec: AlgebraSpec):
     if variant == "resolvent_kernel":
         return ResolventKernel(_as_complex(data.get("t"), f"{path}: field 't'"))
     if variant == "principal_extension":
+        unknown = sorted(set(data) - {"variant", "F", "G"})
+        if unknown:
+            # the value is the Taylor expansion at the spectral values: a key
+            # such as a contour could not change it, so it is refused, not ignored
+            raise SpecFormatError(f"{path}: principal_extension records hold only F "
+                                  f"and G; unknown fields {unknown}")
         f_specs = tuple(
             None if entry is None else _load_scalar(entry, f"{path}: F[{i}]")
             for i, entry in enumerate(data.get("F", []))
@@ -235,21 +240,13 @@ def load_function(path, spec: AlgebraSpec):
             None if entry is None else _load_scalar(entry, f"{path}: G[{i}]")
             for i, entry in enumerate(data.get("G", []))
         )
-        contours = data.get("contours")
-        if contours is not None:
-            contours = tuple(
-                ScalarCircle(
-                    _as_complex(c["center"], f"{path}: contour {i}"), float(c["radius"])
-                )
-                for i, c in enumerate(contours)
-            )
         if len(f_specs) != spec.m:
             raise SpecFormatError(f"{path}: expected {spec.m} F entries, got {len(f_specs)}")
         if g_specs and len(g_specs) != spec.n - spec.m:
             raise SpecFormatError(
                 f"{path}: expected {spec.n - spec.m} G entries, got {len(g_specs)}"
             )
-        return PrincipalExtension(F=f_specs, G=g_specs, contours=contours)
+        return PrincipalExtension(F=f_specs, G=g_specs)
     raise SpecFormatError(f"{path}: unknown function variant {variant!r}")
 
 

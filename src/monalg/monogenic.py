@@ -3,12 +3,12 @@
 Three variants are built in: polynomials in the variable, resolvent kernels
 ``zeta -> (t e_1 - zeta)^{-1}``, and the principal extension that assembles a
 function from per-component holomorphic scalars.  The paper defines the
-principal extension by contour integrals against the resolvent; for an
-admissible contour each residue is a Taylor term, so it is evaluated as the
-finite expansion over the radical of :mod:`monalg.resolvent` with the
-scalars' Taylor coefficients at the spectral values.  Gateaux quotients and
-finite-difference residuals of the characteristic differential conditions
-probe monogenicity numerically.
+principal extension by contour integrals against the resolvent; for every
+admissible contour each residue is the same Taylor term, so it is evaluated,
+with no contour as input, as the finite expansion over the radical of
+:mod:`monalg.resolvent` with the scalars' Taylor coefficients at the
+spectral values.  Gateaux quotients and finite-difference residuals of the
+characteristic differential conditions probe monogenicity numerically.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ __all__ = [
     "Polynomial",
     "PrincipalExtension",
     "ResolventKernel",
-    "ScalarCircle",
     "constant",
     "cr_residual",
     "eval_function",
@@ -67,11 +66,6 @@ class HolomorphicScalarSpec:
         elif self.denom is not None:
             raise ValueError("denom is only meaningful for rational scalars")
 
-    def poles(self) -> np.ndarray:
-        if self.kind != "rational":
-            return np.zeros(0, dtype=np.complex128)
-        return np.roots(np.asarray(self.denom[::-1], dtype=np.complex128))
-
     def __call__(self, t):
         return self._taylor(t, 0)[0]
 
@@ -106,19 +100,6 @@ def _poly_taylor(coeffs, t, order: int) -> np.ndarray:
         for p in range(len(coeffs) - 1, k - 1, -1):
             out[k] = out[k] * t + math.comb(p, k) * coeffs[p]
     return out
-
-
-@dataclass(frozen=True)
-class ScalarCircle:
-    """A circle in the complex plane for the principal-extension contours."""
-
-    center: complex
-    radius: float
-
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise ValueError("contour radius must be positive")
-        object.__setattr__(self, "center", complex(self.center))
 
 
 @dataclass(frozen=True)
@@ -168,22 +149,19 @@ class PrincipalExtension:
     and G_s (nilpotent parts): ``sum_u F_u(zeta) I_u + sum_s G_s(zeta) I_s``.
 
     The paper writes each term as a contour integral against the resolvent.
-    Optional ``contours[u-1]`` are only validated: each must wind once
-    around the u-th spectral value, exclude the others and keep the poles
-    of the scalars on that component outside.  The value does not depend on
-    them, because for an admissible contour every residue is exactly a
-    Taylor term of the scalar at the spectral value.
+    No contour is taken: for every admissible contour (winding once around
+    the u-th spectral value, excluding the others and the scalars' poles)
+    each residue is exactly a Taylor term of the scalar at the spectral
+    value, so the value is the same whichever contour is chosen.  A rational
+    scalar with a pole at a spectral value raises :class:`PoleError`.
     """
 
     F: tuple  # length m of HolomorphicScalarSpec or None
     G: tuple = ()  # length n - m of HolomorphicScalarSpec or None
-    contours: tuple | None = None  # length m of ScalarCircle
 
     def __post_init__(self):
         object.__setattr__(self, "F", tuple(self.F))
         object.__setattr__(self, "G", tuple(self.G))
-        if self.contours is not None:
-            object.__setattr__(self, "contours", tuple(self.contours))
 
 
 MonogenicFunction = Polynomial | ResolventKernel | PrincipalExtension
@@ -247,33 +225,6 @@ def _eval_polynomial(phi: Polynomial, emb: np.ndarray, spec: AlgebraSpec) -> np.
     return acc
 
 
-def _check_contour(circle: ScalarCircle, u: int, xi: np.ndarray, scalar_poles=()):
-    """Enclosure of xi_u, exclusion of the others, no pole on or inside.
-
-    ``xi`` holds the spectral values of a batch of points, shape (..., m).
-    """
-    margin = 1e-8 * circle.radius
-    dist = np.abs(xi - circle.center)
-    if np.any(dist[..., u] >= circle.radius - margin):
-        raise PoleError(
-            f"contour {u + 1} does not strictly enclose its spectral value", u=u + 1
-        )
-    for v in range(xi.shape[-1]):
-        if v == u:
-            continue
-        if np.any(np.abs(dist[..., v] - circle.radius) <= margin):
-            raise PoleError(f"spectral value {v + 1} lies on contour {u + 1}", u=v + 1)
-        if np.any(dist[..., v] < circle.radius):
-            raise PoleError(
-                f"contour {u + 1} also encloses spectral value {v + 1}", u=v + 1
-            )
-    for p in scalar_poles:
-        if abs(p - circle.center) <= circle.radius + margin:
-            raise PoleError(
-                f"a scalar pole at {p} meets or enters contour {u + 1}", t=p
-            )
-
-
 def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     n, m = spec.n, spec.m
     if len(phi.F) != m:
@@ -285,12 +236,6 @@ def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec)
     parts = [(f, u, u) for u, f in enumerate(phi.F)]
     parts += [(g, s, spec.u_map[s + 1] - 1) for s, g in enumerate(phi.G, start=m)]
     parts = [part for part in parts if part[0] is not None]
-    if phi.contours is not None:
-        if len(phi.contours) != m:
-            raise ValueError(f"expected {m} contours, got {len(phi.contours)}")
-        for u, circle in enumerate(phi.contours):
-            poles = [p for scalar, _, v in parts if v == u for p in scalar.poles()]
-            _check_contour(circle, u, xi, poles)
     order = n - m
     coeffs = np.zeros((order + 1,) + emb.shape, dtype=np.complex128)
     for scalar, col, u in parts:

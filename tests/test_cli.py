@@ -192,6 +192,45 @@ def test_config_rejects_unknown_fields(tmp_path, capsys):
     assert main(["verify", "--config", str(cfg_path)]) == 2
 
 
+@pytest.mark.parametrize("field, value", [
+    ("algebra", 5),
+    ("frame", ["in-s"]),
+    ("suites", "lambda"),
+    ("suites", ["lambda", 3]),
+    ("tol", "1e-8"),
+    ("seed", True),
+    ("seed", 1.5),
+    ("out", 7),
+    ("nodes_cap", "64"),
+    ("nodes_cap", 0),
+])
+def test_config_rejects_mistyped_fields(tmp_path, capsys, field, value):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps({"algebra": "example1", "suites": ["lambda"],
+                                    field: value}))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and repr(field) in err
+
+
+def test_config_must_be_an_object(tmp_path, capsys):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps([1, 2]))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    assert "JSON object" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cap, converged", [(["--nodes-cap", "64"], False), ([], True)],
+                         ids=["cap64", "default-cap"])
+def test_lambda_command_reports_convergence(tmp_path, capsys, cap, converged):
+    prefix = tmp_path / "lambda"
+    assert main(["lambda", "--algebra", "example1", *cap, "--out", str(prefix)]) == 0
+    checks = json.loads((tmp_path / "lambda.json").read_text())["checks"]
+    circles = [c for c in checks if "plane-radius-variation" not in c["name"]]
+    assert circles
+    assert all(c["diagnostics"]["converged"] is converged for c in circles)
+
+
 def test_lambda_command(capsys):
     assert main(["lambda", "--algebra", "example3"]) == 0
     out = capsys.readouterr().out

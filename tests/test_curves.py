@@ -1,5 +1,7 @@
 """Quadrature engines and curve geometry."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from monalg.curves import (
     coordinate_plane,
     triangle_quality,
 )
+from monalg.io import load_curve
 from monalg.quadrature import (
     _GAUSS_WEIGHTS,
     _KRONROD_NODES,
@@ -288,6 +291,28 @@ def test_triangle_quality():
     assert triangle_quality(thin) < 0.01
     with pytest.raises(ValueError, match="dependent"):
         Triangle(np.array([[0.0, 0], [1, 0], [2, 0]]))
+
+
+def test_triangle_is_a_closed_polyline(tmp_path):
+    tri = Triangle(np.array([[0.0, 0], [1, 0], [0, 1]]))
+    assert isinstance(tri, Polyline) and tri.closed
+    assert len(tri.segments()) == 3
+    back = tri.reversed()
+    assert isinstance(back, Triangle) and back.closed and back.orientation == -1
+    with pytest.raises(TypeError):
+        Triangle(tri.vertices, closed=False)
+    drawn = TriangleSampler(np.zeros(3), 1.0).sample(np.random.default_rng(5))
+    path = tmp_path / "tri.json"
+    path.write_text(json.dumps({"kind": "triangle", "vertices": [[0, 0], [1, 0], [0, 1]]}))
+    for curve in (drawn, load_curve(path)):
+        assert isinstance(curve, Triangle) and curve.closed
+
+
+@pytest.mark.parametrize("vertices", [[[0.0, 0], [1, 0]], [[0.0, 0], [1, 0], [1, 1], [0, 1]]],
+                         ids=["two", "four"])
+def test_triangle_needs_three_vertices(vertices):
+    with pytest.raises(ValueError, match="exactly three"):
+        Triangle(np.array(vertices))
 
 
 def test_triangle_sampler_respects_constraints():

@@ -321,7 +321,7 @@ def test_control_on_axis_aligned_triangle_closed_form():
     # a triangle is read as the closed polyline of its boundary, either way round
     center = np.array([0.25, 0.25, 0.0])
     for curve in (tri, tri.reversed()):
-        poly = curve.boundary()
+        poly = Polyline(curve.vertices, closed=True, orientation=curve.orientation)
         for psi in (control_psi, zeta_power(2, spec)):
             a, b = line_integral(psi, curve, frame, spec), line_integral(psi, poly, frame, spec)
             assert np.array_equal(a.value.coords, b.value.coords)

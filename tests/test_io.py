@@ -235,3 +235,19 @@ def test_function_files(tmp_path):
 
     with pytest.raises(SpecFormatError, match="variant"):
         load_function(write(tmp_path, "unknown.json", {"variant": "fourier"}), spec)
+
+
+def test_principal_extension_files_reject_contours(tmp_path):
+    # the value is the Taylor expansion at the spectral values, so a contour
+    # in the file could not change it
+    spec = builtin_algebra("example2")
+    record = {
+        "variant": "principal_extension",
+        "F": [{"kind": "polynomial", "coeffs": [[0, 0], [1, 0]]}],
+        "G": [None, None, None, None],
+    }
+    assert isinstance(load_function(write(tmp_path, "pext.json", record), spec),
+                      PrincipalExtension)
+    with_contours = {**record, "contours": [{"center": [0, 0], "radius": 1.0}]}
+    with pytest.raises(SpecFormatError, match="contours"):
+        load_function(write(tmp_path, "contours.json", with_contours), spec)

@@ -11,7 +11,6 @@ from monalg.monogenic import (
     HolomorphicScalarSpec,
     PrincipalExtension,
     ResolventKernel,
-    ScalarCircle,
     constant,
     cr_residual,
     eval_batch,
@@ -154,42 +153,6 @@ def test_principal_extension_nilpotent_scalars():
     # the G-term integrates (t - xi)^{-1} to 2 pi i, contributing exactly I_2
     ref = embed(frame, x, spec) + basis_element(2, 5)
     assert (out - ref).norm() <= 1e-10
-
-
-def test_principal_extension_contour_validation():
-    spec = AlgebraSpec(2, 2)
-    frame = Frame.from_rows(spec, [1j, 2 + 1j])
-    f = HolomorphicScalarSpec("polynomial", (0, 1))
-    x = np.array([0.2, 0.9])
-    xi = spectral(frame, x, spec).xi
-    # a contour that misses its spectral value
-    off = PrincipalExtension(
-        F=(f, f),
-        contours=(ScalarCircle(xi[0] + 10.0, 0.5), ScalarCircle(xi[1], 0.3)),
-    )
-    with pytest.raises(PoleError, match="enclose"):
-        eval_function(off, frame, x, spec)
-    # a contour that swallows both spectral values
-    wide = PrincipalExtension(
-        F=(f, f),
-        contours=(ScalarCircle(xi[0], 10.0), ScalarCircle(xi[1], 0.3)),
-    )
-    with pytest.raises(PoleError, match="also encloses"):
-        eval_function(wide, frame, x, spec)
-
-
-def test_principal_extension_rejects_rational_pole_in_contour():
-    spec = example1()
-    frame = default_frame(spec)
-    x = np.array([0.5, 0.2, -0.3])
-    xi = spectral(frame, x, spec).xi[0]
-    # denominator root exactly at distance 0.5 from xi, contour radius 1
-    rational = HolomorphicScalarSpec("rational", (1,), denom=(-(xi + 0.5), 1))
-    phi = PrincipalExtension(
-        F=(rational,), G=(None,) * 4, contours=(ScalarCircle(xi, 1.0),)
-    )
-    with pytest.raises(PoleError, match="pole"):
-        eval_function(phi, frame, x, spec)
 
 
 def test_eval_deterministic():
