@@ -129,10 +129,16 @@ class AlgebraSpec:
     u_map:
         Mapping ``s -> u_s`` for ``s`` in ``[m+1, n]``.  May be omitted when
         ``m == n`` (empty) or ``m == 1`` (the only possible selector).
+
+    ``_depth`` is the radical's structural depth: the largest ``q`` for
+    which a product of ``q`` radical elements can be non-zero, read off the
+    support of the structure tensor (0 when ``m == n``).  Every ``N^k`` with
+    ``k > _depth`` vanishes.  It is at most ``n - m``, and it is ``n - m``
+    when an entry breaks rule 2's triangular support.
     """
 
     __slots__ = ("n", "m", "products", "u_map", "_left", "_right", "_coeffs", "_starts",
-                 "_unit")
+                 "_unit", "_depth")
 
     def __init__(self, n: int, m: int, products=None, u_map=None):
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -146,6 +152,7 @@ class AlgebraSpec:
         self._left, self._right, self._coeffs, self._starts = self._build_triples()
         self._unit = np.zeros(n, dtype=np.complex128)
         self._unit[:m] = 1.0
+        self._depth = self._radical_depth()
 
     # -- construction ------------------------------------------------------
 
@@ -216,6 +223,24 @@ class AlgebraSpec:
         starts = np.flatnonzero(np.diff(targets, prepend=-1))
         return (np.array(lefts), np.array(rights),
                 np.array(coeffs, dtype=np.complex128), starts)
+
+    def _radical_depth(self) -> int:
+        """Largest number of radical factors a non-zero product can have.
+
+        ``weight[k]`` bounds the factors of a product with a non-zero
+        ``I_k`` part: 1 for a radical ``I_k``, and at least ``weight[r] +
+        weight[s]`` for each non-zero ``c_rsk``.  Under rule 2 both factors
+        come before the target, so one pass in target order settles every
+        weight; without it the bound falls back to ``n - m``.
+        """
+        weight = [0] * (self.m + 1) + [1] * (self.n - self.m)  # 1-based
+        for (left, right, target), value in sorted(self.products.items(),
+                                                   key=lambda item: item[0][2]):
+            if right >= target:  # keys hold left <= right
+                return self.n - self.m
+            if value:
+                weight[target] = max(weight[target], weight[left] + weight[right])
+        return max(weight)
 
     # -- derived data ------------------------------------------------------
 

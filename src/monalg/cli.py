@@ -48,6 +48,17 @@ def _is_str_or_null(value) -> bool:
     return value is None or isinstance(value, str)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of the count flags: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 # Each config-file field: (accepts its JSON value, what it expects).
 _CONFIG_FIELDS = {
     "algebra": (lambda v: isinstance(v, str), "a string"),
@@ -341,16 +352,16 @@ def _add_common(parser, with_suite=False):
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
     parser.add_argument("--out", default=None,
                         help="output prefix for .json/.txt/.csv reports")
-    parser.add_argument("--nodes-cap", dest="nodes_cap", type=int, default=None,
+    parser.add_argument("--nodes-cap", dest="nodes_cap", type=_positive_int, default=None,
                         help="node cap of circle refinement; polyline segments keep "
                              "their cap of 4096 nodes")
     if with_suite:
         parser.add_argument("--suite", action="append", default=None,
                             help=f"suites to run (comma-separated); known: "
                                  f"{', '.join(SUITES)}, all")
-        parser.add_argument("--triangles", type=int, default=None,
+        parser.add_argument("--triangles", type=_positive_int, default=None,
                             help="triangle count for the Morera suite")
-        parser.add_argument("--points", type=int, default=None,
+        parser.add_argument("--points", type=_positive_int, default=None,
                             help="sample count for the oracle suite")
         parser.add_argument("--timings", action="store_true",
                             help="print each suite's wall seconds and compute_lambda "

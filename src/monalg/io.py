@@ -38,16 +38,20 @@ __all__ = [
 ]
 
 
-def _read_json(path):
+def _read_json(path) -> dict:
+    """The JSON object in the file at ``path``; every file format is one."""
     path = Path(path)
     try:
         text = path.read_text()
     except OSError as exc:
         raise SpecFormatError(f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    if not isinstance(data, dict):
+        raise SpecFormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
+    return data
 
 
 def _as_complex(obj, where):

@@ -219,9 +219,20 @@ def eval_batch(phi, frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
 
 
 def _eval_polynomial(phi: Polynomial, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
-    acc = np.broadcast_to(phi.coeffs[-1].coords, emb.shape).copy()
-    for coeff in reversed(phi.coeffs[:-1]):
-        acc = _multiply_coords(acc, emb, spec) + coeff.coords
+    """Horner's rule in ``emb``, skipping the steps that change no bit.
+
+    A unit leading coefficient starts at ``emb`` with no product, and zero
+    coefficients are not added; either step could change only the sign of
+    an exact zero.
+    """
+    lead, *rest = reversed(phi.coeffs)
+    acc = None  # stands for the unit until the first product
+    if not (rest and np.array_equal(lead.coords, spec._unit)):
+        acc = np.broadcast_to(lead.coords, emb.shape).copy()
+    for coeff in rest:
+        acc = emb if acc is None else _multiply_coords(acc, emb, spec)
+        if np.any(coeff.coords):
+            acc = acc + coeff.coords
     return acc
 
 
@@ -236,7 +247,7 @@ def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec)
     parts = [(f, u, u) for u, f in enumerate(phi.F)]
     parts += [(g, s, spec.u_map[s + 1] - 1) for s, g in enumerate(phi.G, start=m)]
     parts = [part for part in parts if part[0] is not None]
-    order = n - m
+    order = spec._depth
     coeffs = np.zeros((order + 1,) + emb.shape, dtype=np.complex128)
     for scalar, col, u in parts:
         coeffs[..., col] = scalar._taylor(xi[..., u], order)

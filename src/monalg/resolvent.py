@@ -1,11 +1,12 @@
 """Resolvent and inverse of embedded points by one expansion over the radical.
 
 Write ``zeta = S + N`` with ``S = sum_u xi_u I_u`` semisimple and ``N`` in the
-nilpotent radical.  A product of ``n - m + 1`` radical elements vanishes, so
-every function of ``zeta`` holomorphic at the spectral values is a finite
-sum (Higham, *Functions of Matrices*, SIAM 2008, ch. 1):
+nilpotent radical.  A product of more radical elements than the radical's
+depth vanishes, so every function of ``zeta`` holomorphic at the spectral
+values is a finite sum, with ``k`` up to the radical's depth (``<= n - m``)
+(Higham, *Functions of Matrices*, SIAM 2008, ch. 1):
 
-    f(zeta) = sum_{k <= n-m} c_k N^k,    c_k = sum_u f^(k)(xi_u) / k! I_u.
+    f(zeta) = sum_k c_k N^k,    c_k = sum_u f^(k)(xi_u) / k! I_u.
 
 :func:`_radical_series` evaluates that sum by Horner; the resolvent takes
 ``c_k = (t - xi)^{-k-1}``, the inverse ``c_k = (-1)^k xi^{-k-1}``.
@@ -125,25 +126,37 @@ def recurrence_coefficients(frame: Frame, x, spec: AlgebraSpec) -> ResolventCoef
 
 
 def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
-    """``sum_{k <= n-m} c_k N^k`` by Horner, ``N`` the radical part of ``emb``.
+    """``sum_{k <= depth} c_k N^k`` by Horner, ``N`` the radical part of ``emb``.
 
     ``coeff(k)`` returns the leading coordinates of ``c_k``, of shape
     ``(..., m)`` or ``(..., n)`` (the others are zero), where ``...`` is the
-    shape of the result; it is called once per ``k``, from ``n - m`` down
-    to 0, so only one coefficient array need be alive at a time.  A
-    semisimple algebra (``n = m``) has no radical: the sum is ``c_0``, which
-    is returned as it comes, not copied.
+    shape of the result; it is called once per ``k``, from the radical's
+    depth ``spec._depth`` down to 0, so only one coefficient array need be
+    alive at a time.  Higher terms vanish, since ``N^k = 0`` for ``k >
+    depth``.  A semisimple algebra has depth 0: the sum is ``c_0``, which is
+    returned as it comes, not copied.
+
+    Each step is the product of :func:`monalg.algebra._multiply_coords`
+    with the fixed factor ``N`` gathered once, and ``c_rsk`` folded into it.
     """
-    n, m = spec.n, spec.m
-    if m == n:
+    depth = spec._depth
+    if depth == 0:
         return np.asarray(coeff(0), dtype=np.complex128)
-    c = coeff(n - m)
-    acc = np.zeros(c.shape[:-1] + (n,), dtype=np.complex128)
+    c = coeff(depth)
+    acc = np.zeros(np.broadcast_shapes(c.shape[:-1], emb.shape[:-1]) + (spec.n,),
+                   dtype=np.complex128)
     acc[..., : c.shape[-1]] = c
     nil = np.array(emb, dtype=np.complex128)
-    nil[..., :m] = 0.0
-    for k in range(n - m - 1, -1, -1):
-        acc = _multiply_coords(acc, nil, spec)
+    nil[..., : spec.m] = 0.0
+    times = np.take(nil, spec._right, axis=-1) * spec._coeffs
+    del nil
+    for k in range(depth - 1, -1, -1):
+        terms = np.take(acc, spec._left, axis=-1)
+        terms *= times
+        acc = np.add.reduceat(terms, spec._starts, axis=-1)
+        # so that at most two arrays of the gathered size, times and
+        # terms, are alive at once
+        del terms
         c = coeff(k)
         acc[..., : c.shape[-1]] += c
     return acc

@@ -446,6 +446,26 @@ def test_validation_matches_dense_oracle_builtins(spec):
     assert_validation_matches_dense(spec)
 
 
+# -- the radical's structural depth --------------------------------------------
+
+
+@pytest.mark.parametrize("spec", BUILTINS, ids=BUILTIN_IDS)
+def test_radical_depth_is_one_less_than_the_nilpotency_index(spec):
+    assert spec._depth + 1 == validate_algebra(spec).nilpotency_index
+
+
+@settings(max_examples=60, deadline=None)
+@given(spec=structure_tensors())
+def test_radical_depth_bounds_the_nilpotency_index(spec):
+    assert spec._depth <= spec.n - spec.m
+    assert spec._depth + 1 >= validate_algebra(spec).nilpotency_index
+
+
+def test_radical_depth_off_the_triangular_support_is_n_minus_m():
+    spec = AlgebraSpec(5, 1, {(2, 2, 3): 1, (2, 3, 3): 1})  # I_2 I_3 -> I_3
+    assert spec._depth == spec.n - spec.m
+
+
 # -- structural errors -------------------------------------------------------
 
 

@@ -85,6 +85,16 @@ def test_lambda_checks_report_convergence(tmp_path, capsys, algebra, names, cap,
         assert checks[name]["passed"]
 
 
+@pytest.mark.parametrize("value", ["0", "-3"])
+@pytest.mark.parametrize("flag", ["--nodes-cap", "--triangles", "--points"])
+def test_count_flags_must_be_positive(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--algebra", "example1", "--suite", "lambda", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}" in err and "positive integer" in err
+
+
 def test_verify_semisimple_all(capsys):
     rc = main(
         ["verify", "--algebra", "semisimple:m=3", "--suite", "all", "--seed", "3"]

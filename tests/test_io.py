@@ -179,6 +179,19 @@ def test_curve_files_reject_nodes_per_segment(tmp_path, kind):
         load_curve(write(tmp_path, "curve.json", record))
 
 
+@pytest.mark.parametrize("load", [
+    load_algebra,
+    lambda path: load_frame(path, builtin_algebra("example2")),
+    load_curve,
+    lambda path: load_function(path, builtin_algebra("example2")),
+], ids=["algebra", "frame", "curve", "function"])
+def test_files_must_hold_a_json_object(tmp_path, load):
+    path = write(tmp_path, "array.json", [1, 2])
+    with pytest.raises(SpecFormatError, match="JSON object") as exc:
+        load(path)
+    assert str(path) in str(exc.value)
+
+
 def test_function_files(tmp_path):
     spec = builtin_algebra("example2")
     poly = load_function(

@@ -3,12 +3,15 @@
 import numpy as np
 import pytest
 
-from monalg.algebra import AlgebraSpec, Element, basis_element, multiply
+from test_algebra import chain
+
+from monalg.algebra import AlgebraSpec, Element, _multiply_coords, basis_element, multiply
 from monalg.catalog import builtin_algebra, builtin_frames
 from monalg.errors import PoleError
 from monalg.frames import Frame, embed, spectral
 from monalg.monogenic import (
     HolomorphicScalarSpec,
+    Polynomial,
     PrincipalExtension,
     ResolventKernel,
     constant,
@@ -16,6 +19,7 @@ from monalg.monogenic import (
     eval_batch,
     eval_function,
     gateaux_quotient,
+    _eval_polynomial,
     zeta,
     zeta_power,
 )
@@ -101,6 +105,32 @@ def test_kernel_pole_collision():
     t = spectral(frame, x, spec).xi[0]
     with pytest.raises(PoleError):
         eval_function(ResolventKernel(t), frame, x, spec)
+
+
+def explicit_horner(phi, emb, spec):
+    """Every Horner step: a product, then the coefficient added."""
+    acc = np.broadcast_to(phi.coeffs[-1].coords, emb.shape).copy()
+    for coeff in reversed(phi.coeffs[:-1]):
+        acc = _multiply_coords(acc, emb, spec) + coeff.coords
+    return acc
+
+
+@pytest.mark.parametrize("name", ["example1", "example4", "semisimple:m=3", "chain12"])
+@pytest.mark.parametrize("poly", ["zeta", "zeta^3", "non-unit-lead"])
+def test_polynomial_skips_only_steps_that_change_no_bit(name, poly):
+    spec = chain(12) if name == "chain12" else builtin_algebra(name)
+    rng = np.random.default_rng(97)
+    emb = rng.standard_normal((16, spec.n)) + 1j * rng.standard_normal((16, spec.n))
+    if poly == "zeta":
+        phi = zeta(spec)
+    elif poly == "zeta^3":
+        phi = zeta_power(3, spec)
+    else:
+        lead = Element(rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
+        const = Element(rng.standard_normal(spec.n))
+        phi = Polynomial((const, basis_element(spec.n, spec.n), lead))
+    ours = _eval_polynomial(phi, emb, spec)
+    assert np.array_equal(ours.view(np.float64), explicit_horner(phi, emb, spec).view(np.float64))
 
 
 # -- principal extension ------------------------------------------------------

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_algebra import chain, structure_tensors
+from test_algebra import BUILTIN_IDS, BUILTINS, chain, structure_tensors
 
 from monalg.algebra import (
     AlgebraSpec,
     Element,
+    _multiply_coords,
     left_mul_matrix,
     multiply,
     oracle_inverse,
@@ -20,6 +21,7 @@ from monalg.errors import PoleError, SingularElementError
 from monalg.frames import Frame, embed, embed_many, spectral
 from monalg.resolvent import (
     _inverse_coords,
+    _radical_series,
     _resolvent_coords,
     inverse,
     inverse_many,
@@ -400,3 +402,81 @@ def test_inverse_many_uses_the_relative_singularity_threshold():
         inverse_many(frame, np.stack([[0.5, 0.5, 0.0], x]), spec)
     assert err.value.offending == (1,)
     assert "(1,)" in str(err.value)
+
+
+# -- the series stops at the radical's depth -------------------------------------
+
+
+def full_horner(coeff, emb, spec):
+    """All ``n - m`` Horner steps, each one ``_multiply_coords`` by ``N``."""
+    n, m = spec.n, spec.m
+    c = coeff(n - m)
+    acc = np.zeros(c.shape[:-1] + (n,), dtype=np.complex128)
+    acc[..., : c.shape[-1]] = c
+    nil = emb.copy()
+    nil[..., :m] = 0.0
+    for k in range(n - m - 1, -1, -1):
+        acc = _multiply_coords(acc, nil, spec)
+        c = coeff(k)
+        acc[..., : c.shape[-1]] += c
+    return acc
+
+
+def full_inverse(emb, spec):
+    inv = 1.0 / emb[..., : spec.m]
+    return full_horner(lambda k: inv * (-inv) ** k if k else inv, emb, spec)
+
+
+def full_resolvent(t, emb, spec):
+    r = 1.0 / (np.asarray(t)[..., None] - emb[..., : spec.m])
+    return full_horner(lambda k: r ** (k + 1) if k else r, emb, spec)
+
+
+def series_points(spec, rng, count=16):
+    """Embedded points with spectral values in the annulus 0.5 <= |xi| <= 1.5,
+    and values of ``t`` at least 1.5 away from them."""
+    emb = (rng.standard_normal((count, spec.n)) + 1j * rng.standard_normal((count, spec.n))) / 2
+    emb[:, : spec.m] = rng.uniform(0.5, 1.5, (count, spec.m)) * np.exp(
+        2j * np.pi * rng.uniform(size=(count, spec.m)))
+    t = 3.0 * np.exp(2j * np.pi * rng.uniform(size=count))
+    return emb, t
+
+
+def assert_bits_equal(ours, ref):
+    assert ours.shape == ref.shape
+    assert np.array_equal(ours.view(np.float64), ref.view(np.float64))
+
+
+@pytest.mark.parametrize("spec", BUILTINS, ids=BUILTIN_IDS)
+def test_series_to_the_depth_is_bitwise_the_full_horner(spec):
+    emb, t = series_points(spec, np.random.default_rng(83))
+    assert_bits_equal(_inverse_coords(emb, spec), full_inverse(emb, spec))
+    assert_bits_equal(_resolvent_coords(t, emb, spec), full_resolvent(t, emb, spec))
+    # many t at one point: the coefficients' batch is wider than emb's
+    assert_bits_equal(_resolvent_coords(t, emb[0], spec), full_resolvent(t, emb[0], spec))
+
+
+@settings(max_examples=40, deadline=None)
+@given(spec=structure_tensors().map(power_chains), seed=st.integers(0, 2**32 - 1))
+def test_series_to_the_depth_matches_the_full_horner_random(spec, seed):
+    emb, t = series_points(spec, np.random.default_rng(seed), count=4)
+    for ours, ref in ((_inverse_coords(emb, spec), full_inverse(emb, spec)),
+                      (_resolvent_coords(t, emb, spec), full_resolvent(t, emb, spec))):
+        assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("name, calls", [
+    ("example1", 3), ("example4", 4), ("chain12", 12), ("semisimple:m=3", 1),
+])
+def test_series_calls_coeff_once_per_term_down_from_the_depth(name, calls):
+    spec = chain(12) if name == "chain12" else builtin_algebra(name)
+    emb, _ = series_points(spec, np.random.default_rng(89), count=3)
+    seen = []
+
+    def coeff(k):
+        seen.append(k)
+        return np.ones((3, spec.m), dtype=np.complex128)
+
+    _radical_series(coeff, emb, spec)
+    assert seen == list(range(calls - 1, -1, -1))
+    assert len(seen) == spec._depth + 1
