@@ -231,7 +231,10 @@ class AlgebraSpec:
         ``I_k`` part: 1 for a radical ``I_k``, and at least ``weight[r] +
         weight[s]`` for each non-zero ``c_rsk``.  Under rule 2 both factors
         come before the target, so one pass in target order settles every
-        weight; without it the bound falls back to ``n - m``.
+        weight; without it the bound falls back to ``n - m``.  The weights
+        see only the support, not cancellations, and can double at each
+        target, so the result is capped at ``n - m``: a nilpotent algebra of
+        dimension ``n - m`` has ``N^(n-m+1) = 0``.
         """
         weight = [0] * (self.m + 1) + [1] * (self.n - self.m)  # 1-based
         for (left, right, target), value in sorted(self.products.items(),
@@ -240,7 +243,7 @@ class AlgebraSpec:
                 return self.n - self.m
             if value:
                 weight[target] = max(weight[target], weight[left] + weight[right])
-        return max(weight)
+        return min(max(weight), self.n - self.m)
 
     # -- derived data ------------------------------------------------------
 
@@ -328,6 +331,30 @@ def _multiply_coords(a, b, spec):
     terms = np.multiply(terms, other, out=terms if terms.shape == shape else None)
     del other
     terms *= spec._coeffs
+    return np.add.reduceat(terms, spec._starts, axis=-1)
+
+
+def _fixed_factor(b, spec):
+    """The factor ``b`` of :func:`_times_fixed`, gathered with ``c_rsk`` folded in.
+
+    For repeated products by one ``b`` on an algebra with a radical
+    (``m < n``): the gather of ``b`` is made once instead of once per
+    product.
+    """
+    return np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1) * spec._coeffs
+
+
+def _times_fixed(a, times, spec):
+    """``_multiply_coords(a, b, spec)`` with ``times = _fixed_factor(b, spec)``.
+
+    The operand order of :func:`_multiply_coords` is kept, ``a[..., r]``
+    then the factor of ``b``, in place on the gather of ``a``; the result
+    has the same bits when every ``c_rsk`` is 1, and otherwise only one
+    product of three numbers is regrouped.  ``a`` must have the broadcast
+    shape of ``a`` and ``b``.
+    """
+    terms = np.take(a, spec._left, axis=-1)
+    terms *= times
     return np.add.reduceat(terms, spec._starts, axis=-1)
 
 

@@ -10,7 +10,6 @@ override file fields.  Exit status 0 means every check passed.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -28,6 +27,7 @@ from .curves import Circle2D, QuadratureOptions, coordinate_plane
 from .errors import MonalgError, SpecFormatError
 from .integrals import VerificationReport, compute_lambda
 from .io import (
+    _read_json,
     load_algebra,
     load_frame,
     reports_to_csv,
@@ -86,14 +86,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
-        try:
-            data = json.loads(Path(path).read_text())
-        except OSError as exc:
-            raise SpecFormatError(f"cannot read {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
-        if not isinstance(data, dict):
-            raise SpecFormatError(f"{path}: a config file holds one JSON object")
+        data = _read_json(path)
         unknown = set(data) - set(_CONFIG_FIELDS)
         if unknown:
             raise SpecFormatError(f"{path}: unknown config fields {sorted(unknown)}")

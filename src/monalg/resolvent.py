@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, _multiply_coords
+from .algebra import AlgebraSpec, Element, _fixed_factor, _times_fixed
 from .errors import PoleError, SingularElementError
 from .frames import Frame, _vanishing_xi, embed_many
 
@@ -136,8 +136,8 @@ def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     depth``.  A semisimple algebra has depth 0: the sum is ``c_0``, which is
     returned as it comes, not copied.
 
-    Each step is the product of :func:`monalg.algebra._multiply_coords`
-    with the fixed factor ``N`` gathered once, and ``c_rsk`` folded into it.
+    Each step is a product by the fixed factor ``N``, gathered once by
+    :func:`monalg.algebra._fixed_factor`.
     """
     depth = spec._depth
     if depth == 0:
@@ -148,15 +148,12 @@ def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     acc[..., : c.shape[-1]] = c
     nil = np.array(emb, dtype=np.complex128)
     nil[..., : spec.m] = 0.0
-    times = np.take(nil, spec._right, axis=-1) * spec._coeffs
+    times = _fixed_factor(nil, spec)
     del nil
     for k in range(depth - 1, -1, -1):
-        terms = np.take(acc, spec._left, axis=-1)
-        terms *= times
-        acc = np.add.reduceat(terms, spec._starts, axis=-1)
-        # so that at most two arrays of the gathered size, times and
-        # terms, are alive at once
-        del terms
+        # the step's gathered terms die inside the call, so at most two
+        # arrays of the gathered size, times and terms, are alive at once
+        acc = _times_fixed(acc, times, spec)
         c = coeff(k)
         acc[..., : c.shape[-1]] += c
     return acc

@@ -461,6 +461,21 @@ def test_radical_depth_bounds_the_nilpotency_index(spec):
     assert spec._depth + 1 >= validate_algebra(spec).nilpotency_index
 
 
+def test_radical_depth_is_capped_at_n_minus_m():
+    # x1, x2, x3 with x_i x_j = 0 (i != j) and x_i^3 = 0, in the basis
+    # I_2..I_7 = x1, x2, x1^2 + x2, x3, x2^2 + x3, x3^2: the support weights
+    # double to 8, while every product of three radical elements vanishes
+    spec = AlgebraSpec(7, 1, {
+        (2, 2, 3): -1, (2, 2, 4): 1,
+        (3, 3, 5): -1, (3, 3, 6): 1, (3, 4, 5): -1, (3, 4, 6): 1,
+        (4, 4, 5): -1, (4, 4, 6): 1,
+        (5, 5, 7): 1, (5, 6, 7): 1, (6, 6, 7): 1,
+    })
+    report = validate_algebra(spec)
+    assert report.ok and report.nilpotency_index == 3
+    assert spec._depth == spec.n - spec.m
+
+
 def test_radical_depth_off_the_triangular_support_is_n_minus_m():
     spec = AlgebraSpec(5, 1, {(2, 2, 3): 1, (2, 3, 3): 1})  # I_2 I_3 -> I_3
     assert spec._depth == spec.n - spec.m
