@@ -244,11 +244,27 @@ def _cmd_verify(args) -> int:
 
 
 def _lambda_circles(k: int, cap: int):
+    """The circles ``monalg lambda`` integrates over, with their labels.
+
+    All embrace the origin.  The r=0.5 and r=2.0 circles are off centre:
+    ``zeta^{-1} dzeta`` does not change under ``x -> c x``, so centred
+    circles whose radii differ by a power of two would give the same bits
+    and the variation between them would measure nothing.  In plane (1,2)
+    each spectral value is a real-linear map of ``(x_1, x_2)``, so a circle
+    there winds around the origin as the centred one does.
+    """
     quad = QuadratureOptions(cap=cap)
+    plane = coordinate_plane(k, 1, 2)
+
+    def centre(x1, x2):
+        point = np.zeros(k)
+        point[:2] = x1, x2
+        return point
+
     circles = [
-        ("plane(1,2) r=0.5", Circle2D(np.zeros(k), 0.5, coordinate_plane(k, 1, 2), quadrature=quad)),
-        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, coordinate_plane(k, 1, 2), quadrature=quad)),
-        ("plane(1,2) r=2.0", Circle2D(np.zeros(k), 2.0, coordinate_plane(k, 1, 2), quadrature=quad)),
+        ("plane(1,2) r=0.5", Circle2D(centre(0.2, -0.1), 0.5, plane, quadrature=quad)),
+        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, plane, quadrature=quad)),
+        ("plane(1,2) r=2.0", Circle2D(centre(-0.7, 0.4), 2.0, plane, quadrature=quad)),
     ]
     if k >= 3:
         tilt = np.zeros((2, k))

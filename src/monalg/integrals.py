@@ -6,6 +6,15 @@ closed-curve integrals of monogenic functions vanish, triangle boundaries
 give the Morera-style identity, and the integral formula reproduces function
 values after scaling by the algebra constant ``lambda = integral of
 zeta^{-1} dzeta`` over an admissible circle.
+
+:func:`line_integral`, :func:`cauchy_theorem_check` and
+:func:`cauchy_formula_check` also take a list of functions.  The functions
+of one curve are then refined as one stack, in one refinement run: each
+level computes the curve's points and ``dzeta``, and for the formula the
+shifted inverse ``(zeta - zeta_c)^{-1}``, once for all of them, and each
+function keeps its own convergence test, so every result is bit for bit
+that of the function's own call.  A single function is the one-element
+case of the same path.
 """
 
 from __future__ import annotations
@@ -107,11 +116,15 @@ class LambdaResult:
 _LINE_TOL = 1e-10
 
 
-def _locate_failure(psi, frame, xs, taus, spec, exc) -> IntegrationError:
-    """Re-evaluate pointwise to name the parameter where evaluation failed."""
+def _locate_failure(evaluators, frame, xs, taus, spec, exc) -> IntegrationError:
+    """Re-evaluate pointwise to name the parameter where evaluation failed.
+
+    ``evaluators`` are the factors of the integrand, evaluated in order.
+    """
     for tau, x in zip(taus, xs):
         try:
-            _evaluate(psi, frame, x.reshape(1, -1), spec)
+            for psi in evaluators:
+                _evaluate(psi, frame, x.reshape(1, -1), spec)
         except MonalgError:
             return IntegrationError(
                 f"integrand evaluation failed at tau={float(tau):.6g}: {exc}",
@@ -121,17 +134,23 @@ def _locate_failure(psi, frame, xs, taus, spec, exc) -> IntegrationError:
 
 
 def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
-                  tol: float = _LINE_TOL) -> IntegralResult:
+                  tol: float = _LINE_TOL) -> IntegralResult | list:
     """Integral of ``psi`` against ``dzeta`` along the curve.
 
     ``psi`` may be a built-in function variant, an object with an
     ``eval_many(frame, xs, spec)`` method, or a pointwise callable
     ``x -> Element``.  Circles refine by node doubling, polylines by Gauss
     panels bisected per segment, with all segments refined as one stack.
+
+    ``psi`` may also be a list of functions, and the result is then the list
+    of their :class:`IntegralResult`.  One refinement run integrates them as
+    a stack (:class:`_CurveStack`) that computes each level's points and
+    ``dzeta`` once.  Every function keeps its own convergence test, so each
+    result equals, bit for bit, that of the function's own call.
     """
-    if isinstance(gamma, Circle2D):
-        return _circle_integral(psi, gamma, frame, spec, tol)
-    return _polyline_integral(psi, gamma, frame, spec, tol)
+    psis = psi if isinstance(psi, list) else [psi]
+    results = _line_integrals(psis, gamma, frame, spec, tol)
+    return results if isinstance(psi, list) else results[0]
 
 
 def _evaluate(psi, frame, xs, spec):
@@ -140,68 +159,184 @@ def _evaluate(psi, frame, xs, spec):
     return eval_batch(psi, frame, xs, spec)
 
 
-def _circle_integral(psi, gamma, frame, spec, tol):
-    def integrand(taus):
-        xs = gamma.points(taus)
-        try:
-            vals = _evaluate(psi, frame, xs, spec)
-        except MonalgError as exc:
-            raise _locate_failure(psi, frame, xs, taus, spec, exc) from exc
-        dz = gamma.tangents(taus) @ frame.a
-        return _multiply_coords(vals, dz, spec)
-
-    opts = gamma.quadrature
-    res = trapezoid_periodic(integrand, tol=tol, start=opts.nodes_on_circle, cap=opts.cap)
-    value = Element(gamma.orientation * res.value)
-    return IntegralResult(value, res.error_estimate, res.nodes, res.converged, res.history)
+def _join(arrays):
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
-class _SegmentStack:
-    """Integrands ``psi(a_s + tau (b_s - a_s))`` of S straight segments.
+class _CirclePiece:
+    """A circle as the one piece of a :class:`_CurveStack`.
 
-    Called by :func:`gauss_segment` as a stack: ``seg`` names the segment
-    of each parameter in ``taus``.
+    Its ``dzeta`` changes from node to node, so it multiplies the values
+    inside the integrand.
     """
 
-    def __init__(self, psi, frame, spec, starts, directions):
-        self.psi = psi
+    def __init__(self, gamma, frame):
+        self.gamma = gamma
         self.frame = frame
-        self.spec = spec
+
+    def __len__(self):
+        return 1
+
+    def points(self, taus, pieces):
+        return self.gamma.points(taus)
+
+    def dzeta(self, taus):
+        return self.gamma.tangents(taus) @ self.frame.a
+
+
+class _Segments:
+    """Straight segments ``starts[s] -> ends[s]`` as the pieces of a :class:`_CurveStack`.
+
+    A segment's ``dzeta`` is constant; it multiplies the segment's integral
+    afterwards, so the values carry none.
+    """
+
+    def __init__(self, starts, ends):
         self.starts = starts
-        self.directions = directions
+        self.directions = ends - starts
 
     def __len__(self):
         return len(self.starts)
 
-    def __call__(self, taus, seg):
-        xs = self.starts[seg] + taus[:, None] * self.directions[seg]
-        try:
-            return _evaluate(self.psi, self.frame, xs, self.spec)
-        except MonalgError as exc:
-            raise _locate_failure(self.psi, self.frame, xs, taus, self.spec, exc) from exc
+    def points(self, taus, pieces):
+        """The point at ``taus[i]`` on segment ``pieces[i]``, for each ``i``."""
+        return self.starts[pieces] + taus[:, None] * self.directions[pieces]
+
+    def dzeta(self, taus):
+        return None
 
 
-def _segment_integrals(psi, starts, ends, frame, spec, tol, opts):
-    """``psi dzeta`` over each segment ``starts[s] -> ends[s]``, one stack.
+class _CurveStack:
+    """F functions on the P pieces of one curve, as one stack for :func:`_refine`.
 
-    Returns the (S, n) segment integrals, the (S, n) increments ``dzeta``
-    and the stack's :class:`QuadratureResult`; ``tol`` holds per segment.
+    Integrand ``i`` is function ``i // P`` on piece ``i % P``, so each
+    function refines on each piece to its own tolerance.  ``factor``, when
+    given, multiplies every function's values (the shifted inverse of the
+    integral formula).
+
+    ``level(tau)`` returns the evaluator of one level.  A block's functions
+    are evaluated one at a time, each on its pieces in the block.  The
+    points, factor values and ``dzeta`` of a set of pieces are computed for
+    the first function that needs them and, when there are more functions,
+    kept for the level only, for the next functions on the same pieces: on
+    a circle that is every function.
     """
-    directions = ends - starts
-    res = gauss_segment(_SegmentStack(psi, frame, spec, starts, directions), tol=tol,
+
+    def __init__(self, psis, frame, spec, pieces, factor=None):
+        self.psis = psis
+        self.frame = frame
+        self.spec = spec
+        self.pieces = pieces
+        self.factor = factor
+
+    def __len__(self):
+        return len(self.psis) * len(self.pieces)
+
+    def level(self, tau):
+        count = len(self.pieces)
+        shared = {}  # a block's pieces -> their points, factor values and dzeta
+
+        def evaluate(taus, seg):
+            if len(self.psis) == 1:  # nothing to share
+                return self._values(0, taus, seg, None)
+            owners = seg[:: tau.size] // count  # the function of each integrand
+            bounds = (np.flatnonzero(np.diff(owners)) + 1).tolist()
+            out = []
+            for lo, hi in zip([0, *bounds], [*bounds, owners.size]):
+                j = int(owners[lo])
+                rows = slice(lo * tau.size, hi * tau.size)
+                pieces = seg[rows] - j * count
+                at = shared.setdefault(pieces[:: tau.size].tobytes(), {})
+                out.append(self._values(j, taus[rows], pieces, at))
+            return _join(out)
+
+        return evaluate
+
+    def _values(self, j, taus, pieces, at):
+        """Function ``j`` times ``factor`` and ``dzeta`` at ``taus`` on ``pieces``.
+
+        ``at`` keeps the points, factor values and ``dzeta`` of these nodes
+        for the level's other functions.  With ``at`` None nothing is kept,
+        so each array dies as soon as it is used, as in a single integral.
+        """
+        def once(name, make):
+            if at is None:
+                return make()
+            if name not in at:
+                at[name] = make()
+            return at[name]
+
+        frame, spec, psi = self.frame, self.spec, self.psis[j]
+        xs = once("points", lambda: self.pieces.points(taus, pieces))
+        try:
+            vals = _evaluate(psi, frame, xs, spec)
+            if self.factor is not None:
+                vals = _multiply_coords(
+                    vals, once("factor", lambda: self.factor.eval_many(frame, xs, spec)), spec)
+        except MonalgError as exc:
+            evaluators = [e for e in (psi, self.factor) if e is not None]
+            raise _locate_failure(evaluators, frame, xs, taus, spec, exc) from exc
+        dz = once("dzeta", lambda: self.pieces.dzeta(taus))
+        return vals if dz is None else _multiply_coords(vals, dz, spec)
+
+
+def _histories(levels, pieces: int, functions: int) -> list:
+    """Each function's ``(points evaluated, largest delta)`` per level it refined."""
+    out = [[] for _ in range(functions)]
+    for nodes, active, change in levels:
+        owners = active // pieces
+        for j, history in enumerate(out):
+            mine = owners == j
+            if mine.any():
+                history.append((int(mine.sum()) * nodes, float(change[mine].max())))
+    return out
+
+
+def _segment_integrals(psis, starts, ends, frame, spec, tol, opts, factor=None):
+    """``psi dzeta`` of each of ``psis`` over each segment ``starts[s] -> ends[s]``.
+
+    One stack refines them all.  Returns the (F S, n) segment integrals,
+    function by function, the (S, n) increments ``dzeta`` and the stack's
+    :class:`QuadratureResult`; ``tol`` holds per function and segment.
+    """
+    segments = _Segments(starts, ends)
+    res = gauss_segment(_CurveStack(psis, frame, spec, segments, factor), tol=tol,
                         cap=opts.segment_cap)
-    dz = directions @ frame.a
-    return _multiply_coords(res.value, dz, spec), dz, res
+    dz = segments.directions @ frame.a
+    return _multiply_coords(res.value, np.tile(dz, (len(psis), 1)), spec), dz, res
 
 
-def _polyline_integral(psi, gamma, frame, spec, tol):
-    segments = np.array(gamma.segments())  # (S, 2, k)
-    seg_tol = tol / len(segments)
-    parts, dz, res = _segment_integrals(psi, segments[:, 0], segments[:, 1], frame, spec,
-                                        seg_tol, gamma.quadrature)
-    error = float(np.sum(res.segment_deltas * np.linalg.norm(dz, axis=1)))
-    value = Element(gamma.orientation * parts.sum(axis=0))
-    return IntegralResult(value, error, res.nodes, res.converged, res.history)
+def _line_integrals(psis, gamma, frame, spec, tol, factor=None) -> list:
+    """:func:`line_integral` of each of ``psis`` along ``gamma``, as one stack.
+
+    ``factor`` multiplies every function's values at each node.  A circle's
+    integrand holds ``dzeta``, so its deltas are errors as they are; a
+    segment's delta is weighted by ``|dzeta|``.
+    """
+    if not psis:
+        return []
+    if isinstance(gamma, Circle2D):
+        opts = gamma.quadrature
+        res = trapezoid_periodic(_CurveStack(psis, frame, spec, _CirclePiece(gamma, frame), factor),
+                                 tol=tol, start=opts.nodes_on_circle, cap=opts.cap)
+        parts, weights = res.value, np.ones(1)
+    else:
+        segments = np.array(gamma.segments())  # (S, 2, k)
+        parts, dz, res = _segment_integrals(psis, segments[:, 0], segments[:, 1], frame, spec,
+                                            tol / len(segments), gamma.quadrature, factor)
+        weights = np.linalg.norm(dz, axis=1)
+    pieces = len(weights)
+    out = []
+    for j, history in enumerate(_histories(res.levels, pieces, len(psis))):
+        rows = slice(j * pieces, (j + 1) * pieces)
+        out.append(IntegralResult(
+            Element(gamma.orientation * parts[rows].sum(axis=0)),
+            float(np.sum(res.segment_deltas[rows] * weights)),
+            int(res.segment_nodes[rows].sum()),
+            bool(res.segment_converged[rows].all()),
+            history,
+        ))
+    return out
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -333,27 +468,36 @@ def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
 
 
 def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
-                         tol: float | None = None) -> VerificationReport:
-    """Closed-curve integral of a monogenic function; the residual is its norm."""
+                         tol: float | None = None) -> VerificationReport | list:
+    """Closed-curve integral of a monogenic function; the residual is its norm.
+
+    With no ``tol``, each function's tolerance scales with its largest norm
+    on the curve.  ``phi`` may be a list of functions: :func:`line_integral`
+    integrates them as one stack, and a list of reports is returned.
+    """
     if not gamma_closed.closed:
         raise ValueError("the integral-theorem check needs a closed curve")
-    res = line_integral(phi, gamma_closed, frame, spec)
-    if tol is None:
-        scale = gamma_closed.length() * max(1.0, _max_norm_on_curve(phi, gamma_closed, frame, spec))
-        tol = 1e-9 * scale
-    return VerificationReport(
-        name="closed-curve-integral",
-        residual=res.value.norm(),
-        tolerance=tol,
-        value=res.value,
-        reference=0.0,
-        diagnostics={
-            "nodes": res.nodes,
-            "converged": res.converged,
-            "quadrature_error": res.error_estimate,
-            "history": res.history,
-        },
-    )
+    phis = phi if isinstance(phi, list) else [phi]
+    reports = []
+    for f, res in zip(phis, line_integral(phis, gamma_closed, frame, spec)):
+        f_tol = tol
+        if f_tol is None:
+            scale = gamma_closed.length() * max(1.0, _max_norm_on_curve(f, gamma_closed, frame, spec))
+            f_tol = 1e-9 * scale
+        reports.append(VerificationReport(
+            name="closed-curve-integral",
+            residual=res.value.norm(),
+            tolerance=f_tol,
+            value=res.value,
+            reference=0.0,
+            diagnostics={
+                "nodes": res.nodes,
+                "converged": res.converged,
+                "quadrature_error": res.error_estimate,
+                "history": res.history,
+            },
+        ))
+    return reports if isinstance(phi, list) else reports[0]
 
 
 def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
@@ -381,7 +525,7 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
         ends = np.roll(starts, -1, axis=1)
         k = starts.shape[2]
         # line_integral's default tolerance, split over three segments
-        parts, _, res = _segment_integrals(phi, starts.reshape(-1, k), ends.reshape(-1, k),
+        parts, _, res = _segment_integrals([phi], starts.reshape(-1, k), ends.reshape(-1, k),
                                            frame, spec, _LINE_TOL / 3, opts)
         # the orientation flips the sign of a boundary integral, not its norm
         norms = np.linalg.norm(parts.reshape(len(triangles), 3, spec.n).sum(axis=1), axis=1)
@@ -406,27 +550,21 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
     )
 
 
-class _FormulaIntegrand:
-    """Batch evaluator of ``x -> phi(x) * (embedded (x - x0))^{-1}``."""
-
-    def __init__(self, phi, center):
-        self.phi = phi
-        self.inverse = _InverseIntegrand(shift=center)
-
-    def eval_many(self, frame, xs, spec):
-        vals = _evaluate(self.phi, frame, xs, spec)
-        return _multiply_coords(vals, self.inverse.eval_many(frame, xs, spec), spec)
-
-
 def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
                          lam: LambdaResult | None = None,
-                         tol: float = 1e-8) -> VerificationReport:
+                         tol: float = 1e-8) -> VerificationReport | list:
     """Compare ``lambda * phi(center)`` with the formula integral around it.
 
     ``lam`` is the lambda that scales the reference; by default it is
     computed on ``matched_lambda_circle(gamma, center_x)``.  Passing it in
     lets checks on one curve share one lambda integral.  The report is
     converged only when both the formula integral and ``lam`` are.
+
+    ``phi`` may be a list of functions, and a list of reports is returned.
+    The functions then share the winding certificate and ``lam``, and their
+    formula integrals ``phi(zeta) (zeta - zeta_c)^{-1} dzeta`` are refined as
+    one stack, whose levels compute the shifted inverse once for all of
+    them; each report equals that of the function's own call.
     """
     center = np.asarray(center_x, dtype=np.float64)
     cert = winding_certificate(gamma, frame, center, spec)
@@ -442,20 +580,24 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
             f"lambda circle does not wind once: {lam.windings}",
             certificate=EmbraceCertificate(lam.windings),
         )
-    res = line_integral(_FormulaIntegrand(phi, center), gamma, frame, spec)
-    reference = multiply(lam.value, eval_function(phi, frame, center, spec), spec)
-    residual = (reference - res.value).norm()
-    return VerificationReport(
-        name="integral-formula",
-        residual=residual,
-        tolerance=tol,
-        value=res.value,
-        reference=reference,
-        diagnostics={
-            "windings": cert.windings,
-            "lambda_deviation": lam.deviation_from_two_pi_i,
-            "nodes": res.nodes,
-            "converged": res.converged and lam.converged,
-            "history": res.history,
-        },
-    )
+    phis = phi if isinstance(phi, list) else [phi]
+    results = _line_integrals(phis, gamma, frame, spec, _LINE_TOL,
+                              factor=_InverseIntegrand(shift=center))
+    reports = []
+    for f, res in zip(phis, results):
+        reference = multiply(lam.value, eval_function(f, frame, center, spec), spec)
+        reports.append(VerificationReport(
+            name="integral-formula",
+            residual=(reference - res.value).norm(),
+            tolerance=tol,
+            value=res.value,
+            reference=reference,
+            diagnostics={
+                "windings": cert.windings,
+                "lambda_deviation": lam.deviation_from_two_pi_i,
+                "nodes": res.nodes,
+                "converged": res.converged and lam.converged,
+                "history": res.history,
+            },
+        ))
+    return reports if isinstance(phi, list) else reports[0]

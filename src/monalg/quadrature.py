@@ -33,7 +33,10 @@ class QuadratureResult:
     first entry's nodes plus the nodes of every entry (for a stack, as long
     as no integrand stopped at level 0).  The ``segment_*`` arrays hold each
     integrand's final delta, node count and convergence flag; a stack (see
-    :func:`_refine`) has one entry per integrand.
+    :func:`_refine`) has one entry per integrand.  ``levels`` holds, per
+    level after the first, the nodes per integrand, the indices of the
+    integrands refined and their deltas, from which the history of any
+    group of a stack's integrands follows.
     """
 
     value: np.ndarray
@@ -44,6 +47,7 @@ class QuadratureResult:
     segment_deltas: np.ndarray | None = None
     segment_nodes: np.ndarray | None = None
     segment_converged: np.ndarray | None = None
+    levels: list = field(default_factory=list)
 
 
 # Whole integrands are grouped into blocks of about this many points per
@@ -57,38 +61,48 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
 
     ``f`` is one integrand ``f(tau)`` or a stack of S integrands: a sized
     object called as ``f(tau, seg)``, ``seg`` naming each node's integrand.
-    Each integrand refines until its level agrees within ``tol`` with the
-    level before (from level ``first_test`` on) or its node count would
-    exceed ``cap``.  ``reference``, when given, maps level 0's values of
-    each integrand, shaped ``(integrands, nodes, ...)``, to a reference sum
-    that level 0 is tested against.  A level evaluates only the integrands
-    still refining, in blocks of whole integrands of about ``_BLOCK_POINTS``
-    points.  For a stack, ``value`` has one row per integrand, ``nodes`` is
-    their sum, ``error_estimate`` their largest delta and ``converged``
-    holds when all converged; ``history`` holds one ``(points evaluated,
-    largest delta)`` entry per level after the first.
+    A stack may instead give ``f.level(tau)``, asked once per level for the
+    ``(tau, seg)`` evaluator of that level's nodes, so that the integrands
+    share the work they have in common there (a curve's points, a common
+    factor) and drop it with the level.  Each integrand refines until its
+    level agrees within ``tol`` with the level before (from level
+    ``first_test`` on) or its node count would exceed ``cap``.
+    ``reference``, when given, maps level 0's values of each integrand,
+    shaped ``(integrands, nodes, ...)``, to a reference sum that level 0 is
+    tested against.  A level evaluates only the integrands still refining,
+    in blocks of whole integrands of about ``_BLOCK_POINTS`` points, so no
+    array holds more than one block of values.  For a stack, ``value`` has
+    one row per integrand, ``nodes`` is their sum, ``error_estimate`` their
+    largest delta and ``converged`` holds when all converged; ``history``
+    holds one ``(points evaluated, largest delta)`` entry per level after
+    the first.  An integrand's value, nodes, flag and deltas do not depend
+    on the other integrands of its stack.
     """
     stacked = hasattr(f, "__len__")
     count = len(f) if stacked else 1
     evaluate = f if stacked else (lambda tau, seg: f(tau))
+    at_level = getattr(f, "level", None) if stacked else None
     value = None
     deltas = np.full(count, np.inf)
     nodes = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
-    history = []
+    history, levels = [], []
     level = 0
     while active.size:
         tau, level_sum = rule(level)
+        level_evaluate = at_level(tau) if at_level else evaluate
         per_block = max(1, _BLOCK_POINTS // tau.size)
         sums, refs = [], []
         for first in range(0, active.size, per_block):
             seg = active[first:first + per_block]
-            vals = np.asarray(evaluate(np.tile(tau, seg.size), np.repeat(seg, tau.size)))
+            vals = np.asarray(level_evaluate(np.tile(tau, seg.size), np.repeat(seg, tau.size)))
             vals = vals.reshape(seg.size, tau.size, *vals.shape[1:])
             sums.append(level_sum(vals))
             if level == 0 and reference is not None:
                 refs.append(reference(vals))
+            del vals  # one block of values at a time
+        del level_evaluate  # and with it what the level's integrands shared
         sums = np.concatenate(sums)
         nodes[active] = tau.size
         if level:
@@ -102,6 +116,7 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             deltas[active] = change
             if level:
                 history.append((active.size * tau.size, float(change.max())))
+                levels.append((tau.size, active, change))
             if level >= first_test:
                 done = change <= tol
                 converged[active[done]] = True
@@ -111,9 +126,9 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
         level += 1
     if not stacked:
         return QuadratureResult(value[0], float(deltas[0]), int(nodes[0]), bool(converged[0]),
-                                history, deltas, nodes, converged)
+                                history, deltas, nodes, converged, levels)
     return QuadratureResult(value, float(deltas.max()), int(nodes.sum()),
-                            bool(converged.all()), history, deltas, nodes, converged)
+                            bool(converged.all()), history, deltas, nodes, converged, levels)
 
 
 # No trapezoid convergence before two doublings: the first two levels may alias.

@@ -112,9 +112,10 @@ def _standard_curves(k: int, options):
 class _LambdaMemo:
     """The lambda integrals of one :func:`run_suites` call.
 
-    ``standard`` maps a frame name to its ``LambdaResult`` on the standard
-    unit circle; ``calls`` counts the ``compute_lambda`` calls made through
-    the memo.
+    ``standard`` maps a frame to its ``LambdaResult`` on the standard unit
+    circle.  It is keyed by the frame, not by its name, because one frame
+    may have two names (a semisimple algebra's ``default`` and ``in-s``).
+    ``calls`` counts the ``compute_lambda`` calls made through the memo.
     """
 
     def __init__(self):
@@ -125,11 +126,11 @@ class _LambdaMemo:
         self.calls += 1
         return compute_lambda(spec, frame, circle)
 
-    def on_standard_circle(self, spec: AlgebraSpec, fname: str, frame: Frame, options):
-        if fname not in self.standard:
+    def on_standard_circle(self, spec: AlgebraSpec, frame: Frame, options):
+        if frame not in self.standard:
             circle = _standard_circle(frame.k, options=options)
-            self.standard[fname] = self.compute(spec, frame, circle)
-        return self.standard[fname]
+            self.standard[frame] = self.compute(spec, frame, circle)
+        return self.standard[frame]
 
 
 # -- suites --------------------------------------------------------------------
@@ -242,15 +243,18 @@ def suite_cr(spec, frames, seed, options) -> list:
 
 def suite_cauchy(spec, frames, seed, options) -> list:
     frame = frames["default"]
+    phis = _phi_set(spec)
     out = []
     for cname, curve in _standard_curves(frame.k, options):
-        for pname, phi in _phi_set(spec):
-            rep = cauchy_theorem_check(phi, curve, frame, spec)
+        # the non-monogenic necessity control joins the standard circle
+        control = [_Control(spec)] if cname == "circle-x1x2" else []
+        reports = cauchy_theorem_check([phi for _, phi in phis] + control, curve, frame, spec)
+        for (pname, _), rep in zip(phis, reports):
             rep.name = f"cauchy/{cname}[{pname}]"
             out.append(rep)
+        if control:
+            control_rep = reports[-1]
     # necessity control: the non-monogenic function must NOT integrate to zero
-    control_rep = cauchy_theorem_check(_Control(spec), _standard_circle(frame.k, options=options),
-                                       frame, spec, tol=np.inf)
     observed = control_rep.residual
     out.append(
         VerificationReport(
@@ -269,7 +273,7 @@ def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
     out = []
     tol = options.get("lambda_tol", 1e-8)
     for fname, frame in frames.items():
-        lam = lambdas.on_standard_circle(spec, fname, frame, options)
+        lam = lambdas.on_standard_circle(spec, frame, options)
         two_pi_i = 2j * np.pi
         idem_residual = float(
             np.max(np.abs(lam.idempotent_part - two_pi_i * np.ones(spec.m)))
@@ -354,8 +358,9 @@ def suite_formula(spec, frames, seed, options, lambdas=None) -> list:
     out = []
     for cname, curve in curves:
         lam = lambdas.compute(spec, frame, matched_lambda_circle(curve, center))
-        for pname, phi in phis:
-            rep = cauchy_formula_check(phi, center, curve, frame, spec, lam=lam, tol=tol)
+        reports = cauchy_formula_check([phi for _, phi in phis], center, curve, frame, spec,
+                                       lam=lam, tol=tol)
+        for (pname, _), rep in zip(phis, reports):
             rep.name = f"formula/{cname}[{pname}]"
             out.append(rep)
     return out
@@ -396,7 +401,7 @@ def suite_predicates(spec, frames, seed, options, lambdas=None) -> list:
         th6 = theorem6_predicate(frame, spec)
         th7 = theorem7_predicate(frame, spec) if spec.dim_nilpotent == 4 else False
         guaranteed = th5.holds or th6 or th7
-        lam = lambdas.on_standard_circle(spec, fname, frame, options)
+        lam = lambdas.on_standard_circle(spec, frame, options)
         if guaranteed:
             out.append(
                 VerificationReport(

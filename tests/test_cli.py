@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import monalg
@@ -151,6 +152,19 @@ def test_timings_go_to_stderr_and_leave_the_reports_alone(tmp_path, capsys):
     assert all(float(row.split()[1]) >= 0.0 for row in rows)
 
 
+def test_timings_count_one_lambda_per_frame_not_per_name(tmp_path, capsys):
+    # a semisimple algebra's default and in-s frames are one frame, so the
+    # lambda suite integrates one standard-circle lambda for both names
+    args = ["verify", "--algebra", "semisimple:m=3", "--suite", "lambda,formula,predicates",
+            "--seed", "3", "--out", str(tmp_path / "m3"), "--timings"]
+    assert main(args) == 0
+    _, *rows = capsys.readouterr().err.splitlines()
+    assert [row.split()[0] for row in rows] == ["lambda", "formula", "predicates"]
+    assert [int(row.split()[2]) for row in rows] == [1, 3, 0]
+    names = [check["name"] for check in json.loads((tmp_path / "m3.json").read_text())["checks"]]
+    assert "lambda/deviation[default]" in names and "lambda/deviation[in-s]" in names
+
+
 def test_reports_do_not_depend_on_blas_threads(tmp_path):
     src = str(Path(monalg.__file__).resolve().parents[1])
     reports = []
@@ -239,6 +253,32 @@ def test_lambda_command_reports_convergence(tmp_path, capsys, cap, converged):
     circles = [c for c in checks if "plane-radius-variation" not in c["name"]]
     assert circles
     assert all(c["diagnostics"]["converged"] is converged for c in circles)
+
+
+def test_lambda_command_circles_are_not_homothetic(tmp_path):
+    # centred circles of radius 0.5, 1 and 2 would give the same bits; the
+    # off-centre ones give distinct integrals of the same lambda
+    prefix = tmp_path / "lambda"
+    assert main(["lambda", "--algebra", "example1", "--out", str(prefix)]) == 0
+    checks = {c["name"]: c for c in json.loads((tmp_path / "lambda.json").read_text())["checks"]}
+    variation = checks["lambda[in-s][plane-radius-variation]"]
+    assert 0.0 < variation["residual"] <= 1e-12
+    assert all(c["diagnostics"]["converged"] for name, c in checks.items()
+               if "variation" not in name)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4",
+                                  "semisimple:m=1", "semisimple:m=2", "semisimple:m=8"])
+def test_lambda_command_circles_wind_once_on_every_builtin_frame(name):
+    from monalg.catalog import builtin_frames
+    from monalg.cli import _lambda_circles
+    from monalg.integrals import winding_certificate
+
+    spec = builtin_algebra(name)
+    for frame in builtin_frames(spec).values():
+        for label, circle in _lambda_circles(frame.k, 2**16):
+            cert = winding_certificate(circle, frame, np.zeros(frame.k), spec)
+            assert cert.windings == (1,) * spec.m, (label, cert.windings)
 
 
 def test_lambda_command(capsys):

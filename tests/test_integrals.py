@@ -541,11 +541,14 @@ def test_a_run_integrates_each_standard_lambda_once(monkeypatch, name):
     spec = builtin_algebra(name)
     frames = builtin_frames(spec)
     everything = run_suites(["all"], spec, frames, seed=1)
-    # three formula curves, then one standard circle per frame for the
-    # lambda suite that the predicates suite reads back
-    assert len(frames) == 2 and len(calls) == 5
+    # three formula curves, then one standard circle per distinct frame for
+    # the lambda suite that the predicates suite reads back; a semisimple
+    # algebra's two frame names share one frame
+    distinct = len({id(frame) for frame in frames.values()})
+    assert len(frames) == 2 and distinct == (1 if spec.m == spec.n else 2)
+    assert len(calls) == 3 + distinct
     alone = run_suites(["predicates"], spec, frames, seed=1)
-    assert len(calls) == 7
+    assert len(calls) == 3 + 2 * distinct
     predicates = [rep for rep in everything if rep.name.startswith("predicates/")]
     assert [report_record(rep) for rep in alone] == [report_record(rep) for rep in predicates]
 
@@ -583,3 +586,154 @@ def test_matched_circle_from_polyline():
     # the fitted plane spans the first two coordinates
     assert np.linalg.matrix_rank(circle.plane[:, :2], tol=1e-8) == 2
     assert np.allclose(circle.plane[:, 2], 0.0, atol=1e-12)
+
+
+# -- list forms: one stack per curve ---------------------------------------------
+
+
+def _stack_case(name):
+    """An algebra and its default frame; chain12 with the benchmark's frame."""
+    if name == "chain12":
+        spec = chain(12)
+        e2 = np.zeros(12, dtype=np.complex128)
+        e3 = np.zeros(12, dtype=np.complex128)
+        e2[0], e2[1] = 1j, 1.0
+        e3[2], e3[11] = 1.0, 1j
+        return spec, Frame.from_rows(spec, e2, e3)
+    spec = builtin_algebra(name)
+    return spec, builtin_frames(spec)["default"]
+
+
+def _formula_curves(k):
+    """The formula suite's center, two circles and square."""
+    center = np.zeros(k)
+    center[:2] = 0.2, 0.1
+    square = np.zeros((4, k))
+    square[:, 0] = center[0] + np.array([0.5, -0.5, -0.5, 0.5])
+    square[:, 1] = center[1] + np.array([0.5, 0.5, -0.5, -0.5])
+    return center, {
+        "circle-r0.3": Circle2D(center, 0.3, coordinate_plane(k, 1, 2)),
+        "circle-r0.7": Circle2D(center, 0.7, coordinate_plane(k, 1, 2)),
+        "square": Polyline(square, closed=True),
+    }
+
+
+def _assert_same_result(stacked, single):
+    assert stacked.value.coords.tobytes() == single.value.coords.tobytes()
+    assert np.float64(stacked.error_estimate).tobytes() == np.float64(single.error_estimate).tobytes()
+    assert (stacked.nodes, stacked.converged) == (single.nodes, single.converged)
+    assert type(stacked.nodes) is int and type(stacked.converged) is bool
+    # repr tells every float bit apart, the sign of zero included
+    assert repr(stacked.history) == repr(single.history)
+
+
+def _assert_same_report(stacked, single):
+    assert stacked.value.coords.tobytes() == single.value.coords.tobytes()
+    assert repr(report_record(stacked)) == repr(report_record(single))
+
+
+STACK_CASES = ["example1", "chain12", "semisimple:m=12"]
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_line_integral_list_matches_single_calls_bit_for_bit(name):
+    from monalg.suites import _phi_set, _standard_curves
+
+    spec, frame = _stack_case(name)
+    phis = [phi for _, phi in _phi_set(spec)] + [_Control(spec)]
+    nodes = {}
+    for cname, curve in _standard_curves(frame.k, {}):
+        stacked = line_integral(phis, curve, frame, spec)
+        assert len(stacked) == len(phis)
+        for phi, res in zip(phis, stacked):
+            _assert_same_result(res, line_integral(phi, curve, frame, spec))
+        nodes[cname] = [res.nodes for res in stacked]
+        assert line_integral([], curve, frame, spec) == []
+    if name == "semisimple:m=12":
+        # the kernel refines one level further than the polynomials
+        assert nodes["circle-x2x3"][:4] == [256, 256, 256, 512]
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_cauchy_theorem_list_matches_single_calls(name):
+    from monalg.suites import _phi_set, _standard_curves
+
+    spec, frame = _stack_case(name)
+    phis = [phi for _, phi in _phi_set(spec)]
+    for _, curve in _standard_curves(frame.k, {}):
+        reports = cauchy_theorem_check(phis, curve, frame, spec)
+        for phi, rep in zip(phis, reports):
+            _assert_same_report(rep, cauchy_theorem_check(phi, curve, frame, spec))
+        # an explicit tolerance holds for every function of the list
+        for rep in cauchy_theorem_check(phis, curve, frame, spec, tol=0.5):
+            assert rep.tolerance == 0.5
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_cauchy_formula_list_matches_single_calls(name):
+    spec, frame = _stack_case(name)
+    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
+    center, curves = _formula_curves(frame.k)
+    for cname, curve in curves.items():
+        lam = compute_lambda(spec, frame, matched_lambda_circle(curve, center))
+        reports = cauchy_formula_check(phis, center, curve, frame, spec, lam=lam)
+        assert len(reports) == len(phis)
+        for phi, rep in zip(phis, reports):
+            _assert_same_report(rep, cauchy_formula_check(phi, center, curve, frame, spec,
+                                                          lam=lam))
+        if name == "semisimple:m=12" and cname == "square":
+            # the functions stop on different segments at different levels
+            assert [rep.diagnostics["nodes"] for rep in reports] == [7800, 7740, 7740]
+
+
+def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
+    from monalg import integrals
+
+    spec, frame = _stack_case("semisimple:m=12")
+    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
+    center, curves = _formula_curves(frame.k)
+    circle = curves["circle-r0.3"]
+    lam = compute_lambda(spec, frame, matched_lambda_circle(circle, center))
+    sizes = []
+    inverse = integrals._InverseIntegrand.eval_many
+
+    def counted(self, frame, xs, spec):
+        sizes.append(len(xs))
+        return inverse(self, frame, xs, spec)
+
+    monkeypatch.setattr(integrals._InverseIntegrand, "eval_many", counted)
+    reports = cauchy_formula_check(phis, center, circle, frame, spec, lam=lam)
+    nodes = reports[0].diagnostics["nodes"]
+    assert all(rep.diagnostics["nodes"] == nodes for rep in reports)
+    # one inverse per level, 64 to ``nodes`` points, for all three functions
+    assert sizes == [64 * 2**level for level in range(len(sizes))]
+    assert sizes[-1] == nodes
+
+
+@pytest.mark.parametrize("curve", ["circle", "square"])
+def test_list_failure_names_tau(curve):
+    # the second function of the list has a planted pole at one node of
+    # level 0; the error names its parameter, as a single call does
+    spec, frame = _stack_case("example1")
+    center, curves = _formula_curves(3)
+    gamma = curves["circle-r0.3" if curve == "circle" else "square"]
+    if curve == "circle":
+        node = 2 * np.pi * 5 / 64
+        planted = gamma.points(np.array([node]))[0]
+    else:
+        node = _KRONROD_NODES[4]
+        start, end = gamma.segments()[0]
+        planted = start + node * (end - start)
+
+    def psi(x):
+        if np.array_equal(x, planted):
+            raise PoleError("planted pole")
+        return Element(np.asarray(x[0] * basis_element(1, 5).coords))
+
+    phis = [zeta(spec), psi, zeta_power(2, spec)]
+    for call in (lambda: line_integral(phis, gamma, frame, spec),
+                 lambda: line_integral(psi, gamma, frame, spec),
+                 lambda: cauchy_formula_check(phis, center, gamma, frame, spec)):
+        with pytest.raises(IntegrationError, match="tau=") as err:
+            call()
+        assert err.value.tau == node

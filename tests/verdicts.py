@@ -1,0 +1,83 @@
+"""The verdict ledger: what ``monalg verify --suite all`` decides, per input.
+
+For each algebra and seed of a fixed matrix the ledger records the exit
+code, the names of the failing checks and the names of the checks whose
+diagnostics say ``converged: false``.  ``tests/test_verdicts.py`` recomputes
+it in process and compares it with ``tests/data/verdicts.json``, so a change
+of any verdict shows up as a diff of that file.  Rewrite the file with
+
+    python3 tests/verdicts.py
+
+and name every changed entry, with its reason, in ``CHANGES.md``.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+LEDGER = ROOT / "tests" / "data" / "verdicts.json"
+CHAIN12 = (ROOT / "perfbench" / "data" / "chain12.json",
+           ROOT / "perfbench" / "data" / "chain12_frame.json")
+
+ALGEBRAS = ("example1", "example2", "example3", "example4",
+            "semisimple:m=1", "semisimple:m=3", "semisimple:m=8",
+            "semisimple:m=12", "semisimple:m=20", "chain12")
+SEEDS = range(1, 7)
+
+
+def _inputs(name: str):
+    """Spec, frames and suite options, resolved as ``monalg verify`` does."""
+    from monalg.cli import ExperimentConfig, _resolve_algebra, _resolve_frames, _suite_options
+
+    if name == "chain12":
+        config = ExperimentConfig(algebra=str(CHAIN12[0]), frame=str(CHAIN12[1]))
+    else:
+        config = ExperimentConfig(algebra=name)
+    spec, display = _resolve_algebra(config.algebra)
+    frames = _resolve_frames(spec, config.frame, display)
+    return spec, frames, _suite_options(config, spec, display)
+
+
+def verdicts(reports) -> dict:
+    """The ledger entry of one run's reports."""
+    return {
+        "exit": 0 if all(r.passed for r in reports) else 1,
+        "failed": [r.name for r in reports if not r.passed],
+        "unconverged": [r.name for r in reports
+                        if "converged" in r.diagnostics and not r.diagnostics["converged"]],
+    }
+
+
+def compute_ledger(algebras=ALGEBRAS, seeds=SEEDS) -> dict:
+    """``{algebra: {seed: entry}}`` over the matrix, computed in process."""
+    from monalg.suites import run_suites
+
+    ledger = {}
+    for name in algebras:
+        spec, frames, options = _inputs(name)
+        ledger[name] = {str(seed): verdicts(run_suites(["all"], spec, frames, seed, options))
+                        for seed in seeds}
+    return ledger
+
+
+def dump(ledger: dict) -> str:
+    """One line per algebra and seed, so that a changed verdict is a one-line diff."""
+    lines = []
+    for name, runs in ledger.items():
+        rows = [f"    {json.dumps(seed)}: {json.dumps(entry)}" for seed, entry in runs.items()]
+        lines.append(f"  {json.dumps(name)}: {{\n" + ",\n".join(rows) + "\n  }")
+    return "{\n" + ",\n".join(lines) + "\n}\n"
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "src"))
+    LEDGER.parent.mkdir(parents=True, exist_ok=True)
+    LEDGER.write_text(dump(compute_ledger()))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
