@@ -27,6 +27,7 @@ from .curves import Circle2D, QuadratureOptions, coordinate_plane
 from .errors import MonalgError, SpecFormatError
 from .integrals import VerificationReport, compute_lambda
 from .io import (
+    _is_int,
     _read_json,
     load_algebra,
     load_frame,
@@ -38,10 +39,6 @@ from .predicates import theorem5_predicate, theorem6_predicate, theorem7_predica
 from .suites import SUITES, run_suites
 
 __all__ = ["ExperimentConfig", "main", "run_experiment"]
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _is_str_or_null(value) -> bool:
@@ -280,11 +277,12 @@ def _cmd_lambda(args) -> int:
     frames = _resolve_frames(spec, config.frame, name)
     tol = config.tol if config.tol is not None else 1e-8
     reports = []
+    integrated = {}  # frame -> (label, LambdaResult) pairs; a frame may have two names
     for fname, frame in frames.items():
-        values = []
-        for label, circle in _lambda_circles(frame.k, config.nodes_cap):
-            lam = compute_lambda(spec, frame, circle)
-            values.append(lam.value.coords)
+        if frame not in integrated:
+            integrated[frame] = [(label, compute_lambda(spec, frame, circle))
+                                 for label, circle in _lambda_circles(frame.k, config.nodes_cap)]
+        for label, lam in integrated[frame]:
             reports.append(
                 VerificationReport(
                     f"lambda[{fname}][{label}]",
@@ -300,15 +298,15 @@ def _cmd_lambda(args) -> int:
                     },
                 )
             )
-        spread = 0.0
-        for row in values[1:]:
-            spread = max(spread, float(np.max(np.abs(row - values[0]))))
+        first = integrated[frame][0][1].value.coords
+        spread = max(float(np.max(np.abs(lam.value.coords - first)))
+                     for _, lam in integrated[frame])
         reports.append(
             VerificationReport(
                 f"lambda[{fname}][plane-radius-variation]",
                 spread,
                 None,
-                diagnostics={"circles": len(values)},
+                diagnostics={"circles": len(integrated[frame])},
             )
         )
     meta = {"algebra": name, "frames": sorted(frames), "seed": config.seed,

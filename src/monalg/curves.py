@@ -33,6 +33,12 @@ class QuadratureOptions:
     cap: int = 2**16
     segment_cap: int = 4096
 
+    def __post_init__(self):
+        for name, value in vars(self).items():
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"QuadratureOptions.{name} must be an integer of at "
+                                 f"least 1, got {value!r}")
+
 
 def coordinate_plane(k: int, i: int, j: int) -> np.ndarray:
     """Orthonormal plane spanned by coordinate axes ``i`` and ``j`` (1-based)."""

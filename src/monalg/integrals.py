@@ -556,9 +556,10 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
     """Compare ``lambda * phi(center)`` with the formula integral around it.
 
     ``lam`` is the lambda that scales the reference; by default it is
-    computed on ``matched_lambda_circle(gamma, center_x)``.  Passing it in
-    lets checks on one curve share one lambda integral.  The report is
-    converged only when both the formula integral and ``lam`` are.
+    computed on ``matched_lambda_circle(gamma, center_x)``; as ``zeta^{-1}
+    dzeta`` is unchanged under ``x -> r x``, any centred circle in the same
+    plane and sense gives it too.  The report is converged only when both
+    the formula integral and ``lam`` are.
 
     ``phi`` may be a list of functions, and a list of reports is returned.
     The functions then share the winding certificate and ``lam``, and their

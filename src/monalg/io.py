@@ -54,6 +54,19 @@ def _read_json(path) -> dict:
     return data
 
 
+def _is_int(value) -> bool:
+    """A JSON integer: an ``int`` that is not a ``bool``."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _index(record, key, where) -> int:
+    """``record[key]``, which must be a JSON integer: not a float, a bool or missing."""
+    value = record.get(key) if isinstance(record, dict) else None
+    if not _is_int(value):
+        raise SpecFormatError(f"{where}: field {key!r} must be an integer, got {value!r}")
+    return value
+
+
 def _as_complex(obj, where):
     if isinstance(obj, (int, float)):
         return complex(obj)
@@ -68,29 +81,22 @@ def _as_complex(obj, where):
 def load_algebra(path) -> AlgebraSpec:
     """Read {n, m, u_map: [{s, u}], products: [{left, right, target, ...}]}."""
     data = _read_json(path)
-    try:
-        n = int(data["n"])
-        m = int(data["m"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"{path}: need integer fields 'n' and 'm'") from exc
+    n, m = _index(data, "n", path), _index(data, "m", path)
     u_map = None
     if "u_map" in data and data["u_map"] is not None:
         u_map = {}
         for entry in data["u_map"]:
-            try:
-                u_map[int(entry["s"])] = int(entry["u"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise SpecFormatError(
-                    f"{path}: u_map entries need integer 's' and 'u': {entry!r}"
-                ) from exc
+            where = f"{path}: u_map entry {entry!r}"
+            u_map[_index(entry, "s", where)] = _index(entry, "u", where)
     products = []
     for entry in data.get("products", []):
+        key = tuple(_index(entry, field, f"{path}: product entry {entry!r}")
+                    for field in ("left", "right", "target"))
         try:
-            key = (int(entry["left"]), int(entry["right"]), int(entry["target"]))
             value = complex(float(entry.get("value_re", 0.0)), float(entry.get("value_im", 0.0)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (TypeError, ValueError) as exc:
             raise SpecFormatError(
-                f"{path}: product entries need left/right/target and value_re/value_im: {entry!r}"
+                f"{path}: product value_re/value_im must be numbers: {entry!r}"
             ) from exc
         products.append((key, value))
     try:
@@ -124,11 +130,11 @@ def save_algebra(spec: AlgebraSpec, path) -> None:
 def load_frame(path, spec: AlgebraSpec) -> Frame:
     """Read {k, rows: [[[re, im] x n] x k]} and validate against the spec."""
     data = _read_json(path)
+    k = _index(data, "k", path)
     try:
-        k = int(data["k"])
         rows = data["rows"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise SpecFormatError(f"{path}: need fields 'k' and 'rows'") from exc
+    except KeyError as exc:
+        raise SpecFormatError(f"{path}: need field 'rows'") from exc
     if len(rows) != k:
         raise SpecFormatError(f"{path}: expected {k} rows, found {len(rows)}")
     a = np.zeros((k, spec.n), dtype=np.complex128)
@@ -164,35 +170,21 @@ def load_curve(path):
     if "nodes_per_segment" in data:
         raise SpecFormatError(f"{path}: nodes_per_segment is no longer read; "
                               "segment panels have a fixed 15 nodes")
-    quad = QuadratureOptions(
-        nodes_on_circle=int(data.get("nodes_on_circle", 64)),
-        cap=int(data.get("refinement_cap", 2**16)),
-    )
+    if kind not in ("circle2d", "polyline", "triangle"):
+        raise SpecFormatError(f"{path}: unknown curve kind {kind!r}")
     try:
+        common = {"orientation": int(data.get("orientation", 1)),
+                  "quadrature": QuadratureOptions(nodes_on_circle=data.get("nodes_on_circle", 64),
+                                                  cap=data.get("refinement_cap", 2**16))}
         if kind == "circle2d":
-            return Circle2D(
-                np.asarray(data["center"], dtype=float),
-                float(data["radius"]),
-                np.asarray(data["plane"], dtype=float),
-                orientation=int(data.get("orientation", 1)),
-                quadrature=quad,
-            )
+            return Circle2D(np.asarray(data["center"], dtype=float), float(data["radius"]),
+                            np.asarray(data["plane"], dtype=float), **common)
+        vertices = np.asarray(data["vertices"], dtype=float)
         if kind == "polyline":
-            return Polyline(
-                np.asarray(data["vertices"], dtype=float),
-                closed=bool(data.get("closed", False)),
-                orientation=int(data.get("orientation", 1)),
-                quadrature=quad,
-            )
-        if kind == "triangle":
-            return Triangle(
-                np.asarray(data["vertices"], dtype=float),
-                orientation=int(data.get("orientation", 1)),
-                quadrature=quad,
-            )
+            return Polyline(vertices, closed=bool(data.get("closed", False)), **common)
+        return Triangle(vertices, **common)
     except (KeyError, TypeError, ValueError) as exc:
         raise SpecFormatError(f"{path}: malformed {kind} record: {exc}") from exc
-    raise SpecFormatError(f"{path}: unknown curve kind {kind!r}")
 
 
 # -- function files ----------------------------------------------------------------

@@ -5,9 +5,9 @@ command line runs.  Random draws always come from a generator derived from
 the experiment seed plus a per-suite tag, so reports are reproducible.
 
 State lives for one :func:`run_suites` call and no longer: a
-:class:`_LambdaMemo` holds the lambda integrals of that call, so the lambda
-and predicates suites integrate each frame's lambda on the standard circle
-once between them.  A suite called alone makes its own memo.
+:class:`_LambdaMemo` holds each frame's lambda on the standard circle, so
+the lambda, formula and predicates suites integrate it once between them.
+A suite called alone makes its own memo.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .integrals import (
     cauchy_formula_check,
     cauchy_theorem_check,
     compute_lambda,
-    matched_lambda_circle,
     morera_check,
 )
 from .monogenic import ResolventKernel, constant, cr_residual, zeta, zeta_power
@@ -113,23 +112,19 @@ class _LambdaMemo:
     """The lambda integrals of one :func:`run_suites` call.
 
     ``standard`` maps a frame to its ``LambdaResult`` on the standard unit
-    circle.  It is keyed by the frame, not by its name, because one frame
-    may have two names (a semisimple algebra's ``default`` and ``in-s``).
-    ``calls`` counts the ``compute_lambda`` calls made through the memo.
+    circle, the only lambda the suites integrate, so its size is the number
+    of integrals made.  It is keyed by the frame, not by its name, because
+    one frame may have two names (a semisimple algebra's ``default`` and
+    ``in-s``).
     """
 
     def __init__(self):
         self.standard = {}
-        self.calls = 0
-
-    def compute(self, spec: AlgebraSpec, frame: Frame, circle):
-        self.calls += 1
-        return compute_lambda(spec, frame, circle)
 
     def on_standard_circle(self, spec: AlgebraSpec, frame: Frame, options):
         if frame not in self.standard:
             circle = _standard_circle(frame.k, options=options)
-            self.standard[frame] = self.compute(spec, frame, circle)
+            self.standard[frame] = compute_lambda(spec, frame, circle)
         return self.standard[frame]
 
 
@@ -355,9 +350,12 @@ def suite_formula(spec, frames, seed, options, lambdas=None) -> list:
     phis = [("one", constant(spec.unit())), ("zeta", zeta(spec)),
             ("zeta^2", zeta_power(2, spec))]
     tol = options.get("formula_tol", 1e-8)
+    # Every curve lies in plane (1,2) and winds once around the centre, and
+    # zeta^{-1} dzeta is unchanged under x -> r x, so the lambda of each
+    # curve's matched circle is the standard circle's.
+    lam = lambdas.on_standard_circle(spec, frame, options)
     out = []
     for cname, curve in curves:
-        lam = lambdas.compute(spec, frame, matched_lambda_circle(curve, center))
         reports = cauchy_formula_check([phi for _, phi in phis], center, curve, frame, spec,
                                        lam=lam, tol=tol)
         for (pname, _), rep in zip(phis, reports):
@@ -446,7 +444,7 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
     """Run the named suites in order and concatenate their reports.
 
     One :class:`_LambdaMemo` lives for this call: a frame's lambda on the
-    standard circle is integrated once and read by both the lambda and the
+    standard circle is integrated once and read by the lambda, formula and
     predicates suites.  When ``timings`` is a list, one row ``(suite, wall
     seconds, compute_lambda calls)`` is appended to it per suite run.
     """
@@ -459,8 +457,8 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
         shared = {"lambdas": lambdas} if name in _LAMBDA_SUITES else {}
-        calls, start = lambdas.calls, time.perf_counter()
+        made, start = len(lambdas.standard), time.perf_counter()
         reports.extend(SUITES[name](spec, frames, seed, options, **shared))
         if timings is not None:
-            timings.append((name, time.perf_counter() - start, lambdas.calls - calls))
+            timings.append((name, time.perf_counter() - start, len(lambdas.standard) - made))
     return reports

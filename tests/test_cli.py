@@ -148,19 +148,21 @@ def test_timings_go_to_stderr_and_leave_the_reports_alone(tmp_path, capsys):
     header, *rows = timed.err.splitlines()
     assert header.split() == ["suite", "wall_s", "lambdas"]
     assert [row.split()[0] for row in rows] == ["lambda", "formula", "predicates"]
-    assert [int(row.split()[2]) for row in rows] == [2, 3, 0]
+    # the formula and predicates suites read the lambda suite's integrals
+    assert [int(row.split()[2]) for row in rows] == [2, 0, 0]
     assert all(float(row.split()[1]) >= 0.0 for row in rows)
 
 
 def test_timings_count_one_lambda_per_frame_not_per_name(tmp_path, capsys):
     # a semisimple algebra's default and in-s frames are one frame, so the
-    # lambda suite integrates one standard-circle lambda for both names
+    # lambda suite integrates one standard-circle lambda for both names, and
+    # the formula suite reads it back
     args = ["verify", "--algebra", "semisimple:m=3", "--suite", "lambda,formula,predicates",
             "--seed", "3", "--out", str(tmp_path / "m3"), "--timings"]
     assert main(args) == 0
     _, *rows = capsys.readouterr().err.splitlines()
     assert [row.split()[0] for row in rows] == ["lambda", "formula", "predicates"]
-    assert [int(row.split()[2]) for row in rows] == [1, 3, 0]
+    assert [int(row.split()[2]) for row in rows] == [1, 0, 0]
     names = [check["name"] for check in json.loads((tmp_path / "m3.json").read_text())["checks"]]
     assert "lambda/deviation[default]" in names and "lambda/deviation[in-s]" in names
 
@@ -279,6 +281,33 @@ def test_lambda_command_circles_wind_once_on_every_builtin_frame(name):
         for label, circle in _lambda_circles(frame.k, 2**16):
             cert = winding_certificate(circle, frame, np.zeros(frame.k), spec)
             assert cert.windings == (1,) * spec.m, (label, cert.windings)
+
+
+@pytest.mark.parametrize("name, calls", [("semisimple:m=8", 4), ("example4", 7)])
+def test_lambda_command_integrates_each_frame_once(tmp_path, monkeypatch, name, calls):
+    # a semisimple algebra's default and in-s names are one frame, whose
+    # four circles are integrated once; example4's two frames are distinct
+    # (four circles at k=3, three at k=2)
+    import monalg.cli
+    from monalg.integrals import compute_lambda
+
+    made = []
+
+    def counted(*args, **kwargs):
+        made.append(args[1])
+        return compute_lambda(*args, **kwargs)
+
+    monkeypatch.setattr(monalg.cli, "compute_lambda", counted)
+    prefix = tmp_path / "lambda"
+    assert main(["lambda", "--algebra", name, "--out", str(prefix)]) in (0, 1)
+    assert len(made) == calls
+    checks = json.loads((tmp_path / "lambda.json").read_text())["checks"]
+    by_frame = {fname: [dict(c, name=c["name"].replace(f"[{fname}]", "", 1))
+                        for c in checks if c["name"].startswith(f"lambda[{fname}]")]
+                for fname in ("default", "in-s")}
+    assert len(by_frame["default"]) + len(by_frame["in-s"]) == len(checks)
+    if name.startswith("semisimple"):
+        assert by_frame["default"] == by_frame["in-s"] and len(by_frame["in-s"]) == 5
 
 
 def test_lambda_command(capsys):

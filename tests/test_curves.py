@@ -8,6 +8,7 @@ import pytest
 from monalg.curves import (
     Circle2D,
     Polyline,
+    QuadratureOptions,
     Triangle,
     TriangleSampler,
     coordinate_plane,
@@ -21,6 +22,14 @@ from monalg.quadrature import (
     gauss_segment,
     trapezoid_periodic,
 )
+
+
+@pytest.mark.parametrize("field", ["nodes_on_circle", "cap", "segment_cap"])
+@pytest.mark.parametrize("value", [0, 1.0, True, "64"])
+def test_quadrature_options_refuse_anything_but_counts_of_at_least_one(field, value):
+    with pytest.raises(ValueError, match=f"QuadratureOptions.{field} must be an integer"):
+        QuadratureOptions(**{field: value})
+    assert getattr(QuadratureOptions(**{field: 1}), field) == 1
 
 
 def test_trapezoid_pure_harmonics_vanish():

@@ -30,7 +30,7 @@ from monalg.integrals import (
 )
 from monalg.monogenic import ResolventKernel, constant, zeta, zeta_power
 from monalg.quadrature import _KRONROD_NODES
-from monalg.suites import _Control, run_suites
+from monalg.suites import _Control, _standard_circle, run_suites
 
 
 def example1():
@@ -524,7 +524,8 @@ def test_formula_suite_computes_each_lambda_once(monkeypatch):
     spec = builtin_algebra("example1")
     reports = monalg.suites.suite_formula(spec, builtin_frames(spec), 1, {})
     assert len(reports) == 9
-    assert len(calls) == 3  # one per curve, shared by its three functions
+    # the standard circle's, shared by the three curves and their functions
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("name", ["example1", "semisimple:m=12"])
@@ -541,14 +542,14 @@ def test_a_run_integrates_each_standard_lambda_once(monkeypatch, name):
     spec = builtin_algebra(name)
     frames = builtin_frames(spec)
     everything = run_suites(["all"], spec, frames, seed=1)
-    # three formula curves, then one standard circle per distinct frame for
-    # the lambda suite that the predicates suite reads back; a semisimple
-    # algebra's two frame names share one frame
+    # one standard circle per distinct frame, integrated for the lambda
+    # suite and read back by the formula and predicates suites; a
+    # semisimple algebra's two frame names share one frame
     distinct = len({id(frame) for frame in frames.values()})
     assert len(frames) == 2 and distinct == (1 if spec.m == spec.n else 2)
-    assert len(calls) == 3 + distinct
+    assert len(calls) == distinct
     alone = run_suites(["predicates"], spec, frames, seed=1)
-    assert len(calls) == 3 + 2 * distinct
+    assert len(calls) == 2 * distinct
     predicates = [rep for rep in everything if rep.name.startswith("predicates/")]
     assert [report_record(rep) for rep in alone] == [report_record(rep) for rep in predicates]
 
@@ -708,6 +709,31 @@ def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
     # one inverse per level, 64 to ``nodes`` points, for all three functions
     assert sizes == [64 * 2**level for level in range(len(sizes))]
     assert sizes[-1] == nodes
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_standard_lambda_is_the_lambda_of_every_formula_curve(name):
+    # The formula suite scales each curve's reference by the standard
+    # circle's lambda.  Each matched circle is a centred circle in plane
+    # (1,2) with the same sense, and zeta^{-1} dzeta is unchanged under
+    # x -> r x, so the two integrals differ by roundoff only.
+    spec, frame = _stack_case(name)
+    standard = compute_lambda(spec, frame, _standard_circle(frame.k))
+    center, curves = _formula_curves(frame.k)
+    for curve in curves.values():
+        matched = compute_lambda(spec, frame, matched_lambda_circle(curve, center))
+        assert np.linalg.norm(matched.value.coords - standard.value.coords) <= 1e-13
+        assert (matched.nodes, matched.converged) == (standard.nodes, standard.converged)
+
+
+@pytest.mark.parametrize("name", ["example1", "semisimple:m=3"])
+def test_formula_checks_read_the_runs_lambda(name):
+    spec = builtin_algebra(name)
+    reports = run_suites(["all"], spec, builtin_frames(spec), seed=1)
+    deviation = next(rep.residual for rep in reports if rep.name == "lambda/deviation[default]")
+    formula = [rep for rep in reports if rep.name.startswith("formula/")]
+    assert len(formula) == 9
+    assert all(rep.diagnostics["lambda_deviation"] == deviation for rep in formula)
 
 
 @pytest.mark.parametrize("curve", ["circle", "square"])

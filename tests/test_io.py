@@ -86,6 +86,36 @@ def test_algebra_file_bad_index(tmp_path):
         load_algebra(path)
 
 
+@pytest.mark.parametrize("record, field", [
+    ({"n": 5.9, "m": 1.2,
+      "products": [{"left": 2.7, "right": 2, "target": 3.99, "value_re": 1.0}]}, "n"),
+    ({"n": 5, "m": True}, "m"),
+    ({"n": 5, "m": 1, "u_map": [{"s": 2.0, "u": 1}]}, "s"),
+    ({"n": 5, "m": 1, "u_map": [{"s": 2, "u": "1"}]}, "u"),
+    ({"n": 5, "m": 1, "products": [{"left": 2.7, "right": 2, "target": 3, "value_re": 1.0}]},
+     "left"),
+    ({"n": 5, "m": 1, "products": [{"left": 2, "right": False, "target": 3}]}, "right"),
+    ({"n": 5, "m": 1, "products": [{"left": 2, "right": 2, "target": 3.99, "value_re": 1.0}]},
+     "target"),
+], ids=["n", "m-bool", "u_map-s", "u_map-u", "left", "right-bool", "target"])
+def test_algebra_files_refuse_non_integer_indices(tmp_path, record, field):
+    # int() would read 5.9 as 5 and True as 1, and load another algebra
+    path = write(tmp_path, "indices.json", record)
+    with pytest.raises(SpecFormatError, match=f"field '{field}' must be an integer") as exc:
+        load_algebra(path)
+    assert str(path) in str(exc.value)
+
+
+def test_frame_files_refuse_a_non_integer_k(tmp_path):
+    spec = builtin_algebra("example1")
+    path = tmp_path / "frame.json"
+    save_frame(builtin_frames(spec)["default"], path)
+    record = json.loads(path.read_text())
+    path = write(tmp_path, "float_k.json", {**record, "k": float(record["k"])})
+    with pytest.raises(SpecFormatError, match="field 'k' must be an integer"):
+        load_frame(path, spec)
+
+
 def test_frame_roundtrip(tmp_path):
     spec = builtin_algebra("example1")
     frame = builtin_frames(spec)["default"]
@@ -177,6 +207,21 @@ def test_curve_files_reject_nodes_per_segment(tmp_path, kind):
               "vertices": [[0, 0], [1, 0], [0, 1]], "nodes_per_segment": 16}
     with pytest.raises(SpecFormatError, match="nodes_per_segment"):
         load_curve(write(tmp_path, "curve.json", record))
+
+
+@pytest.mark.parametrize("field, value", [
+    ("nodes_on_circle", 0), ("nodes_on_circle", 2.5), ("nodes_on_circle", True),
+    ("refinement_cap", "abc"), ("refinement_cap", 0), ("refinement_cap", -64),
+])
+def test_curve_files_refuse_node_counts_below_one(tmp_path, field, value):
+    # a count of 0 nodes would divide by zero in the first integral, and a
+    # cap of 0 would stop every refinement unconverged at its first level
+    record = {"kind": "circle2d", "center": [0, 0], "radius": 1.0, "plane": [[1, 0], [0, 1]],
+              field: value}
+    path = write(tmp_path, "curve.json", record)
+    with pytest.raises(SpecFormatError, match="at least 1") as exc:
+        load_curve(path)
+    assert str(path) in str(exc.value)
 
 
 @pytest.mark.parametrize("load", [

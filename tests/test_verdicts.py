@@ -8,14 +8,37 @@ name the changed entries in ``CHANGES.md``.
 
 import json
 
-from verdicts import ALGEBRAS, LEDGER, SEEDS, compute_ledger, dump, verdicts
+from verdicts import ALGEBRAS, LEDGER, SEEDS, changed, compute_ledger, dump, verdicts
 
 
 def test_ledger_matches_the_recomputed_verdicts():
     recorded = json.loads(LEDGER.read_text())
     assert list(recorded) == list(ALGEBRAS)
     assert all(list(runs) == [str(seed) for seed in SEEDS] for runs in recorded.values())
-    assert compute_ledger() == recorded
+    computed = compute_ledger()
+    # names each changed entry, where the dict comparison below would print
+    # a truncated diff
+    lines = changed(recorded, computed)
+    assert lines == [], "verdicts changed:\n" + "\n".join(lines)
+    assert computed == recorded
+
+
+def test_changed_names_each_changed_field():
+    entry = {"exit": 0, "failed": [], "unconverged": ["formula/square[one]"]}
+    flipped = {"exit": 1, "failed": ["formula/square[zeta]"], "unconverged": []}
+    recorded = {"example1": {"1": entry, "2": entry}, "semisimple:m=20": {"1": entry}}
+    computed = {"example1": {"1": entry, "2": entry}, "semisimple:m=20": {"1": flipped}}
+    assert changed(recorded, recorded) == []
+    assert changed(recorded, computed) == [
+        "semisimple:m=20 seed 1 exit: 0 -> 1",
+        "semisimple:m=20 seed 1 failed: +formula/square[zeta]",
+        "semisimple:m=20 seed 1 unconverged: -formula/square[one]",
+    ]
+    assert changed(recorded, {"example1": {"1": entry}}) == [
+        f"{name} seed {seed} {field}: {value} -> None"
+        for name, seed in (("example1", "2"), ("semisimple:m=20", "1"))
+        for field, value in entry.items()
+    ]
 
 
 def test_ledger_file_is_in_its_canonical_form():

@@ -63,6 +63,32 @@ def compute_ledger(algebras=ALGEBRAS, seeds=SEEDS) -> dict:
     return ledger
 
 
+def changed(recorded: dict, computed: dict) -> list:
+    """One line per algebra, seed and field whose entry differs, such as
+    ``semisimple:m=20 seed 1 failed: +formula/square[zeta]``.
+
+    A list field names the checks it gained (``+``) and lost (``-``); any
+    other field, or an entry missing on one side, shows both values.
+    """
+    lines = []
+    for name in dict.fromkeys([*recorded, *computed]):
+        old_runs, new_runs = recorded.get(name, {}), computed.get(name, {})
+        for seed in dict.fromkeys([*old_runs, *new_runs]):
+            old, new = old_runs.get(seed, {}), new_runs.get(seed, {})
+            for field in dict.fromkeys([*old, *new]):
+                before, after = old.get(field), new.get(field)
+                if before == after:
+                    continue
+                if isinstance(before, list) and isinstance(after, list):
+                    diff = ([f"+{check}" for check in after if check not in before]
+                            + [f"-{check}" for check in before if check not in after])
+                    text = " ".join(diff) or f"reordered {after}"
+                else:
+                    text = f"{before} -> {after}"
+                lines.append(f"{name} seed {seed} {field}: {text}")
+    return lines
+
+
 def dump(ledger: dict) -> str:
     """One line per algebra and seed, so that a changed verdict is a one-line diff."""
     lines = []
