@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -23,11 +23,11 @@ from .catalog import (
     builtin_theorem5_condition,
     list_builtins,
 )
-from .curves import Circle2D, QuadratureOptions, coordinate_plane
+from .curves import Circle2D, QuadratureOptions, _is_count, coordinate_plane
 from .errors import MonalgError, SpecFormatError
 from .integrals import VerificationReport, compute_lambda
 from .io import (
-    _is_int,
+    _field,
     _read_json,
     load_algebra,
     load_frame,
@@ -41,74 +41,46 @@ from .suites import SUITES, run_suites
 __all__ = ["ExperimentConfig", "main", "run_experiment"]
 
 
-def _is_str_or_null(value) -> bool:
-    return value is None or isinstance(value, str)
-
-
 def _positive_int(text: str) -> int:
     """argparse type of the count flags: an integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
         value = None
-    if value is None or value < 1:
+    if not _is_count(value):
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
     return value
 
 
-# Each config-file field: (accepts its JSON value, what it expects).
-_CONFIG_FIELDS = {
-    "algebra": (lambda v: isinstance(v, str), "a string"),
-    "frame": (_is_str_or_null, "a string or null"),
-    "suites": (lambda v: isinstance(v, list) and all(isinstance(s, str) for s in v),
-               "a list of strings"),
-    "tol": (lambda v: v is None or _is_int(v) or isinstance(v, float), "a number or null"),
-    "seed": (_is_int, "an integer"),
-    "out": (_is_str_or_null, "a string or null"),
-    "nodes_cap": (lambda v: _is_int(v) and v > 0, "a positive integer"),
-}
-
-
 @dataclass
 class ExperimentConfig:
-    """One archivable experiment: inputs, checks, tolerances, outputs."""
+    """One archivable experiment: inputs, checks, tolerances, outputs.
 
-    algebra: str = ""
-    frame: str | None = None
-    suites: list = field(default_factory=lambda: ["all"])
-    tol: float | None = None
-    seed: int = 0
-    out: str | None = None
-    nodes_cap: int = 2**16
+    Each field's metadata names the JSON kind a config file gives it
+    (``io._KINDS``); a flag given on the command line replaces it.
+    """
+
+    algebra: str = field(default="", metadata={"kind": "string"})
+    frame: str | None = field(default=None, metadata={"kind": "string?"})
+    suites: list = field(default_factory=lambda: ["all"], metadata={"kind": ("list", "string")})
+    tol: float | None = field(default=None, metadata={"kind": "number?"})
+    seed: int = field(default=0, metadata={"kind": "integer"})
+    out: str | None = field(default=None, metadata={"kind": "string?"})
+    nodes_cap: int = field(default=QuadratureOptions.cap, metadata={"kind": "count"})
 
     @classmethod
     def from_file(cls, path) -> "ExperimentConfig":
         data = _read_json(path)
-        unknown = set(data) - set(_CONFIG_FIELDS)
+        kinds = {f.name: f.metadata["kind"] for f in fields(cls)}
+        unknown = set(data) - set(kinds)
         if unknown:
             raise SpecFormatError(f"{path}: unknown config fields {sorted(unknown)}")
-        for key, value in data.items():
-            accepts, expected = _CONFIG_FIELDS[key]
-            if not accepts(value):
-                raise SpecFormatError(f"{path}: config field {key!r} must be {expected}, "
-                                      f"got {value!r}")
-        return cls(**data)
+        return cls(**{key: _field(data, key, kinds[key], path) for key in data})
 
     def merge_flags(self, args) -> "ExperimentConfig":
-        if args.algebra:
-            self.algebra = args.algebra
-        if getattr(args, "frame", None):
-            self.frame = args.frame
-        if getattr(args, "suite", None):
-            self.suites = [s for chunk in args.suite for s in chunk.split(",")]
-        if getattr(args, "tol", None) is not None:
-            self.tol = args.tol
-        if getattr(args, "seed", None) is not None:
-            self.seed = args.seed
-        if getattr(args, "out", None):
-            self.out = args.out
-        if getattr(args, "nodes_cap", None) is not None:
-            self.nodes_cap = args.nodes_cap
+        for f in fields(self):
+            if getattr(args, f.name, None) is not None:
+                setattr(self, f.name, getattr(args, f.name))
         return self
 
 
@@ -143,9 +115,7 @@ def _resolve_frames(spec, frame_ref, algebra_name) -> dict:
 def _suite_options(config: ExperimentConfig, spec, algebra_name) -> dict:
     options = {"nodes_cap": config.nodes_cap}
     if config.tol is not None:
-        for key in ("axiom_tol", "oracle_tol", "cr_tol", "lambda_tol",
-                    "morera_tol", "formula_tol"):
-            options[key] = config.tol
+        options["tol"] = config.tol
     expected = None if _is_algebra_file(algebra_name) else builtin_theorem5_condition(algebra_name)
     if expected is not None:
         options["expected_theorem5_condition"] = expected
@@ -232,11 +202,8 @@ def run_experiment(config: ExperimentConfig, extra_options: dict | None = None,
 
 def _cmd_verify(args) -> int:
     config = _config_from(args)
-    extra = {}
-    if getattr(args, "triangles", None) is not None:
-        extra["triangles"] = args.triangles
-    if getattr(args, "points", None) is not None:
-        extra["points"] = args.points
+    extra = {key: getattr(args, key) for key in ("triangles", "points")
+             if getattr(args, key) is not None}
     return run_experiment(config, extra, timings=args.timings)
 
 
@@ -351,7 +318,7 @@ def _config_from(args) -> ExperimentConfig:
 
 
 def _add_common(parser, with_suite=False):
-    parser.add_argument("--algebra", default="", help="built-in name or algebra JSON file")
+    parser.add_argument("--algebra", default=None, help="built-in name or algebra JSON file")
     parser.add_argument("--frame", default=None,
                         help="'default', 'in-s', or a frame JSON file")
     parser.add_argument("--config", default=None, help="experiment config JSON file")
@@ -361,9 +328,10 @@ def _add_common(parser, with_suite=False):
                         help="output prefix for .json/.txt/.csv reports")
     parser.add_argument("--nodes-cap", dest="nodes_cap", type=_positive_int, default=None,
                         help="node cap of circle refinement; polyline segments keep "
-                             "their cap of 4096 nodes")
+                             f"their cap of {QuadratureOptions.segment_cap} nodes")
     if with_suite:
-        parser.add_argument("--suite", action="append", default=None,
+        parser.add_argument("--suite", dest="suites", metavar="SUITE", action="extend",
+                            type=lambda chunk: chunk.split(","),
                             help=f"suites to run (comma-separated); known: "
                                  f"{', '.join(SUITES)}, all")
         parser.add_argument("--triangles", type=_positive_int, default=None,

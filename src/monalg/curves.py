@@ -25,9 +25,15 @@ __all__ = [
 ]
 
 
+def _is_count(value) -> bool:
+    """A node count, flag count or cap: an ``int``, not a ``bool``, of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
 @dataclass(frozen=True)
 class QuadratureOptions:
-    """Initial node counts and the refinement cap for one curve."""
+    """Initial node counts and refinement caps for one curve; every module
+    that needs a default count reads it off this class."""
 
     nodes_on_circle: int = 64
     cap: int = 2**16
@@ -35,7 +41,7 @@ class QuadratureOptions:
 
     def __post_init__(self):
         for name, value in vars(self).items():
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            if not _is_count(value):
                 raise ValueError(f"QuadratureOptions.{name} must be an integer of at "
                                  f"least 1, got {value!r}")
 

@@ -1,8 +1,9 @@
 """File formats: algebra, frame, curve, and function specs plus reports.
 
 All files are JSON.  Complex scalars are stored as explicit re/im fields or
-two-element arrays so the files stay diffable; loaders reject malformed
-content with position information where available.
+two-element arrays so the files stay diffable.  The loaders read every field
+through ``_field``, which checks it against one table of JSON kinds and
+names the file and the field of any value it refuses.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .curves import Circle2D, Polyline, QuadratureOptions, Triangle
+from .curves import Circle2D, Polyline, QuadratureOptions, Triangle, _is_count
 from .errors import MonalgError, SpecFormatError
 from .frames import Frame, validate_frame
 from .integrals import VerificationReport
@@ -59,20 +60,57 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _index(record, key, where) -> int:
-    """``record[key]``, which must be a JSON integer: not a float, a bool or missing."""
-    value = record.get(key) if isinstance(record, dict) else None
-    if not _is_int(value):
-        raise SpecFormatError(f"{where}: field {key!r} must be an integer, got {value!r}")
+def _is_number(value) -> bool:
+    """A JSON number: an ``int`` or ``float`` that is not a ``bool``."""
+    return isinstance(value, float) or _is_int(value)
+
+
+# Every JSON kind an input field may have: (accepts the value, what it must be).
+# Strings and booleans are never numbers, and a float is never an integer.
+_KINDS = {
+    "integer": (_is_int, "an integer"),
+    "count": (_is_count, "an integer of at least 1"),
+    "number": (_is_number, "a number"),
+    "complex": (lambda v: _is_number(v) or isinstance(v, list) and len(v) == 2
+                and all(map(_is_number, v)), "a number or an [re, im] pair of numbers"),
+    "orientation": (lambda v: _is_int(v) and v in (1, -1), "1 or -1"),
+    "boolean": (lambda v: isinstance(v, bool), "a boolean"),
+    "string": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "object": (lambda v: isinstance(v, dict), "a JSON object"),
+}
+
+_REQUIRED = object()
+
+
+def _check(value, kind, what):
+    """``value`` if it is of ``kind``, a key of ``_KINDS`` (``?`` appended allows
+    null) or a tuple ``(list kind, entry kind...)`` whose entries ``what[i]``
+    are checked in turn; a "complex" comes back as a complex."""
+    if isinstance(kind, tuple):
+        entries = _check(value, kind[0], what)
+        entry = kind[1] if len(kind) == 2 else kind[1:]
+        return None if entries is None else [_check(v, entry, f"{what}[{i}]")
+                                             for i, v in enumerate(entries)]
+    nullable = kind.endswith("?")
+    accepts, expected = _KINDS[kind.rstrip("?")]
+    if value is None and nullable:
+        return None
+    if not accepts(value):
+        raise SpecFormatError(f"{what} must be {expected}{' or null' if nullable else ''}, "
+                              f"got {value!r}")
+    if kind == "complex":
+        return complex(*value) if isinstance(value, list) else complex(value)
     return value
 
 
-def _as_complex(obj, where):
-    if isinstance(obj, (int, float)):
-        return complex(obj)
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        return complex(float(obj[0]), float(obj[1]))
-    raise SpecFormatError(f"{where}: expected a number or [re, im] pair, got {obj!r}")
+def _field(record, key, kind, where, default=_REQUIRED):
+    """``record[key]`` checked as ``kind`` (see ``_check``), or ``default``."""
+    if key not in record:
+        if default is _REQUIRED:
+            raise SpecFormatError(f"{where}: need field {key!r}")
+        return default
+    return _check(record[key], kind, f"{where}: field {key!r}")
 
 
 # -- algebra files ------------------------------------------------------------
@@ -81,24 +119,18 @@ def _as_complex(obj, where):
 def load_algebra(path) -> AlgebraSpec:
     """Read {n, m, u_map: [{s, u}], products: [{left, right, target, ...}]}."""
     data = _read_json(path)
-    n, m = _index(data, "n", path), _index(data, "m", path)
-    u_map = None
-    if "u_map" in data and data["u_map"] is not None:
-        u_map = {}
-        for entry in data["u_map"]:
-            where = f"{path}: u_map entry {entry!r}"
-            u_map[_index(entry, "s", where)] = _index(entry, "u", where)
+    n, m = _field(data, "n", "integer", path), _field(data, "m", "integer", path)
+    u_map = _field(data, "u_map", ("list?", "object"), path, None)
+    if u_map is not None:
+        u_map = {_field(entry, "s", "integer", f"{path}: u_map[{i}]"):
+                 _field(entry, "u", "integer", f"{path}: u_map[{i}]")
+                 for i, entry in enumerate(u_map)}
     products = []
-    for entry in data.get("products", []):
-        key = tuple(_index(entry, field, f"{path}: product entry {entry!r}")
-                    for field in ("left", "right", "target"))
-        try:
-            value = complex(float(entry.get("value_re", 0.0)), float(entry.get("value_im", 0.0)))
-        except (TypeError, ValueError) as exc:
-            raise SpecFormatError(
-                f"{path}: product value_re/value_im must be numbers: {entry!r}"
-            ) from exc
-        products.append((key, value))
+    for i, entry in enumerate(_field(data, "products", ("list", "object"), path, [])):
+        where = f"{path}: products[{i}]"
+        key = tuple(_field(entry, name, "integer", where) for name in ("left", "right", "target"))
+        products.append((key, complex(_field(entry, "value_re", "number", where, 0.0),
+                                      _field(entry, "value_im", "number", where, 0.0))))
     try:
         return AlgebraSpec(n, m, products, u_map=u_map)
     except MonalgError as exc:
@@ -130,22 +162,15 @@ def save_algebra(spec: AlgebraSpec, path) -> None:
 def load_frame(path, spec: AlgebraSpec) -> Frame:
     """Read {k, rows: [[[re, im] x n] x k]} and validate against the spec."""
     data = _read_json(path)
-    k = _index(data, "k", path)
-    try:
-        rows = data["rows"]
-    except KeyError as exc:
-        raise SpecFormatError(f"{path}: need field 'rows'") from exc
+    k = _field(data, "k", "integer", path)
+    rows = _field(data, "rows", ("list", "list", "complex"), path)
     if len(rows) != k:
         raise SpecFormatError(f"{path}: expected {k} rows, found {len(rows)}")
-    a = np.zeros((k, spec.n), dtype=np.complex128)
     for j, row in enumerate(rows):
         if len(row) != spec.n:
-            raise SpecFormatError(
-                f"{path}: row {j + 1} has {len(row)} coefficients, expected {spec.n}"
-            )
-        for r, pair in enumerate(row):
-            a[j, r] = _as_complex(pair, f"{path}: row {j + 1}, coefficient {r + 1}")
-    frame = Frame(a)
+            raise SpecFormatError(f"{path}: row {j + 1} has {len(row)} coefficients, "
+                                  f"expected {spec.n}")
+    frame = Frame(np.array(rows, dtype=np.complex128).reshape(k, spec.n))
     try:
         validate_frame(frame, spec)
     except MonalgError as exc:
@@ -166,24 +191,28 @@ def save_frame(frame: Frame, path) -> None:
 def load_curve(path):
     """Read a tagged curve record: circle2d, polyline, or triangle."""
     data = _read_json(path)
-    kind = data.get("kind")
     if "nodes_per_segment" in data:
         raise SpecFormatError(f"{path}: nodes_per_segment is no longer read; "
                               "segment panels have a fixed 15 nodes")
+    kind = _field(data, "kind", "string", path)
     if kind not in ("circle2d", "polyline", "triangle"):
         raise SpecFormatError(f"{path}: unknown curve kind {kind!r}")
+    defaults = QuadratureOptions()
+    common = {"orientation": _field(data, "orientation", "orientation", path, 1),
+              "quadrature": QuadratureOptions(
+                  _field(data, "nodes_on_circle", "count", path, defaults.nodes_on_circle),
+                  _field(data, "refinement_cap", "count", path, defaults.cap))}
     try:
-        common = {"orientation": int(data.get("orientation", 1)),
-                  "quadrature": QuadratureOptions(nodes_on_circle=data.get("nodes_on_circle", 64),
-                                                  cap=data.get("refinement_cap", 2**16))}
         if kind == "circle2d":
-            return Circle2D(np.asarray(data["center"], dtype=float), float(data["radius"]),
-                            np.asarray(data["plane"], dtype=float), **common)
-        vertices = np.asarray(data["vertices"], dtype=float)
+            return Circle2D(_field(data, "center", ("list", "number"), path),
+                            _field(data, "radius", "number", path),
+                            _field(data, "plane", ("list", "list", "number"), path), **common)
+        vertices = _field(data, "vertices", ("list", "list", "number"), path)
         if kind == "polyline":
-            return Polyline(vertices, closed=bool(data.get("closed", False)), **common)
+            return Polyline(vertices, closed=_field(data, "closed", "boolean", path, False),
+                            **common)
         return Triangle(vertices, **common)
-    except (KeyError, TypeError, ValueError) as exc:
+    except ValueError as exc:  # a shape or geometry the curve refuses
         raise SpecFormatError(f"{path}: malformed {kind} record: {exc}") from exc
 
 
@@ -192,35 +221,29 @@ def load_curve(path):
 
 def _load_scalar(data, where) -> HolomorphicScalarSpec:
     try:
-        kind = data["kind"]
-        coeffs = tuple(_as_complex(c, where) for c in data["coeffs"])
-        denom = data.get("denom")
-        if denom is not None:
-            denom = tuple(_as_complex(c, where) for c in denom)
-        return HolomorphicScalarSpec(kind, coeffs, denom=denom)
-    except (KeyError, TypeError, ValueError) as exc:
+        return HolomorphicScalarSpec(_field(data, "kind", "string", where),
+                                     _field(data, "coeffs", ("list", "complex"), where),
+                                     denom=_field(data, "denom", ("list?", "complex"), where,
+                                                  None))
+    except ValueError as exc:
         raise SpecFormatError(f"{where}: malformed scalar spec: {exc}") from exc
 
 
 def load_function(path, spec: AlgebraSpec):
     """Read a tagged function record for one of the three variants."""
     data = _read_json(path)
-    variant = data.get("variant")
+    variant = _field(data, "variant", "string", path)
     if variant == "polynomial":
-        coeffs = []
-        for i, row in enumerate(data.get("coeffs", [])):
+        coeffs = _field(data, "coeffs", ("list", "list", "complex"), path, [])
+        for i, row in enumerate(coeffs):
             if len(row) != spec.n:
-                raise SpecFormatError(
-                    f"{path}: coefficient {i} has {len(row)} coordinates, expected {spec.n}"
-                )
-            coeffs.append(
-                Element([_as_complex(c, f"{path}: coefficient {i}") for c in row])
-            )
+                raise SpecFormatError(f"{path}: coefficient {i} has {len(row)} coordinates, "
+                                      f"expected {spec.n}")
         if not coeffs:
             raise SpecFormatError(f"{path}: polynomial needs at least one coefficient")
-        return Polynomial(tuple(coeffs))
+        return Polynomial(tuple(Element(row) for row in coeffs))
     if variant == "resolvent_kernel":
-        return ResolventKernel(_as_complex(data.get("t"), f"{path}: field 't'"))
+        return ResolventKernel(_field(data, "t", "complex", path))
     if variant == "principal_extension":
         unknown = sorted(set(data) - {"variant", "F", "G"})
         if unknown:
@@ -228,20 +251,15 @@ def load_function(path, spec: AlgebraSpec):
             # such as a contour could not change it, so it is refused, not ignored
             raise SpecFormatError(f"{path}: principal_extension records hold only F "
                                   f"and G; unknown fields {unknown}")
-        f_specs = tuple(
-            None if entry is None else _load_scalar(entry, f"{path}: F[{i}]")
-            for i, entry in enumerate(data.get("F", []))
-        )
-        g_specs = tuple(
-            None if entry is None else _load_scalar(entry, f"{path}: G[{i}]")
-            for i, entry in enumerate(data.get("G", []))
-        )
+        f_specs, g_specs = (
+            tuple(None if entry is None else _load_scalar(entry, f"{path}: {key}[{i}]")
+                  for i, entry in enumerate(_field(data, key, ("list", "object?"), path, [])))
+            for key in ("F", "G"))
         if len(f_specs) != spec.m:
             raise SpecFormatError(f"{path}: expected {spec.m} F entries, got {len(f_specs)}")
         if g_specs and len(g_specs) != spec.n - spec.m:
-            raise SpecFormatError(
-                f"{path}: expected {spec.n - spec.m} G entries, got {len(g_specs)}"
-            )
+            raise SpecFormatError(f"{path}: expected {spec.n - spec.m} G entries, "
+                                  f"got {len(g_specs)}")
         return PrincipalExtension(F=f_specs, G=g_specs)
     raise SpecFormatError(f"{path}: unknown function variant {variant!r}")
 

@@ -82,7 +82,7 @@ def _sample_invertible(rng, frame: Frame, spec: AlgebraSpec, count: int,
 
 
 def _quad(options) -> QuadratureOptions:
-    return QuadratureOptions(cap=options.get("nodes_cap", 2**16))
+    return QuadratureOptions(cap=options.get("nodes_cap", QuadratureOptions.cap))
 
 
 def _standard_circle(k: int, radius: float = 1.0, options=None) -> Circle2D:
@@ -133,7 +133,7 @@ class _LambdaMemo:
 
 def suite_axioms(spec, frames, seed, options) -> list:
     report = validate_algebra(spec)
-    tol = options.get("axiom_tol", 1e-14)
+    tol = options.get("tol", 1e-14)
     out = [
         VerificationReport(
             "axioms/rules",
@@ -190,7 +190,7 @@ def suite_oracle(spec, frames, seed, options) -> list:
         np.max(np.linalg.norm(prod - spec.unit_coords(), axis=1))
     )
 
-    tol = options.get("oracle_tol", 1e-10)
+    tol = options.get("tol", 1e-10)
     return [
         VerificationReport(
             "oracle/inverse-agreement", inv_residual, tol, diagnostics={"points": count}
@@ -229,7 +229,7 @@ def suite_cr(spec, frames, seed, options) -> list:
             VerificationReport(
                 f"cr/residual[{name}]",
                 at_h4,
-                options.get("cr_tol", 1e-6),
+                options.get("tol", 1e-6),
                 diagnostics={"h": 1e-4},
             )
         )
@@ -266,7 +266,7 @@ def suite_cauchy(spec, frames, seed, options) -> list:
 def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
     lambdas = lambdas or _LambdaMemo()
     out = []
-    tol = options.get("lambda_tol", 1e-8)
+    tol = options.get("tol", 1e-8)
     for fname, frame in frames.items():
         lam = lambdas.on_standard_circle(spec, frame, options)
         two_pi_i = 2j * np.pi
@@ -291,7 +291,7 @@ def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
             VerificationReport(
                 f"lambda/idempotent-projection[{fname}]",
                 idem_residual,
-                options.get("idempotent_tol", 1e-10),
+                1e-10,
             )
         )
         if theorem6_predicate(frame, spec):
@@ -299,7 +299,7 @@ def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
                 VerificationReport(
                     f"lambda/nilpotent-residuals[{fname}]",
                     float(np.max(np.abs(lam.nilpotent_residuals), initial=0.0)),
-                    options.get("sigma_tol", 1e-12),
+                    1e-12,
                 )
             )
     return out
@@ -309,7 +309,7 @@ def suite_morera(spec, frames, seed, options) -> list:
     frame = frames["default"]
     sampler = TriangleSampler(np.zeros(frame.k), 1.0)
     n_triangles = options.get("triangles", 200)
-    tol = options.get("morera_tol", 1e-8)
+    tol = options.get("tol", 1e-8)
     rng = _rng(seed, 6)
     triangles = [sampler.sample(rng) for _ in range(n_triangles)]
     out = []
@@ -349,7 +349,7 @@ def suite_formula(spec, frames, seed, options, lambdas=None) -> list:
     curves.append(("square", Polyline(square, closed=True, quadrature=quad)))
     phis = [("one", constant(spec.unit())), ("zeta", zeta(spec)),
             ("zeta^2", zeta_power(2, spec))]
-    tol = options.get("formula_tol", 1e-8)
+    tol = options.get("tol", 1e-8)
     # Every curve lies in plane (1,2) and winds once around the centre, and
     # zeta^{-1} dzeta is unchanged under x -> r x, so the lambda of each
     # curve's matched circle is the standard circle's.
@@ -394,7 +394,7 @@ def suite_predicates(spec, frames, seed, options, lambdas=None) -> list:
                 diagnostics=diag,
             )
         )
-    lam_tol = options.get("lambda_tol", 1e-8)
+    lam_tol = options.get("tol", 1e-8)
     for fname, frame in frames.items():
         th6 = theorem6_predicate(frame, spec)
         th7 = theorem7_predicate(frame, spec) if spec.dim_nilpotent == 4 else False
@@ -437,6 +437,8 @@ SUITES = {
 
 # suites that take the run's lambda memo as ``lambdas=``
 _LAMBDA_SUITES = frozenset({"lambda", "formula", "predicates"})
+# the options the suites read; each tolerance that reads "tol" has its default there
+_OPTION_KEYS = frozenset({"nodes_cap", "tol", "triangles", "points", "expected_theorem5_condition"})
 
 
 def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
@@ -446,9 +448,13 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
     One :class:`_LambdaMemo` lives for this call: a frame's lambda on the
     standard circle is integrated once and read by the lambda, formula and
     predicates suites.  When ``timings`` is a list, one row ``(suite, wall
-    seconds, compute_lambda calls)`` is appended to it per suite run.
+    seconds, compute_lambda calls)`` is appended to it per suite run.  An
+    option key outside ``_OPTION_KEYS`` raises ``ValueError``.
     """
     options = options or {}
+    unknown = sorted(set(options) - _OPTION_KEYS)
+    if unknown:
+        raise ValueError(f"unknown suite options {unknown}; known: {sorted(_OPTION_KEYS)}")
     if names == ["all"] or names == "all":
         names = list(SUITES)
     lambdas = _LambdaMemo()

@@ -362,3 +362,66 @@ def test_run_experiment_library_level(tmp_path, capsys):
                               out=str(tmp_path / "exp"))
     assert run_experiment(config) == 0
     assert (tmp_path / "exp.json").exists()
+
+
+# Malformed files: a scalar where a list belongs, a bool index, a string
+# number, and mistyped config fields.
+_MALFORMED_ALGEBRAS = {
+    "u_map-not-a-list": {"n": 5, "m": 1, "u_map": 5},
+    "products-not-a-list": {"n": 5, "m": 1, "products": 5},
+    "bool-index": {"n": 5, "m": 1, "products": [{"left": 2, "right": True, "target": 3}]},
+    "string-number": {"n": 5, "m": 1,
+                      "products": [{"left": 2, "right": 2, "target": 3, "value_re": "1.5"}]},
+}
+_MALFORMED_FRAMES = {
+    "rows-not-a-list": {"k": 2, "rows": 5},
+    "bool-k": {"k": True, "rows": [[[1, 0]] * 5]},
+    "string-coefficient": {"k": 1, "rows": [["1", [0, 0], [0, 0], [0, 0], [0, 0]]]},
+}
+_MALFORMED_CONFIGS = {
+    "seed-string": {"algebra": "example1", "seed": "1"},
+    "nodes_cap-bool": {"algebra": "example1", "nodes_cap": True},
+    "tol-bool": {"algebra": "example1", "tol": False},
+}
+
+
+@pytest.mark.parametrize("command, record", [
+    *((["validate", "--algebra"], record) for record in _MALFORMED_ALGEBRAS.values()),
+    *((["verify", "--algebra", "example1", "--suite", "axioms", "--frame"], record)
+      for record in _MALFORMED_FRAMES.values()),
+    *((["verify", "--config"], record) for record in _MALFORMED_CONFIGS.values()),
+], ids=[*_MALFORMED_ALGEBRAS, *_MALFORMED_FRAMES, *_MALFORMED_CONFIGS])
+def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, command, record):
+    path = tmp_path / "malformed.json"
+    path.write_text(json.dumps(record))
+    assert main([*command, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and str(path) in err
+
+
+# The checks whose tolerance --tol replaces; every other check keeps its own.
+_TOL_OVERRIDES = ("axioms/associativity-", "oracle/", "cr/residual[", "lambda/deviation[",
+                  "predicates/lambda-consistency[", "morera/", "formula/")
+
+
+def test_tol_flag_overrides_exactly_the_documented_checks(tmp_path):
+    # 1e-6 is also cr/residual's default, so 1e-7 shows that it is overridden
+    tolerances = {}
+    for tol in (None, 1e-6, 1e-7):
+        prefix = tmp_path / f"tol-{tol}"
+        flag = [] if tol is None else ["--tol", str(tol)]
+        assert main(["verify", "--algebra", "example1", "--suite", "all", *QUICK, *flag,
+                     "--out", str(prefix)]) in (0, 1)
+        checks = json.loads(Path(f"{prefix}.json").read_text())["checks"]
+        tolerances[tol] = {c["name"]: c["tolerance"] for c in checks}
+    default = tolerances.pop(None)
+    overridden = {name for name in default if name.startswith(_TOL_OVERRIDES)
+                  and name != "morera/necessity-control"}
+    assert all(any(name.startswith(p) for name in overridden) for p in _TOL_OVERRIDES)
+    for tol, override in tolerances.items():
+        assert override == {name: tol if name in overridden else default[name]
+                            for name in default}
+    assert default["lambda/idempotent-projection[default]"] == 1e-10
+    assert default["lambda/nilpotent-residuals[in-s]"] == 1e-12
+    assert default["cr/ratio[zeta]"] == 0.5
+    assert default["cauchy/necessity-control"] == default["morera/necessity-control"] == 0.0

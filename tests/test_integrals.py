@@ -567,6 +567,16 @@ def test_formula_converged_reads_its_lambda():
         assert rep.diagnostics["converged"] is False
 
 
+@pytest.mark.parametrize("key", ["formula_tol", "axiom_tol", "sigma_tol", "nodes-cap"])
+def test_run_suites_refuses_unknown_option_keys(key):
+    # a per-family tolerance key would otherwise be ignored, and the suite
+    # would run quietly at its default
+    spec = builtin_algebra("example1")
+    with pytest.raises(ValueError, match=repr(key)):
+        run_suites(["axioms"], spec, builtin_frames(spec), seed=1,
+                   options={"tol": 1e-7, key: 1e-7})
+
+
 def test_formula_embracing_violation():
     spec = example1()
     frame = default_frame(spec)

@@ -309,3 +309,72 @@ def test_principal_extension_files_reject_contours(tmp_path):
     with_contours = {**record, "contours": [{"center": [0, 0], "radius": 1.0}]}
     with pytest.raises(SpecFormatError, match="contours"):
         load_function(write(tmp_path, "contours.json", with_contours), spec)
+
+
+_ALGEBRA = {"n": 5, "m": 1}
+_FRAME_ROWS = [[[c.real, c.imag] for c in row]
+               for row in builtin_frames(builtin_algebra("example1"))["default"].a]
+_FRAME = {"k": len(_FRAME_ROWS), "rows": _FRAME_ROWS}
+_CIRCLE = {"kind": "circle2d", "center": [0, 0], "radius": 1.0, "plane": [[1, 0], [0, 1]]}
+_POLYLINE = {"kind": "polyline", "vertices": [[0, 0], [1, 0], [1, 1]]}
+_PEXT = {"variant": "principal_extension",
+         "F": [{"kind": "polynomial", "coeffs": [[0, 0], [1, 0]]}]}
+_PRODUCT = {"left": 2, "right": 2, "target": 3}
+
+
+def _bad_frame_coefficient():
+    rows = json.loads(json.dumps(_FRAME_ROWS))
+    rows[1][0] = True
+    return {**_FRAME, "rows": rows}
+
+
+def _load_frame(path):
+    return load_frame(path, builtin_algebra("example1"))
+
+
+def _load_function(path):
+    return load_function(path, builtin_algebra("example2"))
+
+
+@pytest.mark.parametrize("load, record, field", [
+    # a scalar where a list belongs
+    (load_algebra, {**_ALGEBRA, "u_map": 5}, "u_map"),
+    (load_algebra, {**_ALGEBRA, "products": 5}, "products"),
+    (_load_frame, {**_FRAME, "rows": 5}, "rows"),
+    (_load_function, {**_PEXT, "F": 5}, "F"),
+    (_load_function, {"variant": "polynomial", "coeffs": 5}, "coeffs"),
+    # booleans and strings are not numbers, and strings are not booleans
+    (load_algebra, {**_ALGEBRA, "products": [{**_PRODUCT, "value_re": True}]}, "value_re"),
+    (load_algebra, {**_ALGEBRA, "products": [{**_PRODUCT, "value_re": "1.5"}]}, "value_re"),
+    (_load_frame, _bad_frame_coefficient(), "rows"),
+    (load_curve, {**_POLYLINE, "closed": "false"}, "closed"),
+    (load_curve, {**_CIRCLE, "orientation": 1.7}, "orientation"),
+    (load_curve, {**_CIRCLE, "orientation": True}, "orientation"),
+    (load_curve, {**_CIRCLE, "radius": "2"}, "radius"),
+    (load_curve, {**_CIRCLE, "radius": True}, "radius"),
+    (_load_function, {"variant": "resolvent_kernel", "t": True}, "t"),
+    # a string is not a list of coefficients
+    (_load_function, {**_PEXT, "F": [{"kind": "polynomial", "coeffs": "12"}]}, "coeffs"),
+], ids=["u_map", "products", "rows", "F", "poly-coeffs", "value_re-bool", "value_re-string",
+        "frame-coefficient-bool", "closed-string", "orientation-float", "orientation-bool",
+        "radius-string", "radius-bool", "t-bool", "scalar-coeffs-string"])
+def test_mistyped_fields_are_refused_by_name(tmp_path, load, record, field):
+    path = write(tmp_path, "probe.json", record)
+    with pytest.raises(SpecFormatError) as exc:
+        load(path)
+    assert str(path) in str(exc.value) and repr(field) in str(exc.value)
+
+
+@pytest.mark.parametrize("load, record", [
+    (load_algebra, {**_ALGEBRA, "u_map": None,
+                    "products": [{**_PRODUCT, "value_re": 2, "value_im": -0.5}]}),
+    (_load_frame, _FRAME),
+    (load_curve, {**_CIRCLE, "radius": 2, "orientation": -1}),
+    (load_curve, {**_POLYLINE, "closed": True}),
+    (_load_function, {"variant": "resolvent_kernel", "t": 3}),
+    (_load_function, {**_PEXT, "G": [None, {"kind": "rational", "coeffs": [1],
+                                            "denom": [[-5, 0], 1.0]}, None, None]}),
+], ids=["algebra", "frame", "circle", "polyline", "kernel", "principal"])
+def test_well_typed_fields_still_load(tmp_path, load, record):
+    # integers where numbers are asked for, and null where it is allowed
+    load(write(tmp_path, "good.json", record))
