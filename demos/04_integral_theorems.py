@@ -2,8 +2,8 @@
 
 Monogenic functions integrate to zero along closed curves; the triangle
 version probes hundreds of random planes at once; and around any embraced
-center the curvilinear integral formula reproduces function values after
-scaling by the algebra constant lambda.
+center the curvilinear integral formula reproduces 2 pi i times the
+function values.
 """
 
 import numpy as np
@@ -54,9 +54,9 @@ report = morera_check(zeta_power(2, spec), frame, spec, sampler,
                       n_triangles=200, rng=rng)
 print(f"\nworst triangle-boundary integral of zeta^2: {report.residual:.2e}")
 
-# The integral formula: lambda * phi(center) equals the loop integral of
+# The integral formula: 2 pi i phi(center) equals the loop integral of
 # phi(zeta) (zeta - center)^{-1}.  Windings of the spectral images certify
-# the embracing precondition first.
+# the embracing precondition first: each must be one.
 center = np.array([0.2, 0.1, -0.1])
 loop = Circle2D(center, 0.5, coordinate_plane(3, 1, 2))
 cert = winding_certificate(loop, frame, center, spec)

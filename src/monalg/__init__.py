@@ -50,7 +50,6 @@ from .integrals import (
     cauchy_theorem_check,
     compute_lambda,
     line_integral,
-    matched_lambda_circle,
     morera_check,
     winding_certificate,
 )

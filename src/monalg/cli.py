@@ -28,6 +28,7 @@ from .errors import MonalgError, SpecFormatError
 from .integrals import VerificationReport, compute_lambda
 from .io import (
     _field,
+    _known,
     _read_json,
     load_algebra,
     load_frame,
@@ -72,9 +73,7 @@ class ExperimentConfig:
     def from_file(cls, path) -> "ExperimentConfig":
         data = _read_json(path)
         kinds = {f.name: f.metadata["kind"] for f in fields(cls)}
-        unknown = set(data) - set(kinds)
-        if unknown:
-            raise SpecFormatError(f"{path}: unknown config fields {sorted(unknown)}")
+        _known(data, kinds, path)
         return cls(**{key: _field(data, key, kinds[key], path) for key in data})
 
     def merge_flags(self, args) -> "ExperimentConfig":

@@ -3,9 +3,10 @@
 The line integral of an algebra-valued function against ``dzeta`` is the
 quadrature of ``psi(zeta(tau)) * zeta'(tau)``.  On top of it sit the checks:
 closed-curve integrals of monogenic functions vanish, triangle boundaries
-give the Morera-style identity, and the integral formula reproduces function
-values after scaling by the algebra constant ``lambda = integral of
-zeta^{-1} dzeta`` over an admissible circle.
+give the Morera-style identity, and the integral formula reproduces
+``2 pi i`` times function values on a curve around which every spectral
+image winds once.  :func:`compute_lambda` integrates the algebra constant
+``lambda = integral of zeta^{-1} dzeta`` over a circle.
 
 :func:`line_integral`, :func:`cauchy_theorem_check` and
 :func:`cauchy_formula_check` also take a list of functions.  The functions
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, multiply
+from .algebra import AlgebraSpec, Element
 from .algebra import _multiply_coords
 from .curves import Circle2D, Triangle, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
@@ -41,7 +42,6 @@ __all__ = [
     "cauchy_theorem_check",
     "compute_lambda",
     "line_integral",
-    "matched_lambda_circle",
     "morera_check",
     "winding_certificate",
 ]
@@ -432,32 +432,6 @@ def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,
     )
 
 
-def matched_lambda_circle(gamma, center_x) -> Circle2D:
-    """A circle through the origin-centred copy of ``gamma`` for lambda.
-
-    A circle translates directly; a closed polyline contributes its best-fit
-    plane and its mean vertex distance as the radius.
-    """
-    center = np.asarray(center_x, dtype=np.float64)
-    if isinstance(gamma, Circle2D):
-        return Circle2D(np.zeros(gamma.k), gamma.radius, gamma.plane,
-                        orientation=gamma.orientation, quadrature=gamma.quadrature)
-    rel = gamma.vertices - center
-    _, sv, vh = np.linalg.svd(rel, full_matrices=False)
-    if sv.size < 2 or sv[1] <= 1e-12 * sv[0]:
-        raise ValueError("curve is degenerate; cannot fit a plane for lambda")
-    plane = vh[:2].copy()
-    # match the rotational sense of the polyline inside the fitted plane
-    a = rel @ plane[0]
-    b = rel @ plane[1]
-    signed_area = 0.5 * float(np.sum(a * np.roll(b, -1) - np.roll(a, -1) * b))
-    if signed_area < 0:
-        plane[1] = -plane[1]
-    radius = float(np.mean(np.linalg.norm(rel, axis=1)))
-    return Circle2D(np.zeros(gamma.k), radius, plane,
-                    orientation=gamma.orientation, quadrature=gamma.quadrature)
-
-
 # -- named checks ---------------------------------------------------------------
 
 
@@ -551,21 +525,22 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
 
 
 def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
-                         lam: LambdaResult | None = None,
                          tol: float = 1e-8) -> VerificationReport | list:
-    """Compare ``lambda * phi(center)`` with the formula integral around it.
+    """Compare ``2 pi i phi(center)`` with the formula integral around it.
 
-    ``lam`` is the lambda that scales the reference; by default it is
-    computed on ``matched_lambda_circle(gamma, center_x)``; as ``zeta^{-1}
-    dzeta`` is unchanged under ``x -> r x``, any centred circle in the same
-    plane and sense gives it too.  The report is converged only when both
-    the formula integral and ``lam`` are.
+    In a commutative associative algebra ``(zeta - zeta_c)^{-1} dzeta`` is
+    ``d log(zeta - zeta_c)``, whose nilpotent part is single-valued, so
+    ``integral of (zeta - zeta_c)^{-1} dzeta = 2 pi i sum_u w_u I_u`` exactly,
+    with ``w_u`` the windings of :func:`winding_certificate`.  The check runs
+    only when every ``w_u`` is 1, and ``sum_u I_u`` is the unit; the integral
+    of ``phi(zeta) (zeta - zeta_c)^{-1} dzeta`` is then ``2 pi i phi(zeta_c)``.
+    Any other winding raises :class:`EmbracingError`.
 
     ``phi`` may be a list of functions, and a list of reports is returned.
-    The functions then share the winding certificate and ``lam``, and their
-    formula integrals ``phi(zeta) (zeta - zeta_c)^{-1} dzeta`` are refined as
-    one stack, whose levels compute the shifted inverse once for all of
-    them; each report equals that of the function's own call.
+    The functions then share the winding certificate, and their formula
+    integrals are refined as one stack, whose levels compute the shifted
+    inverse once for all of them; each report equals that of the function's
+    own call.
     """
     center = np.asarray(center_x, dtype=np.float64)
     cert = winding_certificate(gamma, frame, center, spec)
@@ -574,19 +549,12 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
             f"curve does not embrace the center once: windings {cert.windings}",
             certificate=cert,
         )
-    if lam is None:
-        lam = compute_lambda(spec, frame, matched_lambda_circle(gamma, center))
-    if any(w != 1 for w in lam.windings):
-        raise EmbracingError(
-            f"lambda circle does not wind once: {lam.windings}",
-            certificate=EmbraceCertificate(lam.windings),
-        )
     phis = phi if isinstance(phi, list) else [phi]
     results = _line_integrals(phis, gamma, frame, spec, _LINE_TOL,
                               factor=_InverseIntegrand(shift=center))
     reports = []
     for f, res in zip(phis, results):
-        reference = multiply(lam.value, eval_function(f, frame, center, spec), spec)
+        reference = 2j * np.pi * eval_function(f, frame, center, spec)
         reports.append(VerificationReport(
             name="integral-formula",
             residual=(reference - res.value).norm(),
@@ -595,9 +563,8 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
             reference=reference,
             diagnostics={
                 "windings": cert.windings,
-                "lambda_deviation": lam.deviation_from_two_pi_i,
                 "nodes": res.nodes,
-                "converged": res.converged and lam.converged,
+                "converged": res.converged,
                 "history": res.history,
             },
         ))

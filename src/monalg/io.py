@@ -3,7 +3,8 @@
 All files are JSON.  Complex scalars are stored as explicit re/im fields or
 two-element arrays so the files stay diffable.  The loaders read every field
 through ``_field``, which checks it against one table of JSON kinds and
-names the file and the field of any value it refuses.
+names the file and the field of any value it refuses, and refuse through
+``_known`` every key a record may not hold.
 """
 
 from __future__ import annotations
@@ -113,21 +114,32 @@ def _field(record, key, kind, where, default=_REQUIRED):
     return _check(record[key], kind, f"{where}: field {key!r}")
 
 
+def _known(record, keys, where):
+    """Refuse the keys of ``record`` outside ``keys``: a misspelt optional
+    field would otherwise load its default without a word."""
+    unknown = sorted(set(record) - set(keys))
+    if unknown:
+        raise SpecFormatError(f"{where}: unknown fields {unknown}; known: {sorted(keys)}")
+
+
 # -- algebra files ------------------------------------------------------------
 
 
 def load_algebra(path) -> AlgebraSpec:
     """Read {n, m, u_map: [{s, u}], products: [{left, right, target, ...}]}."""
     data = _read_json(path)
+    _known(data, ("n", "m", "u_map", "products"), path)
     n, m = _field(data, "n", "integer", path), _field(data, "m", "integer", path)
-    u_map = _field(data, "u_map", ("list?", "object"), path, None)
-    if u_map is not None:
-        u_map = {_field(entry, "s", "integer", f"{path}: u_map[{i}]"):
-                 _field(entry, "u", "integer", f"{path}: u_map[{i}]")
-                 for i, entry in enumerate(u_map)}
+    entries = _field(data, "u_map", ("list?", "object"), path, None)
+    u_map = None if entries is None else {}
+    for i, entry in enumerate(entries or []):
+        where = f"{path}: u_map[{i}]"
+        _known(entry, ("s", "u"), where)
+        u_map[_field(entry, "s", "integer", where)] = _field(entry, "u", "integer", where)
     products = []
     for i, entry in enumerate(_field(data, "products", ("list", "object"), path, [])):
         where = f"{path}: products[{i}]"
+        _known(entry, ("left", "right", "target", "value_re", "value_im"), where)
         key = tuple(_field(entry, name, "integer", where) for name in ("left", "right", "target"))
         products.append((key, complex(_field(entry, "value_re", "number", where, 0.0),
                                       _field(entry, "value_im", "number", where, 0.0))))
@@ -162,6 +174,7 @@ def save_algebra(spec: AlgebraSpec, path) -> None:
 def load_frame(path, spec: AlgebraSpec) -> Frame:
     """Read {k, rows: [[[re, im] x n] x k]} and validate against the spec."""
     data = _read_json(path)
+    _known(data, ("k", "rows"), path)
     k = _field(data, "k", "integer", path)
     rows = _field(data, "rows", ("list", "list", "complex"), path)
     if len(rows) != k:
@@ -188,15 +201,19 @@ def save_frame(frame: Frame, path) -> None:
 # -- curve files -----------------------------------------------------------------
 
 
+# The keys of each curve kind beside its kind, orientation and quadrature.
+_CURVE_KEYS = {"circle2d": ("center", "radius", "plane"), "polyline": ("vertices", "closed"),
+               "triangle": ("vertices",)}
+
+
 def load_curve(path):
     """Read a tagged curve record: circle2d, polyline, or triangle."""
     data = _read_json(path)
-    if "nodes_per_segment" in data:
-        raise SpecFormatError(f"{path}: nodes_per_segment is no longer read; "
-                              "segment panels have a fixed 15 nodes")
     kind = _field(data, "kind", "string", path)
-    if kind not in ("circle2d", "polyline", "triangle"):
+    if kind not in _CURVE_KEYS:
         raise SpecFormatError(f"{path}: unknown curve kind {kind!r}")
+    _known(data, ("kind", "orientation", "nodes_on_circle", "refinement_cap",
+                  *_CURVE_KEYS[kind]), path)
     defaults = QuadratureOptions()
     common = {"orientation": _field(data, "orientation", "orientation", path, 1),
               "quadrature": QuadratureOptions(
@@ -220,6 +237,7 @@ def load_curve(path):
 
 
 def _load_scalar(data, where) -> HolomorphicScalarSpec:
+    _known(data, ("kind", "coeffs", "denom"), where)
     try:
         return HolomorphicScalarSpec(_field(data, "kind", "string", where),
                                      _field(data, "coeffs", ("list", "complex"), where),
@@ -229,10 +247,18 @@ def _load_scalar(data, where) -> HolomorphicScalarSpec:
         raise SpecFormatError(f"{where}: malformed scalar spec: {exc}") from exc
 
 
+# The keys of each function variant beside its variant.
+_FUNCTION_KEYS = {"polynomial": ("coeffs",), "resolvent_kernel": ("t",),
+                  "principal_extension": ("F", "G")}
+
+
 def load_function(path, spec: AlgebraSpec):
     """Read a tagged function record for one of the three variants."""
     data = _read_json(path)
     variant = _field(data, "variant", "string", path)
+    if variant not in _FUNCTION_KEYS:
+        raise SpecFormatError(f"{path}: unknown function variant {variant!r}")
+    _known(data, ("variant", *_FUNCTION_KEYS[variant]), path)
     if variant == "polynomial":
         coeffs = _field(data, "coeffs", ("list", "list", "complex"), path, [])
         for i, row in enumerate(coeffs):
@@ -244,24 +270,17 @@ def load_function(path, spec: AlgebraSpec):
         return Polynomial(tuple(Element(row) for row in coeffs))
     if variant == "resolvent_kernel":
         return ResolventKernel(_field(data, "t", "complex", path))
-    if variant == "principal_extension":
-        unknown = sorted(set(data) - {"variant", "F", "G"})
-        if unknown:
-            # the value is the Taylor expansion at the spectral values: a key
-            # such as a contour could not change it, so it is refused, not ignored
-            raise SpecFormatError(f"{path}: principal_extension records hold only F "
-                                  f"and G; unknown fields {unknown}")
-        f_specs, g_specs = (
-            tuple(None if entry is None else _load_scalar(entry, f"{path}: {key}[{i}]")
-                  for i, entry in enumerate(_field(data, key, ("list", "object?"), path, [])))
-            for key in ("F", "G"))
-        if len(f_specs) != spec.m:
-            raise SpecFormatError(f"{path}: expected {spec.m} F entries, got {len(f_specs)}")
-        if g_specs and len(g_specs) != spec.n - spec.m:
-            raise SpecFormatError(f"{path}: expected {spec.n - spec.m} G entries, "
-                                  f"got {len(g_specs)}")
-        return PrincipalExtension(F=f_specs, G=g_specs)
-    raise SpecFormatError(f"{path}: unknown function variant {variant!r}")
+    # a principal_extension
+    f_specs, g_specs = (
+        tuple(None if entry is None else _load_scalar(entry, f"{path}: {key}[{i}]")
+              for i, entry in enumerate(_field(data, key, ("list", "object?"), path, [])))
+        for key in ("F", "G"))
+    if len(f_specs) != spec.m:
+        raise SpecFormatError(f"{path}: expected {spec.m} F entries, got {len(f_specs)}")
+    if g_specs and len(g_specs) != spec.n - spec.m:
+        raise SpecFormatError(f"{path}: expected {spec.n - spec.m} G entries, "
+                              f"got {len(g_specs)}")
+    return PrincipalExtension(F=f_specs, G=g_specs)
 
 
 # -- reports -------------------------------------------------------------------------

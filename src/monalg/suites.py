@@ -6,8 +6,9 @@ the experiment seed plus a per-suite tag, so reports are reproducible.
 
 State lives for one :func:`run_suites` call and no longer: a
 :class:`_LambdaMemo` holds each frame's lambda on the standard circle, so
-the lambda, formula and predicates suites integrate it once between them.
-A suite called alone makes its own memo.
+the lambda and predicates suites integrate it once between them.  A suite
+called alone makes its own memo.  The formula suite reads no lambda: its
+reference comes from its curves' winding certificates.
 """
 
 from __future__ import annotations
@@ -109,7 +110,8 @@ def _standard_curves(k: int, options):
 
 
 class _LambdaMemo:
-    """The lambda integrals of one :func:`run_suites` call.
+    """The lambda integrals of one :func:`run_suites` call, for the lambda
+    and predicates suites.
 
     ``standard`` maps a frame to its ``LambdaResult`` on the standard unit
     circle, the only lambda the suites integrate, so its size is the number
@@ -332,8 +334,7 @@ def suite_morera(spec, frames, seed, options) -> list:
     return out
 
 
-def suite_formula(spec, frames, seed, options, lambdas=None) -> list:
-    lambdas = lambdas or _LambdaMemo()
+def suite_formula(spec, frames, seed, options) -> list:
     frame = frames["default"]
     k = frame.k
     center = np.zeros(k)
@@ -350,14 +351,10 @@ def suite_formula(spec, frames, seed, options, lambdas=None) -> list:
     phis = [("one", constant(spec.unit())), ("zeta", zeta(spec)),
             ("zeta^2", zeta_power(2, spec))]
     tol = options.get("tol", 1e-8)
-    # Every curve lies in plane (1,2) and winds once around the centre, and
-    # zeta^{-1} dzeta is unchanged under x -> r x, so the lambda of each
-    # curve's matched circle is the standard circle's.
-    lam = lambdas.on_standard_circle(spec, frame, options)
     out = []
     for cname, curve in curves:
         reports = cauchy_formula_check([phi for _, phi in phis], center, curve, frame, spec,
-                                       lam=lam, tol=tol)
+                                       tol=tol)
         for (pname, _), rep in zip(phis, reports):
             rep.name = f"formula/{cname}[{pname}]"
             out.append(rep)
@@ -436,7 +433,7 @@ SUITES = {
 
 
 # suites that take the run's lambda memo as ``lambdas=``
-_LAMBDA_SUITES = frozenset({"lambda", "formula", "predicates"})
+_LAMBDA_SUITES = frozenset({"lambda", "predicates"})
 # the options the suites read; each tolerance that reads "tol" has its default there
 _OPTION_KEYS = frozenset({"nodes_cap", "tol", "triangles", "points", "expected_theorem5_condition"})
 
@@ -445,18 +442,23 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
                options: dict | None = None, timings: list | None = None) -> list:
     """Run the named suites in order and concatenate their reports.
 
-    One :class:`_LambdaMemo` lives for this call: a frame's lambda on the
-    standard circle is integrated once and read by the lambda, formula and
+    ``names`` is a list of keys of ``SUITES``, or ``["all"]`` for every
+    suite.  One :class:`_LambdaMemo` lives for this call: a frame's lambda
+    on the standard circle is integrated once and read by the lambda and
     predicates suites.  When ``timings`` is a list, one row ``(suite, wall
     seconds, compute_lambda calls)`` is appended to it per suite run.  An
     option key outside ``_OPTION_KEYS`` raises ``ValueError``.
     """
+    if isinstance(names, str):
+        raise TypeError(f"names must be a list of suite names, got the string {names!r}")
     options = options or {}
     unknown = sorted(set(options) - _OPTION_KEYS)
     if unknown:
         raise ValueError(f"unknown suite options {unknown}; known: {sorted(_OPTION_KEYS)}")
-    if names == ["all"] or names == "all":
+    if list(names) == ["all"]:
         names = list(SUITES)
+    elif "all" in names:
+        raise ValueError(f"suite 'all' runs every suite and stands alone; got {list(names)}")
     lambdas = _LambdaMemo()
     reports = []
     for name in names:

@@ -63,6 +63,12 @@ def test_verify_lambda_suite(tmp_path, capsys):
     assert (tmp_path / "report.csv").read_text().startswith("check,nodes,delta")
 
 
+@pytest.mark.parametrize("suites", ["all,cauchy", "lambda,all"])
+def test_verify_refuses_all_beside_other_suites(capsys, suites):
+    assert main(["verify", "--algebra", "example1", "--suite", suites]) == 2
+    assert "suite 'all' runs every suite and stands alone" in capsys.readouterr().err
+
+
 BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 

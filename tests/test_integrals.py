@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from test_algebra import chain
-from test_resolvent import random_frame
+from test_resolvent import power_chains, random_frame
 
 from monalg.algebra import AlgebraSpec, Element, basis_element
 from monalg.catalog import builtin_algebra, builtin_frames
@@ -24,13 +24,14 @@ from monalg.integrals import (
     cauchy_theorem_check,
     compute_lambda,
     line_integral,
-    matched_lambda_circle,
     morera_check,
     winding_certificate,
 )
-from monalg.monogenic import ResolventKernel, constant, zeta, zeta_power
+from monalg.monogenic import ResolventKernel, constant, eval_function, zeta, zeta_power
+from monalg.predicates import theorem5_predicate
 from monalg.quadrature import _KRONROD_NODES
-from monalg.suites import _Control, _standard_circle, run_suites
+from monalg.resolvent import _radical_series
+from monalg.suites import _Control, run_suites, suite_formula
 
 
 def example1():
@@ -237,6 +238,57 @@ def test_lambda_radius_and_plane_stability():
         assert np.max(np.abs(v - values[0])) <= 1e-9
 
 
+def _rescaled_truncated_powers():
+    """C[x]/(x^5) in the basis ``I_s = c_s x^(s-1)`` with complex ``c_s``."""
+    c = {s: (1.2 + 0.4 * s) * np.exp(0.7j * s) for s in range(2, 6)}
+    return AlgebraSpec(5, 1, {(a, b, a + b - 1): c[a] * c[b] / c[a + b - 1]
+                              for a in range(2, 6) for b in range(a, 7 - a)})
+
+
+CLOSED_FORM_ALGEBRAS = {
+    "chain6": lambda: chain(6),
+    "chain12": lambda: chain(12),
+    # two idempotents, each with a chain of powers in its radical
+    "power-chains-9-2": lambda: power_chains(
+        AlgebraSpec(9, 2, u_map={s: 1 + s % 2 for s in range(3, 10)})),
+    "rescaled-x5": _rescaled_truncated_powers,
+}
+
+
+def _frame_of_scale(spec, rng, scale):
+    """Rows ``i`` and ``0.7 (u - 1)`` on idempotent ``u``, plus ``scale`` times
+    a complex normal draw on every coordinate."""
+    rows = []
+    for offset in (1j * np.ones(spec.m), 0.7 * np.arange(spec.m)):
+        row = scale * (rng.standard_normal(spec.n) + 1j * rng.standard_normal(spec.n))
+        row[: spec.m] += offset
+        rows.append(row)
+    return Frame.from_rows(spec, *rows)
+
+
+@pytest.mark.parametrize("name", list(CLOSED_FORM_ALGEBRAS))
+def test_lambda_is_two_pi_i_times_the_windings(name):
+    # zeta^{-1} dzeta = d log zeta, and the nilpotent part of log zeta is a
+    # finite series, single-valued along the curve; so on any closed curve
+    # lambda = 2 pi i sum_u w_u I_u, whatever the structure constants.
+    spec = CLOSED_FORM_ALGEBRAS[name]()
+    if name == "rescaled-x5":
+        assert theorem5_predicate(spec).reason == "products_nonzero"
+    circle = unit_circle()
+    skew = Polyline([[0.9, 0.1, 0.3], [-0.2, 0.8, -0.4], [-0.7, -0.3, 0.2], [0.1, -0.9, -0.3]],
+                    closed=True)
+    for seed in range(10):
+        frame = _frame_of_scale(spec, np.random.default_rng([seed, spec.n]), 0.3)
+        for curve, winding in ((circle, 1), (circle.reversed(), -1), (skew, 1)):
+            lam = compute_lambda(spec, frame, curve)
+            # an unconverged integral measures the quadrature, not the identity
+            assert lam.converged
+            assert lam.windings == (winding,) * spec.m
+            exact = np.zeros(spec.n, dtype=np.complex128)
+            exact[: spec.m] = 2j * np.pi * np.array(lam.windings)
+            assert np.linalg.norm(lam.value.coords - exact) <= 1e-10
+
+
 # -- closed-curve integral check -------------------------------------------------
 
 
@@ -330,9 +382,6 @@ def test_control_on_axis_aligned_triangle_closed_form():
             assert (a.residual, a.tolerance) == (b.residual, b.tolerance)
         assert (winding_certificate(curve, frame, center, spec)
                 == winding_certificate(poly, frame, center, spec))
-        a, b = matched_lambda_circle(curve, center), matched_lambda_circle(poly, center)
-        assert (a.radius, a.orientation, a.quadrature) == (b.radius, b.orientation, b.quadrature)
-        assert np.array_equal(a.plane, b.plane) and np.array_equal(a.center, b.center)
 
 
 def test_morera_control_fails():
@@ -492,21 +541,24 @@ def test_formula_radius_homotopy_stability():
     assert np.max(np.abs(values[0] - values[1])) <= 1e-8
 
 
-def test_formula_given_lambda_matches_default():
-    spec = example1()
-    frame = default_frame(spec)
-    center = np.array([0.1, 0.2, 0.0])
-    offsets = np.array([[0.5, 0.5, 0], [-0.5, 0.5, 0], [-0.5, -0.5, 0], [0.5, -0.5, 0]])
-    square = Polyline(center + offsets, closed=True)
-    lam = compute_lambda(spec, frame, matched_lambda_circle(square, center))
-    assert lam.converged
-    phi = zeta_power(2, spec)
-    default = cauchy_formula_check(phi, center, square, frame, spec)
-    given = cauchy_formula_check(phi, center, square, frame, spec, lam=lam)
-    assert given.value.coords.tobytes() == default.value.coords.tobytes()
-    assert given.reference.coords.tobytes() == default.reference.coords.tobytes()
-    assert given.residual == default.residual
-    assert given.diagnostics == default.diagnostics
+def _inverse_without_one_term(emb, spec):
+    """``zeta^{-1}`` with the k = 1 term of its radical series planted out."""
+    inv = 1.0 / emb[..., : spec.m]
+    return _radical_series(lambda k: 0.0 * inv if k == 1 else inv * (-inv) ** k if k else inv,
+                           emb, spec)
+
+
+def test_formula_suite_fails_an_inverse_with_a_term_missing(monkeypatch):
+    # The reference 2 pi i phi(center) does not go through the inverse, so
+    # the fault shows in every check, phi = one included: a reference scaled
+    # by a lambda integrated with the same inverse would hide it there.
+    import monalg.integrals
+
+    monkeypatch.setattr(monalg.integrals, "_inverse_coords", _inverse_without_one_term)
+    spec = builtin_algebra("example4")
+    reports = suite_formula(spec, builtin_frames(spec), 1, {})
+    assert len(reports) == 9
+    assert [rep.name for rep in reports if rep.passed] == []
 
 
 def test_formula_suite_computes_each_lambda_once(monkeypatch):
@@ -522,10 +574,10 @@ def test_formula_suite_computes_each_lambda_once(monkeypatch):
     monkeypatch.setattr(monalg.integrals, "compute_lambda", counted)
     monkeypatch.setattr(monalg.suites, "compute_lambda", counted)
     spec = builtin_algebra("example1")
-    reports = monalg.suites.suite_formula(spec, builtin_frames(spec), 1, {})
+    reports = suite_formula(spec, builtin_frames(spec), 1, {})
     assert len(reports) == 9
-    # the standard circle's, shared by the three curves and their functions
-    assert len(calls) == 1
+    # the references come from the curves' winding certificates
+    assert calls == []
 
 
 @pytest.mark.parametrize("name", ["example1", "semisimple:m=12"])
@@ -543,8 +595,8 @@ def test_a_run_integrates_each_standard_lambda_once(monkeypatch, name):
     frames = builtin_frames(spec)
     everything = run_suites(["all"], spec, frames, seed=1)
     # one standard circle per distinct frame, integrated for the lambda
-    # suite and read back by the formula and predicates suites; a
-    # semisimple algebra's two frame names share one frame
+    # suite and read back by the predicates suite; a semisimple algebra's
+    # two frame names share one frame
     distinct = len({id(frame) for frame in frames.values()})
     assert len(frames) == 2 and distinct == (1 if spec.m == spec.n else 2)
     assert len(calls) == distinct
@@ -555,16 +607,17 @@ def test_a_run_integrates_each_standard_lambda_once(monkeypatch, name):
 
 
 def test_formula_converged_reads_its_lambda():
-    # At a cap of 64 nodes the matched lambda circle of the square stops
-    # unconverged while the square's own segments converge at 4 x 60 nodes.
+    # A formula check's convergence is its own integral's: at a cap of 64
+    # nodes the square's segments converge at 4 x 60 nodes, and the circles
+    # stop unconverged at their first level.
     spec = builtin_algebra("example1")
     reports = run_suites(["formula"], spec, builtin_frames(spec), seed=1,
                          options={"nodes_cap": 64})
-    square = [rep for rep in reports if rep.name.startswith("formula/square")]
-    assert len(square) == 3
-    for rep in square:
-        assert rep.diagnostics["nodes"] == 240
-        assert rep.diagnostics["converged"] is False
+    assert len(reports) == 9
+    for rep in reports:
+        square = rep.name.startswith("formula/square")
+        assert rep.diagnostics["nodes"] == (240 if square else 64)
+        assert rep.diagnostics["converged"] is square
 
 
 @pytest.mark.parametrize("key", ["formula_tol", "axiom_tol", "sigma_tol", "nodes-cap"])
@@ -577,6 +630,14 @@ def test_run_suites_refuses_unknown_option_keys(key):
                    options={"tol": 1e-7, key: 1e-7})
 
 
+@pytest.mark.parametrize("names", ["cauchy", "all"])
+def test_run_suites_refuses_a_string_of_names(names):
+    # a string would be walked letter by letter
+    spec = builtin_algebra("example1")
+    with pytest.raises(TypeError, match=repr(names)):
+        run_suites(names, spec, builtin_frames(spec), seed=1)
+
+
 def test_formula_embracing_violation():
     spec = example1()
     frame = default_frame(spec)
@@ -585,18 +646,6 @@ def test_formula_embracing_violation():
     with pytest.raises(EmbracingError) as err:
         cauchy_formula_check(zeta(spec), center, far, frame, spec)
     assert err.value.certificate.windings == (0,)
-
-
-def test_matched_circle_from_polyline():
-    offsets = np.array([[0.5, 0.5, 0], [-0.5, 0.5, 0], [-0.5, -0.5, 0], [0.5, -0.5, 0]])
-    center = np.array([0.1, 0.2, 0.0])
-    square = Polyline(center + offsets, closed=True)
-    circle = matched_lambda_circle(square, center)
-    assert circle.radius == pytest.approx(np.sqrt(0.5))
-    assert np.allclose(circle.center, 0.0)
-    # the fitted plane spans the first two coordinates
-    assert np.linalg.matrix_rank(circle.plane[:, :2], tol=1e-8) == 2
-    assert np.allclose(circle.plane[:, 2], 0.0, atol=1e-12)
 
 
 # -- list forms: one stack per curve ---------------------------------------------
@@ -686,12 +735,10 @@ def test_cauchy_formula_list_matches_single_calls(name):
     phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
     center, curves = _formula_curves(frame.k)
     for cname, curve in curves.items():
-        lam = compute_lambda(spec, frame, matched_lambda_circle(curve, center))
-        reports = cauchy_formula_check(phis, center, curve, frame, spec, lam=lam)
+        reports = cauchy_formula_check(phis, center, curve, frame, spec)
         assert len(reports) == len(phis)
         for phi, rep in zip(phis, reports):
-            _assert_same_report(rep, cauchy_formula_check(phi, center, curve, frame, spec,
-                                                          lam=lam))
+            _assert_same_report(rep, cauchy_formula_check(phi, center, curve, frame, spec))
         if name == "semisimple:m=12" and cname == "square":
             # the functions stop on different segments at different levels
             assert [rep.diagnostics["nodes"] for rep in reports] == [7800, 7740, 7740]
@@ -704,7 +751,6 @@ def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
     phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
     center, curves = _formula_curves(frame.k)
     circle = curves["circle-r0.3"]
-    lam = compute_lambda(spec, frame, matched_lambda_circle(circle, center))
     sizes = []
     inverse = integrals._InverseIntegrand.eval_many
 
@@ -713,7 +759,7 @@ def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
         return inverse(self, frame, xs, spec)
 
     monkeypatch.setattr(integrals._InverseIntegrand, "eval_many", counted)
-    reports = cauchy_formula_check(phis, center, circle, frame, spec, lam=lam)
+    reports = cauchy_formula_check(phis, center, circle, frame, spec)
     nodes = reports[0].diagnostics["nodes"]
     assert all(rep.diagnostics["nodes"] == nodes for rep in reports)
     # one inverse per level, 64 to ``nodes`` points, for all three functions
@@ -721,29 +767,24 @@ def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
     assert sizes[-1] == nodes
 
 
-@pytest.mark.parametrize("name", STACK_CASES)
-def test_standard_lambda_is_the_lambda_of_every_formula_curve(name):
-    # The formula suite scales each curve's reference by the standard
-    # circle's lambda.  Each matched circle is a centred circle in plane
-    # (1,2) with the same sense, and zeta^{-1} dzeta is unchanged under
-    # x -> r x, so the two integrals differ by roundoff only.
-    spec, frame = _stack_case(name)
-    standard = compute_lambda(spec, frame, _standard_circle(frame.k))
-    center, curves = _formula_curves(frame.k)
-    for curve in curves.values():
-        matched = compute_lambda(spec, frame, matched_lambda_circle(curve, center))
-        assert np.linalg.norm(matched.value.coords - standard.value.coords) <= 1e-13
-        assert (matched.nodes, matched.converged) == (standard.nodes, standard.converged)
-
-
 @pytest.mark.parametrize("name", ["example1", "semisimple:m=3"])
 def test_formula_checks_read_the_runs_lambda(name):
+    # Not at all: each reference is 2 pi i phi(center), whatever lambda the
+    # run integrates, and the records carry no lambda diagnostic.
+    from monalg.suites import _phi_set
+
     spec = builtin_algebra(name)
+    frame = builtin_frames(spec)["default"]
     reports = run_suites(["all"], spec, builtin_frames(spec), seed=1)
-    deviation = next(rep.residual for rep in reports if rep.name == "lambda/deviation[default]")
     formula = [rep for rep in reports if rep.name.startswith("formula/")]
     assert len(formula) == 9
-    assert all(rep.diagnostics["lambda_deviation"] == deviation for rep in formula)
+    center, _ = _formula_curves(frame.k)
+    phis = {"one": constant(spec.unit()), "zeta": zeta(spec), "zeta^2": zeta_power(2, spec)}
+    for rep in formula:
+        phi = phis[rep.name[rep.name.index("[") + 1:-1]]
+        expected = 2j * np.pi * eval_function(phi, frame, center, spec).coords
+        assert rep.reference.coords.tobytes() == expected.tobytes()
+        assert "lambda_deviation" not in report_record(rep)["diagnostics"]
 
 
 @pytest.mark.parametrize("curve", ["circle", "square"])

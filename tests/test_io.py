@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from monalg.catalog import builtin_algebra, builtin_frames
+from monalg.cli import ExperimentConfig
 from monalg.curves import Circle2D, Polyline, Triangle
 from monalg.errors import SpecFormatError
 from monalg.io import (
@@ -203,8 +204,9 @@ def test_curve_files_keep_orientation(tmp_path, record, cls):
 @pytest.mark.parametrize("kind", ["circle2d", "polyline", "triangle"])
 def test_curve_files_reject_nodes_per_segment(tmp_path, kind):
     # segment panels have a fixed size, so the key would silently do nothing
-    record = {"kind": kind, "center": [0, 0], "radius": 1.0, "plane": [[1, 0], [0, 1]],
-              "vertices": [[0, 0], [1, 0], [0, 1]], "nodes_per_segment": 16}
+    shape = ({"center": [0, 0], "radius": 1.0, "plane": [[1, 0], [0, 1]]} if kind == "circle2d"
+             else {"vertices": [[0, 0], [1, 0], [0, 1]]})
+    record = {"kind": kind, **shape, "nodes_per_segment": 16}
     with pytest.raises(SpecFormatError, match="nodes_per_segment"):
         load_curve(write(tmp_path, "curve.json", record))
 
@@ -378,3 +380,28 @@ def test_mistyped_fields_are_refused_by_name(tmp_path, load, record, field):
 def test_well_typed_fields_still_load(tmp_path, load, record):
     # integers where numbers are asked for, and null where it is allowed
     load(write(tmp_path, "good.json", record))
+
+
+@pytest.mark.parametrize("load, record, key", [
+    (load_algebra, {**_ALGEBRA, "product": []}, "product"),
+    (load_algebra, {**_ALGEBRA, "u_map": [{"s": 2, "u": 1, "idempotent": 1}]}, "idempotent"),
+    (load_algebra, {**_ALGEBRA, "products": [{**_PRODUCT, "value_img": 2.0}]}, "value_img"),
+    (_load_frame, {**_FRAME, "row": []}, "row"),
+    (load_curve, {**_CIRCLE, "orientaton": -1}, "orientaton"),
+    (load_curve, {**_CIRCLE, "closed": True}, "closed"),
+    (load_curve, {**_POLYLINE, "radius": 1.0}, "radius"),
+    (load_curve, {"kind": "triangle", "vertices": [[0, 0], [1, 0], [0, 1]], "closed": False},
+     "closed"),
+    (_load_function, {"variant": "polynomial", "coeffs": [[1, 0, 0, 0, 0]], "t": 3}, "t"),
+    (_load_function, {"variant": "resolvent_kernel", "t": 3, "coeffs": []}, "coeffs"),
+    (_load_function, {**_PEXT, "F": [{"kind": "rational", "coeffs": [1], "denominator": [1]}]},
+     "denominator"),
+    (ExperimentConfig.from_file, {"algebra": "example1", "seeds": [1, 2]}, "seeds"),
+], ids=["algebra", "u_map-entry", "product", "frame", "circle", "circle-closed", "polyline",
+        "triangle-closed", "polynomial", "kernel", "scalar", "config"])
+def test_unknown_keys_are_refused_by_name(tmp_path, load, record, key):
+    # a misspelt optional field would otherwise load its default without a word
+    path = write(tmp_path, "probe.json", record)
+    with pytest.raises(SpecFormatError, match="unknown fields") as exc:
+        load(path)
+    assert str(path) in str(exc.value) and repr(key) in str(exc.value)
