@@ -316,12 +316,15 @@ def _config_from(args) -> ExperimentConfig:
     return config.merge_flags(args)
 
 
-def _add_common(parser, with_suite=False):
+def _add_common(parser, with_run=True, with_suite=False):
+    """A subcommand's flags; ``validate`` reads no frame, seed, output or node cap."""
     parser.add_argument("--algebra", default=None, help="built-in name or algebra JSON file")
-    parser.add_argument("--frame", default=None,
-                        help="'default', 'in-s', or a frame JSON file")
     parser.add_argument("--config", default=None, help="experiment config JSON file")
     parser.add_argument("--tol", type=float, default=None, help="tolerance override")
+    if not with_run:
+        return
+    parser.add_argument("--frame", default=None,
+                        help="'default', 'in-s', or a frame JSON file")
     parser.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
     parser.add_argument("--out", default=None,
                         help="output prefix for .json/.txt/.csv reports")
@@ -349,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "theorems in commutative algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("validate", help="check the algebra axioms"))
+    _add_common(sub.add_parser("validate", help="check the algebra axioms"), with_run=False)
     _add_common(sub.add_parser("verify", help="run verification suites"), with_suite=True)
     _add_common(sub.add_parser("lambda", help="compute the integral constant"))
     _add_common(sub.add_parser("predicates", help="evaluate the 2-pi-i conditions"))

@@ -3,7 +3,8 @@
 Two kinds cover the verification needs: planar circles (periodic, smooth,
 always closed) and polylines (open or closed).  A triangle is a closed
 three-vertex polyline with a quality measure.  All curves share ``k``,
-``closed``, ``orientation``, ``length``, ``reversed`` and ``sample(density)``.
+``closed``, ``orientation``, ``length``, ``reversed`` and ``sample``, which
+takes a circle's point count or a polyline's points per segment.
 Reversal flips an orientation flag instead of reshuffling vertices, so a
 reversed integral reuses the same quadrature nodes and negates term by term.
 """

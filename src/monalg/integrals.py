@@ -342,42 +342,44 @@ def _line_integrals(psis, gamma, frame, spec, tol, factor=None) -> list:
 # -- winding numbers ----------------------------------------------------------
 
 
-def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec,
-                        density: int = 256) -> EmbraceCertificate:
+def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec) -> EmbraceCertificate:
     """Winding number of each spectral image around the image of the center.
 
-    Computed by summed argument increments with node doubling until every
-    increment stays below pi/2.  Raises :class:`IntegrationError` when the
-    curve meets the shifted noninvertible locus.
+    Exact, without sampling.  On a circle ``c + r (cos tau p + sin tau q)``
+    the image ``w_u = A_u + P_u z + Q_u / z``, ``z = e^{i tau}``, winds once
+    less than ``P_u z^2 + A_u z + Q_u`` has roots in ``|z| < 1``.  A closed
+    polyline's image is a polygon whose edges, missing 0, turn by less than
+    pi each.  Raises :class:`IntegrationError` at the curve's parameter
+    (radians, or ``s + t`` at ``t`` along segment ``s``) where it comes
+    within ``1e-12 (1 + |x_c|)`` of the shifted noninvertible locus.
     """
     if not gamma.closed:
         raise ValueError("winding numbers need a closed curve")
     center = np.asarray(center_x, dtype=np.float64)
     xi0 = (center @ frame.a)[: spec.m]
-    scale = 1.0 + float(np.linalg.norm(center))
-    for _ in range(12):
-        # canonical traversal order; the orientation flag is applied below
-        pts = gamma.sample(density)
-        w = (pts @ frame.a)[:, : spec.m] - xi0  # (N, m)
-        radii = np.abs(w)
-        if np.min(radii) <= 1e-12 * scale:
-            tau_idx = int(np.argmin(np.min(radii, axis=1)))
-            raise IntegrationError(
-                "curve passes through the shifted noninvertible locus "
-                f"near sample {tau_idx}",
-                tau=float(tau_idx) / len(pts),
-            )
-        ratios = np.roll(w, -1, axis=0) / w
-        steps = np.angle(ratios)
-        if np.max(np.abs(steps)) < 0.5 * np.pi:
-            sums = steps.sum(axis=0) / (2.0 * np.pi)
-            windings = np.rint(sums)
-            if np.max(np.abs(sums - windings)) < 1e-6:
-                return EmbraceCertificate(
-                    windings=tuple(int(gamma.orientation * v) for v in windings)
-                )
-        density *= 2
-    raise IntegrationError("winding computation failed to stabilise")
+    floor = 1e-12 * (1.0 + float(np.linalg.norm(center)))
+    if isinstance(gamma, Circle2D):
+        a = (gamma.center @ frame.a)[: spec.m] - xi0
+        p, q = gamma.radius * (gamma.plane @ frame.a)[:, : spec.m] / 2
+        roots = [np.roots(coeffs) for coeffs in zip(p - 1j * q, a, p + 1j * q)]
+        # nearest the locus at the roots' angles; tau = 0 covers an image Q_u / z, which has none
+        taus = np.mod(np.angle(np.concatenate([[1.0], *roots])), 2.0 * np.pi)
+        near = np.min(np.abs((gamma.points(taus) @ frame.a)[:, : spec.m] - xi0), axis=1)
+        turns = [np.sum(np.abs(r) < 1.0) - 1 for r in roots]
+    else:
+        w = (gamma.vertices @ frame.a)[:, : spec.m] - xi0  # (V, m)
+        edges = np.roll(w, -1, axis=0) - w
+        length_sq = np.maximum(np.abs(edges) ** 2, np.finfo(float).tiny)
+        along = np.clip(-np.real(np.conj(w) * edges) / length_sq, 0.0, 1.0)  # nearest to 0
+        distance = np.abs(w + along * edges)
+        taus = np.arange(len(w)) + along[np.arange(len(w)), np.argmin(distance, axis=1)]
+        near = distance.min(axis=1)
+        turns = np.rint(np.angle(np.roll(w, -1, axis=0) * np.conj(w)).sum(axis=0) / (2.0 * np.pi))
+    if near.min() <= floor:
+        tau = float(taus[np.argmin(near)])
+        raise IntegrationError(
+            f"curve passes through the shifted noninvertible locus at tau={tau:.6g}", tau=tau)
+    return EmbraceCertificate(windings=tuple(int(gamma.orientation * t) for t in turns))
 
 
 # -- the constant lambda -------------------------------------------------------

@@ -201,9 +201,9 @@ def save_frame(frame: Frame, path) -> None:
 # -- curve files -----------------------------------------------------------------
 
 
-# The keys of each curve kind beside its kind, orientation and quadrature.
-_CURVE_KEYS = {"circle2d": ("center", "radius", "plane"), "polyline": ("vertices", "closed"),
-               "triangle": ("vertices",)}
+# The keys of each curve kind beside its kind and orientation; segments read no node counts.
+_CURVE_KEYS = {"circle2d": ("center", "radius", "plane", "nodes_on_circle", "refinement_cap"),
+               "polyline": ("vertices", "closed"), "triangle": ("vertices",)}
 
 
 def load_curve(path):
@@ -212,23 +212,22 @@ def load_curve(path):
     kind = _field(data, "kind", "string", path)
     if kind not in _CURVE_KEYS:
         raise SpecFormatError(f"{path}: unknown curve kind {kind!r}")
-    _known(data, ("kind", "orientation", "nodes_on_circle", "refinement_cap",
-                  *_CURVE_KEYS[kind]), path)
-    defaults = QuadratureOptions()
-    common = {"orientation": _field(data, "orientation", "orientation", path, 1),
-              "quadrature": QuadratureOptions(
-                  _field(data, "nodes_on_circle", "count", path, defaults.nodes_on_circle),
-                  _field(data, "refinement_cap", "count", path, defaults.cap))}
+    _known(data, ("kind", "orientation", *_CURVE_KEYS[kind]), path)
+    orientation = _field(data, "orientation", "orientation", path, 1)
     try:
         if kind == "circle2d":
+            quadrature = QuadratureOptions(
+                _field(data, "nodes_on_circle", "count", path, QuadratureOptions.nodes_on_circle),
+                _field(data, "refinement_cap", "count", path, QuadratureOptions.cap))
             return Circle2D(_field(data, "center", ("list", "number"), path),
                             _field(data, "radius", "number", path),
-                            _field(data, "plane", ("list", "list", "number"), path), **common)
+                            _field(data, "plane", ("list", "list", "number"), path),
+                            orientation=orientation, quadrature=quadrature)
         vertices = _field(data, "vertices", ("list", "list", "number"), path)
         if kind == "polyline":
             return Polyline(vertices, closed=_field(data, "closed", "boolean", path, False),
-                            **common)
-        return Triangle(vertices, **common)
+                            orientation=orientation)
+        return Triangle(vertices, orientation=orientation)
     except ValueError as exc:  # a shape or geometry the curve refuses
         raise SpecFormatError(f"{path}: malformed {kind} record: {exc}") from exc
 

@@ -17,7 +17,7 @@ import time
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, validate_algebra
+from .algebra import AlgebraSpec, validate_algebra
 from .algebra import _left_mul_coords, _multiply_coords
 from .curves import Circle2D, Polyline, QuadratureOptions, TriangleSampler, coordinate_plane
 from .frames import Frame, embed_many
@@ -55,11 +55,6 @@ class _Control:
 
     def __init__(self, spec: AlgebraSpec):
         self.n = spec.n
-
-    def __call__(self, x) -> Element:
-        coords = np.zeros(self.n, dtype=np.complex128)
-        coords[0] = x[1]
-        return Element(coords)
 
     def eval_many(self, frame, xs, spec) -> np.ndarray:
         out = np.zeros((len(xs), self.n), dtype=np.complex128)

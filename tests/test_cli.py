@@ -49,6 +49,22 @@ def test_validate_malformed_file(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--out", "--seed", "--frame", "--nodes-cap"])
+def test_validate_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
+    # validate checks the axioms only: these flags would be accepted and do nothing
+    value = {"--out": str(tmp_path / "x"), "--seed": "3", "--frame": "in-s",
+             "--nodes-cap": "5"}[flag]
+    with pytest.raises(SystemExit) as exc:
+        main(["validate", "--algebra", "example1", flag, value])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
+def test_validate_reads_its_tolerance(capsys):
+    assert main(["validate", "--algebra", "example1", "--tol", "1e-10"]) == 0
+
+
 def test_verify_lambda_suite(tmp_path, capsys):
     out_prefix = tmp_path / "report"
     rc = main(

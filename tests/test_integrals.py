@@ -32,6 +32,7 @@ from monalg.predicates import theorem5_predicate
 from monalg.quadrature import _KRONROD_NODES
 from monalg.resolvent import _radical_series
 from monalg.suites import _Control, run_suites, suite_formula
+from verdicts import _inputs
 
 
 def example1():
@@ -123,8 +124,9 @@ def test_integration_error_names_parameter():
 
 
 def test_integration_error_near_locus_names_tau():
-    # passes the winding certificate (clearance 1e-9 > 1e-12) but trips the
-    # integrand's conditioning floor, which must name the parameter
+    # the curve's closest approach to the locus, 1e-9 at tau = pi, clears
+    # the winding certificate's 1e-12 but trips the integrand's conditioning
+    # floor, which must name the parameter
     spec = example1()
     frame = default_frame(spec)
     grazing = Circle2D(np.array([1.0 + 1e-9, 0.0, 0.0]), 1.0, coordinate_plane(3, 1, 2))
@@ -188,6 +190,86 @@ def test_winding_error_on_locus():
     through = Circle2D(np.array([1.0, 0.0, 0.0]), 1.0, coordinate_plane(3, 1, 2))
     with pytest.raises(IntegrationError):
         winding_certificate(through, frame, center, spec)
+
+
+def _tracked_windings(curve, frame, center, spec, count=20000):
+    """Windings by argument tracking on ``count`` points, each step under pi/4."""
+    pts = (curve.sample(count) if isinstance(curve, Circle2D)
+           else curve.sample(per_segment=count // len(curve.segments())))
+    w = (pts @ frame.a)[:, : spec.m] - (center @ frame.a)[: spec.m]
+    steps = np.angle(np.roll(w, -1, axis=0) / w)
+    assert np.max(np.abs(steps)) < np.pi / 4
+    return tuple(int(curve.orientation * v) for v in np.rint(steps.sum(axis=0) / (2 * np.pi)))
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4",
+                                  "semisimple:m=3", "semisimple:m=8", "chain12"])
+def test_exact_windings_match_argument_tracking(name):
+    spec, frames, _ = _inputs(name)
+    frame = frames["default"]
+    k = frame.k
+    rng = np.random.default_rng(11)
+    tilt = np.zeros((2, k))
+    tilt[0, 0], tilt[1, 1], tilt[1, 2] = 1.0, np.cos(0.4), np.sin(0.4)
+    angles = 4 * np.pi * np.arange(5) / 5
+    star = np.stack([np.cos(angles), np.sin(angles)], axis=1)  # a pentagram
+    seen = set()
+    for _ in range(12):
+        center = 0.5 * rng.standard_normal(k)
+        curves = [
+            Circle2D(center, rng.uniform(0.3, 1.5), tilt),  # tilted, centred
+            Circle2D(center + 0.4 * rng.standard_normal(k), rng.uniform(0.3, 1.5),
+                     np.linalg.qr(rng.standard_normal((k, 2)))[0].T),  # off centre, skew plane
+            Polyline(center + rng.standard_normal((5, k)), closed=True),  # skew polyline
+            Polyline(center + 0.8 * star @ tilt, closed=True),  # winds twice
+        ]
+        curves += [curve.reversed() for curve in curves]
+        for curve in curves:
+            exact = winding_certificate(curve, frame, center, spec).windings
+            assert exact == _tracked_windings(curve, frame, center, spec)
+            seen.update(exact)
+    assert {-2, -1, 0, 1, 2} <= seen
+
+
+@pytest.mark.parametrize("turn", [0.0, 0.3])
+def test_winding_does_not_depend_on_where_the_circle_starts(turn):
+    # the curve passes 1e-7 from the locus at tau = pi - turn; argument
+    # tracking from tau = 0 needs steps far below 1e-7 there
+    spec = example1()
+    frame = default_frame(spec)
+    rotation = np.array([[np.cos(turn), np.sin(turn)], [-np.sin(turn), np.cos(turn)]])
+    circle = Circle2D(np.array([1.0 + 1e-7, 0.0, 0.0]), 1.0,
+                      rotation @ coordinate_plane(3, 1, 2))
+    assert winding_certificate(circle, frame, np.zeros(3), spec).windings == (0,)
+
+
+def test_winding_of_a_clockwise_image():
+    # xi_1 = x_1 + i x_2, so on the plane (e_2, e_1) the image is i e^{-i tau}
+    # and its z-coefficient P is exactly zero
+    spec = example1()
+    frame = default_frame(spec)
+    circle = Circle2D(np.zeros(3), 1.0, coordinate_plane(3, 2, 1))
+    assert winding_certificate(circle, frame, np.zeros(3), spec).windings == (-1,)
+
+
+def test_winding_refuses_a_polygon_edge_through_the_locus():
+    # segment 1 runs from (-1, 0) to (1, 0) through the center, between vertices
+    spec = example1()
+    frame = default_frame(spec)
+    triangle = Triangle(np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]]))
+    with pytest.raises(IntegrationError, match="tau=1.5") as err:
+        winding_certificate(triangle, frame, np.zeros(3), spec)
+    assert err.value.tau == 1.5
+
+
+def test_winding_refuses_an_image_collapsed_to_the_locus():
+    # e_3 and e_4 lie in the radical, so the circle around the center in
+    # plane (3, 4) has the spectral image 0 at every tau
+    spec = example1()
+    frame = Frame.from_rows(spec, [1j, 0, 0, 0, 0], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0])
+    circle = Circle2D(np.zeros(4), 1.0, coordinate_plane(4, 3, 4))
+    with pytest.raises(IntegrationError, match="tau="):
+        winding_certificate(circle, frame, np.zeros(4), spec)
 
 
 # -- lambda ---------------------------------------------------------------------
@@ -486,7 +568,6 @@ def test_suite_control_is_pointwise_control_vectorised():
     control = _Control(spec)
     batched = control.eval_many(frame, xs, spec)
     assert np.array_equal(batched, np.stack([control_psi(x).coords for x in xs]))
-    assert np.array_equal(batched, np.stack([control(x).coords for x in xs]))
 
 
 # -- integral formula ------------------------------------------------------------
@@ -561,7 +642,7 @@ def test_formula_suite_fails_an_inverse_with_a_term_missing(monkeypatch):
     assert [rep.name for rep in reports if rep.passed] == []
 
 
-def test_formula_suite_computes_each_lambda_once(monkeypatch):
+def test_formula_suite_integrates_no_lambda(monkeypatch):
     import monalg.integrals
     import monalg.suites
 
@@ -606,7 +687,7 @@ def test_a_run_integrates_each_standard_lambda_once(monkeypatch, name):
     assert [report_record(rep) for rep in alone] == [report_record(rep) for rep in predicates]
 
 
-def test_formula_converged_reads_its_lambda():
+def test_formula_converged_is_its_own_integrals():
     # A formula check's convergence is its own integral's: at a cap of 64
     # nodes the square's segments converge at 4 x 60 nodes, and the circles
     # stop unconverged at their first level.
@@ -768,7 +849,7 @@ def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["example1", "semisimple:m=3"])
-def test_formula_checks_read_the_runs_lambda(name):
+def test_formula_reference_is_two_pi_i_phi(name):
     # Not at all: each reference is 2 pi i phi(center), whatever lambda the
     # run integrates, and the records carry no lambda diagnostic.
     from monalg.suites import _phi_set

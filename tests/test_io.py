@@ -211,6 +211,15 @@ def test_curve_files_reject_nodes_per_segment(tmp_path, kind):
         load_curve(write(tmp_path, "curve.json", record))
 
 
+@pytest.mark.parametrize("kind", ["polyline", "triangle"])
+@pytest.mark.parametrize("field", ["nodes_on_circle", "refinement_cap"])
+def test_segment_curve_files_refuse_circle_node_counts(tmp_path, kind, field):
+    # segments never read the circle's node counts, so the key would do nothing
+    record = {"kind": kind, "vertices": [[0, 0], [1, 0], [0, 1]], field: 16}
+    with pytest.raises(SpecFormatError, match=field):
+        load_curve(write(tmp_path, "curve.json", record))
+
+
 @pytest.mark.parametrize("field, value", [
     ("nodes_on_circle", 0), ("nodes_on_circle", 2.5), ("nodes_on_circle", True),
     ("refinement_cap", "abc"), ("refinement_cap", 0), ("refinement_cap", -64),

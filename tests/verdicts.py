@@ -8,7 +8,8 @@ of any verdict shows up as a diff of that file.  Rewrite the file with
 
     python3 tests/verdicts.py
 
-and name every changed entry, with its reason, in ``CHANGES.md``.
+which prints one line per changed entry (see :func:`changed`), and name
+every changed entry, with its reason, in ``CHANGES.md``.
 """
 
 from __future__ import annotations
@@ -100,8 +101,12 @@ def dump(ledger: dict) -> str:
 
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
+    recorded = json.loads(LEDGER.read_text()) if LEDGER.exists() else {}
+    computed = compute_ledger()
     LEDGER.parent.mkdir(parents=True, exist_ok=True)
-    LEDGER.write_text(dump(compute_ledger()))
+    LEDGER.write_text(dump(computed))
+    for line in changed(recorded, computed):
+        print(line)
     return 0
 
 
