@@ -3,8 +3,10 @@
 Subcommands: ``validate`` an algebra file, ``verify`` named suites,
 ``lambda`` for the integral constant across several circles, ``predicates``
 for the structure-constant and frame conditions, and ``list`` for the
-built-ins.  Experiments can be described by a JSON config file; flags
-override file fields.  Exit status 0 means every check passed.
+built-ins.  ``_SETTINGS`` says which settings each subcommand reads: they
+are its flags, the keys its JSON config file may hold, and what its
+report's ``config`` block records.  Flags override file fields.  Exit
+status 0 means every check passed.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .curves import Circle2D, QuadratureOptions, _is_count, coordinate_plane
 from .errors import MonalgError, SpecFormatError
 from .integrals import VerificationReport, compute_lambda
 from .io import (
+    _check,
     _field,
     _known,
     _read_json,
@@ -53,33 +56,60 @@ def _positive_int(text: str) -> int:
     return value
 
 
+_RUN = ("algebra", "frame", "tol", "out", "nodes_cap")
+# The settings (fields of ExperimentConfig) each subcommand reads.
+_SETTINGS = {
+    "validate": ("algebra", "tol"),
+    "verify": (*_RUN, "suites", "seed", "triangles", "points"),
+    "lambda": _RUN,
+    "predicates": _RUN,
+}
+
+
+def _setting(kind, help_text, default=None, **flag):
+    """A field of :class:`ExperimentConfig`: a config file gives it as JSON
+    ``kind`` (``io._KINDS``), and its flag takes the argparse keywords ``flag``."""
+    return field(default=default, metadata={"kind": kind, "flag": {"help": help_text, **flag}})
+
+
 @dataclass
 class ExperimentConfig:
     """One archivable experiment: inputs, checks, tolerances, outputs.
 
-    Each field's metadata names the JSON kind a config file gives it
-    (``io._KINDS``); a flag given on the command line replaces it.
+    Each field is a setting; a flag given on the command line replaces it.
     """
 
-    algebra: str = field(default="", metadata={"kind": "string"})
-    frame: str | None = field(default=None, metadata={"kind": "string?"})
-    suites: list = field(default_factory=lambda: ["all"], metadata={"kind": ("list", "string")})
-    tol: float | None = field(default=None, metadata={"kind": "number?"})
-    seed: int = field(default=0, metadata={"kind": "integer"})
-    out: str | None = field(default=None, metadata={"kind": "string?"})
-    nodes_cap: int = field(default=QuadratureOptions.cap, metadata={"kind": "count"})
+    algebra: str = _setting("string", "built-in name or algebra JSON file", "")
+    frame: str | None = _setting("string?", "'default', 'in-s', or a frame JSON file")
+    suites: list = field(default_factory=lambda: ["all"], metadata={
+        "kind": ("list", "string"), "flag": {
+            "metavar": "SUITE", "action": "extend", "type": lambda chunk: chunk.split(","),
+            "help": f"suites to run (comma-separated); known: {', '.join(SUITES)}, all"}})
+    tol: float | None = _setting("tol?", "tolerance override, finite and > 0", type=float)
+    seed: int = _setting("integer", "seed for sampled checks", 0, type=int)
+    out: str | None = _setting("string?", "output prefix for .json/.txt/.csv reports")
+    nodes_cap: int = _setting("count", "node cap of circle refinement; polyline segments keep "
+                              f"their cap of {QuadratureOptions.segment_cap} nodes",
+                              QuadratureOptions.cap, type=_positive_int)
+    triangles: int | None = _setting("count?", "triangle count for the Morera suite",
+                                     type=_positive_int)
+    points: int | None = _setting("count?", "sample count for the oracle suite",
+                                  type=_positive_int)
 
     @classmethod
-    def from_file(cls, path) -> "ExperimentConfig":
+    def from_file(cls, path, command: str = "verify") -> "ExperimentConfig":
+        """The config file at ``path``; a key that ``command`` does not read is refused."""
         data = _read_json(path)
-        kinds = {f.name: f.metadata["kind"] for f in fields(cls)}
+        kinds = {f.name: f.metadata["kind"] for f in fields(cls) if f.name in _SETTINGS[command]}
         _known(data, kinds, path)
         return cls(**{key: _field(data, key, kinds[key], path) for key in data})
 
     def merge_flags(self, args) -> "ExperimentConfig":
+        """Each flag given replaces its field, checked as a config file's value is."""
         for f in fields(self):
-            if getattr(args, f.name, None) is not None:
-                setattr(self, f.name, getattr(args, f.name))
+            value = getattr(args, f.name, None)
+            if value is not None:
+                setattr(self, f.name, _check(value, f.metadata["kind"], f"--{f.name}"))
         return self
 
 
@@ -111,23 +141,32 @@ def _resolve_frames(spec, frame_ref, algebra_name) -> dict:
     return {"default": load_frame(frame_ref, spec)}
 
 
-def _suite_options(config: ExperimentConfig, spec, algebra_name) -> dict:
-    options = {"nodes_cap": config.nodes_cap}
-    if config.tol is not None:
-        options["tol"] = config.tol
+def _suite_options(config: ExperimentConfig, algebra_name) -> dict:
+    options = {key: getattr(config, key) for key in ("nodes_cap", "tol", "triangles", "points")
+               if getattr(config, key) is not None}
     expected = None if _is_algebra_file(algebra_name) else builtin_theorem5_condition(algebra_name)
     if expected is not None:
         options["expected_theorem5_condition"] = expected
     return options
 
 
-def _emit(reports, config: ExperimentConfig, meta: dict) -> int:
+def _inputs(config: ExperimentConfig):
+    """``(spec, algebra name, frames, suite options)`` of ``config``, as ``verify`` reads them."""
+    spec, name = _resolve_algebra(config.algebra)
+    return spec, name, _resolve_frames(spec, config.frame, name), _suite_options(config, name)
+
+
+def _emit(reports, config: ExperimentConfig, command: str, name: str, frames) -> int:
+    """Print the table; with ``out``, write the reports, recording ``command``'s settings."""
     text = reports_to_text(reports)
     sys.stdout.write(text)
     if config.out:
         prefix = Path(config.out)
         prefix.parent.mkdir(parents=True, exist_ok=True)
-        payload = reports_to_json(reports, config=meta)
+        settings = {key: getattr(config, key) for key in _SETTINGS[command]
+                    if key not in ("algebra", "frame", "out")}
+        payload = reports_to_json(reports, config={"algebra": name, "frames": sorted(frames),
+                                                   **settings})
         Path(str(prefix) + ".json").write_text(payload)
         Path(str(prefix) + ".txt").write_text(text)
         reports_to_csv(reports, str(prefix) + ".csv")
@@ -172,38 +211,23 @@ def _write_timings(rows) -> None:
         sys.stderr.write(f"{name:<12} {seconds:>9.4f} {calls:>8d}\n")
 
 
-def run_experiment(config: ExperimentConfig, extra_options: dict | None = None,
-                   timings: bool = False) -> int:
+def run_experiment(config: ExperimentConfig, timings: bool = False) -> int:
     """Resolve the config, run its suites, emit reports; 0 iff all passed.
 
     With ``timings``, a per-suite table goes to stderr; the reports and the
     ``--out`` files do not change.
     """
-    spec, name = _resolve_algebra(config.algebra)
-    frames = _resolve_frames(spec, config.frame, name)
-    options = _suite_options(config, spec, name)
-    options.update(extra_options or {})
+    spec, name, frames, options = _inputs(config)
     rows = [] if timings else None
     reports = run_suites(config.suites, spec, frames, seed=config.seed, options=options,
                          timings=rows)
     if rows is not None:
         _write_timings(rows)
-    meta = {
-        "algebra": name,
-        "frames": sorted(frames),
-        "suites": config.suites,
-        "seed": config.seed,
-        "tol": config.tol,
-        "nodes_cap": config.nodes_cap,
-    }
-    return _emit(reports, config, meta)
+    return _emit(reports, config, "verify", name, frames)
 
 
 def _cmd_verify(args) -> int:
-    config = _config_from(args)
-    extra = {key: getattr(args, key) for key in ("triangles", "points")
-             if getattr(args, key) is not None}
-    return run_experiment(config, extra, timings=args.timings)
+    return run_experiment(_config_from(args), timings=args.timings)
 
 
 def _lambda_circles(k: int, cap: int):
@@ -239,8 +263,7 @@ def _lambda_circles(k: int, cap: int):
 
 def _cmd_lambda(args) -> int:
     config = _config_from(args)
-    spec, name = _resolve_algebra(config.algebra)
-    frames = _resolve_frames(spec, config.frame, name)
+    spec, name, frames, _ = _inputs(config)
     tol = config.tol if config.tol is not None else 1e-8
     reports = []
     integrated = {}  # frame -> (label, LambdaResult) pairs; a frame may have two names
@@ -275,15 +298,12 @@ def _cmd_lambda(args) -> int:
                 diagnostics={"circles": len(integrated[frame])},
             )
         )
-    meta = {"algebra": name, "frames": sorted(frames), "seed": config.seed,
-            "tol": tol, "nodes_cap": config.nodes_cap}
-    return _emit(reports, config, meta)
+    return _emit(reports, config, "lambda", name, frames)
 
 
 def _cmd_predicates(args) -> int:
     config = _config_from(args)
-    spec, name = _resolve_algebra(config.algebra)
-    frames = _resolve_frames(spec, config.frame, name)
+    spec, name, frames, options = _inputs(config)
     th5 = theorem5_predicate(spec)
     sys.stdout.write(
         f"structure-constant conditions: holds={th5.holds} "
@@ -303,46 +323,31 @@ def _cmd_predicates(args) -> int:
         if spec.dim_nilpotent == 4:
             line += f" sparsity-condition={theorem7_predicate(frame, spec)}"
         sys.stdout.write(line + "\n")
-    reports = run_suites(["predicates"], spec, frames, seed=config.seed,
-                         options=_suite_options(config, spec, name))
-    meta = {"algebra": name, "frames": sorted(frames), "seed": config.seed}
-    return _emit(reports, config, meta)
+    reports = run_suites(["predicates"], spec, frames, options=options)
+    return _emit(reports, config, "predicates", name, frames)
 
 
 def _config_from(args) -> ExperimentConfig:
-    config = ExperimentConfig()
-    if getattr(args, "config", None):
-        config = ExperimentConfig.from_file(args.config)
-    return config.merge_flags(args)
+    config = ExperimentConfig.from_file(args.config, args.command) if args.config else None
+    return (config or ExperimentConfig()).merge_flags(args)
 
 
-def _add_common(parser, with_run=True, with_suite=False):
-    """A subcommand's flags; ``validate`` reads no frame, seed, output or node cap."""
-    parser.add_argument("--algebra", default=None, help="built-in name or algebra JSON file")
-    parser.add_argument("--config", default=None, help="experiment config JSON file")
-    parser.add_argument("--tol", type=float, default=None, help="tolerance override")
-    if not with_run:
-        return
-    parser.add_argument("--frame", default=None,
-                        help="'default', 'in-s', or a frame JSON file")
-    parser.add_argument("--seed", type=int, default=None, help="seed for sampled checks")
-    parser.add_argument("--out", default=None,
-                        help="output prefix for .json/.txt/.csv reports")
-    parser.add_argument("--nodes-cap", dest="nodes_cap", type=_positive_int, default=None,
-                        help="node cap of circle refinement; polyline segments keep "
-                             f"their cap of {QuadratureOptions.segment_cap} nodes")
-    if with_suite:
-        parser.add_argument("--suite", dest="suites", metavar="SUITE", action="extend",
-                            type=lambda chunk: chunk.split(","),
-                            help=f"suites to run (comma-separated); known: "
-                                 f"{', '.join(SUITES)}, all")
-        parser.add_argument("--triangles", type=_positive_int, default=None,
-                            help="triangle count for the Morera suite")
-        parser.add_argument("--points", type=_positive_int, default=None,
-                            help="sample count for the oracle suite")
-        parser.add_argument("--timings", action="store_true",
-                            help="print each suite's wall seconds and compute_lambda "
-                                 "calls to stderr")
+def _add_settings(parser, names) -> None:
+    """``--config`` and one flag per setting in ``names``."""
+    parser.add_argument("--config", help="experiment config JSON file; it may hold these settings")
+    for f in fields(ExperimentConfig):
+        if f.name in names:
+            flag = "--suite" if f.name == "suites" else "--" + f.name.replace("_", "-")
+            parser.add_argument(flag, dest=f.name, **f.metadata["flag"])
+
+
+_COMMANDS = {
+    "validate": (_cmd_validate, "check the algebra axioms"),
+    "verify": (_cmd_verify, "run verification suites"),
+    "lambda": (_cmd_lambda, "compute the integral constant"),
+    "predicates": (_cmd_predicates, "evaluate the 2-pi-i conditions"),
+    "list": (_cmd_list, "list built-in algebras"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -352,27 +357,20 @@ def build_parser() -> argparse.ArgumentParser:
                     "theorems in commutative algebras",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("validate", help="check the algebra axioms"), with_run=False)
-    _add_common(sub.add_parser("verify", help="run verification suites"), with_suite=True)
-    _add_common(sub.add_parser("lambda", help="compute the integral constant"))
-    _add_common(sub.add_parser("predicates", help="evaluate the 2-pi-i conditions"))
-    sub.add_parser("list", help="list built-in algebras")
+    for command, (_, help_text) in _COMMANDS.items():
+        subparser = sub.add_parser(command, help=help_text)
+        if command in _SETTINGS:
+            _add_settings(subparser, _SETTINGS[command])
+    sub.choices["verify"].add_argument("--timings", action="store_true",
+                                       help="print each suite's wall seconds and "
+                                            "compute_lambda calls to stderr")
     return parser
-
-
-_COMMANDS = {
-    "list": _cmd_list,
-    "validate": _cmd_validate,
-    "verify": _cmd_verify,
-    "lambda": _cmd_lambda,
-    "predicates": _cmd_predicates,
-}
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][0](args)
     except (SpecFormatError, MonalgError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

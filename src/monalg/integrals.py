@@ -120,6 +120,10 @@ def _locate_failure(evaluators, frame, xs, taus, spec, exc) -> IntegrationError:
     """Re-evaluate pointwise to name the parameter where evaluation failed.
 
     ``evaluators`` are the factors of the integrand, evaluated in order.
+    ``taus`` are the curve parameters of the points ``xs``: radians on a
+    circle, ``s + t`` at ``t`` along segment ``s`` of a polyline, as in
+    :func:`winding_certificate`.  Morera's segments are the 3 T edges of
+    its T triangles, so there ``s // 3`` is the triangle.
     """
     for tau, x in zip(taus, xs):
         try:
@@ -275,7 +279,8 @@ class _CurveStack:
                     vals, once("factor", lambda: self.factor.eval_many(frame, xs, spec)), spec)
         except MonalgError as exc:
             evaluators = [e for e in (psi, self.factor) if e is not None]
-            raise _locate_failure(evaluators, frame, xs, taus, spec, exc) from exc
+            # a node's curve parameter: its piece (0 on a circle) plus its local one
+            raise _locate_failure(evaluators, frame, xs, pieces + taus, spec, exc) from exc
         dz = once("dzeta", lambda: self.pieces.dzeta(taus))
         return vals if dz is None else _multiply_coords(vals, dz, spec)
 

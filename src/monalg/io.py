@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -62,18 +63,21 @@ def _is_int(value) -> bool:
 
 
 def _is_number(value) -> bool:
-    """A JSON number: an ``int`` or ``float`` that is not a ``bool``."""
-    return isinstance(value, float) or _is_int(value)
+    """A finite JSON number: an ``int``, not a ``bool``, or a ``float`` that is
+    neither NaN nor infinite (Python's ``json`` reads ``NaN`` and ``Infinity``)."""
+    return _is_int(value) or isinstance(value, float) and math.isfinite(value)
 
 
 # Every JSON kind an input field may have: (accepts the value, what it must be).
-# Strings and booleans are never numbers, and a float is never an integer.
+# Strings and booleans are never numbers, a float is never an integer, and no
+# number is NaN or infinite.
 _KINDS = {
     "integer": (_is_int, "an integer"),
     "count": (_is_count, "an integer of at least 1"),
-    "number": (_is_number, "a number"),
+    "number": (_is_number, "a finite number"),
+    "tol": (lambda v: _is_number(v) and v > 0, "a finite number greater than 0"),
     "complex": (lambda v: _is_number(v) or isinstance(v, list) and len(v) == 2
-                and all(map(_is_number, v)), "a number or an [re, im] pair of numbers"),
+                and all(map(_is_number, v)), "a finite number or an [re, im] pair of them"),
     "orientation": (lambda v: _is_int(v) and v in (1, -1), "1 or -1"),
     "boolean": (lambda v: isinstance(v, bool), "a boolean"),
     "string": (lambda v: isinstance(v, str), "a string"),

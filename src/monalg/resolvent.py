@@ -159,16 +159,14 @@ def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     return acc
 
 
-# numpy's complex ``**`` is several times slower than a complex product, so
-# the k = 0 coefficient, the only one of a semisimple algebra, skips it.
-
-
 def _inverse_coords(emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     """Inverse coordinates for embedded points; ``emb`` has shape (..., n).
 
     No invertibility guard here; callers check the spectrum first.
     """
     inv = 1.0 / emb[..., : spec.m]
+    # numpy's complex ``**`` is several times slower than a complex product, so
+    # the k = 0 coefficient, the only one of a semisimple algebra, skips it
     return _radical_series(lambda k: inv * (-inv) ** k if k else inv, emb, spec)
 
 
@@ -176,6 +174,7 @@ def _resolvent_coords(t, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     """Resolvent coordinates; ``t`` broadcasts against ``emb[..., 0]``."""
     t = np.asarray(t, dtype=np.complex128)
     r = 1.0 / (t[..., None] - emb[..., : spec.m])
+    # k = 0 skips the complex ``**``, as in _inverse_coords
     return _radical_series(lambda k: r ** (k + 1) if k else r, emb, spec)
 
 

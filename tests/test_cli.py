@@ -1,9 +1,11 @@
 """Command-line surface: subcommands, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +14,7 @@ import pytest
 import monalg
 from monalg.catalog import builtin_algebra
 from monalg.cli import ExperimentConfig, main
+from monalg.errors import SpecFormatError
 from monalg.io import save_algebra
 from monalg.algebra import AlgebraSpec
 
@@ -63,6 +66,106 @@ def test_validate_refuses_flags_it_does_not_read(tmp_path, capsys, flag):
 
 def test_validate_reads_its_tolerance(capsys):
     assert main(["validate", "--algebra", "example1", "--tol", "1e-10"]) == 0
+
+
+# The settings each subcommand reads: its flags, its config-file keys and,
+# but for algebra, frame and out, the settings its report's config block records.
+_RUN = {"algebra", "frame", "tol", "out", "nodes_cap"}
+SETTINGS = {"validate": {"algebra", "tol"}, "lambda": _RUN, "predicates": _RUN,
+            "verify": _RUN | {"suites", "seed", "triangles", "points"}}
+# one well-typed config-file value of every setting
+_VALUES = {"algebra": "example1", "frame": "in-s", "suites": ["axioms"], "tol": 1e-9,
+           "seed": 3, "out": "report", "nodes_cap": 64, "triangles": 30, "points": 50}
+
+
+@pytest.mark.parametrize("command", sorted(SETTINGS))
+def test_each_subcommand_takes_reads_and_records_its_settings(tmp_path, capsys, command):
+    from monalg.cli import build_parser
+
+    (subcommands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    dests = {a.dest for a in subcommands.choices[command]._actions}
+    assert dests - {"help", "config", "timings"} == SETTINGS[command]
+    assert {f.name for f in fields(ExperimentConfig)} == set(_VALUES)
+    for key, value in _VALUES.items():
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: value}))
+        if key in SETTINGS[command]:
+            assert getattr(ExperimentConfig.from_file(path, command), key) == value
+        else:
+            with pytest.raises(SpecFormatError, match="unknown fields") as exc:
+                ExperimentConfig.from_file(path, command)
+            assert repr(key) in str(exc.value)
+    if command == "validate":  # it writes no report
+        return
+    args = [command, "--algebra", "example1", "--out", str(tmp_path / "report")]
+    assert main(args + (["--suite", "axioms"] if command == "verify" else [])) == 0
+    recorded = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert set(recorded) == {"algebra", "frames"} | SETTINGS[command] - {"algebra", "frame", "out"}
+    assert recorded["algebra"] == "example1" and recorded["frames"] == ["default", "in-s"]
+
+
+@pytest.mark.parametrize("key", ["out", "seed", "frame", "nodes_cap", "suites"])
+def test_validate_config_refuses_keys_it_does_not_read(tmp_path, capsys, key):
+    path = tmp_path / "experiment.json"
+    value = str(tmp_path / "x") if key == "out" else _VALUES[key]
+    path.write_text(json.dumps({"algebra": "example1", key: value}))
+    assert main(["validate", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and repr(key) in captured.err
+    assert captured.out == "" and list(tmp_path.iterdir()) == [path]
+
+
+@pytest.mark.parametrize("command", ["lambda", "predicates"])
+def test_only_verify_takes_a_seed(capsys, command):
+    # no check of lambda or predicates is sampled
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--algebra", "example1", "--seed", "3"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
+def test_verify_records_its_counts(tmp_path, capsys):
+    prefix = tmp_path / "report"
+    assert main(["verify", "--algebra", "example1", "--suite", "axioms",
+                 "--triangles", "30", "--points", "50", "--out", str(prefix)]) == 0
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config["triangles"] == 30 and config["points"] == 50
+
+
+def test_predicates_records_its_cap_and_tolerance(tmp_path, capsys):
+    prefix = tmp_path / "report"
+    assert main(["predicates", "--algebra", "example1", "--nodes-cap", "64", "--tol", "1e-9",
+                 "--out", str(prefix)]) in (0, 1)
+    config = json.loads((tmp_path / "report.json").read_text())["config"]
+    assert config["nodes_cap"] == 64 and config["tol"] == 1e-9
+
+
+def test_config_file_sets_the_triangle_count(tmp_path, capsys):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({"algebra": "example1", "suites": ["morera"], "triangles": 30,
+                                "out": str(tmp_path / "report")}))
+    assert main(["verify", "--config", str(path)]) == 0
+    checks = json.loads((tmp_path / "report.json").read_text())["checks"]
+    counts = {c["diagnostics"]["triangles"] for c in checks if "triangles" in c["diagnostics"]}
+    assert counts == {30}
+
+
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "0", "-1"])
+def test_tol_flag_must_be_finite_and_positive(capsys, tol):
+    # at tol=inf the standing cr/residual[zeta^3] failure of semisimple:m=8 would pass
+    assert main(["verify", "--algebra", "semisimple:m=8", "--suite", "cr", f"--tol={tol}"]) == 2
+    captured = capsys.readouterr()
+    assert "--tol" in captured.err and "finite number greater than 0" in captured.err
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), 0, -1e-8])
+def test_config_tol_must_be_finite_and_positive(tmp_path, capsys, tol):
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps({"algebra": "semisimple:m=8", "suites": ["cr"], "tol": tol}))
+    assert main(["verify", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "'tol'" in err and "finite number greater than 0" in err
 
 
 def test_verify_lambda_suite(tmp_path, capsys):

@@ -540,9 +540,10 @@ def test_morera_reports_unconverged_segments():
 
 
 def test_morera_failure_names_tau():
-    # one Kronrod node of the first segment, not shared with the embedded
-    # Gauss rule, is a planted pole; the failing block is re-evaluated
-    # pointwise to name it
+    # one Kronrod node of the first segment of the eleventh triangle, not
+    # shared with the embedded Gauss rule, is a planted pole; the failing
+    # block is re-evaluated pointwise to name it as s + t on segment s of
+    # the 3 T boundary segments, so s // 3 is the triangle
     spec = example1()
     frame = default_frame(spec)
     sampler = TriangleSampler(np.zeros(3), 1.0)
@@ -558,7 +559,7 @@ def test_morera_failure_names_tau():
 
     with pytest.raises(IntegrationError, match="tau=") as err:
         morera_check(psi, frame, spec, sampler, triangles=triangles)
-    assert err.value.tau == node
+    assert err.value.tau == 3 * 10 + node
 
 
 def test_suite_control_is_pointwise_control_vectorised():
@@ -895,3 +896,27 @@ def test_list_failure_names_tau(curve):
         with pytest.raises(IntegrationError, match="tau=") as err:
             call()
         assert err.value.tau == node
+
+
+@pytest.mark.parametrize("segment", [1, 2, 3])
+def test_polyline_failure_names_segment_plus_tau(segment):
+    # on segment s of a polyline the parameter is s + t, as winding_certificate names it
+    spec, frame = _stack_case("example1")
+    center, curves = _formula_curves(3)
+    gamma = curves["square"]
+    node = _KRONROD_NODES[4]
+    start, end = gamma.segments()[segment]
+    planted = start + node * (end - start)
+
+    def psi(x):
+        if np.array_equal(x, planted):
+            raise PoleError("planted pole")
+        return Element(np.asarray(x[0] * basis_element(1, 5).coords))
+
+    phis = [zeta(spec), psi, zeta_power(2, spec)]
+    for call in (lambda: line_integral(phis, gamma, frame, spec),
+                 lambda: line_integral(psi, gamma, frame, spec),
+                 lambda: cauchy_formula_check(phis, center, gamma, frame, spec)):
+        with pytest.raises(IntegrationError, match=f"tau={segment + node:.6g}") as err:
+            call()
+        assert err.value.tau == segment + node

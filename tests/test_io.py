@@ -414,3 +414,28 @@ def test_unknown_keys_are_refused_by_name(tmp_path, load, record, key):
     with pytest.raises(SpecFormatError, match="unknown fields") as exc:
         load(path)
     assert str(path) in str(exc.value) and repr(key) in str(exc.value)
+
+
+_NAN, _INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("load, record, field", [
+    (load_curve, {**_CIRCLE, "center": [_NAN, 0]}, "center"),
+    (load_curve, {**_CIRCLE, "radius": _INF}, "radius"),
+    (load_curve, {**_POLYLINE, "vertices": [[0, 0], [-_INF, 0], [1, 1]]}, "vertices"),
+    (_load_function, {"variant": "resolvent_kernel", "t": _NAN}, "t"),
+    (_load_function, {"variant": "resolvent_kernel", "t": [0, _INF]}, "t"),
+    (load_algebra, {**_ALGEBRA, "products": [{**_PRODUCT, "value_re": _INF}]}, "value_re"),
+    (ExperimentConfig.from_file, {"algebra": "example1", "tol": _INF}, "tol"),
+    (ExperimentConfig.from_file, {"algebra": "example1", "tol": _NAN}, "tol"),
+    (ExperimentConfig.from_file, {"algebra": "example1", "tol": 0}, "tol"),
+    (ExperimentConfig.from_file, {"algebra": "example1", "tol": -1e-8}, "tol"),
+], ids=["center-nan", "radius-inf", "vertices-inf", "t-nan", "t-pair-inf", "value_re-inf",
+        "tol-inf", "tol-nan", "tol-zero", "tol-negative"])
+def test_non_finite_numbers_and_non_positive_tolerances_are_refused(tmp_path, load, record,
+                                                                     field):
+    # Python's json reads NaN and Infinity; no loader may take them as numbers
+    path = write(tmp_path, "probe.json", record)
+    with pytest.raises(SpecFormatError, match="finite") as exc:
+        load(path)
+    assert str(path) in str(exc.value) and repr(field) in str(exc.value)

@@ -30,16 +30,15 @@ SEEDS = range(1, 7)
 
 
 def _inputs(name: str):
-    """Spec, frames and suite options, resolved as ``monalg verify`` does."""
-    from monalg.cli import ExperimentConfig, _resolve_algebra, _resolve_frames, _suite_options
+    """Spec, frames and suite options, resolved by ``monalg verify``'s own resolver."""
+    from monalg.cli import ExperimentConfig, _inputs
 
     if name == "chain12":
         config = ExperimentConfig(algebra=str(CHAIN12[0]), frame=str(CHAIN12[1]))
     else:
         config = ExperimentConfig(algebra=name)
-    spec, display = _resolve_algebra(config.algebra)
-    frames = _resolve_frames(spec, config.frame, display)
-    return spec, frames, _suite_options(config, spec, display)
+    spec, _, frames, options = _inputs(config)
+    return spec, frames, options
 
 
 def verdicts(reports) -> dict:
