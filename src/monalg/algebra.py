@@ -65,15 +65,6 @@ class Element:
     def norm(self) -> float:
         return float(np.linalg.norm(self.coords))
 
-    def coord(self, r: int) -> complex:
-        """Coordinate of ``I_r`` (1-based)."""
-        if not 1 <= r <= self.n:
-            raise IndexError(f"basis index {r} out of [1, {self.n}]")
-        return complex(self.coords[r - 1])
-
-    def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.coords.view(np.float64))))
-
     def __add__(self, other):
         if not isinstance(other, Element):
             return NotImplemented

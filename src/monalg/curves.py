@@ -149,17 +149,18 @@ class Polyline:
         return np.concatenate(chunks, axis=0)
 
 
-def triangle_quality(vertices: np.ndarray) -> float:
-    """Shape quality in (0, 1]: 4*sqrt(3)*area / sum of squared sides."""
-    a, b, c = np.asarray(vertices, dtype=np.float64)
-    sides = (b - a, c - b, a - c)
-    sq = sum(float(np.dot(s, s)) for s in sides)
-    u, v = b - a, c - a
-    area_sq = np.dot(u, u) * np.dot(v, v) - np.dot(u, v) ** 2
-    area = np.sqrt(max(area_sq, 0.0)) / 2.0
-    if sq == 0.0:
-        return 0.0
-    return float(4.0 * np.sqrt(3.0) * area / sq)
+def triangle_quality(vertices: np.ndarray):
+    """Shape quality in [0, 1]: 4*sqrt(3)*area / sum of squared sides.
+
+    ``vertices`` is one triangle ``(3, k)`` or a stack ``(..., 3, k)``; the
+    result has the stack's shape.
+    """
+    a, b, c = np.moveaxis(np.asarray(vertices, dtype=np.float64), -2, 0)
+    u, v, w = b - a, c - a, c - b
+    uu, vv, uv = (np.sum(x * y, axis=-1) for x, y in ((u, u), (v, v), (u, v)))
+    sq = uu + vv + np.sum(w * w, axis=-1)
+    area = np.sqrt(np.maximum(uu * vv - uv**2, 0.0)) / 2.0
+    return np.divide(4.0 * np.sqrt(3.0) * area, sq, out=np.zeros_like(sq), where=sq > 0.0)[()]
 
 
 @dataclass(frozen=True)
@@ -176,7 +177,7 @@ class Triangle(Polyline):
             raise ValueError("triangle vertices are affinely dependent")
 
     def quality(self) -> float:
-        return triangle_quality(self.vertices)
+        return float(triangle_quality(self.vertices))
 
 
 @dataclass
@@ -184,8 +185,8 @@ class TriangleSampler:
     """Random well-shaped triangles in a ball, on random 2-planes.
 
     Vertices are drawn on an arbitrary oriented 2-plane through a random
-    interior point; candidates thinner than ``min_quality`` are redrawn so
-    the boundary quadrature stays well-conditioned.
+    interior point; candidates thinner than ``min_quality`` or leaving the
+    ball are dropped so the boundary quadrature stays well-conditioned.
     """
 
     center: np.ndarray
@@ -195,24 +196,34 @@ class TriangleSampler:
     def __post_init__(self):
         self.center = np.asarray(self.center, dtype=np.float64)
 
-    def sample(self, rng: np.random.Generator) -> Triangle:
-        k = self.center.shape[0]
-        for _ in range(1000):
-            basis = rng.standard_normal((k, 2)) if k > 2 else np.eye(2)
-            q, _ = np.linalg.qr(basis)
-            plane = q[:, :2].T  # (2, k) orthonormal
-            mid = self.center + 0.4 * self.radius * _ball_point(rng, k)
-            local = 0.45 * self.radius * rng.uniform(-1.0, 1.0, size=(3, 2))
-            verts = mid + local @ plane
-            if np.any(np.linalg.norm(verts - self.center, axis=1) > self.radius):
-                continue
-            if triangle_quality(verts) < self.min_quality:
-                continue
-            return Triangle(verts)
+    def sample(self, rng: np.random.Generator, count: int) -> np.ndarray:
+        """``count`` triangles as one ``(count, 3, k)`` vertex array.
+
+        Candidates are drawn in batches and the first ``count`` admissible
+        ones are kept, in draw order.  After 1000 candidates per triangle
+        asked for, :class:`RuntimeError` ends the search.
+        """
+        if not _is_count(count):
+            raise ValueError(f"need a triangle count of at least 1, got {count!r}")
+        k, m = self.center.shape[0], 2 * count
+        kept, found = [], 0
+        for _ in range(500):  # 500 batches of m candidates
+            planes = (np.swapaxes(np.linalg.qr(rng.standard_normal((m, k, 2)))[0], 1, 2)
+                      if k > 2 else np.eye(2))  # each (2, k), orthonormal rows
+            mids = self.center + 0.4 * self.radius * _ball_points(rng, m, k)
+            local = 0.45 * self.radius * rng.uniform(-1.0, 1.0, size=(m, 3, 2))
+            verts = mids[:, None, :] + local @ planes
+            inside = np.all(np.linalg.norm(verts - self.center, axis=2) <= self.radius, axis=1)
+            verts = verts[inside & (triangle_quality(verts) >= self.min_quality)]
+            kept.append(verts)
+            found += len(verts)
+            if found >= count:
+                return np.concatenate(kept)[:count]
         raise RuntimeError("failed to sample an admissible triangle")
 
 
-def _ball_point(rng: np.random.Generator, k: int) -> np.ndarray:
-    v = rng.standard_normal(k)
-    v /= max(np.linalg.norm(v), 1e-30)
-    return v * rng.uniform(0.0, 1.0) ** (1.0 / k)
+def _ball_points(rng: np.random.Generator, m: int, k: int) -> np.ndarray:
+    """``m`` points uniform in the unit ball of R^k."""
+    v = rng.standard_normal((m, k))
+    v /= np.maximum(np.linalg.norm(v, axis=1, keepdims=True), 1e-30)
+    return v * rng.uniform(0.0, 1.0, size=(m, 1)) ** (1.0 / k)

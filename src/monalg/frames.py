@@ -45,12 +45,6 @@ class Frame:
     def n(self) -> int:
         return self.a.shape[1]
 
-    def vector(self, j: int) -> Element:
-        """The frame vector e_j (1-based)."""
-        if not 1 <= j <= self.k:
-            raise IndexError(f"frame index {j} out of [1, {self.k}]")
-        return Element(self.a[j - 1].copy())
-
     @classmethod
     def from_rows(cls, spec: AlgebraSpec, *rows) -> "Frame":
         """Build a frame from the unit row plus the given e_2.. rows."""

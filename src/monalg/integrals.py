@@ -26,7 +26,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Element
 from .algebra import _multiply_coords
-from .curves import Circle2D, Triangle, TriangleSampler
+from .curves import Circle2D, QuadratureOptions, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
 from .frames import Frame, embed_many
 from .monogenic import eval_batch, eval_function
@@ -484,49 +484,39 @@ def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
 def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
                  n_triangles: int = 200, tol: float = 1e-8,
                  rng: np.random.Generator | None = None,
-                 triangles: list[Triangle] | None = None) -> VerificationReport:
+                 triangles: np.ndarray | None = None) -> VerificationReport:
     """Worst triangle-boundary integral over randomly sampled triangles.
 
-    ``triangles`` reuses triangles drawn earlier in place of ``n_triangles``
-    draws from ``sampler``.  The 3T boundary segments are refined as one
-    stack, each to the tolerance :func:`line_integral` gives it.
+    ``triangles``, a ``(T, 3, k)`` vertex array drawn earlier, replaces the
+    ``n_triangles`` draws from ``sampler``.  The 3T boundary segments are
+    refined as one stack with the default :class:`QuadratureOptions`, each
+    to the tolerance :func:`line_integral` gives it.
     """
     if triangles is None:
         rng = rng if rng is not None else np.random.default_rng(0)
-        triangles = [sampler.sample(rng) for _ in range(n_triangles)]
-    worst = 0.0
-    worst_triangle = None
-    nodes = 0
-    converged = True
-    if triangles:
-        opts = triangles[0].quadrature
-        if any(tri.quadrature != opts for tri in triangles):
-            raise ValueError("stacked triangles need the same quadrature options")
-        starts = np.array([tri.vertices for tri in triangles])  # (T, 3, k)
-        ends = np.roll(starts, -1, axis=1)
-        k = starts.shape[2]
-        # line_integral's default tolerance, split over three segments
-        parts, _, res = _segment_integrals([phi], starts.reshape(-1, k), ends.reshape(-1, k),
-                                           frame, spec, _LINE_TOL / 3, opts)
-        # the orientation flips the sign of a boundary integral, not its norm
-        norms = np.linalg.norm(parts.reshape(len(triangles), 3, spec.n).sum(axis=1), axis=1)
-        if norms.max() > 0.0:
-            worst_index = int(np.argmax(norms))
-            worst = float(norms[worst_index])
-            worst_triangle = triangles[worst_index].vertices.tolist()
-        nodes = res.nodes
-        converged = res.converged
+        triangles = sampler.sample(rng, n_triangles)
+    starts = np.asarray(triangles, dtype=np.float64)
+    if starts.ndim != 3 or starts.shape[1] != 3 or len(starts) == 0:
+        raise ValueError(f"need a (T, 3, k) array of T >= 1 triangles, got shape {starts.shape}")
+    k = starts.shape[2]
+    # line_integral's default tolerance, split over three segments
+    parts, _, res = _segment_integrals([phi], starts.reshape(-1, k),
+                                       np.roll(starts, -1, axis=1).reshape(-1, k),
+                                       frame, spec, _LINE_TOL / 3, QuadratureOptions())
+    # the orientation flips the sign of a boundary integral, not its norm
+    norms = np.linalg.norm(parts.reshape(len(starts), 3, spec.n).sum(axis=1), axis=1)
+    worst = int(np.argmax(norms))
     return VerificationReport(
         name="triangle-boundary-integral",
-        residual=worst,
+        residual=float(norms[worst]),
         tolerance=tol,
-        value=worst,
+        value=float(norms[worst]),
         reference=0.0,
         diagnostics={
-            "triangles": len(triangles),
-            "nodes": nodes,
-            "worst_triangle": worst_triangle,
-            "converged": converged,
+            "triangles": len(starts),
+            "nodes": res.nodes,
+            "worst_triangle": starts[worst].tolist(),
+            "converged": res.converged,
         },
     )
 

@@ -28,6 +28,7 @@ from .integrals import (
     compute_lambda,
     morera_check,
 )
+from .io import _check
 from .monogenic import ResolventKernel, constant, cr_residual, zeta, zeta_power
 from .predicates import theorem5_predicate, theorem6_predicate, theorem7_predicate
 from .resolvent import _inverse_coords, _resolvent_coords
@@ -60,6 +61,17 @@ class _Control:
         out = np.zeros((len(xs), self.n), dtype=np.complex128)
         out[:, 0] = xs[:, 1]
         return out
+
+
+def _necessity_control(suite: str, required_min: float, observed: float) -> VerificationReport:
+    """The control's check: the non-monogenic function must NOT integrate to zero."""
+    return VerificationReport(
+        f"{suite}/necessity-control",
+        residual=required_min - observed,
+        tolerance=0.0,
+        value=observed,
+        diagnostics={"required_min": required_min, "observed": observed},
+    )
 
 
 def _sample_invertible(rng, frame: Frame, spec: AlgebraSpec, count: int,
@@ -246,17 +258,7 @@ def suite_cauchy(spec, frames, seed, options) -> list:
             out.append(rep)
         if control:
             control_rep = reports[-1]
-    # necessity control: the non-monogenic function must NOT integrate to zero
-    observed = control_rep.residual
-    out.append(
-        VerificationReport(
-            "cauchy/necessity-control",
-            residual=0.1 - observed,
-            tolerance=0.0,
-            value=observed,
-            diagnostics={"required_min": 0.1, "observed": observed},
-        )
-    )
+    out.append(_necessity_control("cauchy", 0.1, control_rep.residual))
     return out
 
 
@@ -305,10 +307,8 @@ def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
 def suite_morera(spec, frames, seed, options) -> list:
     frame = frames["default"]
     sampler = TriangleSampler(np.zeros(frame.k), 1.0)
-    n_triangles = options.get("triangles", 200)
+    triangles = sampler.sample(_rng(seed, 6), options.get("triangles", 200))
     tol = options.get("tol", 1e-8)
-    rng = _rng(seed, 6)
-    triangles = [sampler.sample(rng) for _ in range(n_triangles)]
     out = []
     for name, phi in _phi_set(spec):
         rep = morera_check(phi, frame, spec, sampler, tol=tol, triangles=triangles)
@@ -316,16 +316,7 @@ def suite_morera(spec, frames, seed, options) -> list:
         out.append(rep)
     control_rep = morera_check(_Control(spec), frame, spec, sampler, tol=np.inf,
                                triangles=triangles)
-    observed = control_rep.residual
-    out.append(
-        VerificationReport(
-            "morera/necessity-control",
-            residual=1e-3 - observed,
-            tolerance=0.0,
-            value=observed,
-            diagnostics={"required_min": 1e-3, "observed": observed},
-        )
-    )
+    out.append(_necessity_control("morera", 1e-3, control_rep.residual))
     return out
 
 
@@ -429,8 +420,10 @@ SUITES = {
 
 # suites that take the run's lambda memo as ``lambdas=``
 _LAMBDA_SUITES = frozenset({"lambda", "predicates"})
-# the options the suites read; each tolerance that reads "tol" has its default there
-_OPTION_KEYS = frozenset({"nodes_cap", "tol", "triangles", "points", "expected_theorem5_condition"})
+# the options the suites read, each with its ``io._KINDS`` kind, as a config
+# file gives it; each tolerance that reads "tol" has its default there
+_OPTION_KINDS = {"nodes_cap": "count", "tol": "tol", "triangles": "count", "points": "count",
+                 "expected_theorem5_condition": "integer"}
 
 
 def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
@@ -442,14 +435,18 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
     on the standard circle is integrated once and read by the lambda and
     predicates suites.  When ``timings`` is a list, one row ``(suite, wall
     seconds, compute_lambda calls)`` is appended to it per suite run.  An
-    option key outside ``_OPTION_KEYS`` raises ``ValueError``.
+    option key outside ``_OPTION_KINDS`` raises ``ValueError``, and a value
+    not of its key's kind (a ``tol`` that is not finite and > 0, a count
+    below 1) raises :class:`SpecFormatError`.
     """
     if isinstance(names, str):
         raise TypeError(f"names must be a list of suite names, got the string {names!r}")
     options = options or {}
-    unknown = sorted(set(options) - _OPTION_KEYS)
+    unknown = sorted(set(options) - set(_OPTION_KINDS))
     if unknown:
-        raise ValueError(f"unknown suite options {unknown}; known: {sorted(_OPTION_KEYS)}")
+        raise ValueError(f"unknown suite options {unknown}; known: {sorted(_OPTION_KINDS)}")
+    for key, value in options.items():
+        _check(value, _OPTION_KINDS[key], f"suite option {key!r}")
     if list(names) == ["all"]:
         names = list(SUITES)
     elif "all" in names:

@@ -489,6 +489,15 @@ def test_run_experiment_library_level(tmp_path, capsys):
     assert (tmp_path / "exp.json").exists()
 
 
+def test_run_experiment_checks_a_library_config():
+    # a config built in code skips from_file and merge_flags; the suites check it
+    from monalg.cli import run_experiment
+
+    config = ExperimentConfig(algebra="semisimple:m=8", suites=["cr"], tol=float("inf"))
+    with pytest.raises(SpecFormatError, match="'tol'"):
+        run_experiment(config)
+
+
 # Malformed files: a scalar where a list belongs, a bool index, a string
 # number, and mistyped config fields.
 _MALFORMED_ALGEBRAS = {

@@ -310,7 +310,7 @@ def test_triangle_is_a_closed_polyline(tmp_path):
     assert isinstance(back, Triangle) and back.closed and back.orientation == -1
     with pytest.raises(TypeError):
         Triangle(tri.vertices, closed=False)
-    drawn = TriangleSampler(np.zeros(3), 1.0).sample(np.random.default_rng(5))
+    drawn = Triangle(TriangleSampler(np.zeros(3), 1.0).sample(np.random.default_rng(5), 1)[0])
     path = tmp_path / "tri.json"
     path.write_text(json.dumps({"kind": "triangle", "vertices": [[0, 0], [1, 0], [0, 1]]}))
     for curve in (drawn, load_curve(path)):
@@ -327,10 +327,59 @@ def test_triangle_needs_three_vertices(vertices):
 def test_triangle_sampler_respects_constraints():
     sampler = TriangleSampler(np.zeros(3), 1.0, min_quality=0.1)
     rng = np.random.default_rng(71)
-    for _ in range(50):
-        tri = sampler.sample(rng)
+    for row in sampler.sample(rng, 50):
+        tri = Triangle(row)
         assert tri.quality() >= 0.1
         assert np.all(np.linalg.norm(tri.vertices, axis=1) <= 1.0 + 1e-12)
+
+
+def _quality_by_cross_product(a, b, c):
+    """Reference quality of one triangle in R^3: the area from a cross product."""
+    area = np.linalg.norm(np.cross(b - a, c - a)) / 2.0
+    return 4.0 * np.sqrt(3.0) * area / sum(np.dot(s, s) for s in (b - a, c - b, a - c))
+
+
+def test_triangle_quality_of_a_stack_is_each_triangles_quality():
+    verts = TriangleSampler(np.zeros(3), 1.0).sample(np.random.default_rng(3), 20)
+    stacked = triangle_quality(verts)
+    assert stacked.shape == (20,)
+    reference = [_quality_by_cross_product(*row) for row in verts]
+    assert np.allclose(stacked, reference, rtol=0, atol=1e-12)
+    assert np.array_equal(stacked, [Triangle(row).quality() for row in verts])
+    assert triangle_quality(np.zeros((2, 3, 2))).tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_triangle_sampler_draws_one_array_of_admissible_triangles(k):
+    center = np.full(k, 0.25)
+    sampler = TriangleSampler(center, 0.7, min_quality=0.3)
+    verts = sampler.sample(np.random.default_rng(11), 1500)
+    assert verts.shape == (1500, 3, k)
+    assert np.all(np.linalg.norm(verts - center, axis=2) <= 0.7)
+    assert np.all(triangle_quality(verts) >= 0.3)
+    # triangles on random planes through random points are not repeats of one
+    assert len(np.unique(verts[:, 0, 0])) == 1500
+
+
+def test_triangle_sampler_is_reproducible():
+    sampler = TriangleSampler(np.zeros(3), 1.0)
+    first = sampler.sample(np.random.default_rng(19), 30)
+    again = sampler.sample(np.random.default_rng(19), 30)
+    assert np.array_equal(first, again)
+    assert not np.array_equal(first, sampler.sample(np.random.default_rng(20), 30))
+
+
+def test_triangle_sampler_gives_up_on_an_unreachable_quality():
+    # no triangle has quality above 1, so every candidate is dropped
+    sampler = TriangleSampler(np.zeros(3), 1.0, min_quality=1.01)
+    with pytest.raises(RuntimeError, match="admissible triangle"):
+        sampler.sample(np.random.default_rng(0), 3)
+
+
+@pytest.mark.parametrize("count", [0, -2, 1.0, True])
+def test_triangle_sampler_refuses_counts_below_one(count):
+    with pytest.raises(ValueError, match="at least 1"):
+        TriangleSampler(np.zeros(3), 1.0).sample(np.random.default_rng(0), count)
 
 
 def test_reversal_flips_orientation_flag():

@@ -16,7 +16,7 @@ from monalg.curves import (
     TriangleSampler,
     coordinate_plane,
 )
-from monalg.errors import EmbracingError, IntegrationError, PoleError
+from monalg.errors import EmbracingError, IntegrationError, PoleError, SpecFormatError
 from monalg.frames import Frame, embed
 from monalg.io import report_record
 from monalg.integrals import (
@@ -479,11 +479,11 @@ def test_morera_control_fails():
 def _per_triangle_morera(phi, frame, spec, triangles):
     """Morera's worst boundary integral by one line integral per triangle."""
     worst, worst_triangle, nodes = 0.0, None, 0
-    for tri in triangles:
-        res = line_integral(phi, tri, frame, spec)
+    for row in triangles:
+        res = line_integral(phi, Triangle(row), frame, spec)
         nodes += res.nodes
         if res.value.norm() > worst:
-            worst, worst_triangle = res.value.norm(), tri.vertices.tolist()
+            worst, worst_triangle = res.value.norm(), row.tolist()
     return worst, worst_triangle, nodes
 
 
@@ -496,8 +496,7 @@ def test_morera_stack_matches_per_triangle_line_integrals(name):
         spec = example1()
         frame = default_frame(spec)
     sampler = TriangleSampler(np.zeros(frame.k), 1.0)
-    rng = np.random.default_rng(97)
-    triangles = [sampler.sample(rng) for _ in range(40)]
+    triangles = sampler.sample(np.random.default_rng(97), 40)
     for phi in (zeta(spec), zeta_power(3, spec), ResolventKernel(3 + 3j), _Control(spec)):
         report = morera_check(phi, frame, spec, sampler, triangles=triangles)
         worst, worst_triangle, nodes = _per_triangle_morera(phi, frame, spec, triangles)
@@ -515,8 +514,7 @@ def test_morera_reuses_predrawn_triangles():
     sampler = TriangleSampler(np.zeros(3), 1.0)
     sampled = morera_check(zeta_power(2, spec), frame, spec, sampler, n_triangles=30,
                            rng=np.random.default_rng(61))
-    rng = np.random.default_rng(61)
-    triangles = [sampler.sample(rng) for _ in range(30)]
+    triangles = sampler.sample(np.random.default_rng(61), 30)
     reused = morera_check(zeta_power(2, spec), frame, spec, sampler, triangles=triangles)
     assert reused.residual == sampled.residual
     assert reused.diagnostics == sampled.diagnostics
@@ -526,17 +524,31 @@ def test_morera_reports_unconverged_segments():
     spec = example1()
     frame = default_frame(spec)
     sampler = TriangleSampler(np.zeros(3), 1.0)
-    rng = np.random.default_rng(67)
-    drawn = [sampler.sample(rng) for _ in range(5)]
-    starved = [Triangle(tri.vertices, quadrature=QuadratureOptions(segment_cap=16))
-               for tri in drawn]
-    # a pole near the triangles: some segments fail the level-0 Kronrod test,
-    # and a cap of 16 nodes allows no second level of 30
-    phi = ResolventKernel(1.2 + 0.2j)
-    assert morera_check(phi, frame, spec, sampler, triangles=drawn).diagnostics["converged"]
-    report = morera_check(phi, frame, spec, sampler, triangles=starved)
+    drawn = sampler.sample(np.random.default_rng(67), 5)
+    edge = np.array([[[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]]])
+    # zeta = x_1 + i x_2 here, so the pole lies 1e-7 outside the edge
+    # (0,0,0) -> (1,0,0), and no level up to the segment cap resolves it
+    phi = ResolventKernel(0.5 - 1e-7j)
+    alone = morera_check(phi, frame, spec, sampler, triangles=drawn).diagnostics
+    assert alone["converged"]
+    report = morera_check(phi, frame, spec, sampler, triangles=np.concatenate([drawn, edge]))
     assert report.diagnostics["converged"] is False
-    assert report.diagnostics["nodes"] == 5 * 3 * 15
+    # the edge alone reaches 256 K15 panels, the last level below the 4096-node cap
+    assert QuadratureOptions().segment_cap == 4096
+    assert report.diagnostics["nodes"] - alone["nodes"] >= 3840
+
+
+@pytest.mark.parametrize("count", [0, -1])
+def test_morera_refuses_no_triangles(count):
+    # a check over no triangles has nothing to pass on
+    spec = example1()
+    frame = default_frame(spec)
+    sampler = TriangleSampler(np.zeros(3), 1.0)
+    with pytest.raises(ValueError, match="at least 1"):
+        morera_check(zeta(spec), frame, spec, sampler, n_triangles=count)
+    for empty in (np.empty((0, 3, 3)), np.empty((4, 2, 3))):
+        with pytest.raises(ValueError, match="T >= 1 triangles"):
+            morera_check(zeta(spec), frame, spec, sampler, triangles=empty)
 
 
 def test_morera_failure_names_tau():
@@ -549,7 +561,7 @@ def test_morera_failure_names_tau():
     sampler = TriangleSampler(np.zeros(3), 1.0)
     rng = np.random.default_rng(71)
     planted = Triangle(np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]]))
-    triangles = [sampler.sample(rng) for _ in range(10)] + [planted]
+    triangles = np.concatenate([sampler.sample(rng, 10), planted.vertices[None]])
     node = _KRONROD_NODES[4]
 
     def psi(x):
@@ -710,6 +722,28 @@ def test_run_suites_refuses_unknown_option_keys(key):
     with pytest.raises(ValueError, match=repr(key)):
         run_suites(["axioms"], spec, builtin_frames(spec), seed=1,
                    options={"tol": 1e-7, key: 1e-7})
+
+
+def test_run_suites_checks_the_tolerance_it_is_given():
+    # an infinite tolerance would turn the failing cr/residual[zeta^3] into a PASS
+    spec = builtin_algebra("semisimple:m=8")
+    frames = builtin_frames(spec)
+    reports = run_suites(["cr"], spec, frames, seed=1)
+    assert sum(r.passed for r in reports) == 7
+    for tol in (float("inf"), float("nan"), 0.0, -1e-8, None, "1e-8"):
+        with pytest.raises(SpecFormatError, match="suite option 'tol' must be a finite number"):
+            run_suites(["cr"], spec, frames, seed=1, options={"tol": tol})
+
+
+@pytest.mark.parametrize("key, suite", [("points", "oracle"), ("triangles", "morera"),
+                                        ("nodes_cap", "lambda")])
+@pytest.mark.parametrize("value", [0, -3, 2.0, True])
+def test_run_suites_checks_its_counts(key, suite, value):
+    # {"points": 0} raised "need at least one array to concatenate" inside the oracle suite
+    spec = builtin_algebra("example1")
+    with pytest.raises(SpecFormatError, match=f"suite option '{key}' must be an integer of at "
+                                              "least 1"):
+        run_suites([suite], spec, builtin_frames(spec), seed=1, options={key: value})
 
 
 @pytest.mark.parametrize("names", ["cauchy", "all"])
