@@ -25,7 +25,6 @@ from .catalog import builtin_algebra, builtin_frames, builtin_names, list_builti
 from .curves import (
     Circle2D,
     Polyline,
-    QuadratureOptions,
     Triangle,
     TriangleSampler,
     coordinate_plane,

@@ -25,7 +25,7 @@ from .catalog import (
     builtin_theorem5_condition,
     list_builtins,
 )
-from .curves import Circle2D, QuadratureOptions, _is_count, coordinate_plane
+from .curves import Circle2D, coordinate_plane
 from .errors import MonalgError, SpecFormatError
 from .integrals import VerificationReport, compute_lambda
 from .io import (
@@ -40,6 +40,7 @@ from .io import (
     reports_to_text,
 )
 from .predicates import theorem5_predicate, theorem6_predicate, theorem7_predicate
+from .quadrature import DEFAULT_CAP, _is_count
 from .suites import SUITES, run_suites
 
 __all__ = ["ExperimentConfig", "main", "run_experiment"]
@@ -77,6 +78,8 @@ class ExperimentConfig:
     """One archivable experiment: inputs, checks, tolerances, outputs.
 
     Each field is a setting; a flag given on the command line replaces it.
+    A value not of its setting's kind raises :class:`SpecFormatError`, whether
+    it comes from a flag, a config file or the caller.
     """
 
     algebra: str = _setting("string", "built-in name or algebra JSON file", "")
@@ -86,15 +89,18 @@ class ExperimentConfig:
             "metavar": "SUITE", "action": "extend", "type": lambda chunk: chunk.split(","),
             "help": f"suites to run (comma-separated); known: {', '.join(SUITES)}, all"}})
     tol: float | None = _setting("tol?", "tolerance override, finite and > 0", type=float)
-    seed: int = _setting("integer", "seed for sampled checks", 0, type=int)
+    seed: int = _setting("seed", "seed for sampled checks, an integer >= 0", 0, type=int)
     out: str | None = _setting("string?", "output prefix for .json/.txt/.csv reports")
-    nodes_cap: int = _setting("count", "node cap of circle refinement; polyline segments keep "
-                              f"their cap of {QuadratureOptions.segment_cap} nodes",
-                              QuadratureOptions.cap, type=_positive_int)
+    nodes_cap: int = _setting("count", "node cap of every quadrature refinement, on circles "
+                              "and on polyline segments", DEFAULT_CAP, type=_positive_int)
     triangles: int | None = _setting("count?", "triangle count for the Morera suite",
                                      type=_positive_int)
     points: int | None = _setting("count?", "sample count for the oracle suite",
                                   type=_positive_int)
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check(getattr(self, f.name), f.metadata["kind"], f"config field {f.name!r}")
 
     @classmethod
     def from_file(cls, path, command: str = "verify") -> "ExperimentConfig":
@@ -230,7 +236,7 @@ def _cmd_verify(args) -> int:
     return run_experiment(_config_from(args), timings=args.timings)
 
 
-def _lambda_circles(k: int, cap: int):
+def _lambda_circles(k: int):
     """The circles ``monalg lambda`` integrates over, with their labels.
 
     All embrace the origin.  The r=0.5 and r=2.0 circles are off centre:
@@ -240,7 +246,6 @@ def _lambda_circles(k: int, cap: int):
     each spectral value is a real-linear map of ``(x_1, x_2)``, so a circle
     there winds around the origin as the centred one does.
     """
-    quad = QuadratureOptions(cap=cap)
     plane = coordinate_plane(k, 1, 2)
 
     def centre(x1, x2):
@@ -249,15 +254,15 @@ def _lambda_circles(k: int, cap: int):
         return point
 
     circles = [
-        ("plane(1,2) r=0.5", Circle2D(centre(0.2, -0.1), 0.5, plane, quadrature=quad)),
-        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, plane, quadrature=quad)),
-        ("plane(1,2) r=2.0", Circle2D(centre(-0.7, 0.4), 2.0, plane, quadrature=quad)),
+        ("plane(1,2) r=0.5", Circle2D(centre(0.2, -0.1), 0.5, plane)),
+        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, plane)),
+        ("plane(1,2) r=2.0", Circle2D(centre(-0.7, 0.4), 2.0, plane)),
     ]
     if k >= 3:
         tilt = np.zeros((2, k))
         tilt[0, 0] = 1.0
         tilt[1, 1], tilt[1, 2] = np.cos(0.4), np.sin(0.4)
-        circles.append(("tilted plane r=1.0", Circle2D(np.zeros(k), 1.0, tilt, quadrature=quad)))
+        circles.append(("tilted plane r=1.0", Circle2D(np.zeros(k), 1.0, tilt)))
     return circles
 
 
@@ -269,8 +274,8 @@ def _cmd_lambda(args) -> int:
     integrated = {}  # frame -> (label, LambdaResult) pairs; a frame may have two names
     for fname, frame in frames.items():
         if frame not in integrated:
-            integrated[frame] = [(label, compute_lambda(spec, frame, circle))
-                                 for label, circle in _lambda_circles(frame.k, config.nodes_cap)]
+            integrated[frame] = [(label, compute_lambda(spec, frame, circle, cap=config.nodes_cap))
+                                 for label, circle in _lambda_circles(frame.k)]
         for label, lam in integrated[frame]:
             reports.append(
                 VerificationReport(

@@ -4,7 +4,8 @@ Two kinds cover the verification needs: planar circles (periodic, smooth,
 always closed) and polylines (open or closed).  A triangle is a closed
 three-vertex polyline with a quality measure.  All curves share ``k``,
 ``closed``, ``orientation``, ``length``, ``reversed`` and ``sample``, which
-takes a circle's point count or a polyline's points per segment.
+takes a circle's point count or a polyline's points per segment.  Curves
+hold geometry only; the node cap belongs to the integral along them.
 Reversal flips an orientation flag instead of reshuffling vertices, so a
 reversed integral reuses the same quadrature nodes and negates term by term.
 """
@@ -15,36 +16,16 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .quadrature import _is_count
+
 __all__ = [
     "Circle2D",
     "Polyline",
-    "QuadratureOptions",
     "Triangle",
     "TriangleSampler",
     "coordinate_plane",
     "triangle_quality",
 ]
-
-
-def _is_count(value) -> bool:
-    """A node count, flag count or cap: an ``int``, not a ``bool``, of at least 1."""
-    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
-
-
-@dataclass(frozen=True)
-class QuadratureOptions:
-    """Initial node counts and refinement caps for one curve; every module
-    that needs a default count reads it off this class."""
-
-    nodes_on_circle: int = 64
-    cap: int = 2**16
-    segment_cap: int = 4096
-
-    def __post_init__(self):
-        for name, value in vars(self).items():
-            if not _is_count(value):
-                raise ValueError(f"QuadratureOptions.{name} must be an integer of at "
-                                 f"least 1, got {value!r}")
 
 
 def coordinate_plane(k: int, i: int, j: int) -> np.ndarray:
@@ -65,7 +46,6 @@ class Circle2D:
     radius: float
     plane: np.ndarray  # (2, k), orthonormal rows
     orientation: int = 1
-    quadrature: QuadratureOptions = field(default_factory=QuadratureOptions)
 
     def __post_init__(self):
         center = np.asarray(self.center, dtype=np.float64)
@@ -115,7 +95,6 @@ class Polyline:
     vertices: np.ndarray  # (V, k)
     closed: bool = False
     orientation: int = 1
-    quadrature: QuadratureOptions = field(default_factory=QuadratureOptions)
 
     def __post_init__(self):
         vertices = np.asarray(self.vertices, dtype=np.float64)

@@ -26,11 +26,11 @@ import numpy as np
 
 from .algebra import AlgebraSpec, Element
 from .algebra import _multiply_coords
-from .curves import Circle2D, QuadratureOptions, TriangleSampler
+from .curves import Circle2D, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
 from .frames import Frame, embed_many
 from .monogenic import eval_batch, eval_function
-from .quadrature import gauss_segment, trapezoid_periodic
+from .quadrature import DEFAULT_CAP, gauss_segment, trapezoid_periodic
 from .resolvent import _inverse_coords
 
 __all__ = [
@@ -138,13 +138,14 @@ def _locate_failure(evaluators, frame, xs, taus, spec, exc) -> IntegrationError:
 
 
 def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
-                  tol: float = _LINE_TOL) -> IntegralResult | list:
+                  tol: float = _LINE_TOL, cap: int = DEFAULT_CAP) -> IntegralResult | list:
     """Integral of ``psi`` against ``dzeta`` along the curve.
 
     ``psi`` may be a built-in function variant, an object with an
     ``eval_many(frame, xs, spec)`` method, or a pointwise callable
     ``x -> Element``.  Circles refine by node doubling, polylines by Gauss
-    panels bisected per segment, with all segments refined as one stack.
+    panels bisected per segment, with all segments refined as one stack;
+    ``cap`` bounds the nodes of the circle or of each segment.
 
     ``psi`` may also be a list of functions, and the result is then the list
     of their :class:`IntegralResult`.  One refinement run integrates them as
@@ -153,7 +154,7 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
     result equals, bit for bit, that of the function's own call.
     """
     psis = psi if isinstance(psi, list) else [psi]
-    results = _line_integrals(psis, gamma, frame, spec, tol)
+    results = _line_integrals(psis, gamma, frame, spec, tol, cap)
     return results if isinstance(psi, list) else results[0]
 
 
@@ -297,7 +298,7 @@ def _histories(levels, pieces: int, functions: int) -> list:
     return out
 
 
-def _segment_integrals(psis, starts, ends, frame, spec, tol, opts, factor=None):
+def _segment_integrals(psis, starts, ends, frame, spec, tol, cap, factor=None):
     """``psi dzeta`` of each of ``psis`` over each segment ``starts[s] -> ends[s]``.
 
     One stack refines them all.  Returns the (F S, n) segment integrals,
@@ -305,13 +306,12 @@ def _segment_integrals(psis, starts, ends, frame, spec, tol, opts, factor=None):
     :class:`QuadratureResult`; ``tol`` holds per function and segment.
     """
     segments = _Segments(starts, ends)
-    res = gauss_segment(_CurveStack(psis, frame, spec, segments, factor), tol=tol,
-                        cap=opts.segment_cap)
+    res = gauss_segment(_CurveStack(psis, frame, spec, segments, factor), tol=tol, cap=cap)
     dz = segments.directions @ frame.a
     return _multiply_coords(res.value, np.tile(dz, (len(psis), 1)), spec), dz, res
 
 
-def _line_integrals(psis, gamma, frame, spec, tol, factor=None) -> list:
+def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
     """:func:`line_integral` of each of ``psis`` along ``gamma``, as one stack.
 
     ``factor`` multiplies every function's values at each node.  A circle's
@@ -321,14 +321,13 @@ def _line_integrals(psis, gamma, frame, spec, tol, factor=None) -> list:
     if not psis:
         return []
     if isinstance(gamma, Circle2D):
-        opts = gamma.quadrature
         res = trapezoid_periodic(_CurveStack(psis, frame, spec, _CirclePiece(gamma, frame), factor),
-                                 tol=tol, start=opts.nodes_on_circle, cap=opts.cap)
+                                 tol=tol, cap=cap)
         parts, weights = res.value, np.ones(1)
     else:
         segments = np.array(gamma.segments())  # (S, 2, k)
         parts, dz, res = _segment_integrals(psis, segments[:, 0], segments[:, 1], frame, spec,
-                                            tol / len(segments), gamma.quadrature, factor)
+                                            tol / len(segments), cap, factor)
         weights = np.linalg.norm(dz, axis=1)
     pieces = len(weights)
     out = []
@@ -416,14 +415,14 @@ class _InverseIntegrand:
 
 
 def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,
-                   tol: float = _LINE_TOL) -> LambdaResult:
+                   tol: float = _LINE_TOL, cap: int = DEFAULT_CAP) -> LambdaResult:
     """The element ``integral of zeta^{-1} dzeta`` over the circle.
 
     Also reports the idempotent projection (equal to 2 pi i times the unit
     for winding-one circles) and the leftover nilpotent component integrals.
     """
     cert = winding_certificate(circle, frame, np.zeros(circle.k), spec)
-    res = line_integral(_InverseIntegrand(), circle, frame, spec, tol=tol)
+    res = line_integral(_InverseIntegrand(), circle, frame, spec, tol=tol, cap=cap)
     lam = res.value
     two_pi_i = 2j * np.pi * spec.unit_coords()
     return LambdaResult(
@@ -449,7 +448,8 @@ def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
 
 
 def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
-                         tol: float | None = None) -> VerificationReport | list:
+                         tol: float | None = None,
+                         cap: int = DEFAULT_CAP) -> VerificationReport | list:
     """Closed-curve integral of a monogenic function; the residual is its norm.
 
     With no ``tol``, each function's tolerance scales with its largest norm
@@ -460,7 +460,7 @@ def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
         raise ValueError("the integral-theorem check needs a closed curve")
     phis = phi if isinstance(phi, list) else [phi]
     reports = []
-    for f, res in zip(phis, line_integral(phis, gamma_closed, frame, spec)):
+    for f, res in zip(phis, line_integral(phis, gamma_closed, frame, spec, cap=cap)):
         f_tol = tol
         if f_tol is None:
             scale = gamma_closed.length() * max(1.0, _max_norm_on_curve(f, gamma_closed, frame, spec))
@@ -484,13 +484,14 @@ def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
 def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
                  n_triangles: int = 200, tol: float = 1e-8,
                  rng: np.random.Generator | None = None,
-                 triangles: np.ndarray | None = None) -> VerificationReport:
+                 triangles: np.ndarray | None = None,
+                 cap: int = DEFAULT_CAP) -> VerificationReport:
     """Worst triangle-boundary integral over randomly sampled triangles.
 
     ``triangles``, a ``(T, 3, k)`` vertex array drawn earlier, replaces the
     ``n_triangles`` draws from ``sampler``.  The 3T boundary segments are
-    refined as one stack with the default :class:`QuadratureOptions`, each
-    to the tolerance :func:`line_integral` gives it.
+    refined as one stack, each up to ``cap`` nodes and to the tolerance
+    :func:`line_integral` gives it.
     """
     if triangles is None:
         rng = rng if rng is not None else np.random.default_rng(0)
@@ -502,7 +503,7 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
     # line_integral's default tolerance, split over three segments
     parts, _, res = _segment_integrals([phi], starts.reshape(-1, k),
                                        np.roll(starts, -1, axis=1).reshape(-1, k),
-                                       frame, spec, _LINE_TOL / 3, QuadratureOptions())
+                                       frame, spec, _LINE_TOL / 3, cap)
     # the orientation flips the sign of a boundary integral, not its norm
     norms = np.linalg.norm(parts.reshape(len(starts), 3, spec.n).sum(axis=1), axis=1)
     worst = int(np.argmax(norms))
@@ -522,7 +523,7 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
 
 
 def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
-                         tol: float = 1e-8) -> VerificationReport | list:
+                         tol: float = 1e-8, cap: int = DEFAULT_CAP) -> VerificationReport | list:
     """Compare ``2 pi i phi(center)`` with the formula integral around it.
 
     In a commutative associative algebra ``(zeta - zeta_c)^{-1} dzeta`` is
@@ -547,7 +548,7 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
             certificate=cert,
         )
     phis = phi if isinstance(phi, list) else [phi]
-    results = _line_integrals(phis, gamma, frame, spec, _LINE_TOL,
+    results = _line_integrals(phis, gamma, frame, spec, _LINE_TOL, cap,
                               factor=_InverseIntegrand(shift=center))
     reports = []
     for f, res in zip(phis, results):

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .curves import Circle2D, Polyline, QuadratureOptions, Triangle, _is_count
+from .curves import Circle2D, Polyline, Triangle
 from .errors import MonalgError, SpecFormatError
 from .frames import Frame, validate_frame
 from .integrals import VerificationReport
@@ -27,6 +27,7 @@ from .monogenic import (
     PrincipalExtension,
     ResolventKernel,
 )
+from .quadrature import _is_count
 
 __all__ = [
     "load_algebra",
@@ -74,6 +75,7 @@ def _is_number(value) -> bool:
 _KINDS = {
     "integer": (_is_int, "an integer"),
     "count": (_is_count, "an integer of at least 1"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer of at least 0"),
     "number": (_is_number, "a finite number"),
     "tol": (lambda v: _is_number(v) and v > 0, "a finite number greater than 0"),
     "complex": (lambda v: _is_number(v) or isinstance(v, list) and len(v) == 2
@@ -205,9 +207,10 @@ def save_frame(frame: Frame, path) -> None:
 # -- curve files -----------------------------------------------------------------
 
 
-# The keys of each curve kind beside its kind and orientation; segments read no node counts.
-_CURVE_KEYS = {"circle2d": ("center", "radius", "plane", "nodes_on_circle", "refinement_cap"),
-               "polyline": ("vertices", "closed"), "triangle": ("vertices",)}
+# The keys of each curve kind beside its kind and orientation.  A curve holds no
+# node counts: the node cap is the run's.
+_CURVE_KEYS = {"circle2d": ("center", "radius", "plane"), "polyline": ("vertices", "closed"),
+               "triangle": ("vertices",)}
 
 
 def load_curve(path):
@@ -220,13 +223,10 @@ def load_curve(path):
     orientation = _field(data, "orientation", "orientation", path, 1)
     try:
         if kind == "circle2d":
-            quadrature = QuadratureOptions(
-                _field(data, "nodes_on_circle", "count", path, QuadratureOptions.nodes_on_circle),
-                _field(data, "refinement_cap", "count", path, QuadratureOptions.cap))
             return Circle2D(_field(data, "center", ("list", "number"), path),
                             _field(data, "radius", "number", path),
                             _field(data, "plane", ("list", "list", "number"), path),
-                            orientation=orientation, quadrature=quadrature)
+                            orientation=orientation)
         vertices = _field(data, "vertices", ("list", "list", "number"), path)
         if kind == "polyline":
             return Polyline(vertices, closed=_field(data, "closed", "boolean", path, False),

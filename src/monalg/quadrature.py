@@ -1,7 +1,8 @@
 """Quadrature: one refinement loop, two rules.
 
 :func:`_refine` doubles the node count per level until two successive levels
-agree or the node cap is reached.  A rule gives a level's nodes and its sum:
+agree or the node cap is reached; every rule defaults to the one cap
+:data:`DEFAULT_CAP`.  A rule gives a level's nodes and its sum:
 the periodic trapezoid (:func:`trapezoid_periodic`, geometric convergence for
 analytic periodic integrands) or bisected G7/K15 Gauss-Kronrod panels on
 [0, 1] (:func:`gauss_segment`).  A rule may also give a reference sum for
@@ -17,9 +18,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["QuadratureResult", "gauss_segment", "trapezoid_periodic"]
+__all__ = ["DEFAULT_CAP", "QuadratureResult", "gauss_segment", "trapezoid_periodic"]
 
 TWO_PI = 2.0 * np.pi
+
+# The node cap of one refinement run, on a circle or on a segment.
+DEFAULT_CAP = 2**16
+
+
+def _is_count(value) -> bool:
+    """A node count, flag count or cap: an ``int``, not a ``bool``, of at least 1."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
 
 
 @dataclass
@@ -76,8 +85,11 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     largest delta and ``converged`` holds when all converged; ``history``
     holds one ``(points evaluated, largest delta)`` entry per level after
     the first.  An integrand's value, nodes, flag and deltas do not depend
-    on the other integrands of its stack.
+    on the other integrands of its stack.  A ``cap`` that is not an integer
+    of at least 1 raises :class:`ValueError`.
     """
+    if not _is_count(cap):
+        raise ValueError(f"the node cap must be an integer of at least 1, got {cap!r}")
     stacked = hasattr(f, "__len__")
     count = len(f) if stacked else 1
     evaluate = f if stacked else (lambda tau, seg: f(tau))
@@ -136,14 +148,17 @@ _TRAPEZOID_FIRST_TEST = 2
 
 
 def trapezoid_periodic(f, tol: float = 1e-10, start: int = 64,
-                       cap: int = 2**16) -> QuadratureResult:
+                       cap: int = DEFAULT_CAP) -> QuadratureResult:
     """Integrate 2-pi-periodic integrands over [0, 2 pi] by node doubling.
 
     Level ``l`` has ``start * 2^l`` equispaced nodes; ``f`` and the result
     are as for :func:`_refine`.
     """
+    if not _is_count(start):
+        raise ValueError(f"start must be an integer of at least 1, got {start!r}")
+
     def rule(level):
-        n = int(start) * 2**level
+        n = start * 2**level
         return np.arange(n) * (TWO_PI / n), lambda vals: vals.mean(axis=1) * TWO_PI
 
     return _refine(f, rule, tol, cap, first_test=_TRAPEZOID_FIRST_TEST)
@@ -191,7 +206,7 @@ def _weighted_sum(weights):
     return lambda vals: np.einsum("q,sq...->s...", weights, vals)
 
 
-def gauss_segment(f, tol: float = 1e-10, cap: int = 4096) -> QuadratureResult:
+def gauss_segment(f, tol: float = 1e-10, cap: int = DEFAULT_CAP) -> QuadratureResult:
     """Integrate integrands over [0, 1] by bisected G7/K15 Gauss-Kronrod panels.
 
     Level ``l`` has ``2^l`` panels of 15 Kronrod nodes each.  Level 0 is

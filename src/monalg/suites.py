@@ -19,7 +19,7 @@ import numpy as np
 
 from .algebra import AlgebraSpec, validate_algebra
 from .algebra import _left_mul_coords, _multiply_coords
-from .curves import Circle2D, Polyline, QuadratureOptions, TriangleSampler, coordinate_plane
+from .curves import Circle2D, Polyline, TriangleSampler, coordinate_plane
 from .frames import Frame, embed_many
 from .integrals import (
     VerificationReport,
@@ -31,6 +31,7 @@ from .integrals import (
 from .io import _check
 from .monogenic import ResolventKernel, constant, cr_residual, zeta, zeta_power
 from .predicates import theorem5_predicate, theorem6_predicate, theorem7_predicate
+from .quadrature import DEFAULT_CAP
 from .resolvent import _inverse_coords, _resolvent_coords
 
 __all__ = ["SUITES", "run_suites"]
@@ -89,30 +90,21 @@ def _sample_invertible(rng, frame: Frame, spec: AlgebraSpec, count: int,
     return np.concatenate(out, axis=0)
 
 
-def _quad(options) -> QuadratureOptions:
-    return QuadratureOptions(cap=options.get("nodes_cap", QuadratureOptions.cap))
+def _standard_circle(k: int, radius: float = 1.0) -> Circle2D:
+    return Circle2D(np.zeros(k), radius, coordinate_plane(k, 1, 2))
 
 
-def _standard_circle(k: int, radius: float = 1.0, options=None) -> Circle2D:
-    return Circle2D(np.zeros(k), radius, coordinate_plane(k, 1, 2),
-                    quadrature=_quad(options or {}))
-
-
-def _standard_curves(k: int, options):
+def _standard_curves(k: int):
     """Two circles in distinct planes plus a closed square polyline."""
-    quad = _quad(options)
-    curves = [("circle-x1x2", _standard_circle(k, options=options))]
+    curves = [("circle-x1x2", _standard_circle(k))]
     if k >= 3:
-        curves.append(
-            ("circle-x2x3",
-             Circle2D(np.zeros(k), 0.8, coordinate_plane(k, 2, 3), quadrature=quad))
-        )
+        curves.append(("circle-x2x3", Circle2D(np.zeros(k), 0.8, coordinate_plane(k, 2, 3))))
     else:
-        curves.append(("circle-small", _standard_circle(k, 0.5, options=options)))
+        curves.append(("circle-small", _standard_circle(k, 0.5)))
     square = np.zeros((4, k))
     square[:, 0] = [0.9, -0.9, -0.9, 0.9]
     square[:, 1] = [0.9, 0.9, -0.9, -0.9]
-    curves.append(("square", Polyline(square, closed=True, quadrature=quad)))
+    curves.append(("square", Polyline(square, closed=True)))
     return curves
 
 
@@ -132,8 +124,8 @@ class _LambdaMemo:
 
     def on_standard_circle(self, spec: AlgebraSpec, frame: Frame, options):
         if frame not in self.standard:
-            circle = _standard_circle(frame.k, options=options)
-            self.standard[frame] = compute_lambda(spec, frame, circle)
+            self.standard[frame] = compute_lambda(spec, frame, _standard_circle(frame.k),
+                                                  cap=options.get("nodes_cap", DEFAULT_CAP))
         return self.standard[frame]
 
 
@@ -248,11 +240,13 @@ def suite_cr(spec, frames, seed, options) -> list:
 def suite_cauchy(spec, frames, seed, options) -> list:
     frame = frames["default"]
     phis = _phi_set(spec)
+    cap = options.get("nodes_cap", DEFAULT_CAP)
     out = []
-    for cname, curve in _standard_curves(frame.k, options):
+    for cname, curve in _standard_curves(frame.k):
         # the non-monogenic necessity control joins the standard circle
         control = [_Control(spec)] if cname == "circle-x1x2" else []
-        reports = cauchy_theorem_check([phi for _, phi in phis] + control, curve, frame, spec)
+        reports = cauchy_theorem_check([phi for _, phi in phis] + control, curve, frame, spec,
+                                       cap=cap)
         for (pname, _), rep in zip(phis, reports):
             rep.name = f"cauchy/{cname}[{pname}]"
             out.append(rep)
@@ -309,13 +303,14 @@ def suite_morera(spec, frames, seed, options) -> list:
     sampler = TriangleSampler(np.zeros(frame.k), 1.0)
     triangles = sampler.sample(_rng(seed, 6), options.get("triangles", 200))
     tol = options.get("tol", 1e-8)
+    cap = options.get("nodes_cap", DEFAULT_CAP)
     out = []
     for name, phi in _phi_set(spec):
-        rep = morera_check(phi, frame, spec, sampler, tol=tol, triangles=triangles)
+        rep = morera_check(phi, frame, spec, sampler, tol=tol, triangles=triangles, cap=cap)
         rep.name = f"morera/{name}"
         out.append(rep)
     control_rep = morera_check(_Control(spec), frame, spec, sampler, tol=np.inf,
-                               triangles=triangles)
+                               triangles=triangles, cap=cap)
     out.append(_necessity_control("morera", 1e-3, control_rep.residual))
     return out
 
@@ -325,22 +320,21 @@ def suite_formula(spec, frames, seed, options) -> list:
     k = frame.k
     center = np.zeros(k)
     center[0], center[1] = 0.2, 0.1
-    quad = _quad(options)
     curves = [
-        ("circle-r0.3", Circle2D(center, 0.3, coordinate_plane(k, 1, 2), quadrature=quad)),
-        ("circle-r0.7", Circle2D(center, 0.7, coordinate_plane(k, 1, 2), quadrature=quad)),
+        ("circle-r0.3", Circle2D(center, 0.3, coordinate_plane(k, 1, 2))),
+        ("circle-r0.7", Circle2D(center, 0.7, coordinate_plane(k, 1, 2))),
     ]
     square = np.zeros((4, k))
     square[:, 0] = center[0] + np.array([0.5, -0.5, -0.5, 0.5])
     square[:, 1] = center[1] + np.array([0.5, 0.5, -0.5, -0.5])
-    curves.append(("square", Polyline(square, closed=True, quadrature=quad)))
+    curves.append(("square", Polyline(square, closed=True)))
     phis = [("one", constant(spec.unit())), ("zeta", zeta(spec)),
             ("zeta^2", zeta_power(2, spec))]
     tol = options.get("tol", 1e-8)
     out = []
     for cname, curve in curves:
         reports = cauchy_formula_check([phi for _, phi in phis], center, curve, frame, spec,
-                                       tol=tol)
+                                       tol=tol, cap=options.get("nodes_cap", DEFAULT_CAP))
         for (pname, _), rep in zip(phis, reports):
             rep.name = f"formula/{cname}[{pname}]"
             out.append(rep)

@@ -211,6 +211,30 @@ def test_lambda_checks_report_convergence(tmp_path, capsys, algebra, names, cap,
         assert checks[name]["passed"]
 
 
+def _checks(tmp_path, args) -> dict:
+    """The checks of one ``verify --out`` run, by name."""
+    prefix = tmp_path / "report"
+    assert main(["verify", *args, "--out", str(prefix)]) in (0, 1)
+    return {c["name"]: c["diagnostics"]
+            for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
+
+
+def test_nodes_cap_caps_polyline_segments_and_morera_edges(tmp_path):
+    # a cap of 30 nodes leaves each segment two K15 levels, of 15 and 30 nodes
+    capped = _checks(tmp_path, ["--algebra", "example1", "--suite", "formula",
+                                "--nodes-cap", "30"])
+    full = _checks(tmp_path, ["--algebra", "example1", "--suite", "formula"])
+    for name in ("formula/square[one]", "formula/square[zeta]", "formula/square[zeta^2]"):
+        assert capped[name]["converged"] is False and capped[name]["nodes"] <= 4 * 30
+        assert full[name]["converged"] is True and full[name]["nodes"] > 4 * 30
+    # a cap of 15 leaves each of the 3 x 20 triangle edges one K15 panel
+    morera = ["--algebra", "semisimple:m=8", "--suite", "morera", "--triangles", "20"]
+    capped = _checks(tmp_path, [*morera, "--nodes-cap", "15"])["morera/kernel"]
+    full = _checks(tmp_path, morera)["morera/kernel"]
+    assert capped["converged"] is False and capped["nodes"] == 20 * 3 * 15
+    assert full["converged"] is True and full["nodes"] > 20 * 3 * 15
+
+
 @pytest.mark.parametrize("value", ["0", "-3"])
 @pytest.mark.parametrize("flag", ["--nodes-cap", "--triangles", "--points"])
 def test_count_flags_must_be_positive(capsys, flag, value):
@@ -403,9 +427,32 @@ def test_lambda_command_circles_wind_once_on_every_builtin_frame(name):
 
     spec = builtin_algebra(name)
     for frame in builtin_frames(spec).values():
-        for label, circle in _lambda_circles(frame.k, 2**16):
+        for label, circle in _lambda_circles(frame.k):
             cert = winding_certificate(circle, frame, np.zeros(frame.k), spec)
             assert cert.windings == (1,) * spec.m, (label, cert.windings)
+
+
+@pytest.mark.parametrize("name", ["example1", "example2", "example3", "example4",
+                                  "semisimple:m=3", "semisimple:m=8", "semisimple:m=20",
+                                  "chain12"])
+def test_lambda_command_circles_match_the_closed_form(name):
+    # lambda = 2 pi i sum_u w_u I_u on every closed curve (see
+    # test_integrals.py::test_lambda_is_two_pi_i_times_the_windings), so
+    # also on the off-centre and tilted circles that monalg lambda integrates
+    from monalg.cli import _inputs, _lambda_circles
+    from monalg.integrals import compute_lambda
+
+    config = (ExperimentConfig(algebra=str(BENCH_DATA / "chain12.json"),
+                               frame=str(BENCH_DATA / "chain12_frame.json"))
+              if name == "chain12" else ExperimentConfig(algebra=name))
+    spec, _, frames, _ = _inputs(config)
+    for frame in dict.fromkeys(frames.values()):  # a frame may have two names
+        for label, circle in _lambda_circles(frame.k):
+            lam = compute_lambda(spec, frame, circle)
+            assert lam.converged, label
+            exact = np.zeros(spec.n, dtype=np.complex128)
+            exact[: spec.m] = 2j * np.pi * np.array(lam.windings)
+            assert np.linalg.norm(lam.value.coords - exact) <= 1e-11, label
 
 
 @pytest.mark.parametrize("name, calls", [("semisimple:m=8", 4), ("example4", 7)])
@@ -490,12 +537,35 @@ def test_run_experiment_library_level(tmp_path, capsys):
 
 
 def test_run_experiment_checks_a_library_config():
-    # a config built in code skips from_file and merge_flags; the suites check it
+    # a config built in code skips from_file and merge_flags; it is checked
+    # when it is built
     from monalg.cli import run_experiment
 
-    config = ExperimentConfig(algebra="semisimple:m=8", suites=["cr"], tol=float("inf"))
     with pytest.raises(SpecFormatError, match="'tol'"):
-        run_experiment(config)
+        run_experiment(ExperimentConfig(algebra="semisimple:m=8", suites=["cr"],
+                                        tol=float("inf")))
+
+
+@pytest.mark.parametrize("suite", ["morera", "axioms"])
+def test_seed_is_an_integer_of_at_least_zero(tmp_path, capsys, suite):
+    # numpy refuses a negative seed only in a suite that draws, and with a
+    # message that names no setting; the flag, the file and the library
+    # path all refuse it by name, whatever the suites
+    from monalg.cli import run_experiment
+
+    assert main(["verify", "--algebra", "example1", "--suite", suite, "--seed", "-1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: --seed must be an integer of at least 0")
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps({"algebra": "example1", "suites": [suite], "seed": -1}))
+    assert main(["verify", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert str(cfg_path) in err and "field 'seed' must be an integer of at least 0" in err
+    for seed in (-1, 1.5, True):
+        with pytest.raises(SpecFormatError, match="field 'seed' must be an integer of at least 0"):
+            run_experiment(ExperimentConfig(algebra="example1", suites=[suite], seed=seed))
+    assert main(["verify", "--algebra", "example1", "--suite", suite, "--seed", "0",
+                 *QUICK]) == 0
 
 
 # Malformed files: a scalar where a list belongs, a bool index, a string

@@ -8,7 +8,6 @@ import pytest
 from monalg.curves import (
     Circle2D,
     Polyline,
-    QuadratureOptions,
     Triangle,
     TriangleSampler,
     coordinate_plane,
@@ -24,12 +23,22 @@ from monalg.quadrature import (
 )
 
 
-@pytest.mark.parametrize("field", ["nodes_on_circle", "cap", "segment_cap"])
-@pytest.mark.parametrize("value", [0, 1.0, True, "64"])
+# The node counts a quadrature takes: a circle's first level and its cap,
+# and a segment's cap.
+_NODE_COUNTS = {"nodes_on_circle": (trapezoid_periodic, "start"),
+                "cap": (trapezoid_periodic, "cap"),
+                "segment_cap": (gauss_segment, "cap")}
+
+
+@pytest.mark.parametrize("field", list(_NODE_COUNTS))
+@pytest.mark.parametrize("value", [0, 1.0, True, "64", -1, 2.5])
 def test_quadrature_options_refuse_anything_but_counts_of_at_least_one(field, value):
-    with pytest.raises(ValueError, match=f"QuadratureOptions.{field} must be an integer"):
-        QuadratureOptions(**{field: value})
-    assert getattr(QuadratureOptions(**{field: 1}), field) == 1
+    engine, keyword = _NODE_COUNTS[field]
+    ones = lambda tau: np.ones((len(tau), 1))  # noqa: E731
+    with pytest.raises(ValueError, match=f"{value!r}") as exc:
+        engine(ones, **{keyword: value})
+    assert "integer of at least 1" in str(exc.value)
+    assert engine(ones, **{keyword: 1}).nodes >= 1
 
 
 def test_trapezoid_pure_harmonics_vanish():

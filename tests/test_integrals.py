@@ -11,7 +11,6 @@ from monalg.catalog import builtin_algebra, builtin_frames
 from monalg.curves import (
     Circle2D,
     Polyline,
-    QuadratureOptions,
     Triangle,
     TriangleSampler,
     coordinate_plane,
@@ -29,7 +28,7 @@ from monalg.integrals import (
 )
 from monalg.monogenic import ResolventKernel, constant, eval_function, zeta, zeta_power
 from monalg.predicates import theorem5_predicate
-from monalg.quadrature import _KRONROD_NODES
+from monalg.quadrature import _KRONROD_NODES, DEFAULT_CAP
 from monalg.resolvent import _radical_series
 from monalg.suites import _Control, run_suites, suite_formula
 from verdicts import _inputs
@@ -529,13 +528,34 @@ def test_morera_reports_unconverged_segments():
     # zeta = x_1 + i x_2 here, so the pole lies 1e-7 outside the edge
     # (0,0,0) -> (1,0,0), and no level up to the segment cap resolves it
     phi = ResolventKernel(0.5 - 1e-7j)
-    alone = morera_check(phi, frame, spec, sampler, triangles=drawn).diagnostics
+    alone = morera_check(phi, frame, spec, sampler, triangles=drawn, cap=4096).diagnostics
     assert alone["converged"]
-    report = morera_check(phi, frame, spec, sampler, triangles=np.concatenate([drawn, edge]))
+    report = morera_check(phi, frame, spec, sampler, triangles=np.concatenate([drawn, edge]),
+                          cap=4096)
     assert report.diagnostics["converged"] is False
     # the edge alone reaches 256 K15 panels, the last level below the 4096-node cap
-    assert QuadratureOptions().segment_cap == 4096
     assert report.diagnostics["nodes"] - alone["nodes"] >= 3840
+
+
+def test_morera_honours_the_node_cap():
+    spec = example1()
+    frame = default_frame(spec)
+    sampler = TriangleSampler(np.zeros(3), 1.0)
+    drawn = sampler.sample(np.random.default_rng(67), 5)  # 15 segments
+    phi = ResolventKernel(0.5 - 1e-7j)
+    assert morera_check(phi, frame, spec, sampler, triangles=drawn).diagnostics["converged"]
+    # a cap of 15 leaves each segment one K15 panel, a cap of 64 four panels
+    for cap, most in ((15, 15), (64, 60)):
+        capped = morera_check(phi, frame, spec, sampler, triangles=drawn, cap=cap).diagnostics
+        assert capped["converged"] is False
+        assert capped["nodes"] <= 15 * most
+    # with no cap given, the edge 1e-7 from the pole refines to 4096 K15
+    # panels, the last level below DEFAULT_CAP
+    assert 15 * 4096 <= DEFAULT_CAP < 2 * 15 * 4096
+    edge = np.array([[[0.0, 0, 0], [1.0, 0, 0], [0.0, 1.0, 0]]])
+    alone = morera_check(phi, frame, spec, sampler, triangles=drawn).diagnostics
+    both = morera_check(phi, frame, spec, sampler, triangles=np.concatenate([drawn, edge]))
+    assert both.diagnostics["nodes"] - alone["nodes"] >= 15 * 4096
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -818,7 +838,7 @@ def test_line_integral_list_matches_single_calls_bit_for_bit(name):
     spec, frame = _stack_case(name)
     phis = [phi for _, phi in _phi_set(spec)] + [_Control(spec)]
     nodes = {}
-    for cname, curve in _standard_curves(frame.k, {}):
+    for cname, curve in _standard_curves(frame.k):
         stacked = line_integral(phis, curve, frame, spec)
         assert len(stacked) == len(phis)
         for phi, res in zip(phis, stacked):
@@ -836,7 +856,7 @@ def test_cauchy_theorem_list_matches_single_calls(name):
 
     spec, frame = _stack_case(name)
     phis = [phi for _, phi in _phi_set(spec)]
-    for _, curve in _standard_curves(frame.k, {}):
+    for _, curve in _standard_curves(frame.k):
         reports = cauchy_theorem_check(phis, curve, frame, spec)
         for phi, rep in zip(phis, reports):
             _assert_same_report(rep, cauchy_theorem_check(phi, curve, frame, spec))

@@ -1,6 +1,7 @@
 """File-format round trips and malformed-input errors."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -154,13 +155,13 @@ def test_curve_files(tmp_path):
                 "radius": 1.5,
                 "plane": [[1, 0, 0], [0, 1, 0]],
                 "orientation": -1,
-                "nodes_on_circle": 128,
             },
         )
     )
     assert isinstance(circle, Circle2D)
     assert circle.radius == 1.5 and circle.orientation == -1
-    assert circle.quadrature.nodes_on_circle == 128
+    assert np.array_equal(circle.center, [0, 0, 0])
+    assert np.array_equal(circle.plane, [[1, 0, 0], [0, 1, 0]])
 
     poly = load_curve(
         write(
@@ -198,7 +199,9 @@ def test_curve_files_keep_orientation(tmp_path, record, cls):
     assert isinstance(backward, cls)
     assert forward.orientation == 1 and backward.orientation == -1
     assert np.array_equal(backward.vertices, forward.vertices)
-    assert backward.quadrature == forward.quadrature
+    # a curve is its geometry and orientation, and nothing else
+    assert backward.closed == forward.closed
+    assert {f.name for f in fields(backward)} == {"vertices", "closed", "orientation"}
 
 
 @pytest.mark.parametrize("kind", ["circle2d", "polyline", "triangle"])
@@ -220,19 +223,30 @@ def test_segment_curve_files_refuse_circle_node_counts(tmp_path, kind, field):
         load_curve(write(tmp_path, "curve.json", record))
 
 
+def _assert_circle_file_refuses(tmp_path, field, value):
+    record = {"kind": "circle2d", "center": [0, 0], "radius": 1.0, "plane": [[1, 0], [0, 1]],
+              field: value}
+    path = write(tmp_path, "curve.json", record)
+    with pytest.raises(SpecFormatError, match=f"unknown fields \\['{field}'\\]") as exc:
+        load_curve(path)
+    assert str(path) in str(exc.value)
+
+
 @pytest.mark.parametrize("field, value", [
     ("nodes_on_circle", 0), ("nodes_on_circle", 2.5), ("nodes_on_circle", True),
     ("refinement_cap", "abc"), ("refinement_cap", 0), ("refinement_cap", -64),
 ])
 def test_curve_files_refuse_node_counts_below_one(tmp_path, field, value):
-    # a count of 0 nodes would divide by zero in the first integral, and a
-    # cap of 0 would stop every refinement unconverged at its first level
-    record = {"kind": "circle2d", "center": [0, 0], "radius": 1.0, "plane": [[1, 0], [0, 1]],
-              field: value}
-    path = write(tmp_path, "curve.json", record)
-    with pytest.raises(SpecFormatError, match="at least 1") as exc:
-        load_curve(path)
-    assert str(path) in str(exc.value)
+    # a curve file holds no node count at all (see the next test), so one
+    # below 1 is refused by its key, with the file named
+    _assert_circle_file_refuses(tmp_path, field, value)
+
+
+@pytest.mark.parametrize("field, value", [("nodes_on_circle", 128), ("refinement_cap", 4096)])
+def test_circle_files_refuse_node_counts(tmp_path, field, value):
+    # the node cap is a setting of the run that integrates the curve, so a
+    # count in the file would do nothing
+    _assert_circle_file_refuses(tmp_path, field, value)
 
 
 @pytest.mark.parametrize("load", [
