@@ -268,6 +268,20 @@ def unit_element(spec: AlgebraSpec) -> Element:
     return spec.unit()
 
 
+_LOCUS_MARGIN = 1e-13  # of the noninvertible locus, see _on_locus
+
+
+def _on_locus(values, size) -> np.ndarray:
+    """Mask of the ``values`` that count as zero beside a point of norm ``size``.
+
+    The one rule for the locus where a spectral value vanishes:
+    ``|v| <= _LOCUS_MARGIN max(1, size)``, ``size`` broadcast against
+    ``values``.  Below size 1 it is that small, so no small circle is refused
+    for its radius: ``zeta^{-1} dzeta`` does not change under ``x -> c x``.
+    """
+    return np.abs(values) <= _LOCUS_MARGIN * np.maximum(1.0, size)
+
+
 # -- operations -------------------------------------------------------------
 
 
@@ -376,20 +390,18 @@ def oracle_inverse(a: Element, spec: AlgebraSpec) -> Element:
     """Inverse via a dense linear solve of ``L_a x = coords(1)``.
 
     Independent of the closed-form inverse; used as a cross-check oracle.
-    Raises :class:`SingularElementError` when the element is not invertible.
+    Raises :class:`SingularElementError` when some ``xi_u`` is on the locus
+    at ``|a|``; ``det L_a``, the product of the ``xi_{u_s}``, adds nothing.
     """
-    scale = max(1.0, a.norm())
     xi = a.coords[: spec.m]
-    offending = [u + 1 for u in range(spec.m) if abs(xi[u]) <= 1e-12 * scale]
-    la = left_mul_matrix(a, spec)
-    det = np.linalg.det(la)
-    if offending or abs(det) <= 1e-12 * scale**spec.n:
+    offending = [int(u) + 1 for u in np.flatnonzero(_on_locus(xi, a.norm()))]
+    if offending:
         raise SingularElementError(
             f"element not invertible (vanishing idempotent components {offending})",
             xi=xi,
             offending=offending,
         )
-    x = np.linalg.solve(la, spec.unit_coords())
+    x = np.linalg.solve(left_mul_matrix(a, spec), spec.unit_coords())
     return Element(x)
 
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element
+from .algebra import AlgebraSpec, Element, _on_locus
 from .errors import FrameError
 
 __all__ = [
@@ -118,23 +118,16 @@ class SpectralData:
 def spectral(frame: Frame, x, spec: AlgebraSpec) -> SpectralData:
     """Values ``xi_u = x_1 + sum_{j>=2} x_j a_ju`` and the invertibility flag.
 
-    The flag uses a relative threshold of 1e-13 on ``min_u |xi_u|``.
+    Not invertible when some ``xi_u`` is on the locus at ``|x|`` (``algebra._on_locus``).
     """
     x = np.asarray(x, dtype=np.float64)
     coords = x @ frame.a
     xi = coords[: spec.m]
     return SpectralData(
         xi=tuple(complex(v) for v in xi),
-        invertible=not np.any(_vanishing_xi(x, xi)),
+        invertible=not np.any(_on_locus(xi, np.linalg.norm(x))),
         min_abs_xi=float(np.min(np.abs(xi))),
     )
-
-
-def _vanishing_xi(x, xi) -> np.ndarray:
-    """Mask of the spectral values ``xi`` (shape (..., m)) that count as zero
-    at the points ``x`` (shape (..., k)): ``|xi_u| <= 1e-13 max(1, |x|)``."""
-    scale = np.maximum(1.0, np.linalg.norm(x, axis=-1))
-    return np.abs(xi) <= 1e-13 * scale[..., None]
 
 
 def frame_coordinates(frame: Frame, elem: Element, tol: float = 1e-10) -> np.ndarray:

@@ -25,13 +25,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebra import AlgebraSpec, Element
-from .algebra import _multiply_coords
+from .algebra import _multiply_coords, _on_locus
 from .curves import Circle2D, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
-from .frames import Frame, embed_many
+from .frames import Frame
 from .monogenic import eval_batch, eval_function
 from .quadrature import DEFAULT_CAP, gauss_segment, trapezoid_periodic
-from .resolvent import _inverse_coords
+from .resolvent import inverse_many
 
 __all__ = [
     "EmbraceCertificate",
@@ -77,8 +77,8 @@ class EmbraceCertificate:
 class VerificationReport:
     """One named check: residual against tolerance plus diagnostics.
 
-    A ``None`` tolerance marks a purely informational measurement that
-    cannot fail.
+    A ``None`` tolerance marks a purely informational measurement.  A check
+    whose ``diagnostics["converged"]`` is false fails, whatever its residual.
     """
 
     name: str
@@ -90,9 +90,11 @@ class VerificationReport:
 
     @property
     def passed(self) -> bool:
+        if not self.diagnostics.get("converged", True):
+            return False
         if self.tolerance is None:
             return True
-        return self.residual <= self.tolerance
+        return bool(self.residual <= self.tolerance)
 
 
 @dataclass
@@ -354,33 +356,40 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec) -> Emb
     less than ``P_u z^2 + A_u z + Q_u`` has roots in ``|z| < 1``.  A closed
     polyline's image is a polygon whose edges, missing 0, turn by less than
     pi each.  Raises :class:`IntegrationError` at the curve's parameter
-    (radians, or ``s + t`` at ``t`` along segment ``s``) where it comes
-    within ``1e-12 (1 + |x_c|)`` of the shifted noninvertible locus.
+    (radians, or ``s + t`` at ``t`` along segment ``s``) where a spectral
+    image ``xi_u(x - x_c)`` is on the locus at ``|x - x_c|``, as the
+    integrands of the formula and lambda refuse a node: at the roots'
+    angles on a circle, and on a polyline at each edge's point nearest 0,
+    with the edge's farther end as its size.
     """
     if not gamma.closed:
         raise ValueError("winding numbers need a closed curve")
     center = np.asarray(center_x, dtype=np.float64)
-    xi0 = (center @ frame.a)[: spec.m]
-    floor = 1e-12 * (1.0 + float(np.linalg.norm(center)))
     if isinstance(gamma, Circle2D):
-        a = (gamma.center @ frame.a)[: spec.m] - xi0
+        a = ((gamma.center - center) @ frame.a)[: spec.m]
         p, q = gamma.radius * (gamma.plane @ frame.a)[:, : spec.m] / 2
         roots = [np.roots(coeffs) for coeffs in zip(p - 1j * q, a, p + 1j * q)]
         # nearest the locus at the roots' angles; tau = 0 covers an image Q_u / z, which has none
         taus = np.mod(np.angle(np.concatenate([[1.0], *roots])), 2.0 * np.pi)
-        near = np.min(np.abs((gamma.points(taus) @ frame.a)[:, : spec.m] - xi0), axis=1)
+        rel = gamma.points(taus) - center
+        near = np.min(np.abs((rel @ frame.a)[:, : spec.m]), axis=1)
+        size = np.linalg.norm(rel, axis=1)
         turns = [np.sum(np.abs(r) < 1.0) - 1 for r in roots]
     else:
-        w = (gamma.vertices @ frame.a)[:, : spec.m] - xi0  # (V, m)
+        rel = gamma.vertices - center
+        w = (rel @ frame.a)[:, : spec.m]  # (V, m)
         edges = np.roll(w, -1, axis=0) - w
         length_sq = np.maximum(np.abs(edges) ** 2, np.finfo(float).tiny)
         along = np.clip(-np.real(np.conj(w) * edges) / length_sq, 0.0, 1.0)  # nearest to 0
         distance = np.abs(w + along * edges)
         taus = np.arange(len(w)) + along[np.arange(len(w)), np.argmin(distance, axis=1)]
         near = distance.min(axis=1)
+        reach = np.linalg.norm(rel, axis=1)
+        size = np.maximum(reach, np.roll(reach, -1))
         turns = np.rint(np.angle(np.roll(w, -1, axis=0) * np.conj(w)).sum(axis=0) / (2.0 * np.pi))
-    if near.min() <= floor:
-        tau = float(taus[np.argmin(near)])
+    hits = _on_locus(near, size)
+    if hits.any():
+        tau = float(taus[np.argmin(np.where(hits, near, np.inf))])
         raise IntegrationError(
             f"curve passes through the shifted noninvertible locus at tau={tau:.6g}", tau=tau)
     return EmbraceCertificate(windings=tuple(int(gamma.orientation * t) for t in turns))
@@ -389,29 +398,14 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec) -> Emb
 # -- the constant lambda -------------------------------------------------------
 
 
-# Spectral values at or below this modulus count as on the noninvertible
-# locus, where ``zeta^{-1}`` is not evaluated.
-_SINGULAR_FLOOR = 1e-8
-
-
 class _InverseIntegrand:
-    """Batch evaluator of ``x -> (embedded x)^{-1}`` with a spectral floor."""
+    """Batch evaluator of ``x -> (embedded x - shift)^{-1}``; refuses the locus."""
 
-    def __init__(self, shift=None):
+    def __init__(self, shift=0.0):
         self.shift = shift
 
     def eval_many(self, frame, xs, spec):
-        pts = xs if self.shift is None else xs - self.shift
-        emb = embed_many(frame, pts)
-        xi = emb[..., : spec.m]
-        near = np.abs(xi) <= _SINGULAR_FLOOR
-        if near.any():
-            bad = int(np.argwhere(near)[0][0])
-            raise IntegrationError(
-                f"curve sample {bad} lies within {_SINGULAR_FLOOR:g} of the "
-                "noninvertible locus"
-            )
-        return _inverse_coords(emb, spec)
+        return inverse_many(frame, xs - self.shift, spec)
 
 
 def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, zero_element
-from .algebra import _multiply_coords
+from .algebra import _multiply_coords, _on_locus
 from .errors import PoleError
 from .frames import Frame, embed_many, frame_coordinates
 from .resolvent import _check_pole, _radical_series, _resolvent_coords
@@ -83,7 +83,7 @@ class HolomorphicScalarSpec:
         if self.kind == "polynomial":
             return num
         den = _poly_taylor(self.denom, t, order)
-        if np.any(np.abs(den[0]) < 1e-13 * (1.0 + np.abs(t))):
+        if np.any(_on_locus(den[0], np.abs(t))):
             raise PoleError("rational scalar evaluated at one of its poles")
         # series division: num = den * out, solved order by order
         out = np.empty_like(num)

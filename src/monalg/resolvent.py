@@ -35,9 +35,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import AlgebraSpec, Element, _fixed_factor, _times_fixed
+from .algebra import AlgebraSpec, Element, _fixed_factor, _on_locus, _times_fixed
 from .errors import PoleError, SingularElementError
-from .frames import Frame, _vanishing_xi, embed_many
+from .frames import Frame, embed_many
 
 __all__ = [
     "ResolventCoefficients",
@@ -181,9 +181,9 @@ def _resolvent_coords(t, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
 def _check_pole(t: complex, xi: np.ndarray) -> None:
     """Raise :class:`PoleError` when ``t`` meets a spectral value in ``xi``.
 
-    ``xi`` has shape (..., m); the threshold is ``1e-13 (1 + |t|)``.
+    ``xi`` has shape (..., m); they meet where ``t - xi_u`` is on the locus at ``|t|``.
     """
-    hits = np.argwhere(np.abs(t - xi) <= 1e-13 * (1.0 + abs(t)))
+    hits = np.argwhere(_on_locus(t - xi, abs(t)))
     if hits.size:
         u = int(hits[0][-1]) + 1
         raise PoleError(
@@ -199,8 +199,8 @@ def _check_pole(t: complex, xi: np.ndarray) -> None:
 def resolvent(t: complex, frame: Frame, x, spec: AlgebraSpec) -> Element:
     """The element ``(t e_1 - zeta)^{-1}`` for ``zeta = embed(frame, x)``.
 
-    Raises :class:`PoleError` when ``t`` collides with a spectral value
-    (relative threshold 1e-13).
+    Raises :class:`PoleError` when ``t`` collides with a spectral value,
+    by the rule of :func:`_check_pole`.
     """
     x = np.asarray(x, dtype=np.float64)
     emb = x @ frame.a
@@ -220,13 +220,13 @@ def inverse(frame: Frame, x, spec: AlgebraSpec) -> Element:
 def inverse_many(frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
     """Batch inverse coordinates for points ``xs`` of shape (..., k).
 
-    Raises :class:`SingularElementError` when some ``xi_u`` of a point
-    vanishes, with the threshold of :func:`monalg.frames.spectral`.
+    Raises :class:`SingularElementError` when some ``xi_u`` of a point is on
+    the locus at ``|x|`` (:func:`monalg.algebra._on_locus`).
     """
     xs = np.asarray(xs, dtype=np.float64)
     emb = embed_many(frame, xs)
     xi = emb[..., : spec.m]
-    bad = _vanishing_xi(xs, xi)
+    bad = _on_locus(xi, np.linalg.norm(xs, axis=-1, keepdims=True))
     if np.any(bad):
         entry = tuple(int(i) for i in np.argwhere(np.any(bad, axis=-1))[0])
         offending = [int(u) + 1 for u in np.flatnonzero(bad[entry])]

@@ -335,6 +335,14 @@ def test_oracle_inverse_detects_singular():
     assert err.value.offending == (1,)
 
 
+@pytest.mark.parametrize("name, scale", [("semisimple:m=20", 0.1), ("example1", 0.001)])
+def test_oracle_inverse_of_a_small_multiple_of_the_unit(name, scale):
+    # det L_a = scale^n is tiny, yet every xi_u = scale is far from the locus
+    spec = builtin_algebra(name)
+    out = oracle_inverse(scale * unit_element(spec), spec)
+    np.testing.assert_allclose(out.coords, spec.unit_coords() / scale, rtol=1e-15, atol=0)
+
+
 def test_oracle_inverse_random_consistency():
     rng = np.random.default_rng(29)
     spec = example1()

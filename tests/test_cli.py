@@ -202,13 +202,14 @@ BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 @pytest.mark.parametrize("cap, converged", [(["--nodes-cap", "64"], False), ([], True)],
                          ids=["cap64", "default-cap"])
 def test_lambda_checks_report_convergence(tmp_path, capsys, algebra, names, cap, converged):
+    # an unconverged check fails, so a starved cap exits 1
     prefix = tmp_path / "report"
     assert main(["verify", *algebra, "--suite", "lambda,predicates", *cap,
-                 "--out", str(prefix)]) == 0
+                 "--out", str(prefix)]) == (0 if converged else 1)
     checks = {c["name"]: c for c in json.loads((tmp_path / "report.json").read_text())["checks"]}
     for name in names:
         assert checks[name]["diagnostics"]["converged"] is converged
-        assert checks[name]["passed"]
+        assert checks[name]["passed"] is converged
 
 
 def _checks(tmp_path, args) -> dict:
@@ -399,11 +400,13 @@ def test_config_must_be_an_object(tmp_path, capsys):
                          ids=["cap64", "default-cap"])
 def test_lambda_command_reports_convergence(tmp_path, capsys, cap, converged):
     prefix = tmp_path / "lambda"
-    assert main(["lambda", "--algebra", "example1", *cap, "--out", str(prefix)]) == 0
+    assert main(["lambda", "--algebra", "example1", *cap,
+                 "--out", str(prefix)]) == (0 if converged else 1)
     checks = json.loads((tmp_path / "lambda.json").read_text())["checks"]
     circles = [c for c in checks if "plane-radius-variation" not in c["name"]]
     assert circles
     assert all(c["diagnostics"]["converged"] is converged for c in circles)
+    assert all(c["passed"] is converged for c in circles)
 
 
 def test_lambda_command_circles_are_not_homothetic(tmp_path):

@@ -23,17 +23,17 @@ from monalg.quadrature import (
 )
 
 
-# The node counts a quadrature takes: a circle's first level and its cap,
-# and a segment's cap.
-_NODE_COUNTS = {"nodes_on_circle": (trapezoid_periodic, "start"),
-                "cap": (trapezoid_periodic, "cap"),
-                "segment_cap": (gauss_segment, "cap")}
+# The node counts a quadrature takes, named by keyword and engine: a
+# circle's first level and its cap, and a segment's cap.
+_NODE_COUNTS = {"start-trapezoid_periodic": (trapezoid_periodic, "start"),
+                "cap-trapezoid_periodic": (trapezoid_periodic, "cap"),
+                "cap-gauss_segment": (gauss_segment, "cap")}
 
 
-@pytest.mark.parametrize("field", list(_NODE_COUNTS))
+@pytest.mark.parametrize("count", list(_NODE_COUNTS))
 @pytest.mark.parametrize("value", [0, 1.0, True, "64", -1, 2.5])
-def test_quadrature_options_refuse_anything_but_counts_of_at_least_one(field, value):
-    engine, keyword = _NODE_COUNTS[field]
+def test_quadrature_options_refuse_anything_but_counts_of_at_least_one(count, value):
+    engine, keyword = _NODE_COUNTS[count]
     ones = lambda tau: np.ones((len(tau), 1))  # noqa: E731
     with pytest.raises(ValueError, match=f"{value!r}") as exc:
         engine(ones, **{keyword: value})

@@ -1,5 +1,7 @@
 """Line integrals, windings, lambda, and the named verification checks."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -15,10 +17,17 @@ from monalg.curves import (
     TriangleSampler,
     coordinate_plane,
 )
-from monalg.errors import EmbracingError, IntegrationError, PoleError, SpecFormatError
+from monalg.errors import (
+    EmbracingError,
+    IntegrationError,
+    PoleError,
+    SingularElementError,
+    SpecFormatError,
+)
 from monalg.frames import Frame, embed
 from monalg.io import report_record
 from monalg.integrals import (
+    _InverseIntegrand,
     cauchy_formula_check,
     cauchy_theorem_check,
     compute_lambda,
@@ -123,15 +132,46 @@ def test_integration_error_names_parameter():
 
 
 def test_integration_error_near_locus_names_tau():
-    # the curve's closest approach to the locus, 1e-9 at tau = pi, clears
-    # the winding certificate's 1e-12 but trips the integrand's conditioning
-    # floor, which must name the parameter
     spec = example1()
     frame = default_frame(spec)
+    # the closest approach to the locus, 1e-9 at tau = pi, is far from it by
+    # the one margin, so the integrand is evaluated there and its near pole
+    # takes the refinement to the cap, unconverged
     grazing = Circle2D(np.array([1.0 + 1e-9, 0.0, 0.0]), 1.0, coordinate_plane(3, 1, 2))
+    lam = compute_lambda(spec, frame, grazing)
+    assert lam.converged is False
+    assert lam.nodes == DEFAULT_CAP
+    assert lam.windings == (0,)
+    # a node on the locus, at tau = pi of a circle through the origin that
+    # the certificate is not asked about, is refused by the integrand, by name
+    through = Circle2D(np.array([1.0, 0.0, 0.0]), 1.0, coordinate_plane(3, 1, 2))
     with pytest.raises(IntegrationError, match="tau=") as err:
-        compute_lambda(spec, frame, grazing)
-    assert err.value.tau == pytest.approx(np.pi, rel=0.05)
+        line_integral(_InverseIntegrand(), through, frame, spec)
+    assert err.value.tau == pytest.approx(np.pi, rel=1e-12)
+    assert isinstance(err.value.__cause__, SingularElementError)
+
+
+def test_lambda_and_formula_do_not_depend_on_the_radius():
+    # zeta^{-1} dzeta and (zeta - zeta_c)^{-1} dzeta do not change under
+    # x -> c x, so no radius of a centred circle is refused for its size.
+    # Centred, because an off-centre point x_c + r u loses the low bits of
+    # r u to rounding: about 1e-8 of it at r = 1e-9 and |x_c| = 0.2.
+    spec = example1()
+    frame = default_frame(spec)
+    plane = coordinate_plane(3, 1, 2)
+    phis = [constant(spec.unit()), zeta(spec)]
+    lambdas, formulas = {}, {}
+    for radius in (1e-9, 1e-6, 1.0, 1e3):
+        circle = Circle2D(np.zeros(3), radius, plane)
+        lam = compute_lambda(spec, frame, circle)
+        assert lam.converged and lam.windings == (1,)
+        lambdas[radius] = lam.value.coords
+        reports = cauchy_formula_check(phis, np.zeros(3), circle, frame, spec)
+        assert all(rep.diagnostics["converged"] and rep.passed for rep in reports)
+        formulas[radius] = np.array([rep.value.coords for rep in reports])
+    for radius in lambdas:
+        assert np.max(np.abs(lambdas[radius] - lambdas[1.0])) <= 1e-12
+        assert np.max(np.abs(formulas[radius] - formulas[1.0])) <= 1e-12
 
 
 # -- winding certificates --------------------------------------------------------
@@ -666,9 +706,10 @@ def test_formula_suite_fails_an_inverse_with_a_term_missing(monkeypatch):
     # The reference 2 pi i phi(center) does not go through the inverse, so
     # the fault shows in every check, phi = one included: a reference scaled
     # by a lambda integrated with the same inverse would hide it there.
-    import monalg.integrals
-
-    monkeypatch.setattr(monalg.integrals, "_inverse_coords", _inverse_without_one_term)
+    # The package's name ``resolvent`` is the function, so take the module
+    # from the import system.
+    resolvent_module = importlib.import_module("monalg.resolvent")
+    monkeypatch.setattr(resolvent_module, "_inverse_coords", _inverse_without_one_term)
     spec = builtin_algebra("example4")
     reports = suite_formula(spec, builtin_frames(spec), 1, {})
     assert len(reports) == 9

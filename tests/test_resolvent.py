@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from test_algebra import BUILTIN_IDS, BUILTINS, chain, structure_tensors
 
 from monalg.algebra import (
+    _LOCUS_MARGIN,
     AlgebraSpec,
     Element,
     _multiply_coords,
@@ -17,8 +18,11 @@ from monalg.algebra import (
     validate_algebra,
 )
 from monalg.catalog import builtin_algebra, builtin_frames
-from monalg.errors import PoleError, SingularElementError
+from monalg.curves import Circle2D, Polyline, coordinate_plane
+from monalg.errors import IntegrationError, PoleError, SingularElementError
 from monalg.frames import Frame, embed, embed_many, spectral
+from monalg.integrals import _InverseIntegrand, winding_certificate
+from monalg.monogenic import HolomorphicScalarSpec, PrincipalExtension, ResolventKernel, eval_batch
 from monalg.resolvent import (
     _inverse_coords,
     _radical_series,
@@ -390,16 +394,72 @@ def test_expansion_matches_recurrences_random(spec, seed):
     assert_expansion_matches_recurrences(spec, random_frame(spec, rng), rng, count=4)
 
 
+def _refused(call) -> bool:
+    try:
+        call()
+    except (SingularElementError, PoleError, IntegrationError):
+        return True
+    return False
+
+
+def _locus_entry_points(spec, frame):
+    """``(name, size, refused)`` for every entry point that tests the locus.
+
+    ``refused(d)`` puts a value that :func:`monalg.algebra._on_locus` tests
+    at ``d`` from zero, beside a point of norm about ``size``, and says
+    whether the entry point refused it.  Sizes of 1e3 show that the margin
+    is relative.
+    """
+    big = 1e3
+    far = np.array([0.0, 0.0, big])  # e_3 is radical: xi(far) = 0
+    near = lambda d: far + [d, 0.0, 0.0]  # noqa: E731, xi = d
+    at_big = np.array([[big, 0.0, 0.0]])  # xi = big
+    plane = coordinate_plane(3, 1, 2)
+    # curves whose images pass d from 0, nearest at near(d)
+    circle = lambda d: Circle2D(far + [1.0 + d, 0.0, 0.0], 1.0, plane)  # noqa: E731
+    square = lambda d: Polyline(  # noqa: E731
+        far + np.array([[d, -1.0, 0.0], [2.0, -1.0, 0.0], [2.0, 1.0, 0.0], [d, 1.0, 0.0]]),
+        closed=True)
+    rational = PrincipalExtension(F=(HolomorphicScalarSpec("rational", (1.0,), (-big, 1.0)),))
+    shift = np.array([0.3, -0.2, 0.1])
+    a_far = embed(frame, far, spec)
+    unit = spec.unit()
+    return [
+        ("spectral", big, lambda d: not spectral(frame, near(d), spec).invertible),
+        ("inverse", big, lambda d: _refused(lambda: inverse(frame, near(d), spec))),
+        ("inverse_many", big,
+         lambda d: _refused(lambda: inverse_many(frame, np.stack([[0.5, 0.5, 0.0], near(d)]),
+                                                 spec))),
+        ("oracle_inverse", a_far.norm(),
+         lambda d: _refused(lambda: oracle_inverse(a_far + d * unit, spec))),
+        ("resolvent", big, lambda d: _refused(lambda: resolvent(big + d, frame, at_big[0], spec))),
+        ("ResolventKernel", big,
+         lambda d: _refused(lambda: eval_batch(ResolventKernel(big + d), frame, at_big, spec))),
+        ("rational PrincipalExtension", big,
+         lambda d: _refused(lambda: eval_batch(rational, frame, at_big + [d, 0.0, 0.0], spec))),
+        ("winding_certificate on a circle", big,
+         lambda d: _refused(lambda: winding_certificate(circle(d), frame, np.zeros(3), spec))),
+        ("winding_certificate on a polyline", np.hypot(1.0, big),
+         lambda d: _refused(lambda: winding_certificate(square(d), frame, np.zeros(3), spec))),
+        ("lambda integrand", big,
+         lambda d: _refused(lambda: _InverseIntegrand().eval_many(frame, near(d)[None], spec))),
+        ("formula integrand", big,
+         lambda d: _refused(lambda: _InverseIntegrand(shift).eval_many(
+             frame, (shift + near(d))[None], spec))),
+    ]
+
+
 def test_inverse_many_uses_the_relative_singularity_threshold():
-    # xi_1 = 1e-11 is below 1e-13 |x| = 1e-10: every entry point agrees
+    # every entry point refuses at half the margin of _on_locus and accepts
+    # at twice it: one rule decides everywhere
     spec = example1()
     frame = builtin_frames(spec)["default"]
-    x = np.array([1e-11, 0.0, 1e3])
-    assert not spectral(frame, x, spec).invertible
-    with pytest.raises(SingularElementError):
-        inverse(frame, x, spec)
+    for name, size, refused in _locus_entry_points(spec, frame):
+        margin = _LOCUS_MARGIN * max(1.0, size)
+        assert refused(0.5 * margin), f"{name} accepts half the margin"
+        assert not refused(2.0 * margin), f"{name} refuses twice the margin"
     with pytest.raises(SingularElementError) as err:
-        inverse_many(frame, np.stack([[0.5, 0.5, 0.0], x]), spec)
+        inverse_many(frame, np.stack([[0.5, 0.5, 0.0], [1e-11, 0.0, 1e3]]), spec)
     assert err.value.offending == (1,)
     assert "(1,)" in str(err.value)
 

@@ -54,5 +54,7 @@ def test_entry_lists_failing_and_unconverged_checks():
         VerificationReport("b", 2.0, 1.0),
         VerificationReport("c", 0.0, None, diagnostics={"converged": False}),
     ]
-    assert verdicts(reports) == {"exit": 1, "failed": ["b"], "unconverged": ["c"]}
-    assert verdicts(reports[:1] + reports[2:])["exit"] == 0
+    # an unconverged check fails, even an informational one
+    assert verdicts(reports) == {"exit": 1, "failed": ["b", "c"], "unconverged": ["c"]}
+    assert verdicts(reports[:1] + reports[2:])["exit"] == 1
+    assert verdicts(reports[:1])["exit"] == 0
