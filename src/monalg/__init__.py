@@ -39,7 +39,7 @@ from .errors import (
     SpecFormatError,
     StructureError,
 )
-from .frames import Frame, SpectralData, embed, frame_coordinates, spectral, validate_frame
+from .frames import Frame, SpectralData, embed, spectral, validate_frame
 from .integrals import (
     EmbraceCertificate,
     IntegralResult,
@@ -61,7 +61,6 @@ from .monogenic import (
     constant,
     cr_residual,
     eval_function,
-    gateaux_quotient,
     zeta,
     zeta_power,
 )
@@ -71,7 +70,10 @@ from .predicates import (
     theorem6_predicate,
     theorem7_predicate,
 )
-from .resolvent import ResolventCoefficients, inverse, recurrence_coefficients, resolvent
+# The function ``resolvent`` is public API, so it keeps its name though it hides
+# the submodule on the package: ``from monalg.resolvent import ...`` still works,
+# and code that needs the module object uses importlib.import_module.
+from .resolvent import inverse, resolvent
 from .suites import SUITES, run_suites
 
 __version__ = "0.1.0"

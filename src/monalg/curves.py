@@ -66,11 +66,15 @@ class Circle2D:
     def k(self) -> int:
         return self.center.shape[0]
 
-    def points(self, tau) -> np.ndarray:
-        """Canonical (counterclockwise-in-plane) points, shape (len(tau), k)."""
+    def points(self, tau, origin=0.0) -> np.ndarray:
+        """Canonical (counterclockwise-in-plane) points relative to ``origin``,
+        shape (len(tau), k): exact offsets ``(center - origin) + r (cos tau p + sin tau q)``."""
         tau = np.asarray(tau, dtype=np.float64)
-        circ = np.cos(tau)[:, None] * self.plane[0] + np.sin(tau)[:, None] * self.plane[1]
-        return self.center + self.radius * circ
+        out = np.cos(tau)[:, None] * self.plane[0]
+        out += np.sin(tau)[:, None] * self.plane[1]
+        out *= self.radius
+        out += self.center - origin
+        return out
 
     def tangents(self, tau) -> np.ndarray:
         """Canonical velocity d(points)/d(tau); orientation applied by callers."""

@@ -19,7 +19,6 @@ __all__ = [
     "Frame",
     "SpectralData",
     "embed",
-    "frame_coordinates",
     "spectral",
     "validate_frame",
 ]
@@ -128,18 +127,3 @@ def spectral(frame: Frame, x, spec: AlgebraSpec) -> SpectralData:
         invertible=not np.any(_on_locus(xi, np.linalg.norm(x))),
         min_abs_xi=float(np.min(np.abs(xi))),
     )
-
-
-def frame_coordinates(frame: Frame, elem: Element, tol: float = 1e-10) -> np.ndarray:
-    """Real coordinates ``x`` with ``embed(frame, x) = elem``.
-
-    Solves the real least-squares system; raises ``ValueError`` when the
-    element does not lie in the span of the frame.
-    """
-    mat = np.concatenate([frame.a.real, frame.a.imag], axis=1).T  # (2n, k)
-    rhs = np.concatenate([elem.coords.real, elem.coords.imag])
-    x, *_ = np.linalg.lstsq(mat, rhs, rcond=None)
-    residual = float(np.linalg.norm(mat @ x - rhs))
-    if residual > tol * max(1.0, float(np.linalg.norm(rhs))):
-        raise ValueError("element does not lie in the span of the frame")
-    return x

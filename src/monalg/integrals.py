@@ -118,19 +118,19 @@ class LambdaResult:
 _LINE_TOL = 1e-10
 
 
-def _locate_failure(evaluators, frame, xs, taus, spec, exc) -> IntegrationError:
+def _locate_failure(evaluations, frame, taus, spec, exc) -> IntegrationError:
     """Re-evaluate pointwise to name the parameter where evaluation failed.
 
-    ``evaluators`` are the factors of the integrand, evaluated in order.
-    ``taus`` are the curve parameters of the points ``xs``: radians on a
-    circle, ``s + t`` at ``t`` along segment ``s`` of a polyline, as in
-    :func:`winding_certificate`.  Morera's segments are the 3 T edges of
-    its T triangles, so there ``s // 3`` is the triangle.
+    ``evaluations`` are the factors of the integrand, each with its points,
+    evaluated in order.  ``taus`` are the curve parameters of the points:
+    radians on a circle, ``s + t`` at ``t`` along segment ``s`` of a
+    polyline, as in :func:`winding_certificate`.  Morera's segments are the
+    3 T edges of its T triangles, so there ``s // 3`` is the triangle.
     """
-    for tau, x in zip(taus, xs):
+    for i, tau in enumerate(taus):
         try:
-            for psi in evaluators:
-                _evaluate(psi, frame, x.reshape(1, -1), spec)
+            for psi, xs in evaluations:
+                _evaluate(psi, frame, xs[i : i + 1], spec)
         except MonalgError:
             return IntegrationError(
                 f"integrand evaluation failed at tau={float(tau):.6g}: {exc}",
@@ -184,8 +184,8 @@ class _CirclePiece:
     def __len__(self):
         return 1
 
-    def points(self, taus, pieces):
-        return self.gamma.points(taus)
+    def points(self, taus, pieces, origin=0.0):
+        return self.gamma.points(taus, origin)
 
     def dzeta(self, taus):
         return self.gamma.tangents(taus) @ self.frame.a
@@ -205,9 +205,10 @@ class _Segments:
     def __len__(self):
         return len(self.starts)
 
-    def points(self, taus, pieces):
-        """The point at ``taus[i]`` on segment ``pieces[i]``, for each ``i``."""
-        return self.starts[pieces] + taus[:, None] * self.directions[pieces]
+    def points(self, taus, pieces, origin=0.0):
+        """The point at ``taus[i]`` on segment ``pieces[i]``, for each ``i``,
+        relative to ``origin``."""
+        return (self.starts - origin)[pieces] + taus[:, None] * self.directions[pieces]
 
     def dzeta(self, taus):
         return None
@@ -219,7 +220,9 @@ class _CurveStack:
     Integrand ``i`` is function ``i // P`` on piece ``i % P``, so each
     function refines on each piece to its own tolerance.  ``factor``, when
     given, multiplies every function's values (the shifted inverse of the
-    integral formula).
+    integral formula); it takes the nodes relative to its ``shift``, which
+    the pieces compute from the curve's geometry, so a small curve far
+    from 0 keeps every digit of its offsets.
 
     ``level(tau)`` returns the evaluator of one level.  A block's functions
     are evaluated one at a time, each on its pieces in the block.  The
@@ -273,17 +276,23 @@ class _CurveStack:
                 at[name] = make()
             return at[name]
 
-        frame, spec, psi = self.frame, self.spec, self.psis[j]
+        frame, spec, psi, factor = self.frame, self.spec, self.psis[j], self.factor
         xs = once("points", lambda: self.pieces.points(taus, pieces))
+
+        def offsets():
+            return self.pieces.points(taus, pieces, factor.shift)
+
         try:
+            # the factor first, so its offsets' temporaries meet no values (peak memory)
+            fac = None if factor is None else once(
+                "factor", lambda: factor.eval_many(frame, offsets(), spec))
             vals = _evaluate(psi, frame, xs, spec)
-            if self.factor is not None:
-                vals = _multiply_coords(
-                    vals, once("factor", lambda: self.factor.eval_many(frame, xs, spec)), spec)
+            if fac is not None:
+                vals = _multiply_coords(vals, fac, spec)
         except MonalgError as exc:
-            evaluators = [e for e in (psi, self.factor) if e is not None]
+            evaluations = [(psi, xs)] + ([(factor, offsets())] if factor is not None else [])
             # a node's curve parameter: its piece (0 on a circle) plus its local one
-            raise _locate_failure(evaluators, frame, xs, pieces + taus, spec, exc) from exc
+            raise _locate_failure(evaluations, frame, pieces + taus, spec, exc) from exc
         dz = once("dzeta", lambda: self.pieces.dzeta(taus))
         return vals if dz is None else _multiply_coords(vals, dz, spec)
 
@@ -371,7 +380,7 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec) -> Emb
         roots = [np.roots(coeffs) for coeffs in zip(p - 1j * q, a, p + 1j * q)]
         # nearest the locus at the roots' angles; tau = 0 covers an image Q_u / z, which has none
         taus = np.mod(np.angle(np.concatenate([[1.0], *roots])), 2.0 * np.pi)
-        rel = gamma.points(taus) - center
+        rel = gamma.points(taus, center)
         near = np.min(np.abs((rel @ frame.a)[:, : spec.m]), axis=1)
         size = np.linalg.norm(rel, axis=1)
         turns = [np.sum(np.abs(r) < 1.0) - 1 for r in roots]
@@ -399,13 +408,13 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec) -> Emb
 
 
 class _InverseIntegrand:
-    """Batch evaluator of ``x -> (embedded x - shift)^{-1}``; refuses the locus."""
+    """Batch ``(embedded x - shift)^{-1}`` from the offsets ``x - shift``; refuses the locus."""
 
     def __init__(self, shift=0.0):
         self.shift = shift
 
-    def eval_many(self, frame, xs, spec):
-        return inverse_many(frame, xs - self.shift, spec)
+    def eval_many(self, frame, offsets, spec):
+        return inverse_many(frame, offsets, spec)
 
 
 def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,

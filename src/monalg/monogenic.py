@@ -7,8 +7,8 @@ principal extension by contour integrals against the resolvent; for every
 admissible contour each residue is the same Taylor term, so it is evaluated,
 with no contour as input, as the finite expansion over the radical of
 :mod:`monalg.resolvent` with the scalars' Taylor coefficients at the
-spectral values.  Gateaux quotients and finite-difference residuals of the
-characteristic differential conditions probe monogenicity numerically.
+spectral values.  Finite-difference residuals of the characteristic
+differential conditions probe monogenicity numerically.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import numpy as np
 from .algebra import AlgebraSpec, Element, zero_element
 from .algebra import _multiply_coords, _on_locus
 from .errors import PoleError
-from .frames import Frame, embed_many, frame_coordinates
+from .frames import Frame, embed_many
 from .resolvent import _check_pole, _radical_series, _resolvent_coords
 
 __all__ = [
@@ -33,7 +33,6 @@ __all__ = [
     "constant",
     "cr_residual",
     "eval_function",
-    "gateaux_quotient",
     "zeta",
     "zeta_power",
 ]
@@ -277,18 +276,3 @@ def cr_residual(phi: MonogenicFunction, frame: Frame, x, h: float, spec: Algebra
         model = _multiply_coords(derivs[0], frame.a[j - 1], spec)
         residuals.append(float(np.linalg.norm(derivs[j - 1] - model)))
     return residuals
-
-
-def gateaux_quotient(phi: MonogenicFunction, frame: Frame, x, direction: Element,
-                     eps: float, spec: AlgebraSpec) -> Element:
-    """Difference quotient ``(phi(zeta + eps h) - phi(zeta)) / eps``.
-
-    The direction must lie in the span of the frame; its real coordinates
-    are recovered and the shift happens in parameter space.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    x = np.asarray(x, dtype=np.float64)
-    alpha = frame_coordinates(frame, direction)
-    vals = eval_batch(phi, frame, np.stack([x + eps * alpha, x]), spec)
-    return Element((vals[0] - vals[1]) / eps)

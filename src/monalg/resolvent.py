@@ -11,27 +11,10 @@ values is a finite sum, with ``k`` up to the radical's depth (``<= n - m``)
 :func:`_radical_series` evaluates that sum by Horner; the resolvent takes
 ``c_k = (t - xi)^{-k-1}``, the inverse ``c_k = (-1)^k xi^{-k-1}``.
 
-The paper's closed form is kept as an independent oracle for tests, behind
-:func:`recurrence_coefficients`.  There the resolvent ``(t e_1 - zeta)^{-1}``
-reads
-
-    sum_u (t - xi_u)^{-1} I_u
-        + sum_{s > m} sum_{r=2}^{s-m+1} Q_{r,s} (t - xi_{u_s})^{-r} I_s
-
-with coefficients built from the nilpotent components ``T_s`` of ``zeta``
-through the recurrences
-
-    Q_{2,s} = T_s,      Q_{r,s} = sum_{q=r+m-2}^{s-1} Q_{r-1,q} B_{q,s},
-    B_{q,s} = sum_{p=m+1}^{s-1} T_p * (I_s-coefficient of I_q I_p).
-
-The inverse uses the mirrored coefficients ``Qt_{r,s} = (-1)^(r-1) Q_{r,s}``
-evaluated at ``t = 0``:  ``zeta^{-1} = sum_u xi_u^{-1} I_u + sum_s A_s I_s``
-with ``A_s = sum_r Qt_{r,s} xi_{u_s}^{-r}``.
+The paper's T/B/Q recurrences are an independent oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,87 +22,7 @@ from .algebra import AlgebraSpec, Element, _fixed_factor, _on_locus, _times_fixe
 from .errors import PoleError, SingularElementError
 from .frames import Frame, embed_many
 
-__all__ = [
-    "ResolventCoefficients",
-    "inverse",
-    "recurrence_coefficients",
-    "resolvent",
-]
-
-
-@dataclass(frozen=True)
-class ResolventCoefficients:
-    """The maps T_s, B_{q,s}, Q_{r,s} and the sign-mirrored Qt_{r,s}.
-
-    Keys are 1-based basis indices: ``T[s]``, ``B[(q, s)]``, ``Q[(r, s)]``
-    with r the pole order.  Empty for a semisimple algebra.
-    """
-
-    T: dict
-    B: dict
-    Q: dict
-    Qt: dict
-
-
-# -- the paper's recurrences (oracle) -----------------------------------------
-
-
-def _b_support(spec: AlgebraSpec) -> dict:
-    """For each (q, s): list of (p, coeff) with coeff the I_s part of I_q I_p."""
-    support: dict[tuple[int, int], list[tuple[int, complex]]] = {}
-    for (left, right, target), value in spec.products.items():
-        for q, p in ((left, right), (right, left)) if left != right else ((left, right),):
-            support.setdefault((q, target), []).append((p, value))
-    return support
-
-
-def _b_value(support: dict, q: int, s: int, t_map: dict) -> complex:
-    """B_{q,s} from the nilpotent components ``t_map``."""
-    acc = 0.0 + 0.0j
-    for p, coeff in support.get((q, s), ()):
-        if p <= s - 1:
-            acc = acc + t_map[p] * coeff
-    return acc
-
-
-def _q_tables(spec: AlgebraSpec, support: dict, t_map: dict, sign: float):
-    """Recurrence tables Q (sign=+1) or Qt (sign=-1) as {(r, s): value}."""
-    n, m = spec.n, spec.m
-    b: dict = {}
-    q_map: dict = {}
-    for s in range(m + 1, n + 1):
-        q_map[(2, s)] = sign * t_map[s]
-        for r in range(3, s - m + 2):
-            acc = 0.0 + 0.0j
-            for q in range(r + m - 2, s):
-                key = (q, s)
-                if key not in b:
-                    b[key] = _b_value(support, q, s, t_map)
-                acc = acc + q_map[(r - 1, q)] * b[key]
-            q_map[(r, s)] = sign * acc
-    return q_map, b
-
-
-def recurrence_coefficients(frame: Frame, x, spec: AlgebraSpec) -> ResolventCoefficients:
-    """Evaluate T, B, Q, Qt at one point ``x`` by the paper's recurrences."""
-    x = np.asarray(x, dtype=np.float64)
-    coords = x @ frame.a
-    n, m = spec.n, spec.m
-    support = _b_support(spec)
-    t_map = {s: complex(coords[s - 1]) for s in range(m + 1, n + 1)}
-    q_map, b_partial = _q_tables(spec, support, t_map, +1.0)
-    qt_map, _ = _q_tables(spec, support, t_map, -1.0)
-    # complete B over the full documented index range
-    b_map = {}
-    for s in range(m + 1, n + 1):
-        for q in range(m + 1, s):
-            b_map[(q, s)] = complex(b_partial.get((q, s), _b_value(support, q, s, t_map)))
-    return ResolventCoefficients(
-        T=t_map,
-        B=b_map,
-        Q={k: complex(v) for k, v in q_map.items()},
-        Qt={k: complex(v) for k, v in qt_map.items()},
-    )
+__all__ = ["inverse", "resolvent"]
 
 
 # -- batch kernels -----------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from monalg.algebra import AlgebraSpec, functional
 from monalg.errors import FrameError
-from monalg.frames import Frame, embed, frame_coordinates, spectral, validate_frame
+from monalg.frames import Frame, embed, spectral, validate_frame
 
 
 @pytest.fixture
@@ -93,18 +93,3 @@ def test_frame_rejects_k_bounds(spec):
     frame = Frame(spec.unit_coords().reshape(1, 5))
     with pytest.raises(FrameError, match="2 <= k"):
         validate_frame(frame, spec)
-
-
-def test_frame_coordinates_roundtrip(spec, frame):
-    rng = np.random.default_rng(7)
-    x = rng.standard_normal(3)
-    elem = embed(frame, x, spec)
-    back = frame_coordinates(frame, elem)
-    assert np.allclose(back, x, atol=1e-12)
-
-
-def test_frame_coordinates_rejects_off_span(spec, frame):
-    from monalg.algebra import basis_element
-
-    with pytest.raises(ValueError, match="span"):
-        frame_coordinates(frame, basis_element(4, 5))

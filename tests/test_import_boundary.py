@@ -1,0 +1,29 @@
+"""The runtime imports nothing but the standard library, numpy and monalg itself.
+
+This keeps ``src`` numpy-only, and keeps it from reaching the test oracles
+in ``tests/``.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "monalg"
+ALLOWED = set(sys.stdlib_module_names) | {"numpy", "monalg"}
+
+
+def imported_roots(tree):
+    """Top-level package of every absolute import in ``tree``; relative ones are monalg's."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            yield from (alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_runtime_imports_only_the_standard_library_numpy_and_monalg():
+    modules = sorted(SRC.glob("*.py"))
+    assert len(modules) > 10
+    outside = {path.name: sorted(set(imported_roots(ast.parse(path.read_text()))) - ALLOWED)
+               for path in modules}
+    assert {name: roots for name, roots in outside.items() if roots} == {}

@@ -153,13 +153,15 @@ def test_integration_error_near_locus_names_tau():
 
 def test_lambda_and_formula_do_not_depend_on_the_radius():
     # zeta^{-1} dzeta and (zeta - zeta_c)^{-1} dzeta do not change under
-    # x -> c x, so no radius of a centred circle is refused for its size.
-    # Centred, because an off-centre point x_c + r u loses the low bits of
-    # r u to rounding: about 1e-8 of it at r = 1e-9 and |x_c| = 0.2.
+    # x -> c x, so no radius of a circle is refused for its size.  Off
+    # centre too: the formula's factor takes the offsets r u from the
+    # geometry, where x_c + r u - x_c would lose about 1e-8 of r u to
+    # rounding at r = 1e-9 and |x_c| = 0.2, and stop unconverged.
     spec = example1()
     frame = default_frame(spec)
     plane = coordinate_plane(3, 1, 2)
     phis = [constant(spec.unit()), zeta(spec)]
+    off = np.array([0.2, 0.1, 0.0])
     lambdas, formulas = {}, {}
     for radius in (1e-9, 1e-6, 1.0, 1e3):
         circle = Circle2D(np.zeros(3), radius, plane)
@@ -169,6 +171,11 @@ def test_lambda_and_formula_do_not_depend_on_the_radius():
         reports = cauchy_formula_check(phis, np.zeros(3), circle, frame, spec)
         assert all(rep.diagnostics["converged"] and rep.passed for rep in reports)
         formulas[radius] = np.array([rep.value.coords for rep in reports])
+        shifted = cauchy_formula_check(phis, off, Circle2D(off, radius, plane), frame, spec)
+        assert all(rep.passed for rep in shifted)
+        assert [rep.diagnostics["nodes"] for rep in shifted] == [256, 256]
+        assert [rep.diagnostics["nodes"] for rep in reports] == [256, 256]
+        assert np.max(np.abs(shifted[0].value.coords - formulas[radius][0])) <= 1e-12
     for radius in lambdas:
         assert np.max(np.abs(lambdas[radius] - lambdas[1.0])) <= 1e-12
         assert np.max(np.abs(formulas[radius] - formulas[1.0])) <= 1e-12

@@ -1,9 +1,10 @@
-"""Recurrence coefficients, closed-form resolvent and inverse vs the solve oracle."""
+"""Resolvent and inverse against the solve oracle and the paper's recurrences."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import formula_inverse, formula_resolvent, recurrence_coefficients
 from test_algebra import BUILTIN_IDS, BUILTINS, chain, structure_tensors
 
 from monalg.algebra import (
@@ -29,7 +30,6 @@ from monalg.resolvent import (
     _resolvent_coords,
     inverse,
     inverse_many,
-    recurrence_coefficients,
     resolvent,
 )
 
@@ -67,34 +67,24 @@ def test_hand_expanded_coefficients():
     spec = example1()
     frame = Frame.from_rows(spec, [1j, 1, 0, 0, 0], [0, 0, 0, 1, 0])
     co = recurrence_coefficients(frame, [0.0, 1.0, 1.0], spec)
-    assert co.T == {2: 1, 3: 0, 4: 1, 5: 0}
-    assert co.B[(2, 3)] == 1 and co.B[(2, 5)] == 1 and co.B[(4, 5)] == 1
-    assert co.B[(2, 4)] == 0 and co.B[(3, 4)] == 0 and co.B[(3, 5)] == 0
+    T, B, Q, Qt = co["T"], co["B"], co["Q"], co["Qt"]
+    assert T == {2: 1, 3: 0, 4: 1, 5: 0}
+    assert B[(2, 3)] == 1 and B[(2, 5)] == 1 and B[(4, 5)] == 1
+    assert B[(2, 4)] == 0 and B[(3, 4)] == 0 and B[(3, 5)] == 0
     for s in range(2, 6):
-        assert co.Q[(2, s)] == co.T[s]
-        assert co.Qt[(2, s)] == -co.T[s]
-    assert co.Q[(3, 3)] == 1
-    assert co.Q[(3, 5)] == 2
-    assert co.Q[(3, 4)] == 0
-    assert co.Q[(4, 5)] == 0 and co.Q[(5, 5)] == 0
+        assert Q[(2, s)] == T[s]
+        assert Qt[(2, s)] == -T[s]
+    assert Q[(3, 3)] == 1
+    assert Q[(3, 5)] == 2
+    assert Q[(3, 4)] == 0
+    assert Q[(4, 5)] == 0 and Q[(5, 5)] == 0
 
 
 def test_semisimple_maps_empty():
     spec = AlgebraSpec(3, 3)
     frame = Frame.from_rows(spec, [1j, 1j, 1j])
     co = recurrence_coefficients(frame, [0.3, 0.7], spec)
-    assert co.T == {} and co.B == {} and co.Q == {} and co.Qt == {}
-
-
-def test_sign_law():
-    spec = example4()
-    frame = default_frame(spec)
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        co = recurrence_coefficients(frame, rng.standard_normal(3), spec)
-        for (r, s), q in co.Q.items():
-            qt = co.Qt[(r, s)]
-            assert abs(qt - (-1) ** (r - 1) * q) <= 1e-12 * max(1.0, abs(q))
+    assert co == {"T": {}, "B": {}, "Q": {}, "Qt": {}}
 
 
 # -- resolvent ----------------------------------------------------------------
@@ -326,27 +316,6 @@ def random_frame(spec, rng):
     return Frame.from_rows(spec, *rows)
 
 
-def formula_resolvent(t, frame, x, spec):
-    """The module docstring's closed form with ``recurrence_coefficients``."""
-    co = recurrence_coefficients(frame, x, spec)
-    xi = embed(frame, x, spec).coords[: spec.m]
-    out = np.zeros(spec.n, dtype=np.complex128)
-    out[: spec.m] = 1.0 / (t - xi)
-    for (r, s), q in co.Q.items():
-        out[s - 1] += q * (t - xi[spec.u_map[s] - 1]) ** (-r)
-    return out
-
-
-def formula_inverse(frame, x, spec):
-    co = recurrence_coefficients(frame, x, spec)
-    xi = embed(frame, x, spec).coords[: spec.m]
-    out = np.zeros(spec.n, dtype=np.complex128)
-    out[: spec.m] = 1.0 / xi
-    for (r, s), qt in co.Qt.items():
-        out[s - 1] += qt * xi[spec.u_map[s] - 1] ** (-r)
-    return out
-
-
 def assert_expansion_matches_recurrences(spec, frame, rng, count=8):
     xs, ts = [], []
     while len(xs) < count:
@@ -443,9 +412,10 @@ def _locus_entry_points(spec, frame):
          lambda d: _refused(lambda: winding_certificate(square(d), frame, np.zeros(3), spec))),
         ("lambda integrand", big,
          lambda d: _refused(lambda: _InverseIntegrand().eval_many(frame, near(d)[None], spec))),
+        # the formula's factor takes offsets from its shift
         ("formula integrand", big,
          lambda d: _refused(lambda: _InverseIntegrand(shift).eval_many(
-             frame, (shift + near(d))[None], spec))),
+             frame, near(d)[None], spec))),
     ]
 
 
