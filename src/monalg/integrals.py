@@ -10,12 +10,14 @@ image winds once.  :func:`compute_lambda` integrates the algebra constant
 
 :func:`line_integral`, :func:`cauchy_theorem_check` and
 :func:`cauchy_formula_check` also take a list of functions.  The functions
-of one curve are then refined as one stack, in one refinement run: each
-level computes the curve's points and ``dzeta``, and for the formula the
-shifted inverse ``(zeta - zeta_c)^{-1}``, once for all of them, and each
-function keeps its own convergence test, so every result is bit for bit
-that of the function's own call.  A single function is the one-element
-case of the same path.
+of one curve are then refined as one stack, in one refinement run.  On
+circles and segments alike the integrand is ``psi(zeta) w`` at each node,
+with the weight ``w = dzeta``, times the shifted inverse
+``(zeta - zeta_c)^{-1}`` for the formula; each level computes the curve's
+points and ``w`` once for all the functions, and each function keeps its
+own convergence test, so every result is bit for bit that of the
+function's own call.  A single function is the one-element case of the
+same path.
 """
 
 from __future__ import annotations
@@ -152,8 +154,8 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
     ``psi`` may also be a list of functions, and the result is then the list
     of their :class:`IntegralResult`.  One refinement run integrates them as
     a stack (:class:`_CurveStack`) that computes each level's points and
-    ``dzeta`` once.  Every function keeps its own convergence test, so each
-    result equals, bit for bit, that of the function's own call.
+    weight ``dzeta`` once.  Every function keeps its own convergence test,
+    so each result equals, bit for bit, that of the function's own call.
     """
     psis = psi if isinstance(psi, list) else [psi]
     results = _line_integrals(psis, gamma, frame, spec, tol, cap)
@@ -171,11 +173,8 @@ def _join(arrays):
 
 
 class _CirclePiece:
-    """A circle as the one piece of a :class:`_CurveStack`.
-
-    Its ``dzeta`` changes from node to node, so it multiplies the values
-    inside the integrand.
-    """
+    """A circle as the one piece of a :class:`_CurveStack`; ``dzeta`` changes
+    from node to node."""
 
     def __init__(self, gamma, frame):
         self.gamma = gamma
@@ -187,20 +186,18 @@ class _CirclePiece:
     def points(self, taus, pieces, origin=0.0):
         return self.gamma.points(taus, origin)
 
-    def dzeta(self, taus):
+    def dzeta(self, taus, pieces):
         return self.gamma.tangents(taus) @ self.frame.a
 
 
 class _Segments:
-    """Straight segments ``starts[s] -> ends[s]`` as the pieces of a :class:`_CurveStack`.
+    """Straight segments ``starts[s] -> ends[s]`` as the pieces of a
+    :class:`_CurveStack`; a segment's ``dzeta`` is its constant ``(B - A) @ a``."""
 
-    A segment's ``dzeta`` is constant; it multiplies the segment's integral
-    afterwards, so the values carry none.
-    """
-
-    def __init__(self, starts, ends):
+    def __init__(self, starts, ends, frame):
         self.starts = starts
         self.directions = ends - starts
+        self.increments = self.directions @ frame.a
 
     def __len__(self):
         return len(self.starts)
@@ -210,26 +207,27 @@ class _Segments:
         relative to ``origin``."""
         return (self.starts - origin)[pieces] + taus[:, None] * self.directions[pieces]
 
-    def dzeta(self, taus):
-        return None
+    def dzeta(self, taus, pieces):
+        return self.increments[pieces]
 
 
 class _CurveStack:
     """F functions on the P pieces of one curve, as one stack for :func:`_refine`.
 
     Integrand ``i`` is function ``i // P`` on piece ``i % P``, so each
-    function refines on each piece to its own tolerance.  ``factor``, when
-    given, multiplies every function's values (the shifted inverse of the
-    integral formula); it takes the nodes relative to its ``shift``, which
-    the pieces compute from the curve's geometry, so a small curve far
-    from 0 keeps every digit of its offsets.
+    function refines on each piece to its own tolerance.  Every integrand is
+    ``psi(zeta) w`` at the nodes, with the weight ``w = dzeta`` times
+    ``factor`` when one is given (the shifted inverse of the integral
+    formula).  The factor takes the nodes relative to its ``shift``, which
+    the pieces compute from the curve's geometry, so a small curve far from
+    0 keeps every digit of its offsets.
 
     ``level(tau)`` returns the evaluator of one level.  A block's functions
     are evaluated one at a time, each on its pieces in the block.  The
-    points, factor values and ``dzeta`` of a set of pieces are computed for
-    the first function that needs them and, when there are more functions,
-    kept for the level only, for the next functions on the same pieces: on
-    a circle that is every function.
+    points and the weight of a set of pieces are computed for the first
+    function that needs them and, when there are more functions, kept for
+    the level only, for the next functions on the same pieces: on a circle
+    that is every function.
     """
 
     def __init__(self, psis, frame, spec, pieces, factor=None):
@@ -244,7 +242,7 @@ class _CurveStack:
 
     def level(self, tau):
         count = len(self.pieces)
-        shared = {}  # a block's pieces -> their points, factor values and dzeta
+        shared = {}  # a block's pieces -> their points and weight
 
         def evaluate(taus, seg):
             if len(self.psis) == 1:  # nothing to share
@@ -262,12 +260,19 @@ class _CurveStack:
 
         return evaluate
 
-    def _values(self, j, taus, pieces, at):
-        """Function ``j`` times ``factor`` and ``dzeta`` at ``taus`` on ``pieces``.
+    def _weight(self, taus, pieces):
+        dz = self.pieces.dzeta(taus, pieces)
+        if self.factor is None:
+            return dz
+        offsets = self.pieces.points(taus, pieces, self.factor.shift)
+        return _multiply_coords(self.factor.eval_many(self.frame, offsets, self.spec), dz, self.spec)
 
-        ``at`` keeps the points, factor values and ``dzeta`` of these nodes
-        for the level's other functions.  With ``at`` None nothing is kept,
-        so each array dies as soon as it is used, as in a single integral.
+    def _values(self, j, taus, pieces, at):
+        """Function ``j`` times the weight at ``taus`` on ``pieces``.
+
+        ``at`` keeps the points and the weight at these nodes for the
+        level's other functions.  With ``at`` None nothing is kept, so each
+        array dies as soon as it is used, as in a single integral.
         """
         def once(name, make):
             if at is None:
@@ -278,23 +283,17 @@ class _CurveStack:
 
         frame, spec, psi, factor = self.frame, self.spec, self.psis[j], self.factor
         xs = once("points", lambda: self.pieces.points(taus, pieces))
-
-        def offsets():
-            return self.pieces.points(taus, pieces, factor.shift)
-
         try:
-            # the factor first, so its offsets' temporaries meet no values (peak memory)
-            fac = None if factor is None else once(
-                "factor", lambda: factor.eval_many(frame, offsets(), spec))
+            # the weight first, so its offsets' temporaries meet no values (peak memory)
+            weight = once("weight", lambda: self._weight(taus, pieces))
             vals = _evaluate(psi, frame, xs, spec)
-            if fac is not None:
-                vals = _multiply_coords(vals, fac, spec)
         except MonalgError as exc:
-            evaluations = [(psi, xs)] + ([(factor, offsets())] if factor is not None else [])
+            evaluations = [(psi, xs)]
+            if factor is not None:
+                evaluations.append((factor, self.pieces.points(taus, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
             raise _locate_failure(evaluations, frame, pieces + taus, spec, exc) from exc
-        dz = once("dzeta", lambda: self.pieces.dzeta(taus))
-        return vals if dz is None else _multiply_coords(vals, dz, spec)
+        return _multiply_coords(vals, weight, spec)
 
 
 def _histories(levels, pieces: int, functions: int) -> list:
@@ -309,44 +308,29 @@ def _histories(levels, pieces: int, functions: int) -> list:
     return out
 
 
-def _segment_integrals(psis, starts, ends, frame, spec, tol, cap, factor=None):
-    """``psi dzeta`` of each of ``psis`` over each segment ``starts[s] -> ends[s]``.
-
-    One stack refines them all.  Returns the (F S, n) segment integrals,
-    function by function, the (S, n) increments ``dzeta`` and the stack's
-    :class:`QuadratureResult`; ``tol`` holds per function and segment.
-    """
-    segments = _Segments(starts, ends)
-    res = gauss_segment(_CurveStack(psis, frame, spec, segments, factor), tol=tol, cap=cap)
-    dz = segments.directions @ frame.a
-    return _multiply_coords(res.value, np.tile(dz, (len(psis), 1)), spec), dz, res
-
-
 def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
     """:func:`line_integral` of each of ``psis`` along ``gamma``, as one stack.
 
-    ``factor`` multiplies every function's values at each node.  A circle's
-    integrand holds ``dzeta``, so its deltas are errors as they are; a
-    segment's delta is weighted by ``|dzeta|``.
+    ``factor`` multiplies every function's values at each node.  Each piece
+    refines ``psi dzeta`` to its share of ``tol``, and a result's error
+    estimate is the sum of its pieces' deltas.
     """
     if not psis:
         return []
     if isinstance(gamma, Circle2D):
-        res = trapezoid_periodic(_CurveStack(psis, frame, spec, _CirclePiece(gamma, frame), factor),
-                                 tol=tol, cap=cap)
-        parts, weights = res.value, np.ones(1)
+        pieces, rule, share = _CirclePiece(gamma, frame), trapezoid_periodic, tol
     else:
         segments = np.array(gamma.segments())  # (S, 2, k)
-        parts, dz, res = _segment_integrals(psis, segments[:, 0], segments[:, 1], frame, spec,
-                                            tol / len(segments), cap, factor)
-        weights = np.linalg.norm(dz, axis=1)
-    pieces = len(weights)
+        pieces = _Segments(segments[:, 0], segments[:, 1], frame)
+        rule, share = gauss_segment, tol / len(segments)
+    res = rule(_CurveStack(psis, frame, spec, pieces, factor), tol=share, cap=cap)
+    count = len(pieces)
     out = []
-    for j, history in enumerate(_histories(res.levels, pieces, len(psis))):
-        rows = slice(j * pieces, (j + 1) * pieces)
+    for j, history in enumerate(_histories(res.levels, count, len(psis))):
+        rows = slice(j * count, (j + 1) * count)
         out.append(IntegralResult(
-            Element(gamma.orientation * parts[rows].sum(axis=0)),
-            float(np.sum(res.segment_deltas[rows] * weights)),
+            Element(gamma.orientation * res.value[rows].sum(axis=0)),
+            float(res.segment_deltas[rows].sum()),
             int(res.segment_nodes[rows].sum()),
             bool(res.segment_converged[rows].all()),
             history,
@@ -503,12 +487,11 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
     if starts.ndim != 3 or starts.shape[1] != 3 or len(starts) == 0:
         raise ValueError(f"need a (T, 3, k) array of T >= 1 triangles, got shape {starts.shape}")
     k = starts.shape[2]
+    edges = _Segments(starts.reshape(-1, k), np.roll(starts, -1, axis=1).reshape(-1, k), frame)
     # line_integral's default tolerance, split over three segments
-    parts, _, res = _segment_integrals([phi], starts.reshape(-1, k),
-                                       np.roll(starts, -1, axis=1).reshape(-1, k),
-                                       frame, spec, _LINE_TOL / 3, cap)
+    res = gauss_segment(_CurveStack([phi], frame, spec, edges), tol=_LINE_TOL / 3, cap=cap)
     # the orientation flips the sign of a boundary integral, not its norm
-    norms = np.linalg.norm(parts.reshape(len(starts), 3, spec.n).sum(axis=1), axis=1)
+    norms = np.linalg.norm(res.value.reshape(len(starts), 3, spec.n).sum(axis=1), axis=1)
     worst = int(np.argmax(norms))
     return VerificationReport(
         name="triangle-boundary-integral",

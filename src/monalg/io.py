@@ -290,20 +290,20 @@ def load_function(path, spec: AlgebraSpec):
 
 
 def _jsonable(value):
+    """``value`` as JSON data.  A NaN or infinite float, which JSON (RFC 8259)
+    cannot hold, becomes ``None``."""
+    if isinstance(value, np.generic):
+        value = value.item()
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, float):
-        return value
+        return value if math.isfinite(value) else None
     if isinstance(value, complex):
-        return [value.real, value.imag]
+        return [_jsonable(value.real), _jsonable(value.imag)]
     if isinstance(value, Element):
-        return [[c.real, c.imag] for c in value.coords]
+        return _jsonable(value.coords)
     if isinstance(value, np.ndarray):
         return [_jsonable(v) for v in value.tolist()]
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, np.complexfloating):
-        return [float(value.real), float(value.imag)]
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
@@ -315,8 +315,8 @@ def report_record(report: VerificationReport) -> dict:
     return {
         "name": report.name,
         "passed": report.passed,
-        "residual": report.residual,
-        "tolerance": report.tolerance,
+        "residual": _jsonable(report.residual),
+        "tolerance": _jsonable(report.tolerance),
         "value": _jsonable(report.value),
         "reference": _jsonable(report.reference),
         "diagnostics": _jsonable(report.diagnostics),
@@ -330,7 +330,7 @@ def reports_to_json(reports, config: dict | None = None) -> str:
         "checks": [report_record(r) for r in reports],
         "all_passed": all(r.passed for r in reports),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def reports_to_text(reports) -> str:

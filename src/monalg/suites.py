@@ -428,10 +428,10 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
     suite.  One :class:`_LambdaMemo` lives for this call: a frame's lambda
     on the standard circle is integrated once and read by the lambda and
     predicates suites.  When ``timings`` is a list, one row ``(suite, wall
-    seconds, compute_lambda calls)`` is appended to it per suite run.  An
-    option key outside ``_OPTION_KINDS`` raises ``ValueError``, and a value
-    not of its key's kind (a ``tol`` that is not finite and > 0, a count
-    below 1) raises :class:`SpecFormatError`.
+    seconds, compute_lambda calls)`` is appended to it per suite run.  A
+    suite named twice or an option key outside ``_OPTION_KINDS`` raises
+    ``ValueError``, and a value not of its key's kind (a ``tol`` that is not
+    finite and > 0, a count below 1) raises :class:`SpecFormatError`.
     """
     if isinstance(names, str):
         raise TypeError(f"names must be a list of suite names, got the string {names!r}")
@@ -445,6 +445,8 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
         names = list(SUITES)
     elif "all" in names:
         raise ValueError(f"suite 'all' runs every suite and stands alone; got {list(names)}")
+    elif len(set(names)) < len(names):
+        raise ValueError(f"each suite may be named once; got {list(names)}")
     lambdas = _LambdaMemo()
     reports = []
     for name in names:

@@ -188,6 +188,12 @@ def test_verify_refuses_all_beside_other_suites(capsys, suites):
     assert "suite 'all' runs every suite and stands alone" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_repeated_suite(capsys):
+    # a suite run twice would report each of its check names twice
+    assert main(["verify", "--algebra", "example1", "--suite", "cauchy,cauchy"]) == 2
+    assert "each suite may be named once" in capsys.readouterr().err
+
+
 BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 

@@ -8,7 +8,7 @@ import pytest
 from test_algebra import chain
 from test_resolvent import power_chains, random_frame
 
-from monalg.algebra import AlgebraSpec, Element, basis_element
+from monalg.algebra import AlgebraSpec, Element, _multiply_coords, basis_element
 from monalg.catalog import builtin_algebra, builtin_frames
 from monalg.curves import (
     Circle2D,
@@ -35,10 +35,17 @@ from monalg.integrals import (
     morera_check,
     winding_certificate,
 )
-from monalg.monogenic import ResolventKernel, constant, eval_function, zeta, zeta_power
+from monalg.monogenic import (
+    ResolventKernel,
+    constant,
+    eval_batch,
+    eval_function,
+    zeta,
+    zeta_power,
+)
 from monalg.predicates import theorem5_predicate
-from monalg.quadrature import _KRONROD_NODES, DEFAULT_CAP
-from monalg.resolvent import _radical_series
+from monalg.quadrature import _KRONROD_NODES, DEFAULT_CAP, gauss_segment
+from monalg.resolvent import _radical_series, inverse_many
 from monalg.suites import _Control, run_suites, suite_formula
 from verdicts import _inputs
 
@@ -554,6 +561,64 @@ def test_morera_stack_matches_per_triangle_line_integrals(name):
     assert report.diagnostics["worst_triangle"] == worst_triangle
 
 
+def _segment_oracle(psi, segments, frame, spec, center=None):
+    """Each segment's integral of ``psi dzeta`` as ``gauss_segment`` of the
+    bare ``psi`` along it, times its constant ``(B - A) @ a``.  With a
+    ``center`` the bare integrand is ``psi(x) (x - x_c)^{-1}``.  Refined to
+    roundoff, so the production rule's own stopping point does not matter."""
+    out = []
+    for start, end in segments:
+        def bare(t, start=start, end=end):
+            xs = start + t[:, None] * (end - start)
+            vals = psi.eval_many(frame, xs, spec) if hasattr(psi, "eval_many") \
+                else eval_batch(psi, frame, xs, spec)
+            if center is None:
+                return vals
+            return _multiply_coords(vals, inverse_many(frame, xs - center, spec), spec)
+
+        value = gauss_segment(bare, tol=1e-15, cap=240).value
+        out.append(_multiply_coords(value, (end - start) @ frame.a, spec))
+    return np.array(out)
+
+
+def _oracle_functions(spec):
+    return [zeta(spec), zeta_power(3, spec), ResolventKernel(3 + 3j), _Control(spec)]
+
+
+@pytest.mark.parametrize("name", ["example1", "chain12"])
+def test_polyline_values_match_the_bare_segment_oracle(name):
+    spec, frame = _stack_case(name)
+    center, curves = _formula_curves(frame.k)
+    square = curves["square"]
+    path = Polyline(square.vertices[:3])  # open
+    for curve in (square, square.reversed(), path):
+        for psi in _oracle_functions(spec):
+            oracle = _segment_oracle(psi, curve.segments(), frame, spec)
+            value = line_integral(psi, curve, frame, spec).value.coords
+            scale = np.linalg.norm(oracle, axis=1).sum()
+            assert np.linalg.norm(value - curve.orientation * oracle.sum(axis=0)) <= 1e-13 * scale
+    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
+    for psi, rep in zip(phis, cauchy_formula_check(phis, center, square, frame, spec)):
+        oracle = _segment_oracle(psi, square.segments(), frame, spec, center)
+        scale = np.linalg.norm(oracle, axis=1).sum()
+        assert np.linalg.norm(rep.value.coords - oracle.sum(axis=0)) <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("name", ["example1", "chain12"])
+def test_morera_values_match_the_bare_segment_oracle(name):
+    spec, frame = _stack_case(name)
+    sampler = TriangleSampler(np.zeros(frame.k), 1.0)
+    triangles = sampler.sample(np.random.default_rng(41), 20)
+    for psi in _oracle_functions(spec):
+        report = morera_check(psi, frame, spec, sampler, triangles=triangles)
+        sums, scale = [], 0.0
+        for row in triangles:
+            oracle = _segment_oracle(psi, Triangle(row).segments(), frame, spec)
+            sums.append(np.linalg.norm(oracle.sum(axis=0)))
+            scale = max(scale, np.linalg.norm(oracle, axis=1).sum())
+        assert abs(report.residual - max(sums)) <= 1e-13 * scale
+
+
 def test_morera_reuses_predrawn_triangles():
     spec = example1()
     frame = default_frame(spec)
@@ -651,6 +716,28 @@ def test_suite_control_is_pointwise_control_vectorised():
 
 
 # -- integral formula ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("center", [(0.0, 0.0, 0.0), (0.2, 0.1, 0.0)])
+def test_formula_on_a_square_converges_at_any_size(center):
+    # each segment refines phi(zeta) (zeta - zeta_c)^{-1} dzeta, whose last
+    # two factors do not change as the square shrinks about zeta_c, so a
+    # square of half-side 1e-9 converges at the nodes of one of half-side 0.5
+    spec = example1()
+    frame = default_frame(spec)
+    center = np.array(center)
+    corners = np.array([[1.0, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]])
+    phis = [constant(spec.unit()), zeta_power(2, spec)]
+    nodes = {}
+    for half in (1e-9, 1e-6, 0.5):
+        square = Polyline(center + half * corners, closed=True)
+        reports = cauchy_formula_check(phis, center, square, frame, spec)
+        assert all(rep.passed for rep in reports)
+        nodes[half] = [rep.diagnostics["nodes"] for rep in reports]
+    assert nodes[1e-9] == nodes[1e-6] == nodes[0.5]
+    # about 0 the integrand zeta^2 zeta^{-1} = zeta is linear: one K15 panel
+    # per segment is exact
+    assert nodes[0.5] == ([240, 240] if center.any() else [240, 60])
 
 
 def test_formula_constant_matches_lambda_definition():

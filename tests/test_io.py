@@ -453,3 +453,22 @@ def test_non_finite_numbers_and_non_positive_tolerances_are_refused(tmp_path, lo
     with pytest.raises(SpecFormatError, match="finite") as exc:
         load(path)
     assert str(path) in str(exc.value) and repr(field) in str(exc.value)
+
+
+def test_reports_are_strict_json_when_a_cap_starves_them():
+    # a circle stopped before its second level has no measured delta: its
+    # infinite quadrature_error is written as null, not as Infinity
+    from monalg.io import reports_to_json
+    from monalg.suites import run_suites
+
+    spec = builtin_algebra("example1")
+    reports = run_suites(["cauchy"], spec, builtin_frames(spec), options={"nodes_cap": 1})
+    starved = [r for r in reports if r.diagnostics.get("quadrature_error") == float("inf")]
+    assert starved
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    payload = json.loads(reports_to_json(reports), parse_constant=refuse)
+    errors = {c["name"]: c["diagnostics"].get("quadrature_error") for c in payload["checks"]}
+    assert all(errors[r.name] is None for r in starved)
