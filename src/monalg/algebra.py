@@ -121,6 +121,10 @@ class AlgebraSpec:
         Mapping ``s -> u_s`` for ``s`` in ``[m+1, n]``.  May be omitted when
         ``m == n`` (empty) or ``m == 1`` (the only possible selector).
 
+    ``_selector[j]`` is the idempotent of coordinate ``j`` (0-based): ``j``
+    itself for ``j < m`` and ``u_{j+1} - 1`` for a radical ``j``, so that a
+    semisimple ``c`` times any ``a`` is ``c[..., _selector] * a``.
+
     ``_depth`` is the radical's structural depth: the largest ``q`` for
     which a product of ``q`` radical elements can be non-zero, read off the
     support of the structure tensor (0 when ``m == n``).  Every ``N^k`` with
@@ -129,7 +133,7 @@ class AlgebraSpec:
     """
 
     __slots__ = ("n", "m", "products", "u_map", "_left", "_right", "_coeffs", "_starts",
-                 "_unit", "_depth")
+                 "_unit", "_selector", "_depth")
 
     def __init__(self, n: int, m: int, products=None, u_map=None):
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -143,6 +147,7 @@ class AlgebraSpec:
         self._left, self._right, self._coeffs, self._starts = self._build_triples()
         self._unit = np.zeros(n, dtype=np.complex128)
         self._unit[:m] = 1.0
+        self._selector = np.array([*range(m), *(self.u_map[s] - 1 for s in range(m + 1, n + 1))])
         self._depth = self._radical_depth()
 
     # -- construction ------------------------------------------------------
@@ -346,7 +351,9 @@ def _fixed_factor(b, spec):
     (``m < n``): the gather of ``b`` is made once instead of once per
     product.
     """
-    return np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1) * spec._coeffs
+    times = np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1)
+    times *= spec._coeffs
+    return times
 
 
 def _times_fixed(a, times, spec):
@@ -366,10 +373,24 @@ def _times_fixed(a, times, spec):
 def _left_mul_coords(a, spec):
     """Matrices ``L`` with ``L @ b = a * b`` on raw coordinates, shape ``(..., n, n)``.
 
-    Column ``s`` of ``L`` is ``a * I_s``; broadcasts over leading axes of ``a``.
+    ``L[..., k, s] = sum_r a_r c_rsk``: one ``take`` over the structure
+    triples and one ``reduceat`` per ``(k, s)`` cell, where column by column
+    it takes ``n`` products ``a * I_s``.  A cell sums its terms in the order
+    of ``r``, as that product does among zeros, so the two agree bit for bit
+    unless numpy sums a long run of a target's terms pairwise, and then to
+    roundoff.  Broadcasts over leading axes of ``a``.
     """
-    basis = np.eye(spec.n, dtype=np.complex128)
-    return np.stack([_multiply_coords(a, e, spec) for e in basis], axis=-1)
+    n = spec.n
+    runs = np.diff(np.append(spec._starts, len(spec._left)))
+    cells = np.repeat(np.arange(n), runs) * n + spec._right
+    order = np.argsort(cells, kind="stable")  # entries are sorted by (k, r, s)
+    cells = cells[order]
+    starts = np.flatnonzero(np.diff(cells, prepend=-1))
+    terms = np.take(np.asarray(a, dtype=np.complex128), spec._left[order], axis=-1)
+    terms *= spec._coeffs[order]
+    out = np.zeros(terms.shape[:-1] + (n * n,), dtype=np.complex128)
+    out[..., cells[starts]] = np.add.reduceat(terms, starts, axis=-1)
+    return out.reshape(terms.shape[:-1] + (n, n))
 
 
 def functional(u: int, a: Element, spec: AlgebraSpec) -> complex:

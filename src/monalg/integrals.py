@@ -11,13 +11,15 @@ image winds once.  :func:`compute_lambda` integrates the algebra constant
 :func:`line_integral`, :func:`cauchy_theorem_check` and
 :func:`cauchy_formula_check` also take a list of functions.  The functions
 of one curve are then refined as one stack, in one refinement run.  On
-circles and segments alike the integrand is ``psi(zeta) w`` at each node,
-with the weight ``w = dzeta``, times the shifted inverse
-``(zeta - zeta_c)^{-1}`` for the formula; each level computes the curve's
-points and ``w`` once for all the functions, and each function keeps its
-own convergence test, so every result is bit for bit that of the
-function's own call.  A single function is the one-element case of the
-same path.
+circles and segments alike each level's sums are those of ``psi(zeta)
+dzeta``, times the shifted inverse ``(zeta - zeta_c)^{-1}`` for the
+formula.  On a circle ``dzeta`` changes from node to node, and weights
+each node; on a segment it is the constant ``(B - A) @ a``, and multiplies
+the segment's level sums, once per level.  Each level computes the curve's
+points and the weight at the nodes once for all the functions, and each
+function keeps its own convergence test, so every result is bit for bit
+that of the function's own call.  A single function is the one-element
+case of the same path.
 """
 
 from __future__ import annotations
@@ -154,7 +156,7 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
     ``psi`` may also be a list of functions, and the result is then the list
     of their :class:`IntegralResult`.  One refinement run integrates them as
     a stack (:class:`_CurveStack`) that computes each level's points and
-    weight ``dzeta`` once.  Every function keeps its own convergence test,
+    weight once.  Every function keeps its own convergence test,
     so each result equals, bit for bit, that of the function's own call.
     """
     psis = psi if isinstance(psi, list) else [psi]
@@ -192,7 +194,8 @@ class _CirclePiece:
 
 class _Segments:
     """Straight segments ``starts[s] -> ends[s]`` as the pieces of a
-    :class:`_CurveStack`; a segment's ``dzeta`` is its constant ``(B - A) @ a``."""
+    :class:`_CurveStack`; a segment's ``dzeta`` is its constant
+    ``increments[s]``, ``(B - A) @ a``."""
 
     def __init__(self, starts, ends, frame):
         self.starts = starts
@@ -207,20 +210,22 @@ class _Segments:
         relative to ``origin``."""
         return (self.starts - origin)[pieces] + taus[:, None] * self.directions[pieces]
 
-    def dzeta(self, taus, pieces):
-        return self.increments[pieces]
-
 
 class _CurveStack:
     """F functions on the P pieces of one curve, as one stack for :func:`_refine`.
 
     Integrand ``i`` is function ``i // P`` on piece ``i % P``, so each
-    function refines on each piece to its own tolerance.  Every integrand is
-    ``psi(zeta) w`` at the nodes, with the weight ``w = dzeta`` times
-    ``factor`` when one is given (the shifted inverse of the integral
-    formula).  The factor takes the nodes relative to its ``shift``, which
-    the pieces compute from the curve's geometry, so a small curve far from
-    0 keeps every digit of its offsets.
+    function refines on each piece to its own tolerance.  Every integrand's
+    level sums are those of ``psi(zeta) dzeta``, times ``factor`` when one
+    is given (the shifted inverse of the integral formula).  At the nodes
+    the integrand is ``psi(zeta) w``: on a circle the weight ``w`` is
+    ``dzeta`` times the factor; on a segment it is the factor alone, or
+    nothing, and :meth:`map_sums` multiplies each level's sums by the
+    segment's constant ``dzeta``: one product per segment per level, where
+    weighting the nodes would take one per node.  The factor takes the
+    nodes relative to its ``shift``, which the pieces compute from the
+    curve's geometry, so a small curve far from 0 keeps every digit of its
+    offsets.
 
     ``level(tau)`` returns the evaluator of one level.  A block's functions
     are evaluated one at a time, each on its pieces in the block.  The
@@ -260,12 +265,20 @@ class _CurveStack:
 
         return evaluate
 
+    def map_sums(self, sums, seg):
+        """Level sums of the integrands ``seg`` times their segments' ``dzeta``."""
+        if isinstance(self.pieces, _CirclePiece):
+            return sums
+        return _multiply_coords(sums, self.pieces.increments[seg % len(self.pieces)], self.spec)
+
     def _weight(self, taus, pieces):
-        dz = self.pieces.dzeta(taus, pieces)
+        """The weight at the nodes; ``None`` on segments with no factor."""
+        dz = self.pieces.dzeta(taus, pieces) if isinstance(self.pieces, _CirclePiece) else None
         if self.factor is None:
             return dz
         offsets = self.pieces.points(taus, pieces, self.factor.shift)
-        return _multiply_coords(self.factor.eval_many(self.frame, offsets, self.spec), dz, self.spec)
+        factor = self.factor.eval_many(self.frame, offsets, self.spec)
+        return factor if dz is None else _multiply_coords(factor, dz, self.spec)
 
     def _values(self, j, taus, pieces, at):
         """Function ``j`` times the weight at ``taus`` on ``pieces``.
@@ -293,7 +306,7 @@ class _CurveStack:
                 evaluations.append((factor, self.pieces.points(taus, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
             raise _locate_failure(evaluations, frame, pieces + taus, spec, exc) from exc
-        return _multiply_coords(vals, weight, spec)
+        return vals if weight is None else _multiply_coords(vals, weight, spec)
 
 
 def _histories(levels, pieces: int, functions: int) -> list:

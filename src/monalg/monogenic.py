@@ -247,7 +247,10 @@ def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec)
     parts += [(g, s, spec.u_map[s + 1] - 1) for s, g in enumerate(phi.G, start=m)]
     parts = [part for part in parts if part[0] is not None]
     order = spec._depth
-    coeffs = np.zeros((order + 1,) + emb.shape, dtype=np.complex128)
+    # with no G_s the coefficients are semisimple: m columns, which the
+    # radical series scales instead of multiplying
+    width = n if any(g is not None for g in phi.G) else m
+    coeffs = np.zeros((order + 1,) + emb.shape[:-1] + (width,), dtype=np.complex128)
     for scalar, col, u in parts:
         coeffs[..., col] = scalar._taylor(xi[..., u], order)
     return _radical_series(coeffs.__getitem__, emb, spec)

@@ -73,9 +73,14 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     A stack may instead give ``f.level(tau)``, asked once per level for the
     ``(tau, seg)`` evaluator of that level's nodes, so that the integrands
     share the work they have in common there (a curve's points, a common
-    factor) and drop it with the level.  Each integrand refines until its
-    level agrees within ``tol`` with the level before (from level
-    ``first_test`` on) or its node count would exceed ``cap``.
+    factor) and drop it with the level.  A stack may also give
+    ``f.map_sums(sums, seg)``, a linear map of each integrand's level sums
+    (one row per integrand of ``seg``), applied to every level's sums and
+    to level 0's ``reference`` before they are compared and kept: a factor
+    that is constant along an integrand multiplies its sums, not its nodes.
+    Each integrand refines until its level agrees within ``tol`` with the
+    level before (from level ``first_test`` on) or its node count would
+    exceed ``cap``.
     ``reference``, when given, maps level 0's values of each integrand,
     shaped ``(integrands, nodes, ...)``, to a reference sum that level 0 is
     tested against.  A level evaluates only the integrands still refining,
@@ -94,6 +99,7 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     count = len(f) if stacked else 1
     evaluate = f if stacked else (lambda tau, seg: f(tau))
     at_level = getattr(f, "level", None) if stacked else None
+    map_sums = getattr(f, "map_sums", None) if stacked else None
     value = None
     deltas = np.full(count, np.inf)
     nodes = np.zeros(count, dtype=np.int64)
@@ -116,12 +122,16 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             del vals  # one block of values at a time
         del level_evaluate  # and with it what the level's integrands shared
         sums = np.concatenate(sums)
+        if map_sums:
+            sums = map_sums(sums, active)
         nodes[active] = tau.size
         if level:
             previous = value[active]
             value[active] = sums
         else:
             previous = np.concatenate(refs) if refs else None
+            if map_sums and refs:
+                previous = map_sums(previous, active)
             value = sums
         if previous is not None:
             change = np.linalg.norm((sums - previous).reshape(active.size, -1), axis=1)

@@ -8,13 +8,21 @@ values is a finite sum, with ``k`` up to the radical's depth (``<= n - m``)
 
     f(zeta) = sum_k c_k N^k,    c_k = sum_u f^(k)(xi_u) / k! I_u.
 
-:func:`_radical_series` evaluates that sum by Horner; the resolvent takes
-``c_k = (t - xi)^{-k-1}``, the inverse ``c_k = (-1)^k xi^{-k-1}``.
+:func:`_radical_series` evaluates that sum by the Paterson-Stockmeyer
+scheme (Paterson & Stockmeyer, SIAM J. Comput. 2, 1973; Higham, ch. 4.2):
+Horner's rule in ``N^s``, ``s = isqrt(depth + 1)``, over blocks of ``s``
+terms whose semisimple coefficients only scale ``N, ..., N^(s-1)``.  That
+takes ``s - 1 + ceil((depth + 1) / s) - 1`` sparse products, about ``2
+sqrt(depth)``, where Horner's rule in ``N`` takes ``depth``: 5 in place of
+11 on a chain radical of depth 11, the same 2 at depth 2.  The resolvent
+takes ``c_k = (t - xi)^{-k-1}``, the inverse ``c_k = (-1)^k xi^{-k-1}``.
 
 The paper's T/B/Q recurrences are an independent oracle in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -29,36 +37,54 @@ __all__ = ["inverse", "resolvent"]
 
 
 def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
-    """``sum_{k <= depth} c_k N^k`` by Horner, ``N`` the radical part of ``emb``.
+    """``sum_{k <= depth} c_k N^k`` by Paterson-Stockmeyer, ``N`` the radical part of ``emb``.
 
     ``coeff(k)`` returns the leading coordinates of ``c_k``, of shape
     ``(..., m)`` or ``(..., n)`` (the others are zero), where ``...`` is the
     shape of the result; it is called once per ``k``, from the radical's
-    depth ``spec._depth`` down to 0, so only one coefficient array need be
-    alive at a time.  Higher terms vanish, since ``N^k = 0`` for ``k >
-    depth``.  A semisimple algebra has depth 0: the sum is ``c_0``, which is
-    returned as it comes, not copied.
+    depth ``spec._depth`` down to 0, and each ``c_k`` joins the sum as it
+    comes, so only one coefficient array need be alive at a time.  Higher
+    terms vanish, since ``N^k = 0`` for ``k > depth``.  A semisimple algebra
+    has depth 0: the sum is ``c_0``, which is returned as it comes, not
+    copied.
 
-    Each step is a product by the fixed factor ``N``, gathered once by
+    The sum is Horner's rule in ``N^s`` over blocks ``sum_{i < s} c_{js+i}
+    N^i``, with ``N, ..., N^(s-1)`` kept: a semisimple ``c_k`` (``m``
+    columns) times ``N^i`` only scales coordinates, by
+    ``AlgebraSpec._selector``.  Coefficients with ``n`` columns are not
+    semisimple, and take ``s = 1``: Horner's rule in ``N``.  Each product
+    is by a fixed factor, ``N`` or ``N^s``, gathered once by
     :func:`monalg.algebra._fixed_factor`.
     """
     depth = spec._depth
+    c = np.asarray(coeff(depth), dtype=np.complex128)
     if depth == 0:
-        return np.asarray(coeff(0), dtype=np.complex128)
-    c = coeff(depth)
+        return c
+    step = math.isqrt(depth + 1) if c.shape[-1] == spec.m else 1
     acc = np.zeros(np.broadcast_shapes(c.shape[:-1], emb.shape[:-1]) + (spec.n,),
                    dtype=np.complex128)
-    acc[..., : c.shape[-1]] = c
     nil = np.array(emb, dtype=np.complex128)
     nil[..., : spec.m] = 0.0
     times = _fixed_factor(nil, spec)
+    powers = [nil]
     del nil
-    for k in range(depth - 1, -1, -1):
-        # the step's gathered terms die inside the call, so at most two
-        # arrays of the gathered size, times and terms, are alive at once
-        acc = _times_fixed(acc, times, spec)
-        c = coeff(k)
-        acc[..., : c.shape[-1]] += c
+    for _ in range(1, step):
+        powers.append(_times_fixed(powers[-1], times, spec))
+    top = powers.pop()  # N^step; N, ..., N^(step-1) stay for the blocks
+    if step > 1:
+        # N's gather dies as N^step's is made, so at most two arrays of the
+        # gathered size are alive at once, here as in each product
+        times = _fixed_factor(top, spec)
+    del top
+    for k in range(depth, -1, -1):
+        if k < depth:
+            c = coeff(k)
+        if k % step:
+            acc += c[..., spec._selector] * powers[k % step - 1]
+        else:
+            acc[..., : c.shape[-1]] += c
+            if k:
+                acc = _times_fixed(acc, times, spec)
     return acc
 
 

@@ -15,6 +15,12 @@ The inverse uses the mirrored coefficients ``Qt_{r,s} = (-1)^(r-1) Q_{r,s}``
 (``zeta^{-1}`` is minus the resolvent at ``t = 0``):
 ``zeta^{-1} = sum_u xi_u^{-1} I_u + sum_s A_s I_s`` with
 ``A_s = sum_r Qt_{r,s} xi_{u_s}^{-r}``.
+
+A scalar ``f`` holomorphic at the spectral values, integrated against the
+resolvent (the paper's principal extension), has residues
+
+    f(zeta) = sum_u f(xi_u) I_u
+        + sum_{s > m} sum_r Q_{r,s} f^(r-1)(xi_{u_s}) / (r-1)! I_s.
 """
 
 import numpy as np
@@ -63,4 +69,30 @@ def formula_inverse(frame, x, spec) -> np.ndarray:
     out[: spec.m] = 1.0 / xi
     for (r, s), qt in Qt.items():
         out[s - 1] += qt * xi[spec.u_map[s] - 1] ** (-r)
+    return out
+
+
+def formula_principal(phi, frame, x, spec) -> np.ndarray:
+    """Coordinates of ``sum_u F_u(zeta) I_u + sum_s G_s(zeta) I_s`` by the residues above.
+
+    ``phi`` is a :class:`monalg.monogenic.PrincipalExtension`; each scalar's
+    derivatives come from its own Taylor coefficients, and each ``I_col``
+    multiplies through :func:`monalg.algebra.multiply`.
+    """
+    from monalg.algebra import Element, basis_element, multiply
+
+    Q = recurrence_coefficients(frame, x, spec)["Q"]
+    xi = (np.asarray(x, dtype=np.float64) @ frame.a)[: spec.m]
+    scalars = [(f, u + 1) for u, f in enumerate(phi.F)]
+    scalars += [(g, s) for s, g in enumerate(phi.G, start=spec.m + 1)]
+    out = np.zeros(spec.n, dtype=np.complex128)
+    for scalar, col in scalars:
+        if scalar is None:
+            continue
+        taylor = scalar._taylor(xi, spec.n - spec.m)  # (order + 1, m)
+        value = np.zeros(spec.n, dtype=np.complex128)
+        value[: spec.m] = taylor[0]
+        for (r, s), q in Q.items():
+            value[s - 1] += q * taylor[r - 1, spec.u_map[s] - 1]
+        out += multiply(basis_element(col, spec.n), Element(value), spec).coords
     return out

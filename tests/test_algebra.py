@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from monalg.algebra import (
     AlgebraSpec,
     Element,
+    _left_mul_coords,
     _multiply_coords,
     _nilpotency_index,
     basis_element,
@@ -198,6 +199,22 @@ def test_left_mul_matrix_and_operand_swap(spec, seed):
     via_matrix = left_mul_matrix(a, spec) @ b.coords
     scale = np.abs(left_mul_matrix(Element(abs(a.coords)), spec)) @ abs(b.coords)
     assert np.all(np.abs(via_matrix - ab) <= 1e-13 * scale)
+
+
+def left_mul_by_columns(a, spec):
+    """``L`` column by column: column ``s`` is the product ``a * I_s``."""
+    basis = np.eye(spec.n, dtype=np.complex128)
+    return np.stack([_multiply_coords(a, e, spec) for e in basis], axis=-1)
+
+
+@pytest.mark.parametrize("spec", [*BUILTINS, chain(20)], ids=[*BUILTIN_IDS, "chain20"])
+def test_left_mul_matrices_are_bitwise_the_column_products(spec):
+    rng = np.random.default_rng(29)
+    for shape in ((), (7,), (3, 4)):
+        a = rng.standard_normal(shape + (spec.n,)) + 1j * rng.standard_normal(shape + (spec.n,))
+        ours = _left_mul_coords(a, spec)
+        assert ours.shape == shape + (spec.n, spec.n)
+        assert np.array_equal(ours, left_mul_by_columns(a, spec))
 
 
 def gather_product(a, b, spec):

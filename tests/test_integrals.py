@@ -619,6 +619,38 @@ def test_morera_values_match_the_bare_segment_oracle(name):
         assert abs(report.residual - max(sums)) <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("name", ["example1", "chain12"])
+def test_morera_weights_each_segment_once_per_level(monkeypatch, name):
+    # a segment's dzeta is constant: it multiplies the segment's level sums,
+    # one product per active segment per level, and one more for level 0's
+    # embedded Gauss sum, where weighting the nodes would take one per node
+    from monalg import integrals
+
+    spec, frame = _stack_case(name)
+    # triangles of radius 2 about 0 come near the pole at 2 + 2i
+    sampler = TriangleSampler(np.zeros(frame.k), 2.0)
+    triangles = sampler.sample(np.random.default_rng(43), 20)
+    rows, runs = [], []
+    multiply, segment = integrals._multiply_coords, integrals.gauss_segment
+
+    def counted(a, b, spec):
+        rows.append(len(a))
+        return multiply(a, b, spec)
+
+    def kept(*args, **kwargs):
+        runs.append(segment(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(integrals, "_multiply_coords", counted)
+    monkeypatch.setattr(integrals, "gauss_segment", kept)
+    report = morera_check(ResolventKernel(2 + 2j), frame, spec, sampler, triangles=triangles)
+    [res] = runs
+    assert res.nodes == report.diagnostics["nodes"]
+    active = [len(seg) for _, seg, _ in res.levels]
+    assert active  # some segments refine past level 0
+    assert rows == [3 * len(triangles)] * 2 + active
+
+
 def test_morera_reuses_predrawn_triangles():
     spec = example1()
     frame = default_frame(spec)

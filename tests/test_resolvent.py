@@ -1,10 +1,18 @@
 """Resolvent and inverse against the solve oracle and the paper's recurrences."""
 
+import importlib
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import formula_inverse, formula_resolvent, recurrence_coefficients
+from oracles import (
+    formula_inverse,
+    formula_principal,
+    formula_resolvent,
+    recurrence_coefficients,
+)
 from test_algebra import BUILTIN_IDS, BUILTINS, chain, structure_tensors
 
 from monalg.algebra import (
@@ -477,13 +485,21 @@ def assert_bits_equal(ours, ref):
     assert ours.tobytes() == ref.tobytes()
 
 
+def assert_close(ours, ref):
+    assert ours.shape == ref.shape
+    assert np.max(np.abs(ours - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 @pytest.mark.parametrize("spec", BUILTINS, ids=BUILTIN_IDS)
 def test_series_to_the_depth_is_bitwise_the_full_horner(spec):
+    # blocks of one term (depth <= 2) are Horner's rule in N, bit for bit;
+    # longer blocks regroup the products, so they agree to roundoff
+    check = assert_bits_equal if math.isqrt(spec._depth + 1) == 1 else assert_close
     emb, t = series_points(spec, np.random.default_rng(83))
-    assert_bits_equal(_inverse_coords(emb, spec), full_inverse(emb, spec))
-    assert_bits_equal(_resolvent_coords(t, emb, spec), full_resolvent(t, emb, spec))
+    check(_inverse_coords(emb, spec), full_inverse(emb, spec))
+    check(_resolvent_coords(t, emb, spec), full_resolvent(t, emb, spec))
     # many t at one point: the coefficients' batch is wider than emb's
-    assert_bits_equal(_resolvent_coords(t, emb[0], spec), full_resolvent(t, emb[0], spec))
+    check(_resolvent_coords(t, emb[0], spec), full_resolvent(t, emb[0], spec))
 
 
 @settings(max_examples=40, deadline=None)
@@ -510,3 +526,74 @@ def test_series_calls_coeff_once_per_term_down_from_the_depth(name, calls):
     _radical_series(coeff, emb, spec)
     assert seen == list(range(calls - 1, -1, -1))
     assert len(seen) == spec._depth + 1
+
+
+# -- Paterson-Stockmeyer: blocks of isqrt(depth + 1) terms ----------------------
+
+
+def test_blocks_of_four_match_the_recurrences():
+    # chain(20) has depth 19: blocks of s = 4 terms, 3 products for the
+    # powers and 4 for Horner's rule in N^4
+    spec = chain(20)
+    assert spec._depth == 19 and math.isqrt(spec._depth + 1) == 4
+    rng = np.random.default_rng(101)
+    assert_expansion_matches_recurrences(spec, random_frame(spec, rng), rng)
+
+
+EXP = HolomorphicScalarSpec("exponential", (1.0, 0.5))
+CUBIC = HolomorphicScalarSpec("polynomial", (1.0, -2.0, 0.5, 1.0j))
+RATIONAL = HolomorphicScalarSpec("rational", (1.0, 2.0j), denom=(9.0, -1.0, 1.0))
+
+
+@pytest.mark.parametrize("with_g", [False, True], ids=["F", "F-and-G"])
+def test_principal_extension_in_blocks_matches_the_residues(with_g):
+    # with no G_s the coefficients are semisimple and the series runs in
+    # blocks of 4; with G_s they are not, and it runs Horner's rule in N
+    spec = chain(20)
+    rng = np.random.default_rng(103)
+    frame = random_frame(spec, rng)
+    g = (CUBIC, None, RATIONAL, EXP) * 4 + (EXP, None, CUBIC) if with_g else ()
+    phis = [PrincipalExtension(F=(f,), G=g) for f in (EXP, CUBIC, RATIONAL)]
+    xs = rng.uniform(-1.5, 1.5, size=(6, frame.k))
+    for phi in phis:
+        for x, ours in zip(xs, eval_batch(phi, frame, xs, spec)):
+            ref = formula_principal(phi, frame, x, spec)
+            assert np.max(np.abs(ours - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def _times_fixed_calls(monkeypatch):
+    resolvent_module = importlib.import_module("monalg.resolvent")
+    calls = []
+    times_fixed = resolvent_module._times_fixed
+
+    def counted(a, times, spec):
+        calls.append(a.shape)
+        return times_fixed(a, times, spec)
+
+    monkeypatch.setattr(resolvent_module, "_times_fixed", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name, products", [
+    ("example1", 2), ("example4", 2), ("chain12", 5), ("chain20", 7), ("semisimple:m=3", 0),
+])
+def test_series_products_per_batch(monkeypatch, name, products):
+    # s - 1 products for N^2..N^s and ceil((depth + 1) / s) - 1 for Horner's
+    # rule in N^s: chain12 (depth 11, s = 3) takes 2 + 3, not 11
+    spec = chain(int(name[5:])) if name.startswith("chain") else builtin_algebra(name)
+    emb, t = series_points(spec, np.random.default_rng(107), count=5)
+    calls = _times_fixed_calls(monkeypatch)
+    _inverse_coords(emb, spec)
+    assert len(calls) == products
+    calls.clear()
+    _resolvent_coords(t, emb, spec)
+    assert len(calls) == products
+
+
+def test_series_with_non_semisimple_coefficients_is_horner(monkeypatch):
+    # G_s gives coefficients with n columns, which no block may scale
+    spec = chain(12)
+    emb, _ = series_points(spec, np.random.default_rng(109), count=5)
+    calls = _times_fixed_calls(monkeypatch)
+    _radical_series(lambda k: np.ones((5, spec.n), dtype=np.complex128), emb, spec)
+    assert len(calls) == spec._depth
