@@ -27,7 +27,7 @@ from .catalog import (
 )
 from .curves import Circle2D, coordinate_plane
 from .errors import MonalgError, SpecFormatError
-from .integrals import VerificationReport, compute_lambda
+from .integrals import VerificationReport, _integral_report, compute_lambda
 from .io import (
     _check,
     _field,
@@ -277,21 +277,10 @@ def _cmd_lambda(args) -> int:
             integrated[frame] = [(label, compute_lambda(spec, frame, circle, cap=config.nodes_cap))
                                  for label, circle in _lambda_circles(frame.k)]
         for label, lam in integrated[frame]:
-            reports.append(
-                VerificationReport(
-                    f"lambda[{fname}][{label}]",
-                    lam.deviation_from_two_pi_i,
-                    tol,
-                    value=lam.value,
-                    diagnostics={
-                        "windings": lam.windings,
-                        "nodes": lam.nodes,
-                        "converged": lam.converged,
-                        "nilpotent_residuals": lam.nilpotent_residuals,
-                        "history": lam.history,
-                    },
-                )
-            )
+            reports.append(_integral_report(f"lambda[{fname}][{label}]", lam,
+                                            lam.deviation_from_two_pi_i, tol,
+                                            windings=lam.windings,
+                                            nilpotent_residuals=lam.nilpotent_residuals))
         first = integrated[frame][0][1].value.coords
         spread = max(float(np.max(np.abs(lam.value.coords - first)))
                      for _, lam in integrated[frame])

@@ -20,6 +20,12 @@ points and the weight at the nodes once for all the functions, and each
 function keeps its own convergence test, so every result is bit for bit
 that of the function's own call.  A single function is the one-element
 case of the same path.
+
+A function's refinement history is read from the run's level records
+(:func:`quadrature._history`), and every check on one integral, here and
+in the suites and the command line, builds its report with
+:func:`_integral_report`: the check's residual and diagnostics beside the
+integral's value, nodes, convergence flag and history.
 """
 
 from __future__ import annotations
@@ -34,7 +40,7 @@ from .curves import Circle2D, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
 from .frames import Frame
 from .monogenic import eval_batch, eval_function
-from .quadrature import DEFAULT_CAP, gauss_segment, trapezoid_periodic
+from .quadrature import DEFAULT_CAP, _history, gauss_segment, trapezoid_periodic
 from .resolvent import inverse_many
 
 __all__ = [
@@ -230,9 +236,9 @@ class _CurveStack:
     ``level(tau)`` returns the evaluator of one level.  A block's functions
     are evaluated one at a time, each on its pieces in the block.  The
     points and the weight of a set of pieces are computed for the first
-    function that needs them and, when there are more functions, kept for
-    the level only, for the next functions on the same pieces: on a circle
-    that is every function.
+    function that needs them and kept until the level ends, for the next
+    functions on the same pieces: on a circle that is every function.  One
+    function takes the same path.
     """
 
     def __init__(self, psis, frame, spec, pieces, factor=None):
@@ -250,14 +256,11 @@ class _CurveStack:
         shared = {}  # a block's pieces -> their points and weight
 
         def evaluate(taus, seg):
-            if len(self.psis) == 1:  # nothing to share
-                return self._values(0, taus, seg, None)
-            owners = seg[:: tau.size] // count  # the function of each integrand
-            bounds = (np.flatnonzero(np.diff(owners)) + 1).tolist()
+            owners = (seg[:: tau.size] // count).tolist()  # the function of each integrand
             out = []
-            for lo, hi in zip([0, *bounds], [*bounds, owners.size]):
-                j = int(owners[lo])
-                rows = slice(lo * tau.size, hi * tau.size)
+            for j in dict.fromkeys(owners):  # in order; each function's integrands are adjacent
+                lo = owners.index(j)
+                rows = slice(lo * tau.size, (lo + owners.count(j)) * tau.size)
                 pieces = seg[rows] - j * count
                 at = shared.setdefault(pieces[:: tau.size].tobytes(), {})
                 out.append(self._values(j, taus[rows], pieces, at))
@@ -284,12 +287,9 @@ class _CurveStack:
         """Function ``j`` times the weight at ``taus`` on ``pieces``.
 
         ``at`` keeps the points and the weight at these nodes for the
-        level's other functions.  With ``at`` None nothing is kept, so each
-        array dies as soon as it is used, as in a single integral.
+        level's other functions.
         """
         def once(name, make):
-            if at is None:
-                return make()
             if name not in at:
                 at[name] = make()
             return at[name]
@@ -307,18 +307,6 @@ class _CurveStack:
             # a node's curve parameter: its piece (0 on a circle) plus its local one
             raise _locate_failure(evaluations, frame, pieces + taus, spec, exc) from exc
         return vals if weight is None else _multiply_coords(vals, weight, spec)
-
-
-def _histories(levels, pieces: int, functions: int) -> list:
-    """Each function's ``(points evaluated, largest delta)`` per level it refined."""
-    out = [[] for _ in range(functions)]
-    for nodes, active, change in levels:
-        owners = active // pieces
-        for j, history in enumerate(out):
-            mine = owners == j
-            if mine.any():
-                history.append((int(mine.sum()) * nodes, float(change[mine].max())))
-    return out
 
 
 def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
@@ -339,14 +327,14 @@ def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
     res = rule(_CurveStack(psis, frame, spec, pieces, factor), tol=share, cap=cap)
     count = len(pieces)
     out = []
-    for j, history in enumerate(_histories(res.levels, count, len(psis))):
+    for j in range(len(psis)):
         rows = slice(j * count, (j + 1) * count)
         out.append(IntegralResult(
             Element(gamma.orientation * res.value[rows].sum(axis=0)),
             float(res.segment_deltas[rows].sum()),
             int(res.segment_nodes[rows].sum()),
             bool(res.segment_converged[rows].all()),
-            history,
+            _history(res.levels, rows.start, rows.stop),
         ))
     return out
 
@@ -441,6 +429,16 @@ def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,
 # -- named checks ---------------------------------------------------------------
 
 
+def _integral_report(name, res, residual, tolerance, reference=None,
+                     **diagnostics) -> VerificationReport:
+    """The report of a check on one integral ``res``, an :class:`IntegralResult`
+    or a :class:`LambdaResult`: its value, and ``diagnostics`` with the
+    integral's nodes, convergence flag and refinement history."""
+    return VerificationReport(name, residual, tolerance, value=res.value, reference=reference,
+                              diagnostics={**diagnostics, "nodes": res.nodes,
+                                           "converged": res.converged, "history": res.history})
+
+
 def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
     pts = gamma.sample(samples) if isinstance(gamma, Circle2D) else gamma.sample(per_segment=32)
     vals = _evaluate(psi, frame, pts, spec)
@@ -465,19 +463,8 @@ def cauchy_theorem_check(phi, gamma_closed, frame: Frame, spec: AlgebraSpec,
         if f_tol is None:
             scale = gamma_closed.length() * max(1.0, _max_norm_on_curve(f, gamma_closed, frame, spec))
             f_tol = 1e-9 * scale
-        reports.append(VerificationReport(
-            name="closed-curve-integral",
-            residual=res.value.norm(),
-            tolerance=f_tol,
-            value=res.value,
-            reference=0.0,
-            diagnostics={
-                "nodes": res.nodes,
-                "converged": res.converged,
-                "quadrature_error": res.error_estimate,
-                "history": res.history,
-            },
-        ))
+        reports.append(_integral_report("closed-curve-integral", res, res.value.norm(), f_tol,
+                                        0.0, quadrature_error=res.error_estimate))
     return reports if isinstance(phi, list) else reports[0]
 
 
@@ -552,17 +539,6 @@ def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,
     reports = []
     for f, res in zip(phis, results):
         reference = 2j * np.pi * eval_function(f, frame, center, spec)
-        reports.append(VerificationReport(
-            name="integral-formula",
-            residual=(reference - res.value).norm(),
-            tolerance=tol,
-            value=res.value,
-            reference=reference,
-            diagnostics={
-                "windings": cert.windings,
-                "nodes": res.nodes,
-                "converged": res.converged,
-                "history": res.history,
-            },
-        ))
+        reports.append(_integral_report("integral-formula", res, (reference - res.value).norm(),
+                                        tol, reference, windings=cert.windings))
     return reports if isinstance(phi, list) else reports[0]

@@ -35,17 +35,17 @@ def _is_count(value) -> bool:
 class QuadratureResult:
     """Value of one refinement run plus its diagnostics.
 
-    ``history`` lists one ``(nodes, delta)`` pair per level after the first,
-    where ``delta`` is the change against the previous level.  A level-0
-    test against an embedded reference adds no entry, so the points
-    evaluated are ``nodes`` when ``history`` is empty and otherwise half the
-    first entry's nodes plus the nodes of every entry (for a stack, as long
-    as no integrand stopped at level 0).  The ``segment_*`` arrays hold each
-    integrand's final delta, node count and convergence flag; a stack (see
-    :func:`_refine`) has one entry per integrand.  ``levels`` holds, per
-    level after the first, the nodes per integrand, the indices of the
-    integrands refined and their deltas, from which the history of any
-    group of a stack's integrands follows.
+    ``levels`` holds, per level after the first, the nodes per integrand,
+    the indices of the integrands refined and their deltas (the change
+    against the previous level).  ``history`` is :func:`_history` of all
+    the integrands: one ``(points evaluated, largest delta)`` pair per level
+    after the first.  A level-0 test against an embedded reference adds no
+    entry, so the points evaluated are ``nodes`` when ``history`` is empty
+    and otherwise half the first entry's nodes plus the nodes of every
+    entry (for a stack, as long as no integrand stopped at level 0).  The
+    ``segment_*`` arrays hold each integrand's final delta, node count and
+    convergence flag; a stack (see :func:`_refine`) has one entry per
+    integrand.
     """
 
     value: np.ndarray
@@ -57,6 +57,17 @@ class QuadratureResult:
     segment_nodes: np.ndarray | None = None
     segment_converged: np.ndarray | None = None
     levels: list = field(default_factory=list)
+
+
+def _history(levels, lo: int, hi: int) -> list:
+    """The ``(points evaluated, largest delta)`` of integrands ``lo..hi-1``,
+    one pair per level in ``levels`` that refined any of them."""
+    out = []
+    for nodes, active, change in levels:
+        mine = (active >= lo) & (active < hi)
+        if mine.any():
+            out.append((int(mine.sum()) * nodes, float(change[mine].max())))
+    return out
 
 
 # Whole integrands are grouped into blocks of about this many points per
@@ -87,9 +98,9 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     in blocks of whole integrands of about ``_BLOCK_POINTS`` points, so no
     array holds more than one block of values.  For a stack, ``value`` has
     one row per integrand, ``nodes`` is their sum, ``error_estimate`` their
-    largest delta and ``converged`` holds when all converged; ``history``
-    holds one ``(points evaluated, largest delta)`` entry per level after
-    the first.  An integrand's value, nodes, flag and deltas do not depend
+    largest delta and ``converged`` holds when all converged; ``levels``
+    records each level after the first once, and ``history`` is read from
+    it.  An integrand's value, nodes, flag and deltas do not depend
     on the other integrands of its stack.  A ``cap`` that is not an integer
     of at least 1 raises :class:`ValueError`.
     """
@@ -105,7 +116,7 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     nodes = np.zeros(count, dtype=np.int64)
     converged = np.zeros(count, dtype=bool)
     active = np.arange(count)
-    history, levels = [], []
+    levels = []
     level = 0
     while active.size:
         tau, level_sum = rule(level)
@@ -137,7 +148,6 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             change = np.linalg.norm((sums - previous).reshape(active.size, -1), axis=1)
             deltas[active] = change
             if level:
-                history.append((active.size * tau.size, float(change.max())))
                 levels.append((tau.size, active, change))
             if level >= first_test:
                 done = change <= tol
@@ -146,6 +156,7 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
         if 2 * tau.size > cap:
             break
         level += 1
+    history = _history(levels, 0, count)
     if not stacked:
         return QuadratureResult(value[0], float(deltas[0]), int(nodes[0]), bool(converged[0]),
                                 history, deltas, nodes, converged, levels)
@@ -157,18 +168,14 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
 _TRAPEZOID_FIRST_TEST = 2
 
 
-def trapezoid_periodic(f, tol: float = 1e-10, start: int = 64,
-                       cap: int = DEFAULT_CAP) -> QuadratureResult:
+def trapezoid_periodic(f, tol: float = 1e-10, cap: int = DEFAULT_CAP) -> QuadratureResult:
     """Integrate 2-pi-periodic integrands over [0, 2 pi] by node doubling.
 
-    Level ``l`` has ``start * 2^l`` equispaced nodes; ``f`` and the result
-    are as for :func:`_refine`.
+    Level ``l`` has ``64 * 2^l`` equispaced nodes; ``f`` and the result are
+    as for :func:`_refine`.
     """
-    if not _is_count(start):
-        raise ValueError(f"start must be an integer of at least 1, got {start!r}")
-
     def rule(level):
-        n = start * 2**level
+        n = 64 * 2**level
         return np.arange(n) * (TWO_PI / n), lambda vals: vals.mean(axis=1) * TWO_PI
 
     return _refine(f, rule, tol, cap, first_test=_TRAPEZOID_FIRST_TEST)

@@ -23,6 +23,7 @@ from .curves import Circle2D, Polyline, TriangleSampler, coordinate_plane
 from .frames import Frame, embed_many
 from .integrals import (
     VerificationReport,
+    _integral_report,
     cauchy_formula_check,
     cauchy_theorem_check,
     compute_lambda,
@@ -266,20 +267,8 @@ def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
         idem_residual = float(
             np.max(np.abs(lam.idempotent_part - two_pi_i * np.ones(spec.m)))
         )
-        out.append(
-            VerificationReport(
-                f"lambda/deviation[{fname}]",
-                lam.deviation_from_two_pi_i,
-                tol,
-                value=lam.value,
-                diagnostics={
-                    "windings": lam.windings,
-                    "nodes": lam.nodes,
-                    "history": lam.history,
-                    "converged": lam.converged,
-                },
-            )
-        )
+        out.append(_integral_report(f"lambda/deviation[{fname}]", lam,
+                                    lam.deviation_from_two_pi_i, tol, windings=lam.windings))
         out.append(
             VerificationReport(
                 f"lambda/idempotent-projection[{fname}]",

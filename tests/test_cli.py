@@ -491,6 +491,30 @@ def test_lambda_command_integrates_each_frame_once(tmp_path, monkeypatch, name, 
         assert by_frame["default"] == by_frame["in-s"] and len(by_frame["in-s"]) == 5
 
 
+@pytest.mark.parametrize("algebra", [
+    ["--algebra", "example1"],
+    ["--algebra", "semisimple:m=3"],
+    ["--algebra", str(BENCH_DATA / "chain12.json"),
+     "--frame", str(BENCH_DATA / "chain12_frame.json")],
+], ids=["example1", "semisimple:m=3", "chain12"])
+def test_lambda_command_and_suite_report_the_standard_circle_alike(tmp_path, capsys, algebra):
+    # both integrate lambda on the unit circle in plane (1,2); the command
+    # adds the nilpotent residuals to the diagnostics
+    records = {}
+    for command in (["lambda"], ["verify", "--suite", "lambda"]):
+        prefix = tmp_path / command[0]
+        assert main([*command, *algebra, "--out", str(prefix)]) in (0, 1)
+        records.update((c["name"], c) for c in
+                       json.loads(prefix.with_suffix(".json").read_text())["checks"])
+    command = records["lambda[default][plane(1,2) r=1.0]"]
+    suite = records["lambda/deviation[default]"]
+    for key in ("residual", "tolerance", "value", "reference", "passed"):
+        assert command[key] == suite[key], key
+    del command["diagnostics"]["nilpotent_residuals"]
+    assert command["diagnostics"] == suite["diagnostics"]
+    assert suite["diagnostics"]["history"]
+
+
 def test_lambda_command(capsys):
     assert main(["lambda", "--algebra", "example3"]) == 0
     out = capsys.readouterr().out

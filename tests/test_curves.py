@@ -24,9 +24,8 @@ from monalg.quadrature import (
 
 
 # The node counts a quadrature takes, named by keyword and engine: a
-# circle's first level and its cap, and a segment's cap.
-_NODE_COUNTS = {"start-trapezoid_periodic": (trapezoid_periodic, "start"),
-                "cap-trapezoid_periodic": (trapezoid_periodic, "cap"),
+# circle's cap and a segment's cap.
+_NODE_COUNTS = {"cap-trapezoid_periodic": (trapezoid_periodic, "cap"),
                 "cap-gauss_segment": (gauss_segment, "cap")}
 
 

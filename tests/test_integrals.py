@@ -1047,6 +1047,29 @@ def test_cauchy_formula_list_matches_single_calls(name):
             assert [rep.diagnostics["nodes"] for rep in reports] == [7800, 7740, 7740]
 
 
+@pytest.mark.parametrize("name", ["example1", "chain12"])
+def test_reports_carry_their_integrals_diagnostics(name):
+    # a cauchy report and the lambda suite's deviation report hold the
+    # value, nodes, flag, history and error estimate of the integral they judge
+    from monalg.suites import _standard_circle, _standard_curves, suite_lambda
+
+    spec, frame = _stack_case(name)
+    for _, curve in _standard_curves(frame.k):
+        res = line_integral(zeta_power(2, spec), curve, frame, spec)
+        rep = cauchy_theorem_check(zeta_power(2, spec), curve, frame, spec)
+        assert rep.value.coords.tobytes() == res.value.coords.tobytes()
+        assert rep.diagnostics == {"quadrature_error": res.error_estimate, "nodes": res.nodes,
+                                   "converged": res.converged, "history": res.history}
+    lam = compute_lambda(spec, frame, _standard_circle(frame.k))
+    (rep,) = [r for r in suite_lambda(spec, {"default": frame}, 0, {})
+              if r.name == "lambda/deviation[default]"]
+    assert (rep.residual, rep.value.coords.tobytes()) == (lam.deviation_from_two_pi_i,
+                                                          lam.value.coords.tobytes())
+    assert rep.diagnostics == {"windings": lam.windings, "nodes": lam.nodes,
+                               "converged": lam.converged, "history": lam.history}
+    assert lam.history
+
+
 def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
     from monalg import integrals
 

@@ -358,7 +358,7 @@ def contour_oracle(phi, frame, x, spec, circles):
             res = np.stack([resolvent(tk, frame, x, spec).coords for tk in t])
             return (scalar(t) * 1j * (t - center))[:, None] * res
 
-        block = trapezoid_periodic(integrand, tol=1e-14, start=32, cap=128).value
+        block = trapezoid_periodic(integrand, tol=1e-14, cap=128).value
         total += multiply(basis_element(col, spec.n), Element(block), spec).coords
     return total / (2j * np.pi)
 
