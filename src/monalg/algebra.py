@@ -17,7 +17,8 @@ user input; rules 1 and 3 are hard-coded so they cannot be mis-specified.
 Products, and the axiom checks of :func:`validate_algebra`, use the sparse
 list of non-zero structure constants ``c_rsk`` that :class:`AlgebraSpec`
 builds from the three rules: ``m + 2 (n - m)`` entries from rules 1 and 3
-plus two per off-diagonal nilpotent product.
+plus two per off-diagonal nilpotent product.  With a radical every product
+goes through one kernel, :func:`_times_fixed`; ``C^m`` multiplies componentwise.
 """
 
 from __future__ import annotations
@@ -306,67 +307,58 @@ def _multiply_coords(a, b, spec):
     """Product on raw coordinate arrays; broadcasts over leading axes.
 
     With an empty radical (``m = n``) the algebra is ``C^m`` and the product
-    is componentwise.  Otherwise it gathers ``a[..., r] * b[..., s] * c_rsk``
-    over the sparse non-zero structure constants of ``spec`` and sums each
-    target's run: O(nnz) work per product, against O(n^3) for a contraction
-    with a dense ``(n, n, n)`` table.  No step calls BLAS, so results do not
-    depend on the BLAS thread count.
+    is componentwise.  Otherwise it is the sparse kernel :func:`_times_fixed`
+    by ``_fixed_factor(b)``: O(nnz) work per product, against O(n^3) for a
+    contraction with a dense ``(n, n, n)`` table.  No step calls BLAS, so
+    results do not depend on the BLAS thread count.
 
     On a semisimple algebra the two ways give the same bits, bar the sign
-    of an exact zero (the gather's factor ``c_uuu = 1 + 0j`` turns ``-0.0``
+    of an exact zero (the kernel's factor ``c_uuu = 1 + 0j`` turns ``-0.0``
     into ``+0.0``), because the componentwise branch multiplies as the
-    gather does: the factor of the broadcast shape first, in place on a
+    kernel does: the factor of the broadcast shape first, in place on a
     copy.  Both matter: where numpy fuses multiply-adds, ``a * b`` and
     ``b * a`` can differ in the last bit, and it does not fuse a one-element
     product made in place.
     """
     a = np.asarray(a, dtype=np.complex128)
+    if spec.m < spec.n:
+        return _times_fixed(a, _fixed_factor(b, spec), spec)
     b = np.asarray(b, dtype=np.complex128)
-    if spec.m == spec.n:
-        shape = np.broadcast(a, b).shape
-        if a.shape != shape:
-            a, b = b, a
-        if a.shape != shape:
-            return a * b
-        out = a.copy()
-        out *= b
-        return out
-    terms = np.take(a, spec._left, axis=-1)
-    other = np.take(b, spec._right, axis=-1)
-    shape = np.broadcast_shapes(terms.shape, other.shape)
-    if terms.shape != shape:
-        terms, other = other, terms
-    # multiply in place and drop the other factor, so that at most two
-    # arrays of the gathered size are alive at once
-    terms = np.multiply(terms, other, out=terms if terms.shape == shape else None)
-    del other
-    terms *= spec._coeffs
-    return np.add.reduceat(terms, spec._starts, axis=-1)
+    shape = np.broadcast(a, b).shape
+    if a.shape != shape:
+        a, b = b, a
+    if a.shape != shape:
+        return a * b
+    out = a.copy()
+    out *= b
+    return out
 
 
 def _fixed_factor(b, spec):
-    """The factor ``b`` of :func:`_times_fixed`, gathered with ``c_rsk`` folded in.
-
-    For repeated products by one ``b`` on an algebra with a radical
-    (``m < n``): the gather of ``b`` is made once instead of once per
-    product.
-    """
+    """``b[..., s] c_rsk`` over the structure constants (``m < n``), the factor
+    of :func:`_times_fixed`; repeated products by one ``b``, as in the radical
+    series, gather it once."""
     times = np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1)
     times *= spec._coeffs
     return times
 
 
 def _times_fixed(a, times, spec):
-    """``_multiply_coords(a, b, spec)`` with ``times = _fixed_factor(b, spec)``.
+    """The sparse product kernel: ``a * b`` with ``times = _fixed_factor(b, spec)``.
 
-    The operand order of :func:`_multiply_coords` is kept, ``a[..., r]``
-    then the factor of ``b``, in place on the gather of ``a``; the result
-    has the same bits when every ``c_rsk`` is 1, and otherwise only one
-    product of three numbers is regrouped.  ``a`` must have the broadcast
-    shape of ``a`` and ``b``.
+    It gathers ``a[..., r]``, multiplies by ``times``, in place when the
+    gather has the broadcast shape (at most two gathered arrays then live at
+    once) and else the factor first, and sums each target's run.  That is
+    the operand order of ``(a[..., r] * b[..., s]) c_rsk``, whose bits it
+    keeps when every ``c_rsk`` is 1.  ``a`` must be complex.
     """
     terms = np.take(a, spec._left, axis=-1)
-    terms *= times
+    # equal shapes first: the radical series' products need no broadcast test
+    if terms.shape == times.shape or terms.shape == np.broadcast_shapes(terms.shape, times.shape):
+        terms *= times
+    else:
+        terms = times * terms
+    del times  # a factor made for this product alone dies before the sum is made
     return np.add.reduceat(terms, spec._starts, axis=-1)
 
 

@@ -6,7 +6,9 @@ closed-curve integrals of monogenic functions vanish, triangle boundaries
 give the Morera-style identity, and the integral formula reproduces
 ``2 pi i`` times function values on a curve around which every spectral
 image winds once.  :func:`compute_lambda` integrates the algebra constant
-``lambda = integral of zeta^{-1} dzeta`` over a circle.
+``lambda = integral of zeta^{-1} dzeta`` over a circle.  Every integrand, the
+formula's reference and its shifted inverse are evaluated by
+:func:`monalg.monogenic.eval_batch`, so every check takes the same functions.
 
 :func:`line_integral`, :func:`cauchy_theorem_check` and
 :func:`cauchy_formula_check` also take a list of functions.  The functions
@@ -140,7 +142,7 @@ def _locate_failure(evaluations, frame, taus, spec, exc) -> IntegrationError:
     for i, tau in enumerate(taus):
         try:
             for psi, xs in evaluations:
-                _evaluate(psi, frame, xs[i : i + 1], spec)
+                eval_batch(psi, frame, xs[i : i + 1], spec)
         except MonalgError:
             return IntegrationError(
                 f"integrand evaluation failed at tau={float(tau):.6g}: {exc}",
@@ -153,11 +155,11 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
                   tol: float = _LINE_TOL, cap: int = DEFAULT_CAP) -> IntegralResult | list:
     """Integral of ``psi`` against ``dzeta`` along the curve.
 
-    ``psi`` may be a built-in function variant, an object with an
-    ``eval_many(frame, xs, spec)`` method, or a pointwise callable
-    ``x -> Element``.  Circles refine by node doubling, polylines by Gauss
-    panels bisected per segment, with all segments refined as one stack;
-    ``cap`` bounds the nodes of the circle or of each segment.
+    ``psi`` is any function :func:`eval_batch` takes: a built-in variant, an
+    object with an ``eval_many`` method, or a callable ``x -> Element``.
+    Circles refine by node doubling, polylines by Gauss panels bisected per
+    segment, with all segments refined as one stack; ``cap`` bounds the
+    nodes of the circle or of each segment.
 
     ``psi`` may also be a list of functions, and the result is then the list
     of their :class:`IntegralResult`.  One refinement run integrates them as
@@ -168,12 +170,6 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
     psis = psi if isinstance(psi, list) else [psi]
     results = _line_integrals(psis, gamma, frame, spec, tol, cap)
     return results if isinstance(psi, list) else results[0]
-
-
-def _evaluate(psi, frame, xs, spec):
-    if hasattr(psi, "eval_many"):
-        return psi.eval_many(frame, xs, spec)
-    return eval_batch(psi, frame, xs, spec)
 
 
 def _join(arrays):
@@ -280,7 +276,7 @@ class _CurveStack:
         if self.factor is None:
             return dz
         offsets = self.pieces.points(taus, pieces, self.factor.shift)
-        factor = self.factor.eval_many(self.frame, offsets, self.spec)
+        factor = eval_batch(self.factor, self.frame, offsets, self.spec)
         return factor if dz is None else _multiply_coords(factor, dz, self.spec)
 
     def _values(self, j, taus, pieces, at):
@@ -299,7 +295,7 @@ class _CurveStack:
         try:
             # the weight first, so its offsets' temporaries meet no values (peak memory)
             weight = once("weight", lambda: self._weight(taus, pieces))
-            vals = _evaluate(psi, frame, xs, spec)
+            vals = eval_batch(psi, frame, xs, spec)
         except MonalgError as exc:
             evaluations = [(psi, xs)]
             if factor is not None:
@@ -441,7 +437,7 @@ def _integral_report(name, res, residual, tolerance, reference=None,
 
 def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
     pts = gamma.sample(samples) if isinstance(gamma, Circle2D) else gamma.sample(per_segment=32)
-    vals = _evaluate(psi, frame, pts, spec)
+    vals = eval_batch(psi, frame, pts, spec)
     return float(np.max(np.linalg.norm(vals, axis=-1)))
 
 

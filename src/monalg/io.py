@@ -291,7 +291,8 @@ def load_function(path, spec: AlgebraSpec):
 
 def _jsonable(value):
     """``value`` as JSON data.  A NaN or infinite float, which JSON (RFC 8259)
-    cannot hold, becomes ``None``."""
+    cannot hold, becomes ``None``.  Another type raises ``TypeError``: its
+    ``repr`` may hold an address, and change a report's bytes run to run."""
     if isinstance(value, np.generic):
         value = value.item()
     if value is None or isinstance(value, (bool, int, str)):
@@ -308,7 +309,7 @@ def _jsonable(value):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    return repr(value)
+    raise TypeError(f"a report cannot hold a {type(value).__name__}")
 
 
 def report_record(report: VerificationReport) -> dict:

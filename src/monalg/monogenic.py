@@ -186,8 +186,8 @@ def zeta_power(p: int, spec: AlgebraSpec) -> Polynomial:
 # -- evaluation ---------------------------------------------------------------
 
 
-def eval_function(phi: MonogenicFunction, frame: Frame, x, spec: AlgebraSpec) -> Element:
-    """Evaluate a built-in function variant at the point ``x``."""
+def eval_function(phi, frame: Frame, x, spec: AlgebraSpec) -> Element:
+    """Evaluate ``phi`` at the point ``x``: any function :func:`eval_batch` takes."""
     x = np.asarray(x, dtype=np.float64)
     out = eval_batch(phi, frame, x.reshape(1, -1), spec)
     return Element(out[0])
@@ -196,10 +196,13 @@ def eval_function(phi: MonogenicFunction, frame: Frame, x, spec: AlgebraSpec) ->
 def eval_batch(phi, frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
     """Coordinates of ``phi`` at many points; ``xs`` has shape (N, k).
 
-    ``phi`` is a built-in variant or any callable ``x -> Element`` (plain
-    callables are evaluated pointwise).
+    The one entry for every integrand: ``phi`` is an object with an
+    ``eval_many(frame, xs, spec)`` method, a built-in variant or any
+    callable ``x -> Element`` (evaluated pointwise).
     """
     xs = np.asarray(xs, dtype=np.float64)
+    if hasattr(phi, "eval_many"):
+        return phi.eval_many(frame, xs, spec)
     emb = embed_many(frame, xs)
     if isinstance(phi, Polynomial):
         return _eval_polynomial(phi, emb, spec)

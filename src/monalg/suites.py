@@ -417,10 +417,10 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
     suite.  One :class:`_LambdaMemo` lives for this call: a frame's lambda
     on the standard circle is integrated once and read by the lambda and
     predicates suites.  When ``timings`` is a list, one row ``(suite, wall
-    seconds, compute_lambda calls)`` is appended to it per suite run.  A
-    suite named twice or an option key outside ``_OPTION_KINDS`` raises
-    ``ValueError``, and a value not of its key's kind (a ``tol`` that is not
-    finite and > 0, a count below 1) raises :class:`SpecFormatError`.
+    seconds, compute_lambda calls)`` is appended to it per suite run.  No
+    suite, a suite named twice or an option key outside ``_OPTION_KINDS``
+    raises ``ValueError``, and a value not of its key's kind (a ``tol`` that
+    is not finite and > 0, a count below 1) raises :class:`SpecFormatError`.
     """
     if isinstance(names, str):
         raise TypeError(f"names must be a list of suite names, got the string {names!r}")
@@ -432,6 +432,8 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
         _check(value, _OPTION_KINDS[key], f"suite option {key!r}")
     if list(names) == ["all"]:
         names = list(SUITES)
+    elif not names:  # a run that checks nothing would pass
+        raise ValueError(f"name at least one suite; known: {', '.join(SUITES)}, all")
     elif "all" in names:
         raise ValueError(f"suite 'all' runs every suite and stands alone; got {list(names)}")
     elif len(set(names)) < len(names):

@@ -1,9 +1,12 @@
 """Rows through the sparse product kernel per suite: counts that do not depend on the machine.
 
-Every product of the radical goes through :func:`monalg.algebra._multiply_coords`
-or :func:`monalg.algebra._times_fixed`; a call on operands of shape ``(..., n)``
-makes ``prod(...)`` products, its rows.  :func:`product_rows` counts them for
-each suite of ``monalg verify --suite all``, in process.  Print the table with
+Every product of an algebra with a radical goes through the one sparse kernel,
+:func:`monalg.algebra._times_fixed`: the radical series calls it directly, and
+:func:`monalg.algebra._multiply_coords` calls it for every other product, so
+counting both would count those products twice.  A call whose result has
+shape ``(..., n)`` makes ``prod(...)`` products, its rows.  :func:`product_rows`
+counts them for each suite of ``monalg verify --suite all``, in process.
+Print the table with
 
     python3 tests/product_counts.py [ALGEBRA ...] [--seed N]
 
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ("_multiply_coords", "_times_fixed")
+KERNELS = ("_times_fixed",)
 
 
 @contextmanager

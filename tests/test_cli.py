@@ -194,6 +194,22 @@ def test_verify_refuses_a_repeated_suite(capsys):
     assert "each suite may be named once" in capsys.readouterr().err
 
 
+def test_verify_refuses_a_config_with_no_suites(tmp_path, capsys):
+    # "suites": [] printed 0/0 checks passed and exited 0
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"algebra": "example1", "suites": []}))
+    assert main(["verify", "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "name at least one suite" in captured.err and "checks passed" not in captured.out
+
+
+def test_run_experiment_refuses_no_suites():
+    from monalg.cli import run_experiment
+
+    with pytest.raises(ValueError, match="name at least one suite"):
+        run_experiment(ExperimentConfig(algebra="example1", suites=[]))
+
+
 BENCH_DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
 
 

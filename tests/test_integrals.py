@@ -570,8 +570,7 @@ def _segment_oracle(psi, segments, frame, spec, center=None):
     for start, end in segments:
         def bare(t, start=start, end=end):
             xs = start + t[:, None] * (end - start)
-            vals = psi.eval_many(frame, xs, spec) if hasattr(psi, "eval_many") \
-                else eval_batch(psi, frame, xs, spec)
+            vals = eval_batch(psi, frame, xs, spec)
             if center is None:
                 return vals
             return _multiply_coords(vals, inverse_many(frame, xs - center, spec), spec)
@@ -941,6 +940,13 @@ def test_run_suites_refuses_a_string_of_names(names):
         run_suites(names, spec, builtin_frames(spec), seed=1)
 
 
+def test_run_suites_refuses_an_empty_list_of_names():
+    # a run that checks nothing would report 0/0 and pass
+    spec = builtin_algebra("example1")
+    with pytest.raises(ValueError, match="name at least one suite"):
+        run_suites([], spec, builtin_frames(spec), seed=1)
+
+
 def test_formula_embracing_violation():
     spec = example1()
     frame = default_frame(spec)
@@ -998,6 +1004,16 @@ def _assert_same_report(stacked, single):
 STACK_CASES = ["example1", "chain12", "semisimple:m=12"]
 
 
+class _Wrapped:
+    """A function behind an ``eval_many`` method, as a user's integrand may come."""
+
+    def __init__(self, phi):
+        self.phi = phi
+
+    def eval_many(self, frame, xs, spec):
+        return eval_batch(self.phi, frame, xs, spec)
+
+
 @pytest.mark.parametrize("name", STACK_CASES)
 def test_line_integral_list_matches_single_calls_bit_for_bit(name):
     from monalg.suites import _phi_set, _standard_curves
@@ -1022,7 +1038,8 @@ def test_cauchy_theorem_list_matches_single_calls(name):
     from monalg.suites import _phi_set, _standard_curves
 
     spec, frame = _stack_case(name)
-    phis = [phi for _, phi in _phi_set(spec)]
+    # built-in variants and eval_many objects mixed
+    phis = [phi for _, phi in _phi_set(spec)] + [_Wrapped(zeta(spec)), _Control(spec)]
     for _, curve in _standard_curves(frame.k):
         reports = cauchy_theorem_check(phis, curve, frame, spec)
         for phi, rep in zip(phis, reports):
@@ -1035,7 +1052,9 @@ def test_cauchy_theorem_list_matches_single_calls(name):
 @pytest.mark.parametrize("name", STACK_CASES)
 def test_cauchy_formula_list_matches_single_calls(name):
     spec, frame = _stack_case(name)
-    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
+    # built-in variants and eval_many objects mixed
+    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec),
+            _Wrapped(ResolventKernel(3 + 3j)), _Control(spec)]
     center, curves = _formula_curves(frame.k)
     for cname, curve in curves.items():
         reports = cauchy_formula_check(phis, center, curve, frame, spec)
@@ -1044,7 +1063,25 @@ def test_cauchy_formula_list_matches_single_calls(name):
             _assert_same_report(rep, cauchy_formula_check(phi, center, curve, frame, spec))
         if name == "semisimple:m=12" and cname == "square":
             # the functions stop on different segments at different levels
-            assert [rep.diagnostics["nodes"] for rep in reports] == [7800, 7740, 7740]
+            assert [rep.diagnostics["nodes"] for rep in reports][:3] == [7800, 7740, 7740]
+
+
+@pytest.mark.parametrize("name", STACK_CASES)
+def test_formula_takes_an_eval_many_integrand(name):
+    # the reference went through eval_function, which refused what the
+    # integral had just integrated: "not an evaluable function: _Control"
+    spec, frame = _stack_case(name)
+    center, curves = _formula_curves(frame.k)
+    wrapped, control = _Wrapped(zeta(spec)), _Control(spec)
+    assert (eval_function(wrapped, frame, center, spec).coords.tobytes()
+            == eval_function(zeta(spec), frame, center, spec).coords.tobytes())
+    for curve in curves.values():
+        _assert_same_report(cauchy_formula_check(wrapped, center, curve, frame, spec),
+                            cauchy_formula_check(zeta(spec), center, curve, frame, spec))
+        rep = cauchy_formula_check(control, center, curve, frame, spec)
+        expected = 2j * np.pi * control.eval_many(frame, center[None], spec)[0]
+        assert rep.reference.coords.tobytes() == expected.tobytes()
+        assert np.isfinite(rep.residual)
 
 
 @pytest.mark.parametrize("name", ["example1", "chain12"])

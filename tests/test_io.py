@@ -472,3 +472,17 @@ def test_reports_are_strict_json_when_a_cap_starves_them():
     payload = json.loads(reports_to_json(reports), parse_constant=refuse)
     errors = {c["name"]: c["diagnostics"].get("quadrature_error") for c in payload["checks"]}
     assert all(errors[r.name] is None for r in starved)
+
+
+def test_reports_refuse_a_value_they_would_write_as_its_repr():
+    # a plain object's repr holds its address, so writing it would change
+    # the report's bytes from run to run without a word
+    from monalg.integrals import VerificationReport
+    from monalg.io import reports_to_json
+
+    class Opaque:
+        pass
+
+    report = VerificationReport("x", 0.0, 1.0, diagnostics={"what": Opaque()})
+    with pytest.raises(TypeError, match="Opaque"):
+        reports_to_json([report])
