@@ -19,11 +19,26 @@ list of non-zero structure constants ``c_rsk`` that :class:`AlgebraSpec`
 builds from the three rules: ``m + 2 (n - m)`` entries from rules 1 and 3
 plus two per off-diagonal nilpotent product.  With a radical every product
 goes through one kernel, :func:`_times_fixed`; ``C^m`` multiplies componentwise.
+
+A product may name the supports of its factors: the columns outside which
+a factor is exactly zero.  The kernel then multiplies only the triples
+whose left column ``r`` and right column ``s`` lie in them, a sub-list that
+:meth:`AlgebraSpec._triples` makes once per pair of supports.  On finite
+data every dropped term is an exact zero, so the sum of a target's run
+changes only where numpy adds a long run pairwise and the other terms
+regroup; a NaN point is NaN on its support too.  Supports come from the code,
+never from the data: an embedded point lives on its frame's non-zero
+columns (``Frame._support``), and a product's support is the set of
+targets its triples reach.  With no support named, a factor may fill every
+column and the kernel takes every triple.  The oracles, the dense
+left-multiplication matrices of :func:`_left_mul_coords` and the axiom
+checks, always do.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,6 +121,22 @@ def basis_element(r: int, n: int) -> Element:
     return Element(c)
 
 
+class _Triples(NamedTuple):
+    """Structure constants ``c_rsk`` as parallel arrays (0-based), sorted by target.
+
+    Entry ``j`` says that ``I_r I_s`` has ``coeffs[j]`` on ``I_k`` for ``r, s
+    = left[j], right[j]``; ``starts`` opens the run of each target reached,
+    in order.  ``targets`` names those targets, the support of the product,
+    or is ``None`` when all ``n`` are reached.
+    """
+
+    left: np.ndarray
+    right: np.ndarray
+    coeffs: np.ndarray
+    starts: np.ndarray
+    targets: tuple | None
+
+
 class AlgebraSpec:
     """Identity card of an algebra: dimensions, structure tensor, selectors.
 
@@ -131,10 +162,14 @@ class AlgebraSpec:
     support of the structure tensor (0 when ``m == n``).  Every ``N^k`` with
     ``k > _depth`` vanishes.  It is at most ``n - m``, and it is ``n - m``
     when an entry breaks rule 2's triangular support.
+
+    ``_left, _right, _coeffs, _starts`` hold every non-zero ``c_rsk`` and
+    ``_targets`` the target of each; ``_pairs`` memoizes the sub-lists of
+    :meth:`_triples`.
     """
 
     __slots__ = ("n", "m", "products", "u_map", "_left", "_right", "_coeffs", "_starts",
-                 "_unit", "_selector", "_depth")
+                 "_targets", "_pairs", "_unit", "_selector", "_depth")
 
     def __init__(self, n: int, m: int, products=None, u_map=None):
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -145,7 +180,9 @@ class AlgebraSpec:
         self.m = m
         self.products = self._canonical_products(products or {})
         self.u_map = self._canonical_u_map(u_map)
-        self._left, self._right, self._coeffs, self._starts = self._build_triples()
+        self._left, self._right, self._coeffs, self._starts, self._targets = self._build_triples()
+        self._pairs = {(None, None): _Triples(self._left, self._right, self._coeffs,
+                                              self._starts, None)}
         self._unit = np.zeros(n, dtype=np.complex128)
         self._unit[:m] = 1.0
         self._selector = np.array([*range(m), *(self.u_map[s] - 1 for s in range(m + 1, n + 1))])
@@ -200,11 +237,11 @@ class AlgebraSpec:
     def _build_triples(self):
         """Non-zero structure constants ``c_rsk`` as parallel arrays (0-based).
 
-        Returns ``(lefts, rights, coeffs, starts)``: entry ``j`` says that
-        ``I_r I_s`` has ``coeffs[j]`` on ``I_k`` for ``r, s = lefts[j],
-        rights[j]``.  Entries are sorted by target ``k``; ``starts[k]`` opens
-        the run of target ``k``.  Rules 1 and 3 give every
-        target at least one entry, so there are exactly ``n`` runs.
+        Returns ``(lefts, rights, coeffs, starts, targets)``: entry ``j``
+        says that ``I_r I_s`` has ``coeffs[j]`` on ``I_k`` for ``r, s, k =
+        lefts[j], rights[j], targets[j]``.  Entries are sorted by target;
+        ``starts[k]`` opens the run of target ``k``.  Rules 1 and 3 give
+        every target at least one entry, so there are exactly ``n`` runs.
         """
         n, m = self.n, self.m
         entries = [(u, u, u, 1.0) for u in range(m)]  # (k, r, s, c)
@@ -219,7 +256,35 @@ class AlgebraSpec:
         targets, lefts, rights, coeffs = zip(*entries)
         starts = np.flatnonzero(np.diff(targets, prepend=-1))
         return (np.array(lefts), np.array(rights),
-                np.array(coeffs, dtype=np.complex128), starts)
+                np.array(coeffs, dtype=np.complex128), starts, np.array(targets))
+
+    def _triples(self, left=None, right=None) -> _Triples:
+        """The structure constants whose left column is in ``left`` and right
+        column in ``right``, the supports of a product's factors.
+
+        A support is a sorted tuple of 0-based columns outside which a factor
+        is exactly zero, or ``None`` for all ``n``.  The sub-list is made once
+        per pair; with full supports it is the whole list, the same arrays.
+        """
+        try:
+            return self._pairs[left, right]
+        except KeyError:
+            keep = np.ones(len(self._left), dtype=bool)
+            for support, cols in ((left, self._left), (right, self._right)):
+                if support is not None:
+                    inside = np.zeros(self.n, dtype=bool)
+                    inside[list(support)] = True
+                    keep &= inside[cols]
+            if keep.all():
+                triples = self._pairs[None, None]
+            else:
+                targets = self._targets[keep]
+                starts = np.flatnonzero(np.diff(targets, prepend=-1))
+                reached = tuple(targets[starts].tolist())
+                triples = _Triples(self._left[keep], self._right[keep], self._coeffs[keep],
+                                   starts, None if len(reached) == self.n else reached)
+            self._pairs[left, right] = triples
+            return triples
 
     def _radical_depth(self) -> int:
         """Largest number of radical factors a non-zero product can have.
@@ -303,14 +368,16 @@ def multiply(a: Element, b: Element, spec: AlgebraSpec) -> Element:
     return Element(_multiply_coords(x, y, spec))
 
 
-def _multiply_coords(a, b, spec):
+def _multiply_coords(a, b, spec, left=None, right=None):
     """Product on raw coordinate arrays; broadcasts over leading axes.
 
     With an empty radical (``m = n``) the algebra is ``C^m`` and the product
     is componentwise.  Otherwise it is the sparse kernel :func:`_times_fixed`
-    by ``_fixed_factor(b)``: O(nnz) work per product, against O(n^3) for a
-    contraction with a dense ``(n, n, n)`` table.  No step calls BLAS, so
-    results do not depend on the BLAS thread count.
+    by ``_fixed_factor(b, ...)``, over the triples of the supports ``left``
+    of ``a`` and ``right`` of ``b`` (``None``: every column): O(nnz) work
+    per product, against O(n^3) for a contraction with a dense ``(n, n, n)``
+    table.  No step calls BLAS, so results do not depend on the BLAS thread
+    count.
 
     On a semisimple algebra the two ways give the same bits, bar the sign
     of an exact zero (the kernel's factor ``c_uuu = 1 + 0j`` turns ``-0.0``
@@ -322,7 +389,8 @@ def _multiply_coords(a, b, spec):
     """
     a = np.asarray(a, dtype=np.complex128)
     if spec.m < spec.n:
-        return _times_fixed(a, _fixed_factor(b, spec), spec)
+        triples = spec._triples(left, right)
+        return _times_fixed(a, _fixed_factor(b, triples), spec, triples)
     b = np.asarray(b, dtype=np.complex128)
     shape = np.broadcast(a, b).shape
     if a.shape != shape:
@@ -334,47 +402,59 @@ def _multiply_coords(a, b, spec):
     return out
 
 
-def _fixed_factor(b, spec):
-    """``b[..., s] c_rsk`` over the structure constants (``m < n``), the factor
-    of :func:`_times_fixed`; repeated products by one ``b``, as in the radical
+def _product_support(left, right, spec):
+    """Columns where a product of factors on the supports ``left`` and
+    ``right`` can be non-zero: the targets of their triples (``None``: all).
+    ``C^m`` takes no supports, and keeps every column."""
+    return spec._triples(left, right).targets if spec.m < spec.n else None
+
+
+def _fixed_factor(b, triples):
+    """``b[..., s] c_rsk`` over ``triples`` (``m < n``), the factor of
+    :func:`_times_fixed`; repeated products by one ``b``, as in the radical
     series, gather it once."""
-    times = np.take(np.asarray(b, dtype=np.complex128), spec._right, axis=-1)
-    times *= spec._coeffs
+    times = np.take(np.asarray(b, dtype=np.complex128), triples.right, axis=-1)
+    times *= triples.coeffs
     return times
 
 
-def _times_fixed(a, times, spec):
-    """The sparse product kernel: ``a * b`` with ``times = _fixed_factor(b, spec)``.
+def _times_fixed(a, times, spec, triples):
+    """The sparse product kernel: ``a * b`` with ``times = _fixed_factor(b, triples)``.
 
-    It gathers ``a[..., r]``, multiplies by ``times``, in place when the
-    gather has the broadcast shape (at most two gathered arrays then live at
-    once) and else the factor first, and sums each target's run.  That is
-    the operand order of ``(a[..., r] * b[..., s]) c_rsk``, whose bits it
-    keeps when every ``c_rsk`` is 1.  ``a`` must be complex.
+    It gathers ``a[..., r]`` over ``triples``, multiplies by ``times``, in
+    place when the gather has the broadcast shape (at most two gathered
+    arrays then live at once) and else the factor first, and sums each
+    target's run.  That is the operand order of ``(a[..., r] * b[..., s])
+    c_rsk``, whose bits it keeps when every ``c_rsk`` is 1.  Targets the
+    triples do not reach are zero.  ``a`` must be complex.
     """
-    terms = np.take(a, spec._left, axis=-1)
+    terms = np.take(a, triples.left, axis=-1)
     # equal shapes first: the radical series' products need no broadcast test
     if terms.shape == times.shape or terms.shape == np.broadcast_shapes(terms.shape, times.shape):
         terms *= times
     else:
         terms = times * terms
     del times  # a factor made for this product alone dies before the sum is made
-    return np.add.reduceat(terms, spec._starts, axis=-1)
+    if triples.targets is None:
+        return np.add.reduceat(terms, triples.starts, axis=-1)
+    out = np.zeros(terms.shape[:-1] + (spec.n,), dtype=np.complex128)
+    if triples.targets:
+        out[..., triples.targets] = np.add.reduceat(terms, triples.starts, axis=-1)
+    return out
 
 
 def _left_mul_coords(a, spec):
     """Matrices ``L`` with ``L @ b = a * b`` on raw coordinates, shape ``(..., n, n)``.
 
-    ``L[..., k, s] = sum_r a_r c_rsk``: one ``take`` over the structure
-    triples and one ``reduceat`` per ``(k, s)`` cell, where column by column
+    ``L[..., k, s] = sum_r a_r c_rsk``: one ``take`` over every structure
+    triple and one ``reduceat`` per ``(k, s)`` cell, where column by column
     it takes ``n`` products ``a * I_s``.  A cell sums its terms in the order
     of ``r``, as that product does among zeros, so the two agree bit for bit
     unless numpy sums a long run of a target's terms pairwise, and then to
     roundoff.  Broadcasts over leading axes of ``a``.
     """
     n = spec.n
-    runs = np.diff(np.append(spec._starts, len(spec._left)))
-    cells = np.repeat(np.arange(n), runs) * n + spec._right
+    cells = spec._targets * n + spec._right
     order = np.argsort(cells, kind="stable")  # entries are sorted by (k, r, s)
     cells = cells[order]
     starts = np.flatnonzero(np.diff(cells, prepend=-1))

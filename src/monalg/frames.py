@@ -29,16 +29,24 @@ class Frame:
 
     ``a[j-1, r-1]`` is the coefficient of ``I_r`` in ``e_j``.  The first row
     must equal the unit decomposition (1 on the idempotent coordinates).
+
+    ``_support`` holds the columns where some ``e_j`` is non-zero, the only
+    ones where an embedded point can be (``None`` when that is all ``n``),
+    for the sparse products of :mod:`monalg.algebra`.  ``a`` is a read-only
+    copy, so the support cannot go stale.
     """
 
-    __slots__ = ("k", "a")
+    __slots__ = ("k", "a", "_support")
 
     def __init__(self, a):
-        a = np.asarray(a, dtype=np.complex128)
+        a = np.array(a, dtype=np.complex128)
         if a.ndim != 2:
             raise FrameError(f"frame matrix must be 2-D, got shape {a.shape}")
+        a.flags.writeable = False
         self.k = a.shape[0]
         self.a = a
+        support = tuple(np.flatnonzero(np.any(a != 0, axis=0)).tolist())
+        self._support = None if len(support) == a.shape[1] else support
 
     @property
     def n(self) -> int:

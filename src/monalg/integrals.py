@@ -224,10 +224,11 @@ class _CurveStack:
     ``dzeta`` times the factor; on a segment it is the factor alone, or
     nothing, and :meth:`map_sums` multiplies each level's sums by the
     segment's constant ``dzeta``: one product per segment per level, where
-    weighting the nodes would take one per node.  The factor takes the
-    nodes relative to its ``shift``, which the pieces compute from the
-    curve's geometry, so a small curve far from 0 keeps every digit of its
-    offsets.
+    weighting the nodes would take one per node.  ``dzeta`` lives on the
+    frame's support, and its products take only the triples there.  The
+    factor takes the nodes relative to its ``shift``, which the pieces
+    compute from the curve's geometry, so a small curve far from 0 keeps
+    every digit of its offsets.
 
     ``level(tau)`` returns the evaluator of one level.  A block's functions
     are evaluated one at a time, each on its pieces in the block.  The
@@ -268,7 +269,8 @@ class _CurveStack:
         """Level sums of the integrands ``seg`` times their segments' ``dzeta``."""
         if isinstance(self.pieces, _CirclePiece):
             return sums
-        return _multiply_coords(sums, self.pieces.increments[seg % len(self.pieces)], self.spec)
+        increments = self.pieces.increments[seg % len(self.pieces)]
+        return _multiply_coords(sums, increments, self.spec, right=self.frame._support)
 
     def _weight(self, taus, pieces):
         """The weight at the nodes; ``None`` on segments with no factor."""
@@ -277,7 +279,8 @@ class _CurveStack:
             return dz
         offsets = self.pieces.points(taus, pieces, self.factor.shift)
         factor = eval_batch(self.factor, self.frame, offsets, self.spec)
-        return factor if dz is None else _multiply_coords(factor, dz, self.spec)
+        return factor if dz is None else _multiply_coords(factor, dz, self.spec,
+                                                          right=self.frame._support)
 
     def _values(self, j, taus, pieces, at):
         """Function ``j`` times the weight at ``taus`` on ``pieces``.
@@ -302,7 +305,11 @@ class _CurveStack:
                 evaluations.append((factor, self.pieces.points(taus, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
             raise _locate_failure(evaluations, frame, pieces + taus, spec, exc) from exc
-        return vals if weight is None else _multiply_coords(vals, weight, spec)
+        if weight is None:
+            return vals
+        # with no factor the weight is dzeta, which lives on the frame's support
+        return _multiply_coords(vals, weight, spec,
+                                right=frame._support if factor is None else None)
 
 
 def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraSpec, Element, zero_element
-from .algebra import _multiply_coords, _on_locus
+from .algebra import _multiply_coords, _on_locus, _product_support
 from .errors import PoleError
 from .frames import Frame, embed_many
 from .resolvent import _check_pole, _radical_series, _resolvent_coords
@@ -198,19 +198,20 @@ def eval_batch(phi, frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
 
     The one entry for every integrand: ``phi`` is an object with an
     ``eval_many(frame, xs, spec)`` method, a built-in variant or any
-    callable ``x -> Element`` (evaluated pointwise).
+    callable ``x -> Element`` (evaluated pointwise).  The built-in variants
+    multiply only where the points can be non-zero: on the frame's support.
     """
     xs = np.asarray(xs, dtype=np.float64)
     if hasattr(phi, "eval_many"):
         return phi.eval_many(frame, xs, spec)
     emb = embed_many(frame, xs)
     if isinstance(phi, Polynomial):
-        return _eval_polynomial(phi, emb, spec)
+        return _eval_polynomial(phi, emb, spec, frame._support)
     if isinstance(phi, ResolventKernel):
         _check_pole(phi.t, emb[..., : spec.m])
-        return _resolvent_coords(phi.t, emb, spec)
+        return _resolvent_coords(phi.t, emb, spec, frame._support)
     if isinstance(phi, PrincipalExtension):
-        return _eval_principal(phi, emb, spec)
+        return _eval_principal(phi, emb, spec, frame._support)
     if callable(phi):
         rows = []
         for x in xs:
@@ -220,25 +221,35 @@ def eval_batch(phi, frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
     raise TypeError(f"not an evaluable function: {type(phi).__name__}")
 
 
-def _eval_polynomial(phi: Polynomial, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
+def _eval_polynomial(phi: Polynomial, emb: np.ndarray, spec: AlgebraSpec,
+                     support=None) -> np.ndarray:
     """Horner's rule in ``emb``, skipping the steps that change no bit.
 
     A unit leading coefficient starts at ``emb`` with no product, and zero
     coefficients are not added; either step could change only the sign of
-    an exact zero.
+    an exact zero.  ``support`` is that of ``emb``.  Until a coefficient
+    other than the unit lead joins, as in ``zeta^p``, the accumulator lives
+    on the targets of the last product; after, it may fill every column.
     """
     lead, *rest = reversed(phi.coeffs)
-    acc = None  # stands for the unit until the first product
+    acc, held = None, support  # None stands for the unit until the first product
     if not (rest and np.array_equal(lead.coords, spec._unit)):
         acc = np.broadcast_to(lead.coords, emb.shape).copy()
+        held = None
     for coeff in rest:
-        acc = emb if acc is None else _multiply_coords(acc, emb, spec)
+        if acc is None:
+            acc = emb
+        else:
+            acc = _multiply_coords(acc, emb, spec, held, support)
+            held = _product_support(held, support, spec)
         if np.any(coeff.coords):
             acc = acc + coeff.coords
+            held = None
     return acc
 
 
-def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
+def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec,
+                    support=None) -> np.ndarray:
     n, m = spec.n, spec.m
     if len(phi.F) != m:
         raise ValueError(f"expected {m} idempotent scalars, got {len(phi.F)}")
@@ -256,7 +267,7 @@ def _eval_principal(phi: PrincipalExtension, emb: np.ndarray, spec: AlgebraSpec)
     coeffs = np.zeros((order + 1,) + emb.shape[:-1] + (width,), dtype=np.complex128)
     for scalar, col, u in parts:
         coeffs[..., col] = scalar._taylor(xi[..., u], order)
-    return _radical_series(coeffs.__getitem__, emb, spec)
+    return _radical_series(coeffs.__getitem__, emb, spec, support)
 
 
 # -- differentiability probes -------------------------------------------------
@@ -279,6 +290,6 @@ def cr_residual(phi: MonogenicFunction, frame: Frame, x, h: float, spec: Algebra
     derivs = (vals[:k] - vals[k:]) / (2.0 * h)  # row j-1 is D_j
     residuals = []
     for j in range(2, k + 1):
-        model = _multiply_coords(derivs[0], frame.a[j - 1], spec)
+        model = _multiply_coords(derivs[0], frame.a[j - 1], spec, right=frame._support)
         residuals.append(float(np.linalg.norm(derivs[j - 1] - model)))
     return residuals

@@ -36,7 +36,7 @@ __all__ = ["inverse", "resolvent"]
 # -- batch kernels -----------------------------------------------------------
 
 
-def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
+def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec, support=None) -> np.ndarray:
     """``sum_{k <= depth} c_k N^k`` by Paterson-Stockmeyer, ``N`` the radical part of ``emb``.
 
     ``coeff(k)`` returns the leading coordinates of ``c_k``, of shape
@@ -52,9 +52,14 @@ def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
     N^i``, with ``N, ..., N^(s-1)`` kept: a semisimple ``c_k`` (``m``
     columns) times ``N^i`` only scales coordinates, by
     ``AlgebraSpec._selector``.  Coefficients with ``n`` columns are not
-    semisimple, and take ``s = 1``: Horner's rule in ``N``.  Each product
-    is by a fixed factor, ``N`` or ``N^s``, gathered once by
-    :func:`monalg.algebra._fixed_factor`.
+    semisimple, and take ``s = 1``: Horner's rule in ``N``.
+
+    ``support`` is that of ``emb`` (``None``: every column), so ``N`` lives
+    on its radical columns, and each power on the targets of the product
+    that made it.  Each product takes only the triples of its factors'
+    supports.  Horner's products take every left column, as the
+    accumulator soon fills them, so that ``N^s`` is gathered once by
+    :func:`monalg.algebra._fixed_factor` for all of them.
     """
     depth = spec._depth
     c = np.asarray(coeff(depth), dtype=np.complex128)
@@ -65,16 +70,16 @@ def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
                    dtype=np.complex128)
     nil = np.array(emb, dtype=np.complex128)
     nil[..., : spec.m] = 0.0
-    times = _fixed_factor(nil, spec)
-    powers = [nil]
+    radical = tuple(j for j in (range(spec.n) if support is None else support) if j >= spec.m)
+    powers, supports = [nil], [radical]
     del nil
     for _ in range(1, step):
-        powers.append(_times_fixed(powers[-1], times, spec))
+        triples = spec._triples(supports[-1], radical)
+        powers.append(_times_fixed(powers[-1], _fixed_factor(powers[0], triples), spec, triples))
+        supports.append(triples.targets)
     top = powers.pop()  # N^step; N, ..., N^(step-1) stay for the blocks
-    if step > 1:
-        # N's gather dies as N^step's is made, so at most two arrays of the
-        # gathered size are alive at once, here as in each product
-        times = _fixed_factor(top, spec)
+    triples = spec._triples(None, supports.pop())
+    times = _fixed_factor(top, triples)
     del top
     for k in range(depth, -1, -1):
         if k < depth:
@@ -84,27 +89,29 @@ def _radical_series(coeff, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
         else:
             acc[..., : c.shape[-1]] += c
             if k:
-                acc = _times_fixed(acc, times, spec)
+                acc = _times_fixed(acc, times, spec, triples)
     return acc
 
 
-def _inverse_coords(emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
-    """Inverse coordinates for embedded points; ``emb`` has shape (..., n).
+def _inverse_coords(emb: np.ndarray, spec: AlgebraSpec, support=None) -> np.ndarray:
+    """Inverse coordinates for embedded points; ``emb`` has shape (..., n)
+    and the support ``support`` (``None``: every column).
 
     No invertibility guard here; callers check the spectrum first.
     """
     inv = 1.0 / emb[..., : spec.m]
     # numpy's complex ``**`` is several times slower than a complex product, so
     # the k = 0 coefficient, the only one of a semisimple algebra, skips it
-    return _radical_series(lambda k: inv * (-inv) ** k if k else inv, emb, spec)
+    return _radical_series(lambda k: inv * (-inv) ** k if k else inv, emb, spec, support)
 
 
-def _resolvent_coords(t, emb: np.ndarray, spec: AlgebraSpec) -> np.ndarray:
-    """Resolvent coordinates; ``t`` broadcasts against ``emb[..., 0]``."""
+def _resolvent_coords(t, emb: np.ndarray, spec: AlgebraSpec, support=None) -> np.ndarray:
+    """Resolvent coordinates; ``t`` broadcasts against ``emb[..., 0]``, and
+    ``support`` is that of ``emb``."""
     t = np.asarray(t, dtype=np.complex128)
     r = 1.0 / (t[..., None] - emb[..., : spec.m])
     # k = 0 skips the complex ``**``, as in _inverse_coords
-    return _radical_series(lambda k: r ** (k + 1) if k else r, emb, spec)
+    return _radical_series(lambda k: r ** (k + 1) if k else r, emb, spec, support)
 
 
 def _check_pole(t: complex, xi: np.ndarray) -> None:
@@ -135,7 +142,7 @@ def resolvent(t: complex, frame: Frame, x, spec: AlgebraSpec) -> Element:
     emb = x @ frame.a
     t = complex(t)
     _check_pole(t, emb[: spec.m])
-    return Element(_resolvent_coords(t, emb, spec))
+    return Element(_resolvent_coords(t, emb, spec, frame._support))
 
 
 def inverse(frame: Frame, x, spec: AlgebraSpec) -> Element:
@@ -165,4 +172,4 @@ def inverse_many(frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
             xi=xi[entry],
             offending=offending,
         )
-    return _inverse_coords(emb, spec)
+    return _inverse_coords(emb, spec, frame._support)

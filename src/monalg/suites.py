@@ -169,7 +169,7 @@ def suite_oracle(spec, frames, seed, options) -> list:
     xs = _sample_invertible(rng, frame, spec, count)
     emb = embed_many(frame, xs)
 
-    ours = _inverse_coords(emb, spec)
+    ours = _inverse_coords(emb, spec, frame._support)
     stacked = _left_mul_coords(emb, spec)
     rhs = np.broadcast_to(spec.unit_coords()[:, None], (len(emb), spec.n, 1))
     oracle = np.linalg.solve(stacked, rhs)[..., 0]
@@ -185,7 +185,7 @@ def suite_oracle(spec, frames, seed, options) -> list:
         ok = np.min(np.abs(tc[:, None] - xi[remaining]), axis=1) > 0.25
         t[remaining[ok]] = tc[ok]
         remaining = remaining[~ok]
-    res = _resolvent_coords(t, emb, spec)
+    res = _resolvent_coords(t, emb, spec, frame._support)
     shifted = t[:, None] * spec.unit_coords() - emb
     prod = _multiply_coords(shifted, res, spec)
     res_residual = float(

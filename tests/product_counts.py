@@ -1,11 +1,13 @@
-"""Rows through the sparse product kernel per suite: counts that do not depend on the machine.
+"""Rows and terms through the sparse product kernel per suite: counts that do not depend on the machine.
 
 Every product of an algebra with a radical goes through the one sparse kernel,
 :func:`monalg.algebra._times_fixed`: the radical series calls it directly, and
 :func:`monalg.algebra._multiply_coords` calls it for every other product, so
 counting both would count those products twice.  A call whose result has
-shape ``(..., n)`` makes ``prod(...)`` products, its rows.  :func:`product_rows`
-counts them for each suite of ``monalg verify --suite all``, in process.
+shape ``(..., n)`` makes ``prod(...)`` products, its rows, and multiplies
+rows times the structure triples it takes, its terms: a factor's support
+that is lost shows as more terms on the same rows.  :func:`product_counts`
+counts both for each suite of ``monalg verify --suite all``, in process.
 Print the table with
 
     python3 tests/product_counts.py [ALGEBRA ...] [--seed N]
@@ -23,37 +25,41 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
-KERNELS = ("_times_fixed",)
+KERNEL = "_times_fixed"
+COUNTS = ("rows", "terms")
 
 
 @contextmanager
 def counting():
-    """Yield ``{kernel: rows}``, counted in every loaded monalg module that binds the kernels."""
+    """Yield ``{"rows": ..., "terms": ...}`` of the kernel, counted in every
+    loaded monalg module that binds it."""
     from monalg import algebra
 
-    counts = dict.fromkeys(KERNELS, 0)
+    counts = dict.fromkeys(COUNTS, 0)
+    fn = getattr(algebra, KERNEL)
+
+    def counted(a, times, spec, triples):
+        out = fn(a, times, spec, triples)
+        rows = int(np.prod(out.shape[:-1]))
+        counts["rows"] += rows
+        counts["terms"] += rows * len(triples.left)
+        return out
+
     saved = []
-    for kernel in KERNELS:
-        fn = getattr(algebra, kernel)
-
-        def counted(*args, _fn=fn, _kernel=kernel, **kwargs):
-            out = _fn(*args, **kwargs)
-            counts[_kernel] += int(np.prod(out.shape[:-1]))
-            return out
-
-        for name, module in list(sys.modules.items()):
-            if (name == "monalg" or name.startswith("monalg.")) and vars(module).get(kernel) is fn:
-                saved.append((module, kernel, fn))
-                setattr(module, kernel, counted)
+    for name, module in list(sys.modules.items()):
+        if (name == "monalg" or name.startswith("monalg.")) and vars(module).get(KERNEL) is fn:
+            saved.append(module)
+            setattr(module, KERNEL, counted)
     try:
         yield counts
     finally:
-        for module, kernel, fn in saved:
-            setattr(module, kernel, fn)
+        for module in saved:
+            setattr(module, KERNEL, fn)
 
 
-def product_rows(name: str, seed: int = 1, suites=None) -> dict:
-    """``{suite: {kernel: rows}}`` for each of ``suites`` (all by default) on ``name``."""
+def product_counts(name: str, seed: int = 1, suites=None) -> dict:
+    """``{suite: {"rows": rows, "terms": terms}}`` for each of ``suites`` (all
+    by default) on ``name``."""
     from verdicts import _inputs
 
     from monalg.suites import SUITES, run_suites
@@ -67,6 +73,12 @@ def product_rows(name: str, seed: int = 1, suites=None) -> dict:
     return out
 
 
+def product_rows(name: str, seed: int = 1, suites=None) -> dict:
+    """``{suite: {kernel: rows}}`` for each of ``suites`` (all by default) on ``name``."""
+    return {suite: {KERNEL: counts["rows"]}
+            for suite, counts in product_counts(name, seed, suites).items()}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("algebras", nargs="*", default=["example1", "chain12"])
@@ -74,12 +86,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(ROOT / "src"))
     for name in args.algebras:
-        rows = product_rows(name, args.seed)
-        print(f"{name} (seed {args.seed}): suite {' '.join(KERNELS)}")
-        for suite, counts in rows.items():
-            print(f"  {suite:<11}" + "".join(f" {counts[k]:>16,}" for k in KERNELS))
-        total = {k: sum(c[k] for c in rows.values()) for k in KERNELS}
-        print(f"  {'total':<11}" + "".join(f" {total[k]:>16,}" for k in KERNELS))
+        counts = product_counts(name, args.seed)
+        print(f"{name} (seed {args.seed}): suite {KERNEL} " + " ".join(COUNTS))
+        for suite, row in counts.items():
+            print(f"  {suite:<11}" + "".join(f" {row[c]:>16,}" for c in COUNTS))
+        total = {c: sum(row[c] for row in counts.values()) for c in COUNTS}
+        print(f"  {'total':<11}" + "".join(f" {total[c]:>16,}" for c in COUNTS))
     return 0
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from verdicts import ALGEBRAS, _inputs
 
 from monalg.algebra import (
     AlgebraSpec,
@@ -11,6 +12,7 @@ from monalg.algebra import (
     _left_mul_coords,
     _multiply_coords,
     _nilpotency_index,
+    _product_support,
     basis_element,
     functional,
     left_mul_matrix,
@@ -22,6 +24,14 @@ from monalg.algebra import (
 )
 from monalg.catalog import builtin_algebra
 from monalg.errors import SingularElementError, StructureError
+from monalg.frames import Frame
+from monalg.monogenic import (
+    HolomorphicScalarSpec,
+    PrincipalExtension,
+    ResolventKernel,
+    eval_batch,
+    zeta_power,
+)
 
 
 def example1():
@@ -268,6 +278,131 @@ def test_products_never_build_the_dense_table():
     left_mul_matrix(a, spec)
     validate_algebra(spec)
     assert not hasattr(spec, "table") and "_table" not in AlgebraSpec.__slots__
+
+
+# -- supports: products over the columns a factor can have --------------------
+
+
+@st.composite
+def supports(draw, n):
+    """A support over ``n`` columns: ``None`` (all of them) or some, sorted."""
+    if draw(st.booleans()):
+        return None
+    return tuple(sorted(draw(st.sets(st.integers(0, n - 1)))))
+
+
+def on_support(coords, support):
+    """``coords`` with exact zeros outside ``support``."""
+    out = coords.copy()
+    if support is not None:
+        outside = np.ones(coords.shape[-1], dtype=bool)
+        outside[list(support)] = False
+        out[..., outside] = 0.0
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), spec=structure_tensors(), seed=st.integers(0, 2**32 - 1))
+def test_product_over_supports_is_the_full_kernel(data, spec, seed):
+    # factors with exact zeros outside random supports: the product over the
+    # supports' triples is the full kernel's to roundoff, and exactly zero
+    # off the targets those triples reach
+    rng = np.random.default_rng(seed)
+    left, right = data.draw(supports(spec.n)), data.draw(supports(spec.n))
+    table = dense_table(spec)
+    reached = _product_support(left, right, spec)
+    for shape_a, shape_b in SHAPE_PAIRS:
+        a = on_support(random_coords(rng, shape_a, spec.n), left)
+        b = on_support(random_coords(rng, shape_b, spec.n), right)
+        ours = _multiply_coords(a, b, spec, left, right)
+        full = _multiply_coords(a, b, spec)
+        scale = np.einsum("...r,...s,rsk->...k", abs(a), abs(b), abs(table))
+        assert ours.shape == full.shape and ours.dtype == np.complex128
+        assert np.all(np.abs(ours - full) <= 1e-13 * scale)
+        assert np.array_equal(ours, on_support(ours, reached))
+
+
+def test_full_supports_take_every_triple():
+    spec = chain(12)
+    every = spec._triples()
+    assert every.left is spec._left and every.targets is None
+    assert spec._triples(tuple(range(12)), tuple(range(12))) is every
+    # the radical columns never meet the idempotent's rules 1 and 3
+    radical = tuple(range(1, 12))
+    assert len(spec._triples(radical, radical).left) == len(spec._left) - 1 - 2 * 11
+
+
+LEDGER_EXP = HolomorphicScalarSpec("exponential", (1.0, 0.5))
+LEDGER_CUBIC = HolomorphicScalarSpec("polynomial", (1.0, -2.0, 0.5, 1.0j))
+
+
+@pytest.mark.parametrize("name", ALGEBRAS)
+def test_eval_batch_on_the_frame_support_is_every_column(name):
+    # every built-in variant on every frame of the ledger's algebras: the
+    # products over the frame's support agree with those over every column
+    # (chain12's long runs regroup, to roundoff), and a NaN point stays NaN
+    spec, frames, _ = _inputs(name)
+    functions = [zeta_power(1, spec), zeta_power(2, spec), zeta_power(3, spec),
+                 ResolventKernel(10 + 10j),
+                 PrincipalExtension(F=(LEDGER_EXP,) * spec.m,
+                                    G=(LEDGER_CUBIC,) * (spec.n - spec.m))]
+    rng = np.random.default_rng(37)
+    for frame in frames.values():
+        every = Frame(frame.a)
+        every._support = None
+        xs = rng.uniform(-1.0, 1.0, size=(16, frame.k))
+        xs[5, -1] = np.nan
+        for phi in functions:
+            with np.errstate(invalid="ignore"):
+                ours = eval_batch(phi, frame, xs, spec)
+                full = eval_batch(phi, every, xs, spec)
+            finite = np.arange(len(xs)) != 5
+            scale = np.max(np.abs(full[finite]), axis=-1, keepdims=True)
+            assert np.all(np.abs(ours - full)[finite] <= 1e-13 * scale)
+            assert np.isnan(ours[5]).any()
+
+
+def test_semisimple_products_take_no_supports():
+    # C^m multiplies componentwise: no run of the suites makes a sub-list
+    from monalg.suites import run_suites
+
+    spec, frames, options = _inputs("semisimple:m=3")
+    run_suites(["all"], spec, frames, 1, options)
+    assert list(spec._pairs) == [(None, None)]
+
+
+def test_the_oracle_suite_solves_with_every_triple(monkeypatch):
+    # the dense half of the oracle suite, its left-multiplication matrices
+    # and their solve, never consults the supports' sub-lists: it checks the
+    # series that does, independently
+    from monalg import suites
+
+    spec, frames, options = _inputs("chain12")
+    plain = [r.residual for r in suites.suite_oracle(spec, frames, 1, options)]
+    triples = AlgebraSpec._triples
+    inside, consulted = [], []
+
+    def refused(self, left=None, right=None):
+        if inside:
+            raise AssertionError(f"{inside[-1]} consulted the triples of {left}, {right}")
+        consulted.append((left, right))
+        return triples(self, left, right)
+
+    def dense(fn):
+        def run(*args, **kwargs):
+            inside.append(fn.__name__)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(AlgebraSpec, "_triples", refused)
+    monkeypatch.setattr(suites, "_left_mul_coords", dense(suites._left_mul_coords))
+    monkeypatch.setattr(np.linalg, "solve", dense(np.linalg.solve))
+    reports = suites.suite_oracle(spec, frames, 1, options)
+    assert [r.residual for r in reports] == plain
+    assert {right for _, right in consulted} - {None}  # the series took its supports
 
 
 # -- functionals -------------------------------------------------------------

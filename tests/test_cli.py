@@ -29,6 +29,31 @@ def test_list_builtins(capsys):
         assert name in out
 
 
+_FREEZES_AT_EXIT = """
+import gc, sys
+from monalg.cli import main
+freeze = gc.freeze
+def counted():
+    sys.stderr.write("freeze at exit\\n")
+    freeze()
+gc.freeze = counted
+frozen = gc.get_freeze_count()
+assert main(["list"]) == 0 and main(["list"]) == 0
+assert gc.get_freeze_count() == frozen and gc.isenabled()
+"""
+
+
+def test_main_freezes_the_collector_once_at_exit():
+    # two calls register one hook, which spares the interpreter's shutdown
+    # collections; until exit the collector is untouched
+    src = str(Path(monalg.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _FREEZES_AT_EXIT], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "freeze at exit\n"
+
+
 def test_validate_builtin(capsys):
     assert main(["validate", "--algebra", "example2"]) == 0
     out = capsys.readouterr().out

@@ -632,9 +632,9 @@ def test_morera_weights_each_segment_once_per_level(monkeypatch, name):
     rows, runs = [], []
     multiply, segment = integrals._multiply_coords, integrals.gauss_segment
 
-    def counted(a, b, spec):
+    def counted(a, b, spec, left=None, right=None):
         rows.append(len(a))
-        return multiply(a, b, spec)
+        return multiply(a, b, spec, left, right)
 
     def kept(*args, **kwargs):
         runs.append(segment(*args, **kwargs))
@@ -820,11 +820,11 @@ def test_formula_radius_homotopy_stability():
     assert np.max(np.abs(values[0] - values[1])) <= 1e-8
 
 
-def _inverse_without_one_term(emb, spec):
+def _inverse_without_one_term(emb, spec, support=None):
     """``zeta^{-1}`` with the k = 1 term of its radical series planted out."""
     inv = 1.0 / emb[..., : spec.m]
     return _radical_series(lambda k: 0.0 * inv if k == 1 else inv * (-inv) ** k if k else inv,
-                           emb, spec)
+                           emb, spec, support)
 
 
 def test_formula_suite_fails_an_inverse_with_a_term_missing(monkeypatch):

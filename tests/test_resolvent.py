@@ -566,9 +566,9 @@ def _times_fixed_calls(monkeypatch):
     calls = []
     times_fixed = resolvent_module._times_fixed
 
-    def counted(a, times, spec):
+    def counted(a, times, spec, triples):
         calls.append(a.shape)
-        return times_fixed(a, times, spec)
+        return times_fixed(a, times, spec, triples)
 
     monkeypatch.setattr(resolvent_module, "_times_fixed", counted)
     return calls
