@@ -18,16 +18,30 @@ dzeta``, times the shifted inverse ``(zeta - zeta_c)^{-1}`` for the
 formula.  On a circle ``dzeta`` changes from node to node, and weights
 each node; on a segment it is the constant ``(B - A) @ a``, and multiplies
 the segment's level sums, once per level.  Each level computes the curve's
-points and the weight at the nodes once for all the functions, and each
-function keeps its own convergence test, so every result is bit for bit
-that of the function's own call.  A single function is the one-element
-case of the same path.
+points once for all the functions, and the weight at the nodes once for
+all the functions that refine the same blocks (below).  Each function
+keeps its own convergence test, so every result is bit for bit that of the
+function's own call.  A single function is the one-element case of the
+same path.
+
+On an algebra of B > 1 idempotent blocks every function of ``zeta`` acts
+block by block, and each block of each function on each piece refines on
+its own, to ``1 / sqrt(B)`` of the piece's tolerance (see
+:func:`quadrature._refine`).  A level evaluates only the blocks still
+refining, on their sub-algebra, so its arrays hold only their columns: on
+``semisimple:m=12`` the 8192-node level of a formula circle holds 3 of the
+12.  An algebra of one block, such as every algebra with ``m = 1``,
+refines the whole vector, as it always did.
 
 A function's refinement history is read from the run's level records
 (:func:`quadrature._history`), and every check on one integral, here and
 in the suites and the command line, builds its report with
 :func:`_integral_report`: the check's residual and diagnostics beside the
-integral's value, nodes, convergence flag and history.
+integral's value, nodes, convergence flag and history.  With B > 1 blocks
+``nodes`` is that of the block that refined furthest, summed over the
+pieces, a history entry counts the curve's points evaluated and the
+largest block delta, and the diagnostics add ``block_nodes``, each block's
+nodes summed over the pieces.
 """
 
 from __future__ import annotations
@@ -41,7 +55,7 @@ from .algebra import _multiply_coords, _on_locus
 from .curves import Circle2D, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
 from .frames import Frame
-from .monogenic import eval_batch, eval_function
+from .monogenic import _restrict, eval_batch, eval_function
 from .quadrature import DEFAULT_CAP, _history, gauss_segment, trapezoid_periodic
 from .resolvent import inverse_many
 
@@ -68,6 +82,7 @@ class IntegralResult:
     nodes: int
     converged: bool
     history: list = field(default_factory=list)
+    block_nodes: list | None = None
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,7 @@ class LambdaResult:
     nodes: int
     converged: bool
     history: list = field(default_factory=list)
+    block_nodes: list | None = None
 
 
 # -- line integrals ----------------------------------------------------------
@@ -130,18 +146,19 @@ class LambdaResult:
 _LINE_TOL = 1e-10
 
 
-def _locate_failure(evaluations, frame, taus, spec, exc) -> IntegrationError:
+def _locate_failure(evaluations, taus, exc) -> IntegrationError:
     """Re-evaluate pointwise to name the parameter where evaluation failed.
 
-    ``evaluations`` are the factors of the integrand, each with its points,
-    evaluated in order.  ``taus`` are the curve parameters of the points:
-    radians on a circle, ``s + t`` at ``t`` along segment ``s`` of a
-    polyline, as in :func:`winding_certificate`.  Morera's segments are the
-    3 T edges of its T triangles, so there ``s // 3`` is the triangle.
+    ``evaluations`` are the factors of the integrand, each as ``(function,
+    frame, spec, points)``, evaluated in order.  ``taus`` are the curve
+    parameters of the points: radians on a circle, ``s + t`` at ``t`` along
+    segment ``s`` of a polyline, as in :func:`winding_certificate`.
+    Morera's segments are the 3 T edges of its T triangles, so there
+    ``s // 3`` is the triangle.
     """
     for i, tau in enumerate(taus):
         try:
-            for psi, xs in evaluations:
+            for psi, frame, spec, xs in evaluations:
                 eval_batch(psi, frame, xs[i : i + 1], spec)
         except MonalgError:
             return IntegrationError(
@@ -180,9 +197,8 @@ class _CirclePiece:
     """A circle as the one piece of a :class:`_CurveStack`; ``dzeta`` changes
     from node to node."""
 
-    def __init__(self, gamma, frame):
+    def __init__(self, gamma):
         self.gamma = gamma
-        self.frame = frame
 
     def __len__(self):
         return 1
@@ -190,8 +206,8 @@ class _CirclePiece:
     def points(self, taus, pieces, origin=0.0):
         return self.gamma.points(taus, origin)
 
-    def dzeta(self, taus, pieces):
-        return self.gamma.tangents(taus) @ self.frame.a
+    def dzeta(self, taus, pieces, frame):
+        return self.gamma.tangents(taus) @ frame.a
 
 
 class _Segments:
@@ -230,12 +246,22 @@ class _CurveStack:
     compute from the curve's geometry, so a small curve far from 0 keeps
     every digit of its offsets.
 
-    ``level(tau)`` returns the evaluator of one level.  A block's functions
-    are evaluated one at a time, each on its pieces in the block.  The
-    points and the weight of a set of pieces are computed for the first
-    function that needs them and kept until the level ends, for the next
-    functions on the same pieces: on a circle that is every function.  One
-    function takes the same path.
+    On an algebra of B > 1 idempotent blocks (``AlgebraSpec._blocks``) the
+    stack gives them as ``blocks``, and each block refines on its own.  A
+    level that evaluates the columns ``cols`` of some blocks evaluates on
+    their sub-algebra (:meth:`_on`): ``Frame.a`` cut to ``cols``, the
+    functions restricted by :func:`monogenic._restrict`, or evaluated whole
+    and cut to ``cols`` when they cannot be; the factor, an inverse, runs
+    there as it is.  Every array of
+    such a level has only ``cols``, but the curve's points.  One block takes
+    the whole algebra, as it always did.
+
+    ``level(tau)`` returns the evaluator of one level.  A chunk's functions
+    are evaluated one at a time, each on its pieces in the chunk.  The
+    points of a set of pieces, and their weight on a set of columns, are
+    computed for the first function that needs them and kept until the
+    level ends, for the next functions on the same pieces: on a circle that
+    is every function.  One function takes the same path.
     """
 
     def __init__(self, psis, frame, spec, pieces, factor=None):
@@ -244,15 +270,40 @@ class _CurveStack:
         self.spec = spec
         self.pieces = pieces
         self.factor = factor
+        # the block of each column is its idempotent
+        self.blocks = spec._selector if len(spec._blocks) > 1 else None
+        self._subs = {}  # the columns evaluated (None: all) -> _on(cols)
 
     def __len__(self):
         return len(self.psis) * len(self.pieces)
 
+    def _on(self, cols):
+        """``(frame, spec, evaluations, factor)`` on the sub-algebra of the
+        columns ``cols`` (``None``: the stack's own).  ``evaluations[j]`` is
+        ``(function, frame, spec, cut)`` for function ``j``: restricted to
+        ``cols``, or the whole function, whose values are then cut to ``cut``."""
+        key = None if cols is None else cols.tobytes()
+        if key not in self._subs:
+            if cols is None:
+                frame, spec, factor = self.frame, self.spec, self.factor
+                psis = self.psis
+            else:
+                sub = tuple(cols.tolist())
+                frame, spec, factor = self.frame._sub(sub), self.spec._sub(sub), self.factor
+                # the inverse is its own restriction (lambda integrates it as a function)
+                psis = [psi if isinstance(psi, _InverseIntegrand) else _restrict(psi, self.spec, cols)
+                        for psi in self.psis]
+            evaluations = [(psi, frame, spec, None) if psi is not None
+                           else (whole, self.frame, self.spec, cols)
+                           for psi, whole in zip(psis, self.psis)]
+            self._subs[key] = (frame, spec, evaluations, factor)
+        return self._subs[key]
+
     def level(self, tau):
         count = len(self.pieces)
-        shared = {}  # a block's pieces -> their points and weight
+        shared = {}  # a chunk's pieces -> their points, and their weight per set of columns
 
-        def evaluate(taus, seg):
+        def evaluate(taus, seg, cols=None):
             owners = (seg[:: tau.size] // count).tolist()  # the function of each integrand
             out = []
             for j in dict.fromkeys(owners):  # in order; each function's integrands are adjacent
@@ -260,30 +311,34 @@ class _CurveStack:
                 rows = slice(lo * tau.size, (lo + owners.count(j)) * tau.size)
                 pieces = seg[rows] - j * count
                 at = shared.setdefault(pieces[:: tau.size].tobytes(), {})
-                out.append(self._values(j, taus[rows], pieces, at))
+                out.append(self._values(j, taus[rows], pieces, at, cols))
             return _join(out)
 
         return evaluate
 
-    def map_sums(self, sums, seg):
+    def map_sums(self, sums, seg, cols=None):
         """Level sums of the integrands ``seg`` times their segments' ``dzeta``."""
         if isinstance(self.pieces, _CirclePiece):
             return sums
+        frame, spec = self._on(cols)[:2]
         increments = self.pieces.increments[seg % len(self.pieces)]
-        return _multiply_coords(sums, increments, self.spec, right=self.frame._support)
+        if cols is not None:
+            increments = increments[:, cols]
+        return _multiply_coords(sums, increments, spec, right=frame._support)
 
-    def _weight(self, taus, pieces):
+    def _weight(self, taus, pieces, frame, spec, factor):
         """The weight at the nodes; ``None`` on segments with no factor."""
-        dz = self.pieces.dzeta(taus, pieces) if isinstance(self.pieces, _CirclePiece) else None
-        if self.factor is None:
+        circle = isinstance(self.pieces, _CirclePiece)
+        dz = self.pieces.dzeta(taus, pieces, frame) if circle else None
+        if factor is None:
             return dz
-        offsets = self.pieces.points(taus, pieces, self.factor.shift)
-        factor = eval_batch(self.factor, self.frame, offsets, self.spec)
-        return factor if dz is None else _multiply_coords(factor, dz, self.spec,
-                                                          right=self.frame._support)
+        offsets = self.pieces.points(taus, pieces, factor.shift)
+        values = eval_batch(factor, frame, offsets, spec)
+        return values if dz is None else _multiply_coords(values, dz, spec, right=frame._support)
 
-    def _values(self, j, taus, pieces, at):
-        """Function ``j`` times the weight at ``taus`` on ``pieces``.
+    def _values(self, j, taus, pieces, at, cols):
+        """Function ``j`` times the weight at ``taus`` on ``pieces``, on the
+        columns ``cols``.
 
         ``at`` keeps the points and the weight at these nodes for the
         level's other functions.
@@ -293,18 +348,22 @@ class _CurveStack:
                 at[name] = make()
             return at[name]
 
-        frame, spec, psi, factor = self.frame, self.spec, self.psis[j], self.factor
+        frame, spec, evaluations, factor = self._on(cols)
+        psi, psi_frame, psi_spec, cut = evaluations[j]
         xs = once("points", lambda: self.pieces.points(taus, pieces))
         try:
             # the weight first, so its offsets' temporaries meet no values (peak memory)
-            weight = once("weight", lambda: self._weight(taus, pieces))
-            vals = eval_batch(psi, frame, xs, spec)
+            weight = once(("weight", None if cols is None else cols.tobytes()),
+                          lambda: self._weight(taus, pieces, frame, spec, factor))
+            vals = eval_batch(psi, psi_frame, xs, psi_spec)
         except MonalgError as exc:
-            evaluations = [(psi, xs)]
+            failed = [(psi, psi_frame, psi_spec, xs)]
             if factor is not None:
-                evaluations.append((factor, self.pieces.points(taus, pieces, factor.shift)))
+                failed.append((factor, frame, spec, self.pieces.points(taus, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
-            raise _locate_failure(evaluations, frame, pieces + taus, spec, exc) from exc
+            raise _locate_failure(failed, pieces + taus, exc) from exc
+        if cut is not None:
+            vals = vals[:, cut]
         if weight is None:
             return vals
         # with no factor the weight is dzeta, which lives on the frame's support
@@ -317,12 +376,15 @@ def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
 
     ``factor`` multiplies every function's values at each node.  Each piece
     refines ``psi dzeta`` to its share of ``tol``, and a result's error
-    estimate is the sum of its pieces' deltas.
+    estimate is the sum of its pieces' deltas.  On an algebra of B > 1
+    blocks each block of a piece refines to ``1 / sqrt(B)`` of the piece's
+    share; a result's ``nodes`` then sums, over the pieces, the nodes of the
+    block that refined furthest, and ``block_nodes`` sums each block's.
     """
     if not psis:
         return []
     if isinstance(gamma, Circle2D):
-        pieces, rule, share = _CirclePiece(gamma, frame), trapezoid_periodic, tol
+        pieces, rule, share = _CirclePiece(gamma), trapezoid_periodic, tol
     else:
         segments = np.array(gamma.segments())  # (S, 2, k)
         pieces = _Segments(segments[:, 0], segments[:, 1], frame)
@@ -338,8 +400,20 @@ def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
             int(res.segment_nodes[rows].sum()),
             bool(res.segment_converged[rows].all()),
             _history(res.levels, rows.start, rows.stop),
+            _block_nodes(res, rows),
         ))
     return out
+
+
+def _block_nodes(res, rows=slice(None)):
+    """Each block's nodes summed over the integrands ``rows`` of a stack's
+    result, or ``None`` when the stack had one block."""
+    return None if res.block_nodes is None else res.block_nodes[rows].sum(axis=0).tolist()
+
+
+def _block_diagnostics(block_nodes) -> dict:
+    """A report's ``block_nodes`` key, on an algebra of several blocks only."""
+    return {} if block_nodes is None else {"block_nodes": block_nodes}
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -396,7 +470,11 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec) -> Emb
 
 
 class _InverseIntegrand:
-    """Batch ``(embedded x - shift)^{-1}`` from the offsets ``x - shift``; refuses the locus."""
+    """Batch ``(embedded x - shift)^{-1}`` from the offsets ``x - shift``; refuses the locus.
+
+    It takes any frame and algebra, so on a sub-algebra of blocks it is its
+    own restriction.
+    """
 
     def __init__(self, shift=0.0):
         self.shift = shift
@@ -426,6 +504,7 @@ def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,
         nodes=res.nodes,
         converged=res.converged,
         history=res.history,
+        block_nodes=res.block_nodes,
     )
 
 
@@ -436,9 +515,11 @@ def _integral_report(name, res, residual, tolerance, reference=None,
                      **diagnostics) -> VerificationReport:
     """The report of a check on one integral ``res``, an :class:`IntegralResult`
     or a :class:`LambdaResult`: its value, and ``diagnostics`` with the
-    integral's nodes, convergence flag and refinement history."""
+    integral's nodes, convergence flag and refinement history, and on an
+    algebra of several blocks its ``block_nodes``."""
     return VerificationReport(name, residual, tolerance, value=res.value, reference=reference,
                               diagnostics={**diagnostics, "nodes": res.nodes,
+                                           **_block_diagnostics(res.block_nodes),
                                            "converged": res.converged, "history": res.history})
 
 
@@ -505,6 +586,7 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
         diagnostics={
             "triangles": len(starts),
             "nodes": res.nodes,
+            **_block_diagnostics(_block_nodes(res)),
             "worst_triangle": starts[worst].tolist(),
             "converged": res.converged,
         },

@@ -9,7 +9,8 @@ analytic periodic integrands) or bisected G7/K15 Gauss-Kronrod panels on
 level 0 from the same values: the Kronrod panels use their embedded 7-point
 Gauss sum, so a segment that is smooth enough is accepted after one level
 of 15 evaluations.  Integrands are vectorised, ``f(tau) -> (len(tau), d)``,
-or stacks of integrands refined together.
+or stacks of integrands refined together, whose columns may form blocks
+that each refine on their own.
 """
 
 from __future__ import annotations
@@ -37,7 +38,8 @@ class QuadratureResult:
 
     ``levels`` holds, per level after the first, the nodes per integrand,
     the indices of the integrands refined and their deltas (the change
-    against the previous level).  ``history`` is :func:`_history` of all
+    against the previous level; with blocks, the largest change of an
+    integrand's blocks refined).  ``history`` is :func:`_history` of all
     the integrands: one ``(points evaluated, largest delta)`` pair per level
     after the first.  A level-0 test against an embedded reference adds no
     entry, so the points evaluated are ``nodes`` when ``history`` is empty
@@ -45,7 +47,10 @@ class QuadratureResult:
     entry (for a stack, as long as no integrand stopped at level 0).  The
     ``segment_*`` arrays hold each integrand's final delta, node count and
     convergence flag; a stack (see :func:`_refine`) has one entry per
-    integrand.
+    integrand.  A stack refined by blocks also gives ``block_nodes``, each
+    integrand's node count per block, shaped ``(integrands, blocks)``; its
+    ``history`` counts a point once, however many of its blocks a level
+    evaluated there.
     """
 
     value: np.ndarray
@@ -57,6 +62,7 @@ class QuadratureResult:
     segment_nodes: np.ndarray | None = None
     segment_converged: np.ndarray | None = None
     levels: list = field(default_factory=list)
+    block_nodes: np.ndarray | None = None
 
 
 def _history(levels, lo: int, hi: int) -> list:
@@ -70,9 +76,25 @@ def _history(levels, lo: int, hi: int) -> list:
     return out
 
 
-# Whole integrands are grouped into blocks of about this many points per
-# integrand call, which bounds the memory one refinement level needs.
+# Whole integrands are grouped into chunks of about this many points per
+# integrand call.
 _BLOCK_POINTS = 512
+
+
+def _groups(refining):
+    """``(rows, mask)``: the integrands still refining, grouped by the mask
+    of the blocks they refine, each group's rows in order."""
+    if refining.shape[1] == 1:
+        return [(np.flatnonzero(refining[:, 0]), np.ones(1, dtype=bool))]
+    rows = np.flatnonzero(refining.any(axis=1))
+    masks = refining[rows]
+    if (masks == masks[0]).all():
+        return [(rows, masks[0])]
+    packed = np.packbits(masks, axis=1)
+    order = np.lexsort(packed.T)  # stable: a group's rows stay in order
+    packed = packed[order]
+    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
+    return [(rows[group], masks[group[0]]) for group in np.split(order, starts[1:])]
 
 
 def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
@@ -95,14 +117,33 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     ``reference``, when given, maps level 0's values of each integrand,
     shaped ``(integrands, nodes, ...)``, to a reference sum that level 0 is
     tested against.  A level evaluates only the integrands still refining,
-    in blocks of whole integrands of about ``_BLOCK_POINTS`` points, so no
-    array holds more than one block of values.  For a stack, ``value`` has
-    one row per integrand, ``nodes`` is their sum, ``error_estimate`` their
-    largest delta and ``converged`` holds when all converged; ``levels``
-    records each level after the first once, and ``history`` is read from
-    it.  An integrand's value, nodes, flag and deltas do not depend
-    on the other integrands of its stack.  A ``cap`` that is not an integer
-    of at least 1 raises :class:`ValueError`.
+    in chunks of whole integrands of about ``_BLOCK_POINTS`` points.  An
+    array of one call's values thus has at most ``_BLOCK_POINTS`` rows, or
+    one integrand's nodes when it has more (a circle of 8192 nodes holds
+    8192 rows), each row of the columns evaluated.
+
+    A stack may split its values' columns into B idempotent blocks:
+    ``f.blocks`` names the block of each column (``None``: one block).  Each
+    block of each integrand then refines on its own, until it agrees within
+    ``tol / sqrt(B)``; an integrand whose blocks' latest deltas are within
+    ``tol`` as one vector stops too, every block with it.  So every
+    integrand that converges is within ``tol`` as a whole vector, as with
+    one block, and no block is held to more than that.  A level evaluates
+    each integrand on the blocks it still refines, with those of the same
+    blocks together: the evaluator and ``map_sums`` take the sorted columns
+    of the blocks as a third argument, ``cols`` (``None``: every column), and
+    return those columns only.  An integrand's delta is the norm of its
+    blocks' deltas, its node count that of the block that refined furthest
+    (``block_nodes`` holds every block's), and it converged when every block
+    did; a level's record holds the largest delta of each integrand's blocks
+    refined there.
+
+    For a stack, ``value`` has one row per integrand, ``nodes`` is their
+    sum, ``error_estimate`` their largest delta and ``converged`` holds when
+    all converged; ``levels`` records each level after the first once, and
+    ``history`` is read from it.  An integrand's value, nodes, flag and
+    deltas do not depend on the other integrands of its stack.  A ``cap``
+    that is not an integer of at least 1 raises :class:`ValueError`.
     """
     if not _is_count(cap):
         raise ValueError(f"the node cap must be an integer of at least 1, got {cap!r}")
@@ -111,57 +152,114 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     evaluate = f if stacked else (lambda tau, seg: f(tau))
     at_level = getattr(f, "level", None) if stacked else None
     map_sums = getattr(f, "map_sums", None) if stacked else None
+    blocks = getattr(f, "blocks", None) if stacked else None
+    width = 1 if blocks is None else int(blocks.max()) + 1
+    block_tol = tol / np.sqrt(width)
+    layouts = {}  # a mask of blocks -> _layout(blocks, mask)
     value = None
-    deltas = np.full(count, np.inf)
-    nodes = np.zeros(count, dtype=np.int64)
-    converged = np.zeros(count, dtype=bool)
-    active = np.arange(count)
+    deltas = np.full((count, width), np.inf)
+    nodes = np.zeros((count, width), dtype=np.int64)
+    converged = np.zeros((count, width), dtype=bool)
+    refining = np.ones((count, width), dtype=bool)
     levels = []
     level = 0
-    while active.size:
+    while refining.any():
         tau, level_sum = rule(level)
         level_evaluate = at_level(tau) if at_level else evaluate
-        per_block = max(1, _BLOCK_POINTS // tau.size)
-        sums, refs = [], []
-        for first in range(0, active.size, per_block):
-            seg = active[first:first + per_block]
-            vals = np.asarray(level_evaluate(np.tile(tau, seg.size), np.repeat(seg, tau.size)))
-            vals = vals.reshape(seg.size, tau.size, *vals.shape[1:])
-            sums.append(level_sum(vals))
-            if level == 0 and reference is not None:
-                refs.append(reference(vals))
-            del vals  # one block of values at a time
-        del level_evaluate  # and with it what the level's integrands shared
-        sums = np.concatenate(sums)
-        if map_sums:
-            sums = map_sums(sums, active)
-        nodes[active] = tau.size
-        if level:
-            previous = value[active]
-            value[active] = sums
-        else:
-            previous = np.concatenate(refs) if refs else None
-            if map_sums and refs:
-                previous = map_sums(previous, active)
-            value = sums
-        if previous is not None:
-            change = np.linalg.norm((sums - previous).reshape(active.size, -1), axis=1)
-            deltas[active] = change
+        per_chunk = max(1, _BLOCK_POINTS // tau.size)
+        tested, changes = [], []
+        for rows, mask in _groups(refining):
+            key = mask.tobytes()
+            if key not in layouts:
+                layouts[key] = _layout(blocks, mask)
+            cols, taken, runs = layouts[key]
+            extra = () if cols is None else (cols,)
+            sums, refs = [], []
+            for first in range(0, rows.size, per_chunk):
+                seg = rows[first:first + per_chunk]
+                vals = np.asarray(level_evaluate(np.tile(tau, seg.size),
+                                                 np.repeat(seg, tau.size), *extra))
+                vals = vals.reshape(seg.size, tau.size, *vals.shape[1:])
+                sums.append(level_sum(vals))
+                if level == 0 and reference is not None:
+                    refs.append(reference(vals))
+                del vals  # one chunk of values at a time
+            sums = np.concatenate(sums)
+            if map_sums:
+                sums = map_sums(sums, rows, *extra)
+            mine = (rows[:, None], taken)  # the group's integrands and blocks
+            nodes[mine] = tau.size
             if level:
-                levels.append((tau.size, active, change))
+                where = rows if cols is None else (rows[:, None], cols)
+                previous = value[where]
+                value[where] = sums
+            else:  # level 0 refines every block of every integrand, as one group
+                previous = np.concatenate(refs) if refs else None
+                if map_sums and refs:
+                    previous = map_sums(previous, rows)
+                value = sums
+            if previous is None:
+                continue
+            change = _block_norms(sums - previous, runs)
+            deltas[mine] = change
+            if level:
+                tested.append(rows)
+                changes.append(change.max(axis=1))
             if level >= first_test:
-                done = change <= tol
-                converged[active[done]] = True
-                active = active[~done]
+                done = change <= block_tol
+                converged[mine] = done
+                refining[mine] = ~done
+        del level_evaluate  # and with it what the level's integrands shared
+        rows = np.flatnonzero(refining.any(axis=1)) if width > 1 and level >= first_test else ()
+        if len(rows):
+            # an integrand within tol as a whole vector stops, every block with it
+            whole = rows[np.linalg.norm(deltas[rows], axis=1) <= tol]
+            converged[whole] = True
+            refining[whole] = False
+        if len(tested) == 1:
+            levels.append((tau.size, tested[0], changes[0]))
+        elif tested:
+            rows = np.concatenate(tested)
+            order = np.argsort(rows, kind="stable")
+            levels.append((tau.size, rows[order], np.concatenate(changes)[order]))
         if 2 * tau.size > cap:
             break
         level += 1
     history = _history(levels, 0, count)
+    segment_deltas = deltas[:, 0] if width == 1 else np.linalg.norm(deltas, axis=1)
+    segment_nodes = nodes.max(axis=1)
+    segment_converged = converged.all(axis=1)
+    block_nodes = None if blocks is None else nodes
     if not stacked:
-        return QuadratureResult(value[0], float(deltas[0]), int(nodes[0]), bool(converged[0]),
-                                history, deltas, nodes, converged, levels)
-    return QuadratureResult(value, float(deltas.max()), int(nodes.sum()),
-                            bool(converged.all()), history, deltas, nodes, converged, levels)
+        return QuadratureResult(value[0], float(segment_deltas[0]), int(segment_nodes[0]),
+                                bool(segment_converged[0]), history, segment_deltas,
+                                segment_nodes, segment_converged, levels)
+    return QuadratureResult(value, float(segment_deltas.max()), int(segment_nodes.sum()),
+                            bool(segment_converged.all()), history, segment_deltas,
+                            segment_nodes, segment_converged, levels, block_nodes)
+
+
+def _layout(blocks, mask):
+    """``(cols, taken, runs)`` of the blocks of ``mask``: their sorted
+    columns (``None``: every column), their indices, and the ``(order,
+    starts)`` that group their columns by block (``None``: one block)."""
+    if blocks is None:
+        return None, np.zeros(1, dtype=np.intp), None
+    cols = None if mask.all() else np.flatnonzero(mask[blocks])
+    owner = blocks if cols is None else blocks[cols]
+    order = np.argsort(owner, kind="stable")
+    owner = owner[order]
+    starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
+    return cols, np.flatnonzero(mask), (order, starts)
+
+
+def _block_norms(diff, runs):
+    """The norm of each block's columns in each row of ``diff``, shape
+    ``(rows, blocks)``; ``runs`` is ``(order, starts)`` of :func:`_layout`."""
+    if runs is None:
+        return np.linalg.norm(diff.reshape(len(diff), -1), axis=1)[:, None]
+    order, starts = runs
+    return np.sqrt(np.add.reduceat((diff.conj() * diff).real[:, order], starts, axis=1))
 
 
 # No trapezoid convergence before two doublings: the first two levels may alias.
