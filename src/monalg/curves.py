@@ -70,16 +70,24 @@ class Circle2D:
         """Canonical (counterclockwise-in-plane) points relative to ``origin``,
         shape (len(tau), k): exact offsets ``(center - origin) + r (cos tau p + sin tau q)``."""
         tau = np.asarray(tau, dtype=np.float64)
-        out = np.cos(tau)[:, None] * self.plane[0]
-        out += np.sin(tau)[:, None] * self.plane[1]
-        out *= self.radius
-        out += self.center - origin
-        return out
+        return self._points(np.cos(tau), np.sin(tau), origin)
 
     def tangents(self, tau) -> np.ndarray:
         """Canonical velocity d(points)/d(tau); orientation applied by callers."""
         tau = np.asarray(tau, dtype=np.float64)
-        vel = -np.sin(tau)[:, None] * self.plane[0] + np.cos(tau)[:, None] * self.plane[1]
+        return self._tangents(np.cos(tau), np.sin(tau))
+
+    def _points(self, cos, sin, origin=0.0) -> np.ndarray:
+        """:meth:`points` at the nodes of cosines ``cos`` and sines ``sin``."""
+        out = cos[:, None] * self.plane[0]
+        out += sin[:, None] * self.plane[1]
+        out *= self.radius
+        out += self.center - origin
+        return out
+
+    def _tangents(self, cos, sin) -> np.ndarray:
+        """:meth:`tangents` at the nodes of cosines ``cos`` and sines ``sin``."""
+        vel = -sin[:, None] * self.plane[0] + cos[:, None] * self.plane[1]
         return self.radius * vel
 
     def length(self) -> float:

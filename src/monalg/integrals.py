@@ -195,19 +195,49 @@ def _join(arrays):
 
 class _CirclePiece:
     """A circle as the one piece of a :class:`_CurveStack`; ``dzeta`` changes
-    from node to node."""
+    from node to node.
+
+    :meth:`at` gives the circle at one level's nodes, with their cosines
+    and sines computed once for the points, the offsets and ``dzeta``.  A
+    level whose even nodes are the last level's nodes, as the trapezoid's
+    doubling makes them, takes their cosines and sines from that level and
+    computes only the odd nodes'.
+    """
 
     def __init__(self, gamma):
         self.gamma = gamma
+        self._last = None  # the last level's _CircleLevel
 
     def __len__(self):
         return 1
 
+    def at(self, tau):
+        last = self._last
+        doubled = last is not None and tau.size == 2 * last.tau.size
+        if doubled and np.array_equal(tau[::2], last.tau):
+            cos, sin = np.empty(tau.size), np.empty(tau.size)
+            cos[::2], sin[::2] = last.cos, last.sin
+            cos[1::2], sin[1::2] = np.cos(tau[1::2]), np.sin(tau[1::2])
+        else:
+            cos, sin = np.cos(tau), np.sin(tau)
+        self._last = _CircleLevel(self.gamma, tau, cos, sin)
+        return self._last
+
+
+class _CircleLevel:
+    """A circle at the nodes ``tau`` of one level, of cosines ``cos`` and
+    sines ``sin``.  A circle is one piece, so every integrand of the level
+    takes all of ``tau``: the ``taus`` and ``pieces`` that :meth:`points`
+    and :meth:`dzeta` are given are the level's, and go unread."""
+
+    def __init__(self, gamma, tau, cos, sin):
+        self.gamma, self.tau, self.cos, self.sin = gamma, tau, cos, sin
+
     def points(self, taus, pieces, origin=0.0):
-        return self.gamma.points(taus, origin)
+        return self.gamma._points(self.cos, self.sin, origin)
 
     def dzeta(self, taus, pieces, frame):
-        return self.gamma.tangents(taus) @ frame.a
+        return self.gamma._tangents(self.cos, self.sin) @ frame.a
 
 
 class _Segments:
@@ -222,6 +252,11 @@ class _Segments:
 
     def __len__(self):
         return len(self.starts)
+
+    def at(self, tau):
+        """The segments at one level's nodes: the same, as their nodes are
+        computed from ``taus``."""
+        return self
 
     def points(self, taus, pieces, origin=0.0):
         """The point at ``taus[i]`` on segment ``pieces[i]``, for each ``i``,
@@ -301,6 +336,7 @@ class _CurveStack:
 
     def level(self, tau):
         count = len(self.pieces)
+        geometry = self.pieces.at(tau)
         shared = {}  # a chunk's pieces -> their points, and their weight per set of columns
 
         def evaluate(taus, seg, cols=None):
@@ -311,7 +347,7 @@ class _CurveStack:
                 rows = slice(lo * tau.size, (lo + owners.count(j)) * tau.size)
                 pieces = seg[rows] - j * count
                 at = shared.setdefault(pieces[:: tau.size].tobytes(), {})
-                out.append(self._values(j, taus[rows], pieces, at, cols))
+                out.append(self._values(geometry, j, taus[rows], pieces, at, cols))
             return _join(out)
 
         return evaluate
@@ -326,19 +362,21 @@ class _CurveStack:
             increments = increments[:, cols]
         return _multiply_coords(sums, increments, spec, right=frame._support)
 
-    def _weight(self, taus, pieces, frame, spec, factor):
+    def _weight(self, geometry, taus, pieces, frame, spec, factor):
         """The weight at the nodes; ``None`` on segments with no factor."""
         circle = isinstance(self.pieces, _CirclePiece)
-        dz = self.pieces.dzeta(taus, pieces, frame) if circle else None
         if factor is None:
-            return dz
-        offsets = self.pieces.points(taus, pieces, factor.shift)
-        values = eval_batch(factor, frame, offsets, spec)
-        return values if dz is None else _multiply_coords(values, dz, spec, right=frame._support)
+            return geometry.dzeta(taus, pieces, frame) if circle else None
+        values = eval_batch(factor, frame, geometry.points(taus, pieces, factor.shift), spec)
+        if not circle:
+            return values
+        # dzeta after the factor, so it meets none of the factor's temporaries (peak memory)
+        return _multiply_coords(values, geometry.dzeta(taus, pieces, frame), spec,
+                                right=frame._support)
 
-    def _values(self, j, taus, pieces, at, cols):
+    def _values(self, geometry, j, taus, pieces, at, cols):
         """Function ``j`` times the weight at ``taus`` on ``pieces``, on the
-        columns ``cols``.
+        columns ``cols``; ``geometry`` is the pieces at the level's nodes.
 
         ``at`` keeps the points and the weight at these nodes for the
         level's other functions.
@@ -350,16 +388,16 @@ class _CurveStack:
 
         frame, spec, evaluations, factor = self._on(cols)
         psi, psi_frame, psi_spec, cut = evaluations[j]
-        xs = once("points", lambda: self.pieces.points(taus, pieces))
+        xs = once("points", lambda: geometry.points(taus, pieces))
         try:
             # the weight first, so its offsets' temporaries meet no values (peak memory)
             weight = once(("weight", None if cols is None else cols.tobytes()),
-                          lambda: self._weight(taus, pieces, frame, spec, factor))
+                          lambda: self._weight(geometry, taus, pieces, frame, spec, factor))
             vals = eval_batch(psi, psi_frame, xs, psi_spec)
         except MonalgError as exc:
             failed = [(psi, psi_frame, psi_spec, xs)]
             if factor is not None:
-                failed.append((factor, frame, spec, self.pieces.points(taus, pieces, factor.shift)))
+                failed.append((factor, frame, spec, geometry.points(taus, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
             raise _locate_failure(failed, pieces + taus, exc) from exc
         if cut is not None:

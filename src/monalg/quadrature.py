@@ -77,7 +77,8 @@ def _history(levels, lo: int, hi: int) -> list:
 
 
 # Whole integrands are grouped into chunks of about this many points per
-# integrand call.
+# integrand call, and the oracle suite checks its points in batches of at
+# most this many.
 _BLOCK_POINTS = 512
 
 
@@ -120,7 +121,9 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     in chunks of whole integrands of about ``_BLOCK_POINTS`` points.  An
     array of one call's values thus has at most ``_BLOCK_POINTS`` rows, or
     one integrand's nodes when it has more (a circle of 8192 nodes holds
-    8192 rows), each row of the columns evaluated.
+    8192 rows), each row of the columns evaluated.  A chunk of one
+    integrand is given the level's nodes themselves, read-only, and its
+    index as a read-only broadcast, not copies.
 
     A stack may split its values' columns into B idempotent blocks:
     ``f.blocks`` names the block of each column (``None``: one block).  Each
@@ -165,6 +168,7 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     level = 0
     while refining.any():
         tau, level_sum = rule(level)
+        tau.flags.writeable = False
         level_evaluate = at_level(tau) if at_level else evaluate
         per_chunk = max(1, _BLOCK_POINTS // tau.size)
         tested, changes = [], []
@@ -177,8 +181,12 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             sums, refs = [], []
             for first in range(0, rows.size, per_chunk):
                 seg = rows[first:first + per_chunk]
-                vals = np.asarray(level_evaluate(np.tile(tau, seg.size),
-                                                 np.repeat(seg, tau.size), *extra))
+                if seg.size == 1:  # the level's nodes as they are, read-only: no copies
+                    taus, which = tau, np.broadcast_to(seg, tau.shape)
+                else:
+                    taus, which = np.tile(tau, seg.size), np.repeat(seg, tau.size)
+                vals = np.asarray(level_evaluate(taus, which, *extra))
+                del taus, which  # gone before the sums (peak memory)
                 vals = vals.reshape(seg.size, tau.size, *vals.shape[1:])
                 sums.append(level_sum(vals))
                 if level == 0 and reference is not None:

@@ -679,6 +679,7 @@ def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, command, r
 
 # The checks whose tolerance --tol replaces; every other check keeps its own.
 _TOL_OVERRIDES = ("axioms/associativity-", "oracle/", "cr/residual[", "lambda/deviation[",
+                  "lambda/idempotent-projection[", "lambda/nilpotent-residuals[",
                   "predicates/lambda-consistency[", "morera/", "formula/")
 
 
@@ -703,3 +704,22 @@ def test_tol_flag_overrides_exactly_the_documented_checks(tmp_path):
     assert default["lambda/nilpotent-residuals[in-s]"] == 1e-12
     assert default["cr/ratio[zeta]"] == 0.5
     assert default["cauchy/necessity-control"] == default["morera/necessity-control"] == 0.0
+
+
+def test_tol_reaches_the_lambda_literals(tmp_path):
+    # lambda/idempotent-projection and lambda/nilpotent-residuals read --tol
+    # as every other check does, from the command line and from run_suites
+    from monalg.catalog import builtin_frames
+    from monalg.suites import run_suites
+
+    spec = builtin_algebra("example1")
+    names = ("lambda/idempotent-projection[", "lambda/nilpotent-residuals[")
+    reports = run_suites(["lambda"], spec, builtin_frames(spec), 1, {"tol": 1e-6})
+    assert {rep.tolerance for rep in reports if rep.name.startswith(names)} == {1e-6}
+    assert main(["verify", "--algebra", "example1", "--suite", "lambda", "--tol", "1e-6",
+                 "--out", str(tmp_path / "r")]) == 0
+    checks = json.loads((tmp_path / "r.json").read_text())["checks"]
+    chosen = [c for c in checks if c["name"].startswith(names)]
+    # nilpotent-residuals runs on the frames where theorem 6's condition holds
+    assert {c["name"] for c in chosen} >= {f"{name}in-s]" for name in names}
+    assert {c["tolerance"] for c in chosen} == {1e-6}

@@ -1130,6 +1130,65 @@ def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
     assert sizes[-1] == nodes
 
 
+class _CountedTrig:
+    """numpy, with the nodes that ``cos`` and ``sin`` were called on counted."""
+
+    def __init__(self):
+        self.nodes = {"cos": 0, "sin": 0}
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def cos(self, x):
+        self.nodes["cos"] += np.size(x)
+        return np.cos(x)
+
+    def sin(self, x):
+        self.nodes["sin"] += np.size(x)
+        return np.sin(x)
+
+
+@pytest.mark.parametrize("name", ["example1", "semisimple:m=12"])
+def test_formula_circle_takes_each_node_cosine_once(monkeypatch, name):
+    # the points, dzeta and the shifted inverse's offsets of a level share
+    # one cosine and sine per node, and a level takes its even nodes' from
+    # the level before: a run computes them at its last level's nodes only
+    from monalg import curves, integrals
+
+    spec, frame = _stack_case(name)
+    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
+    center, circles = _formula_curves(frame.k)
+    circle = circles["circle-r0.3"]
+    plain = cauchy_formula_check(phis, center, circle, frame, spec)
+    trig = _CountedTrig()
+    monkeypatch.setattr(integrals, "np", trig)
+    monkeypatch.setattr(curves, "np", trig)
+    winding_certificate(circle, frame, center, spec)  # the check's own sample of the circle
+    certificate, trig.nodes = trig.nodes, {"cos": 0, "sin": 0}
+    reports = cauchy_formula_check(phis, center, circle, frame, spec)
+    nodes = max(max(rep.diagnostics.get("block_nodes", [rep.diagnostics["nodes"]]))
+                for rep in reports)
+    assert nodes >= 256
+    assert trig.nodes == {key: count + nodes for key, count in certificate.items()}
+    assert [report_record(rep) for rep in reports] == [report_record(rep) for rep in plain]
+
+
+def test_circle_levels_take_the_cosines_of_the_trapezoid_nodes_bit_for_bit():
+    from monalg.integrals import _CirclePiece
+
+    piece = _CirclePiece(Circle2D(np.zeros(3), 0.5, coordinate_plane(3, 1, 2)))
+    for n in (64, 128, 256, 512, 1024, 2048, 4096):
+        tau = np.arange(n) * (2.0 * np.pi / n)
+        level = piece.at(tau)
+        assert level.cos.tobytes() == np.cos(tau).tobytes()
+        assert level.sin.tobytes() == np.sin(tau).tobytes()
+    # nodes that do not double the last level's are computed afresh
+    tau = np.linspace(0.0, 1.0, 8192)
+    level = piece.at(tau)
+    assert level.cos.tobytes() == np.cos(tau).tobytes()
+    assert level.sin.tobytes() == np.sin(tau).tobytes()
+
+
 @pytest.mark.parametrize("name", ["example1", "semisimple:m=3"])
 def test_formula_reference_is_two_pi_i_phi(name):
     # Not at all: each reference is 2 pi i phi(center), whatever lambda the
