@@ -17,12 +17,16 @@ circles and segments alike each level's sums are those of ``psi(zeta)
 dzeta``, times the shifted inverse ``(zeta - zeta_c)^{-1}`` for the
 formula.  On a circle ``dzeta`` changes from node to node, and weights
 each node; on a segment it is the constant ``(B - A) @ a``, and multiplies
-the segment's level sums, once per level.  Each level computes the curve's
-points once for all the functions, and the weight at the nodes once for
-all the functions that refine the same blocks (below).  Each function
-keeps its own convergence test, so every result is bit for bit that of the
-function's own call.  A single function is the one-element case of the
-same path.
+the segment's level sums, once per level.  The stack,
+:class:`_CurveStack`, is built from a circle or from the starts and ends of
+straight segments, and computes the curve's points and ``dzeta`` itself:
+each level the refinement loop asks it for the values of some of its
+integrands, by index, at every node of the level.  Each level computes the
+curve's points once for all the functions, and the weight at the nodes
+once for all the functions that refine the same blocks (below).  Each
+function keeps its own convergence test, so every result is bit for bit
+that of the function's own call.  A single function is the one-element
+case of the same path.
 
 On an algebra of B > 1 idempotent blocks every function of ``zeta`` acts
 block by block, and each block of each function on each piece refines on
@@ -189,97 +193,24 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
     return results if isinstance(psi, list) else results[0]
 
 
-def _join(arrays):
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-class _CirclePiece:
-    """A circle as the one piece of a :class:`_CurveStack`; ``dzeta`` changes
-    from node to node.
-
-    :meth:`at` gives the circle at one level's nodes, with their cosines
-    and sines computed once for the points, the offsets and ``dzeta``.  A
-    level whose even nodes are the last level's nodes, as the trapezoid's
-    doubling makes them, takes their cosines and sines from that level and
-    computes only the odd nodes'.
-    """
-
-    def __init__(self, gamma):
-        self.gamma = gamma
-        self._last = None  # the last level's _CircleLevel
-
-    def __len__(self):
-        return 1
-
-    def at(self, tau):
-        last = self._last
-        doubled = last is not None and tau.size == 2 * last.tau.size
-        if doubled and np.array_equal(tau[::2], last.tau):
-            cos, sin = np.empty(tau.size), np.empty(tau.size)
-            cos[::2], sin[::2] = last.cos, last.sin
-            cos[1::2], sin[1::2] = np.cos(tau[1::2]), np.sin(tau[1::2])
-        else:
-            cos, sin = np.cos(tau), np.sin(tau)
-        self._last = _CircleLevel(self.gamma, tau, cos, sin)
-        return self._last
-
-
-class _CircleLevel:
-    """A circle at the nodes ``tau`` of one level, of cosines ``cos`` and
-    sines ``sin``.  A circle is one piece, so every integrand of the level
-    takes all of ``tau``: the ``taus`` and ``pieces`` that :meth:`points`
-    and :meth:`dzeta` are given are the level's, and go unread."""
-
-    def __init__(self, gamma, tau, cos, sin):
-        self.gamma, self.tau, self.cos, self.sin = gamma, tau, cos, sin
-
-    def points(self, taus, pieces, origin=0.0):
-        return self.gamma._points(self.cos, self.sin, origin)
-
-    def dzeta(self, taus, pieces, frame):
-        return self.gamma._tangents(self.cos, self.sin) @ frame.a
-
-
-class _Segments:
-    """Straight segments ``starts[s] -> ends[s]`` as the pieces of a
-    :class:`_CurveStack`; a segment's ``dzeta`` is its constant
-    ``increments[s]``, ``(B - A) @ a``."""
-
-    def __init__(self, starts, ends, frame):
-        self.starts = starts
-        self.directions = ends - starts
-        self.increments = self.directions @ frame.a
-
-    def __len__(self):
-        return len(self.starts)
-
-    def at(self, tau):
-        """The segments at one level's nodes: the same, as their nodes are
-        computed from ``taus``."""
-        return self
-
-    def points(self, taus, pieces, origin=0.0):
-        """The point at ``taus[i]`` on segment ``pieces[i]``, for each ``i``,
-        relative to ``origin``."""
-        return (self.starts - origin)[pieces] + taus[:, None] * self.directions[pieces]
-
-
 class _CurveStack:
     """F functions on the P pieces of one curve, as one stack for :func:`_refine`.
 
-    Integrand ``i`` is function ``i // P`` on piece ``i % P``, so each
-    function refines on each piece to its own tolerance.  Every integrand's
-    level sums are those of ``psi(zeta) dzeta``, times ``factor`` when one
-    is given (the shifted inverse of the integral formula).  At the nodes
-    the integrand is ``psi(zeta) w``: on a circle the weight ``w`` is
-    ``dzeta`` times the factor; on a segment it is the factor alone, or
-    nothing, and :meth:`map_sums` multiplies each level's sums by the
-    segment's constant ``dzeta``: one product per segment per level, where
-    weighting the nodes would take one per node.  ``dzeta`` lives on the
+    The curve is a :class:`Circle2D`, one piece whose ``dzeta`` changes from
+    node to node, or the straight segments ``starts[s] -> ends[s]``, each a
+    piece whose ``dzeta`` is its constant ``(B - A) @ a``.  Integrand ``i``
+    is function ``i // P`` on piece ``i % P``, so each function refines on
+    each piece to its own tolerance.  Every integrand's level sums are those
+    of ``psi(zeta) dzeta``, times ``factor`` when one is given (the shifted
+    inverse of the integral formula).  At the nodes the integrand is
+    ``psi(zeta) w``: on a circle the weight ``w`` is ``dzeta`` times the
+    factor; on a segment it is the factor alone, or nothing, and
+    :meth:`map_sums` multiplies each level's sums by the segment's constant
+    ``dzeta``: one product per segment per level, where weighting the nodes
+    would take one per node.  ``dzeta`` lives on the
     frame's support, and its products take only the triples there.  The
-    factor takes the nodes relative to its ``shift``, which the pieces
-    compute from the curve's geometry, so a small curve far from 0 keeps
-    every digit of its offsets.
+    factor takes the nodes relative to its ``shift``, so a small curve far
+    from 0 keeps every digit of its offsets.
 
     On an algebra of B > 1 idempotent blocks (``AlgebraSpec._blocks``) the
     stack gives them as ``blocks``, and each block refines on its own.  A
@@ -287,98 +218,125 @@ class _CurveStack:
     their sub-algebra (:meth:`_on`): ``Frame.a`` cut to ``cols``, the
     functions restricted by :func:`monogenic._restrict`, or evaluated whole
     and cut to ``cols`` when they cannot be; the factor, an inverse, runs
-    there as it is.  Every array of
-    such a level has only ``cols``, but the curve's points.  One block takes
-    the whole algebra, as it always did.
+    there as it is.  Every array of such a level has only ``cols``, but the
+    curve's points.  One block takes the whole algebra, as it always did.
 
-    ``level(tau)`` returns the evaluator of one level.  A chunk's functions
-    are evaluated one at a time, each on its pieces in the chunk.  The
-    points of a set of pieces, and their weight on a set of columns, are
-    computed for the first function that needs them and kept until the
-    level ends, for the next functions on the same pieces: on a circle that
-    is every function.  One function takes the same path.
+    :meth:`level` gives the evaluator of one level's nodes ``tau``: the
+    values of the integrands ``rows`` at every node, shaped ``(rows,
+    nodes, columns)``.  Its functions are evaluated one at a time, each on
+    its pieces among ``rows``.  The points of a set of pieces, and their
+    weight on a set of columns, are computed for the first function that
+    needs them and kept until the level ends, for the next functions on the
+    same pieces: on a circle that is every function.  A circle computes the
+    cosines and sines of a level's nodes once, for the points, the offsets
+    and ``dzeta``; a level whose even nodes are the last level's, as the
+    trapezoid's doubling makes them, takes theirs from that level and
+    computes only the odd nodes'.
     """
 
-    def __init__(self, psis, frame, spec, pieces, factor=None):
+    def __init__(self, psis, frame, spec, curve, factor=None):
         self.psis = psis
         self.frame = frame
         self.spec = spec
-        self.pieces = pieces
         self.factor = factor
+        if isinstance(curve, Circle2D):
+            self.circle, self.pieces = curve, 1
+            self._last = None  # the last level's (tau, cos, sin)
+        else:
+            starts, ends = curve
+            self.circle, self.pieces = None, len(starts)
+            self.starts, self.directions = starts, ends - starts
+            self.increments = self.directions @ frame.a
         # the block of each column is its idempotent
         self.blocks = spec._selector if len(spec._blocks) > 1 else None
         self._subs = {}  # the columns evaluated (None: all) -> _on(cols)
 
     def __len__(self):
-        return len(self.psis) * len(self.pieces)
+        return len(self.psis) * self.pieces
 
     def _on(self, cols):
-        """``(frame, spec, evaluations, factor)`` on the sub-algebra of the
-        columns ``cols`` (``None``: the stack's own).  ``evaluations[j]`` is
+        """``(frame, spec, evaluations)`` on the sub-algebra of the columns
+        ``cols`` (``None``: the stack's own).  ``evaluations[j]`` is
         ``(function, frame, spec, cut)`` for function ``j``: restricted to
         ``cols``, or the whole function, whose values are then cut to ``cut``."""
         key = None if cols is None else cols.tobytes()
         if key not in self._subs:
-            if cols is None:
-                frame, spec, factor = self.frame, self.spec, self.factor
-                psis = self.psis
-            else:
+            frame, spec, psis = self.frame, self.spec, self.psis
+            if cols is not None:
                 sub = tuple(cols.tolist())
-                frame, spec, factor = self.frame._sub(sub), self.spec._sub(sub), self.factor
+                frame, spec = self.frame._sub(sub), self.spec._sub(sub)
                 # the inverse is its own restriction (lambda integrates it as a function)
                 psis = [psi if isinstance(psi, _InverseIntegrand) else _restrict(psi, self.spec, cols)
                         for psi in self.psis]
             evaluations = [(psi, frame, spec, None) if psi is not None
                            else (whole, self.frame, self.spec, cols)
                            for psi, whole in zip(psis, self.psis)]
-            self._subs[key] = (frame, spec, evaluations, factor)
+            self._subs[key] = (frame, spec, evaluations)
         return self._subs[key]
 
-    def level(self, tau):
-        count = len(self.pieces)
-        geometry = self.pieces.at(tau)
-        shared = {}  # a chunk's pieces -> their points, and their weight per set of columns
+    def _trig(self, tau):
+        """The cosines and sines of a circle's nodes ``tau``."""
+        last = self._last
+        if last is not None and tau.size == 2 * last[0].size and np.array_equal(tau[::2], last[0]):
+            cos, sin = np.empty(tau.size), np.empty(tau.size)
+            cos[::2], sin[::2] = last[1], last[2]
+            cos[1::2], sin[1::2] = np.cos(tau[1::2]), np.sin(tau[1::2])
+        else:
+            cos, sin = np.cos(tau), np.sin(tau)
+        self._last = tau, cos, sin
+        return cos, sin
 
-        def evaluate(taus, seg, cols=None):
-            owners = (seg[:: tau.size] // count).tolist()  # the function of each integrand
+    def level(self, tau):
+        trig = self._trig(tau) if self.circle else None
+        shared = {}  # a function's pieces -> their points, and their weight per set of columns
+
+        def evaluate(rows, cols=None):
+            owners = rows // self.pieces  # the function of each integrand
             out = []
-            for j in dict.fromkeys(owners):  # in order; each function's integrands are adjacent
-                lo = owners.index(j)
-                rows = slice(lo * tau.size, (lo + owners.count(j)) * tau.size)
-                pieces = seg[rows] - j * count
-                at = shared.setdefault(pieces[:: tau.size].tobytes(), {})
-                out.append(self._values(geometry, j, taus[rows], pieces, at, cols))
-            return _join(out)
+            for j in dict.fromkeys(owners.tolist()):  # in order; each function's rows are adjacent
+                pieces = rows[owners == j] - j * self.pieces
+                at = shared.setdefault(pieces.tobytes(), {})
+                out.append(self._values(tau, trig, j, pieces, at, cols))
+            return out[0] if len(out) == 1 else np.concatenate(out)
 
         return evaluate
 
-    def map_sums(self, sums, seg, cols=None):
-        """Level sums of the integrands ``seg`` times their segments' ``dzeta``."""
-        if isinstance(self.pieces, _CirclePiece):
+    def map_sums(self, sums, rows, cols=None):
+        """Level sums of the integrands ``rows`` times their segments' ``dzeta``."""
+        if self.circle:
             return sums
-        frame, spec = self._on(cols)[:2]
-        increments = self.pieces.increments[seg % len(self.pieces)]
+        frame, spec, _ = self._on(cols)
+        increments = self.increments[rows % self.pieces]
         if cols is not None:
             increments = increments[:, cols]
         return _multiply_coords(sums, increments, spec, right=frame._support)
 
-    def _weight(self, geometry, taus, pieces, frame, spec, factor):
-        """The weight at the nodes; ``None`` on segments with no factor."""
-        circle = isinstance(self.pieces, _CirclePiece)
+    def _points(self, tau, trig, pieces, origin=0.0):
+        """The points of ``pieces`` at the nodes ``tau``, one row per node of
+        each piece, relative to ``origin``."""
+        if self.circle:
+            return self.circle._points(*trig, origin)
+        points = (self.starts - origin)[pieces, None] + tau[:, None] * self.directions[pieces, None]
+        return points.reshape(-1, points.shape[-1])
+
+    def _weight(self, tau, trig, pieces, frame, spec, factor):
+        """The weight at the nodes: on a circle ``dzeta``, times the factor
+        when there is one; on segments the factor, or ``None``."""
         if factor is None:
-            return geometry.dzeta(taus, pieces, frame) if circle else None
-        values = eval_batch(factor, frame, geometry.points(taus, pieces, factor.shift), spec)
-        if not circle:
+            return self.circle._tangents(*trig) @ frame.a if self.circle else None
+        values = eval_batch(factor, frame, self._points(tau, trig, pieces, factor.shift), spec)
+        if not self.circle:
             return values
         # dzeta after the factor, so it meets none of the factor's temporaries (peak memory)
-        return _multiply_coords(values, geometry.dzeta(taus, pieces, frame), spec,
+        return _multiply_coords(values, self.circle._tangents(*trig) @ frame.a, spec,
                                 right=frame._support)
 
-    def _values(self, geometry, j, taus, pieces, at, cols):
-        """Function ``j`` times the weight at ``taus`` on ``pieces``, on the
-        columns ``cols``; ``geometry`` is the pieces at the level's nodes.
+    def _values(self, tau, trig, j, pieces, at, cols):
+        """Function ``j`` times the weight on ``pieces`` at the nodes ``tau``
+        (of cosines and sines ``trig`` on a circle), on the columns ``cols``,
+        shaped ``(pieces, nodes, columns)``.
 
-        ``at`` keeps the points and the weight at these nodes for the
+        ``at`` keeps the points and the weight on these pieces for the
         level's other functions.
         """
         def once(name, make):
@@ -386,27 +344,28 @@ class _CurveStack:
                 at[name] = make()
             return at[name]
 
-        frame, spec, evaluations, factor = self._on(cols)
+        frame, spec, evaluations = self._on(cols)
         psi, psi_frame, psi_spec, cut = evaluations[j]
-        xs = once("points", lambda: geometry.points(taus, pieces))
+        factor = self.factor
+        xs = once("points", lambda: self._points(tau, trig, pieces))
         try:
             # the weight first, so its offsets' temporaries meet no values (peak memory)
             weight = once(("weight", None if cols is None else cols.tobytes()),
-                          lambda: self._weight(geometry, taus, pieces, frame, spec, factor))
+                          lambda: self._weight(tau, trig, pieces, frame, spec, factor))
             vals = eval_batch(psi, psi_frame, xs, psi_spec)
         except MonalgError as exc:
             failed = [(psi, psi_frame, psi_spec, xs)]
             if factor is not None:
-                failed.append((factor, frame, spec, geometry.points(taus, pieces, factor.shift)))
+                failed.append((factor, frame, spec, self._points(tau, trig, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
-            raise _locate_failure(failed, pieces + taus, exc) from exc
+            raise _locate_failure(failed, (pieces[:, None] + tau).ravel(), exc) from exc
         if cut is not None:
             vals = vals[:, cut]
-        if weight is None:
-            return vals
-        # with no factor the weight is dzeta, which lives on the frame's support
-        return _multiply_coords(vals, weight, spec,
-                                right=frame._support if factor is None else None)
+        if weight is not None:
+            # with no factor the weight is dzeta, which lives on the frame's support
+            vals = _multiply_coords(vals, weight, spec,
+                                    right=frame._support if factor is None else None)
+        return vals.reshape(pieces.size, tau.size, -1)
 
 
 def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
@@ -422,13 +381,13 @@ def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
     if not psis:
         return []
     if isinstance(gamma, Circle2D):
-        pieces, rule, share = _CirclePiece(gamma), trapezoid_periodic, tol
+        curve, rule, share = gamma, trapezoid_periodic, tol
     else:
         segments = np.array(gamma.segments())  # (S, 2, k)
-        pieces = _Segments(segments[:, 0], segments[:, 1], frame)
-        rule, share = gauss_segment, tol / len(segments)
-    res = rule(_CurveStack(psis, frame, spec, pieces, factor), tol=share, cap=cap)
-    count = len(pieces)
+        curve, rule, share = (segments[:, 0], segments[:, 1]), gauss_segment, tol / len(segments)
+    stack = _CurveStack(psis, frame, spec, curve, factor)
+    res = rule(stack, tol=share, cap=cap)
+    count = stack.pieces
     out = []
     for j in range(len(psis)):
         rows = slice(j * count, (j + 1) * count)
@@ -609,9 +568,10 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
     if starts.ndim != 3 or starts.shape[1] != 3 or len(starts) == 0:
         raise ValueError(f"need a (T, 3, k) array of T >= 1 triangles, got shape {starts.shape}")
     k = starts.shape[2]
-    edges = _Segments(starts.reshape(-1, k), np.roll(starts, -1, axis=1).reshape(-1, k), frame)
+    edges = _CurveStack([phi], frame, spec,
+                        (starts.reshape(-1, k), np.roll(starts, -1, axis=1).reshape(-1, k)))
     # line_integral's default tolerance, split over three segments
-    res = gauss_segment(_CurveStack([phi], frame, spec, edges), tol=_LINE_TOL / 3, cap=cap)
+    res = gauss_segment(edges, tol=_LINE_TOL / 3, cap=cap)
     # the orientation flips the sign of a boundary integral, not its norm
     norms = np.linalg.norm(res.value.reshape(len(starts), 3, spec.n).sum(axis=1), axis=1)
     worst = int(np.argmax(norms))

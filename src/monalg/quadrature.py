@@ -10,12 +10,15 @@ level 0 from the same values: the Kronrod panels use their embedded 7-point
 Gauss sum, so a segment that is smooth enough is accepted after one level
 of 15 evaluations.  Integrands are vectorised, ``f(tau) -> (len(tau), d)``,
 or stacks of integrands refined together, whose columns may form blocks
-that each refine on their own.
+that each refine on their own; a stack gives each level an evaluator of
+its integrands by index, and one integrand is a stack of one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -30,6 +33,11 @@ DEFAULT_CAP = 2**16
 def _is_count(value) -> bool:
     """A node count, flag count or cap: an ``int``, not a ``bool``, of at least 1."""
     return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+def _is_tolerance(value) -> bool:
+    """A tolerance: a real number, not a ``bool``, finite and greater than 0."""
+    return isinstance(value, Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
 @dataclass
@@ -85,8 +93,6 @@ _BLOCK_POINTS = 512
 def _groups(refining):
     """``(rows, mask)``: the integrands still refining, grouped by the mask
     of the blocks they refine, each group's rows in order."""
-    if refining.shape[1] == 1:
-        return [(np.flatnonzero(refining[:, 0]), np.ones(1, dtype=bool))]
     rows = np.flatnonzero(refining.any(axis=1))
     masks = refining[rows]
     if (masks == masks[0]).all():
@@ -102,28 +108,28 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             reference=None) -> QuadratureResult:
     """Refine ``f`` level by level; ``rule(level)`` gives nodes and their sum.
 
-    ``f`` is one integrand ``f(tau)`` or a stack of S integrands: a sized
-    object called as ``f(tau, seg)``, ``seg`` naming each node's integrand.
-    A stack may instead give ``f.level(tau)``, asked once per level for the
-    ``(tau, seg)`` evaluator of that level's nodes, so that the integrands
-    share the work they have in common there (a curve's points, a common
-    factor) and drop it with the level.  A stack may also give
-    ``f.map_sums(sums, seg)``, a linear map of each integrand's level sums
-    (one row per integrand of ``seg``), applied to every level's sums and
-    to level 0's ``reference`` before they are compared and kept: a factor
-    that is constant along an integrand multiplies its sums, not its nodes.
+    ``f`` is a stack of S integrands: a sized object whose ``f.level(tau)``
+    is asked once per level for that level's evaluator.  The evaluator
+    takes the indices ``rows`` of some integrands, in increasing order, and
+    returns their values at every node ``tau``, shaped ``(rows, nodes,
+    ...)``, so that the integrands share the work they have in common at
+    the level (a curve's points, a common factor) and drop it with the
+    level.  One integrand ``f(tau) -> (len(tau), ...)`` is refined as a
+    stack of one.  A stack may also give ``f.map_sums(sums, rows)``, a
+    linear map of each integrand's level sums (one row per integrand of
+    ``rows``), applied to every level's sums and to level 0's ``reference``
+    before they are compared and kept: a factor that is constant along an
+    integrand multiplies its sums, not its nodes.
     Each integrand refines until its level agrees within ``tol`` with the
     level before (from level ``first_test`` on) or its node count would
     exceed ``cap``.
     ``reference``, when given, maps level 0's values of each integrand,
     shaped ``(integrands, nodes, ...)``, to a reference sum that level 0 is
     tested against.  A level evaluates only the integrands still refining,
-    in chunks of whole integrands of about ``_BLOCK_POINTS`` points.  An
-    array of one call's values thus has at most ``_BLOCK_POINTS`` rows, or
-    one integrand's nodes when it has more (a circle of 8192 nodes holds
-    8192 rows), each row of the columns evaluated.  A chunk of one
-    integrand is given the level's nodes themselves, read-only, and its
-    index as a read-only broadcast, not copies.
+    in calls of whole integrands of about ``_BLOCK_POINTS`` points: one
+    call's values hold at most ``_BLOCK_POINTS`` nodes, or one integrand's
+    nodes when it has more (a circle of 8192 nodes holds 8192), each with
+    the columns evaluated.
 
     A stack may split its values' columns into B idempotent blocks:
     ``f.blocks`` names the block of each column (``None``: one block).  Each
@@ -134,8 +140,8 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     one block, and no block is held to more than that.  A level evaluates
     each integrand on the blocks it still refines, with those of the same
     blocks together: the evaluator and ``map_sums`` take the sorted columns
-    of the blocks as a third argument, ``cols`` (``None``: every column), and
-    return those columns only.  An integrand's delta is the norm of its
+    of the blocks as a further argument, ``cols`` (``None``: every column),
+    and return those columns only.  An integrand's delta is the norm of its
     blocks' deltas, its node count that of the block that refined furthest
     (``block_nodes`` holds every block's), and it converged when every block
     did; a level's record holds the largest delta of each integrand's blocks
@@ -146,16 +152,18 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     all converged; ``levels`` records each level after the first once, and
     ``history`` is read from it.  An integrand's value, nodes, flag and
     deltas do not depend on the other integrands of its stack.  A ``cap``
-    that is not an integer of at least 1 raises :class:`ValueError`.
+    that is not an integer of at least 1, or a ``tol`` that is not a finite
+    number greater than 0, raises :class:`ValueError`.
     """
     if not _is_count(cap):
         raise ValueError(f"the node cap must be an integer of at least 1, got {cap!r}")
-    stacked = hasattr(f, "__len__")
+    if not _is_tolerance(tol):
+        raise ValueError(f"the tolerance must be a finite number greater than 0, got {tol!r}")
+    stacked = hasattr(f, "level")
     count = len(f) if stacked else 1
-    evaluate = f if stacked else (lambda tau, seg: f(tau))
-    at_level = getattr(f, "level", None) if stacked else None
-    map_sums = getattr(f, "map_sums", None) if stacked else None
-    blocks = getattr(f, "blocks", None) if stacked else None
+    at_level = f.level if stacked else (lambda tau: lambda rows: np.asarray(f(tau))[None])
+    map_sums = getattr(f, "map_sums", None)
+    blocks = getattr(f, "blocks", None)
     width = 1 if blocks is None else int(blocks.max()) + 1
     block_tol = tol / np.sqrt(width)
     layouts = {}  # a mask of blocks -> _layout(blocks, mask)
@@ -169,9 +177,8 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     while refining.any():
         tau, level_sum = rule(level)
         tau.flags.writeable = False
-        level_evaluate = at_level(tau) if at_level else evaluate
-        per_chunk = max(1, _BLOCK_POINTS // tau.size)
-        tested, changes = [], []
+        evaluate = at_level(tau)
+        per_call = max(1, _BLOCK_POINTS // tau.size)
         for rows, mask in _groups(refining):
             key = mask.tobytes()
             if key not in layouts:
@@ -179,19 +186,12 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             cols, taken, runs = layouts[key]
             extra = () if cols is None else (cols,)
             sums, refs = [], []
-            for first in range(0, rows.size, per_chunk):
-                seg = rows[first:first + per_chunk]
-                if seg.size == 1:  # the level's nodes as they are, read-only: no copies
-                    taus, which = tau, np.broadcast_to(seg, tau.shape)
-                else:
-                    taus, which = np.tile(tau, seg.size), np.repeat(seg, tau.size)
-                vals = np.asarray(level_evaluate(taus, which, *extra))
-                del taus, which  # gone before the sums (peak memory)
-                vals = vals.reshape(seg.size, tau.size, *vals.shape[1:])
+            for first in range(0, rows.size, per_call):
+                vals = evaluate(rows[first:first + per_call], *extra)
                 sums.append(level_sum(vals))
                 if level == 0 and reference is not None:
                     refs.append(reference(vals))
-                del vals  # one chunk of values at a time
+                del vals  # one call's values at a time
             sums = np.concatenate(sums)
             if map_sums:
                 sums = map_sums(sums, rows, *extra)
@@ -210,26 +210,21 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
                 continue
             change = _block_norms(sums - previous, runs)
             deltas[mine] = change
-            if level:
-                tested.append(rows)
-                changes.append(change.max(axis=1))
             if level >= first_test:
                 done = change <= block_tol
                 converged[mine] = done
                 refining[mine] = ~done
-        del level_evaluate  # and with it what the level's integrands shared
+        del evaluate  # and with it what the level's integrands shared
+        if level:  # the record of the cells evaluated at this level
+            fresh = nodes == tau.size
+            rows = np.flatnonzero(fresh.any(axis=1))
+            levels.append((tau.size, rows, np.where(fresh, deltas, 0.0)[rows].max(axis=1)))
         rows = np.flatnonzero(refining.any(axis=1)) if width > 1 and level >= first_test else ()
         if len(rows):
             # an integrand within tol as a whole vector stops, every block with it
             whole = rows[np.linalg.norm(deltas[rows], axis=1) <= tol]
             converged[whole] = True
             refining[whole] = False
-        if len(tested) == 1:
-            levels.append((tau.size, tested[0], changes[0]))
-        elif tested:
-            rows = np.concatenate(tested)
-            order = np.argsort(rows, kind="stable")
-            levels.append((tau.size, rows[order], np.concatenate(changes)[order]))
         if 2 * tau.size > cap:
             break
         level += 1
@@ -237,14 +232,10 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     segment_deltas = deltas[:, 0] if width == 1 else np.linalg.norm(deltas, axis=1)
     segment_nodes = nodes.max(axis=1)
     segment_converged = converged.all(axis=1)
-    block_nodes = None if blocks is None else nodes
-    if not stacked:
-        return QuadratureResult(value[0], float(segment_deltas[0]), int(segment_nodes[0]),
-                                bool(segment_converged[0]), history, segment_deltas,
-                                segment_nodes, segment_converged, levels)
-    return QuadratureResult(value, float(segment_deltas.max()), int(segment_nodes.sum()),
-                            bool(segment_converged.all()), history, segment_deltas,
-                            segment_nodes, segment_converged, levels, block_nodes)
+    return QuadratureResult(value if stacked else value[0], float(segment_deltas.max()),
+                            int(segment_nodes.sum()), bool(segment_converged.all()), history,
+                            segment_deltas, segment_nodes, segment_converged, levels,
+                            None if blocks is None else nodes)
 
 
 def _layout(blocks, mask):

@@ -7,8 +7,12 @@ process,
   and at ``--nodes-cap 30``;
 - ``monalg lambda --out`` and ``monalg predicates --out``;
 
-and then ``perfbench/principal.py`` (imported from its file, not changed) at
-seeds 1 and 2.  It prints one ``sha256  name`` line per ``.json``, ``.txt``
+then ``run_suites(["all"])`` on ``example4+example1``, the direct sum of
+``verdicts.sum_case`` with its three frames (several blocks, each with a
+radical, which no algebra of the ledger has), at each seed and both caps,
+its reports written as ``verify --out`` writes them; and then
+``perfbench/principal.py`` (imported from its file, not changed) at seeds 1
+and 2.  It prints one ``sha256  name`` line per ``.json``, ``.txt``
 and ``.csv`` file.  A report's ``config`` block records the path of an
 algebra or frame file, so the checkout's root is written ``<root>`` in the
 ``.json`` files before they are hashed.  Two trees then compare with one diff:
@@ -18,7 +22,7 @@ algebra or frame file, so the checkout's root is written ``<root>`` in the
     diff old.txt new.txt
 
 Names and seeds may be given: ``python3 tests/report_digests.py example1
-chain12 --seed 1 --seed 2``.
+chain12 example4+example1 --seed 1 --seed 2``.
 """
 
 from __future__ import annotations
@@ -31,13 +35,16 @@ import io
 import json
 import sys
 import tempfile
+from functools import partial
 from pathlib import Path
 
-from verdicts import ALGEBRAS, CHAIN12, ROOT, SEEDS
+from verdicts import ALGEBRAS, CHAIN12, ROOT, SEEDS, sum_case
 
 PRINCIPAL = ROOT / "perfbench" / "principal.py"
 PRINCIPAL_SEEDS = (1, 2)
 SUFFIXES = (".json", ".txt", ".csv")
+SUM = "example4+example1"  # verdicts.sum_case, which no command line names
+CAPS = (("default", None), ("cap30", 30))
 
 
 def _source(name: str) -> list:
@@ -48,14 +55,44 @@ def _source(name: str) -> list:
 
 
 def _runs(algebras, seeds):
-    """``(label, monalg argv)`` of every command run, in order; ``--out`` is added later."""
+    """``(label, write)`` of every run, in order; ``write(prefix)`` writes
+    its ``.json``, ``.txt`` and ``.csv`` reports at ``prefix``."""
     for name in algebras:
         for seed in seeds:
-            for cap, flags in (("default", []), ("cap30", ["--nodes-cap", "30"])):
-                yield (f"verify/{name}/seed{seed}/{cap}",
-                       ["verify", *_source(name), "--suite", "all", "--seed", str(seed), *flags])
-        for command in ("lambda", "predicates"):
-            yield f"{command}/{name}", [command, *_source(name)]
+            for cap_name, cap in CAPS:
+                label = f"verify/{name}/seed{seed}/{cap_name}"
+                if name == SUM:
+                    options = {} if cap is None else {"nodes_cap": cap}
+                    yield label, partial(_verify_sum, seed, options)
+                    continue
+                flags = [] if cap is None else ["--nodes-cap", str(cap)]
+                yield label, partial(_monalg, ["verify", *_source(name), "--suite", "all",
+                                               "--seed", str(seed), *flags])
+        if name != SUM:
+            for command in ("lambda", "predicates"):
+                yield f"{command}/{name}", partial(_monalg, [command, *_source(name)])
+
+
+def _monalg(argv, prefix):
+    """``monalg *argv --out prefix``."""
+    from monalg.cli import main
+
+    if main([*argv, "--out", str(prefix)]) == 2:
+        raise RuntimeError(f"monalg {' '.join(argv)} exited 2")
+
+
+def _verify_sum(seed, options, prefix):
+    """``run_suites(["all"])`` on :func:`verdicts.sum_case` at ``seed``, its
+    reports written at ``prefix`` as ``monalg verify --out`` writes them."""
+    from monalg.io import reports_to_csv, reports_to_json, reports_to_text
+    from monalg.suites import run_suites
+
+    spec, frames = sum_case()
+    reports = run_suites(["all"], spec, frames, seed, options)
+    config = {"algebra": SUM, "frames": sorted(frames), "seed": seed, **options}
+    Path(f"{prefix}.json").write_text(reports_to_json(reports, config=config))
+    Path(f"{prefix}.txt").write_text(reports_to_text(reports))
+    reports_to_csv(reports, f"{prefix}.csv")
 
 
 def _digest(path: Path) -> str:
@@ -65,18 +102,15 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(algebras=ALGEBRAS, seeds=SEEDS, principal_seeds=PRINCIPAL_SEEDS) -> list:
+def digests(algebras=(*ALGEBRAS, SUM), seeds=SEEDS, principal_seeds=PRINCIPAL_SEEDS) -> list:
     """``[(sha256, name)]`` of every report file, in a fixed order."""
-    from monalg.cli import main
-
     out = []
     with tempfile.TemporaryDirectory() as tmp:
         prefixes = []
         with contextlib.redirect_stdout(io.StringIO()):
-            for index, (label, argv) in enumerate(_runs(algebras, seeds)):
+            for index, (label, write) in enumerate(_runs(algebras, seeds)):
                 prefix = Path(tmp, str(index))
-                if main([*argv, "--out", str(prefix)]) == 2:
-                    raise RuntimeError(f"monalg {' '.join(argv)} exited 2")
+                write(prefix)
                 prefixes.append((label, prefix))
             if principal_seeds:
                 loader = importlib.util.spec_from_file_location("_principal", PRINCIPAL)
@@ -94,7 +128,7 @@ def digests(algebras=ALGEBRAS, seeds=SEEDS, principal_seeds=PRINCIPAL_SEEDS) -> 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("algebras", nargs="*", default=list(ALGEBRAS))
+    parser.add_argument("algebras", nargs="*", default=[*ALGEBRAS, SUM])
     parser.add_argument("--seed", type=int, action="append", dest="seeds",
                         help=f"verify seed, repeatable (default {SEEDS.start}..{SEEDS.stop - 1})")
     args = parser.parse_args(argv)

@@ -10,13 +10,13 @@ import hashlib
 
 import numpy as np
 import pytest
-from point_counts import counting, point_counts
-from verdicts import _inputs
+from counts import counting, suite_counts
+from verdicts import _inputs, sum_case
 
 from monalg.algebra import AlgebraSpec, validate_algebra
 from monalg.catalog import builtin_algebra, builtin_frames
 from monalg.curves import Circle2D, Polyline, TriangleSampler, coordinate_plane
-from monalg.frames import Frame, validate_frame
+from monalg.frames import validate_frame
 from monalg.integrals import (
     _LINE_TOL,
     cauchy_formula_check,
@@ -37,43 +37,6 @@ from monalg.monogenic import (
 from monalg.quadrature import gauss_segment, trapezoid_periodic
 from monalg.resolvent import inverse_many
 from monalg.suites import run_suites
-
-
-def sum_spec(*specs) -> AlgebraSpec:
-    """The direct sum of ``specs``: their idempotents first, then each
-    summand's radical, renumbered, with its own idempotents as selectors."""
-    m = sum(spec.m for spec in specs)
-    products, u_map = {}, {}
-    idem, rad = 0, m  # columns placed so far
-    for spec in specs:
-        def place(i, idem=idem, rad=rad, spec=spec):  # 1-based, summand -> sum
-            return idem + i if i <= spec.m else rad + i - spec.m
-        products.update({(place(left), place(right), place(target)): value
-                         for (left, right, target), value in spec.products.items()})
-        u_map.update({place(s): place(u) for s, u in spec.u_map.items()})
-        idem, rad = idem + spec.m, rad + spec.n - spec.m
-    return AlgebraSpec(rad, m, products, u_map)
-
-
-def sum_frame(specs, frames) -> Frame:
-    """The summands' frames side by side, columns placed as :func:`sum_spec` places them."""
-    return Frame(np.concatenate([f.a[:, :s.m] for s, f in zip(specs, frames)]
-                                + [f.a[:, s.m:] for s, f in zip(specs, frames)], axis=1))
-
-
-def sum_case():
-    """``example4 + example1`` (n=10, m=2) and its frames.  The summands'
-    default frames side by side (``stacked``) give both blocks the same
-    spectral values, so the blocks refine alike; ``default`` moves the
-    second block's ``e_2`` slope from ``i`` to ``1 + i``, which separates them."""
-    parts = [builtin_algebra("example4"), builtin_algebra("example1")]
-    spec = sum_spec(*parts)
-    stacked = {name: sum_frame(parts, [builtin_frames(p)[name] for p in parts])
-               for name in ("default", "in-s")}
-    separated = stacked["default"].a.copy()
-    separated[1, 1] += 1.0
-    return spec, {"default": Frame(separated), "stacked": stacked["default"],
-                  "in-s": stacked["in-s"]}
 
 
 def one_block(spec: AlgebraSpec) -> AlgebraSpec:
@@ -157,9 +120,12 @@ class _Columns:
     def __len__(self):
         return 1
 
-    def __call__(self, tau, seg, cols=None):
-        vals = np.stack([f(tau) for f in self.integrands], axis=1)
-        return vals if cols is None else vals[:, cols]
+    def level(self, tau):
+        def evaluate(rows, cols=None):
+            vals = np.stack([f(tau) for f in self.integrands], axis=1)[None]
+            return vals if cols is None else vals[:, :, cols]
+
+        return evaluate
 
 
 def _slow(t):
@@ -182,6 +148,12 @@ def test_blocks_split_the_tolerance_and_keep_the_whole_vector_bound():
     assert list(mixed.block_nodes[0]) == [960] + [15] * 11
     for res in (equal, mixed):
         assert res.converged and res.error_estimate <= tol
+    # a level's record holds the largest delta of the blocks it refined
+    pair = gauss_segment(_Columns([_slow, lambda t: 2 * _slow(t)]), tol=tol)
+    double = gauss_segment(lambda t: 2 * _slow(t), tol=tol)
+    assert [nodes for nodes, _ in pair.history[:3]] == [30, 60, 120]
+    for ours, alone in zip(pair.history[:3], double.history):
+        assert ours[1] == pytest.approx(alone[1], rel=1e-12)
 
 
 # -- per-block refinement on semisimple:m=12 ------------------------------------------
@@ -289,9 +261,9 @@ def test_point_counts_of_the_lambda_suite():
     # example1 refines its 5 columns as one vector; on semisimple:m=12 the
     # standard circle evaluates 16,320 points, 195,840 component-points as
     # one vector and 79,104 by blocks
-    assert point_counts("example1", suites=["lambda"]) == {"lambda": {"rows": 896, "points": 4480}}
-    assert point_counts("semisimple:m=12", suites=["lambda"]) == {
-        "lambda": {"rows": 16320, "points": 79104}}
+    for name, rows, points in (("example1", 896, 4480), ("semisimple:m=12", 16320, 79104)):
+        counts = suite_counts(name, suites=["lambda"])["lambda"]
+        assert (counts["rows"], counts["points"]) == (rows, points)
 
 
 def test_blocks_evaluate_fewer_component_points_on_semisimple_m20():

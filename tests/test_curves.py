@@ -134,23 +134,23 @@ def _segment_integrands():
 
 
 class _Stack:
-    """A stack over ``integrands`` that records the points it receives."""
+    """A stack over ``integrands`` that records the points it is asked for."""
 
     def __init__(self, integrands):
         self.integrands = integrands
         self.points = 0
-        self.calls = []  # (points, segments) of each call
+        self.calls = []  # (points, integrands) of each call
 
     def __len__(self):
         return len(self.integrands)
 
-    def __call__(self, tau, seg):
-        self.points += len(tau)
-        self.calls.append((len(tau), len(np.unique(seg))))
-        out = np.empty((len(tau), 2), dtype=np.complex128)
-        for s in np.unique(seg):
-            out[seg == s] = self.integrands[s](tau[seg == s])
-        return out
+    def level(self, tau):
+        def evaluate(rows):
+            self.points += rows.size * tau.size
+            self.calls.append((rows.size * tau.size, rows.size))
+            return np.stack([self.integrands[s](tau) for s in rows])
+
+        return evaluate
 
 
 @pytest.mark.parametrize("cap", [4096, 64])

@@ -44,7 +44,7 @@ from monalg.monogenic import (
     zeta_power,
 )
 from monalg.predicates import theorem5_predicate
-from monalg.quadrature import _KRONROD_NODES, DEFAULT_CAP, gauss_segment
+from monalg.quadrature import _KRONROD_NODES, DEFAULT_CAP, gauss_segment, trapezoid_periodic
 from monalg.resolvent import _radical_series, inverse_many
 from monalg.suites import _Control, run_suites, suite_formula
 from verdicts import _inputs
@@ -701,6 +701,24 @@ def test_morera_honours_the_node_cap():
     assert both.diagnostics["nodes"] - alone["nodes"] >= 15 * 4096
 
 
+@pytest.mark.parametrize("tol", [float("nan"), -1, 0, float("inf")])
+def test_quadratures_refuse_a_tolerance_that_is_not_a_finite_number_above_0(tol):
+    # a NaN or negative tolerance would refine every integrand to the cap
+    spec = example1()
+    frame = default_frame(spec)
+    ones = lambda tau: np.ones((len(tau), 1))  # noqa: E731
+    circle = Circle2D(np.zeros(3), 1.0, coordinate_plane(3, 1, 2))
+    square = Polyline(np.array([[1.0, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]), closed=True)
+    for call in (lambda: trapezoid_periodic(ones, tol=tol), lambda: gauss_segment(ones, tol=tol),
+                 lambda: line_integral(zeta(spec), circle, frame, spec, tol=tol),
+                 lambda: line_integral([zeta(spec)], square, frame, spec, tol=tol)):
+        with pytest.raises(ValueError, match="finite number greater than 0"):
+            call()
+    for value in (True, "1e-10"):
+        with pytest.raises(ValueError, match="finite number greater than 0"):
+            gauss_segment(ones, tol=value)
+
+
 @pytest.mark.parametrize("count", [0, -1])
 def test_morera_refuses_no_triangles(count):
     # a check over no triangles has nothing to pass on
@@ -1174,19 +1192,87 @@ def test_formula_circle_takes_each_node_cosine_once(monkeypatch, name):
 
 
 def test_circle_levels_take_the_cosines_of_the_trapezoid_nodes_bit_for_bit():
-    from monalg.integrals import _CirclePiece
+    # a level's values are zeta dzeta at the circle's own points and
+    # tangents, which compute the cosines and sines of every node afresh
+    from monalg.integrals import _CurveStack
 
-    piece = _CirclePiece(Circle2D(np.zeros(3), 0.5, coordinate_plane(3, 1, 2)))
+    spec = example1()
+    frame = builtin_frames(spec)["default"]
+    circle = Circle2D(np.zeros(3), 0.5, coordinate_plane(3, 1, 2))
+    stack = _CurveStack([zeta(spec)], frame, spec, circle)
+
+    def level(tau):
+        return stack.level(tau)(np.array([0]))
+
+    def expected(tau):
+        vals = eval_batch(zeta(spec), frame, circle.points(tau), spec)
+        dzeta = circle.tangents(tau) @ frame.a
+        return _multiply_coords(vals, dzeta, spec, right=frame._support)[None]
+
     for n in (64, 128, 256, 512, 1024, 2048, 4096):
         tau = np.arange(n) * (2.0 * np.pi / n)
-        level = piece.at(tau)
-        assert level.cos.tobytes() == np.cos(tau).tobytes()
-        assert level.sin.tobytes() == np.sin(tau).tobytes()
+        assert level(tau).tobytes() == expected(tau).tobytes()
     # nodes that do not double the last level's are computed afresh
     tau = np.linspace(0.0, 1.0, 8192)
-    level = piece.at(tau)
-    assert level.cos.tobytes() == np.cos(tau).tobytes()
-    assert level.sin.tobytes() == np.sin(tau).tobytes()
+    assert level(tau).tobytes() == expected(tau).tobytes()
+
+
+@pytest.mark.parametrize("name", ["example1", "semisimple:m=3"])
+def test_each_evaluator_call_takes_rows_and_returns_rows_nodes_columns(monkeypatch, name):
+    # the refinement loop asks a level's evaluator for whole integrands by
+    # their indices, at the level's own nodes, never at tiled copies of them
+    from monalg import integrals
+
+    spec, frame = _stack_case(name)
+    calls = []
+    level = integrals._CurveStack.level
+
+    def recorded(self, tau):
+        evaluate = level(self, tau)
+
+        def run(rows, *cols):
+            out = evaluate(rows, *cols)
+            calls.append((tau, rows, cols[0] if cols else None, out.shape, len(self)))
+            return out
+
+        return run
+
+    monkeypatch.setattr(integrals._CurveStack, "level", recorded)
+    center, curves = _formula_curves(frame.k)
+    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
+    for gamma in curves.values():
+        line_integral(phis, gamma, frame, spec)
+        cauchy_formula_check(phis, center, gamma, frame, spec)
+    sampler = TriangleSampler(np.zeros(frame.k), 1.0)
+    morera_check(zeta_power(3, spec), frame, spec, sampler, n_triangles=30)
+    assert len(calls) > 20
+    assert any(cols is not None for _, _, cols, _, _ in calls) == (name != "example1")
+    for tau, rows, cols, shape, count in calls:
+        assert np.unique(tau).size == tau.size in {64 * 2**level for level in range(11)} | {
+            15 * 2**level for level in range(13)}
+        assert rows.dtype.kind == "i" and rows.ndim == 1
+        assert np.all(np.diff(rows) > 0) and 0 <= rows[0] and rows[-1] < count
+        assert shape == (rows.size, tau.size, spec.n if cols is None else cols.size)
+        assert rows.size * tau.size <= 512 or rows.size == 1
+    # a plain integrand is a stack of one row, bit for bit
+
+    class OneRow:
+        def __init__(self, f):
+            self.f = f
+
+        def __len__(self):
+            return 1
+
+        def level(self, tau):
+            return lambda rows: self.f(tau)[None]
+
+    for rule, f in ((trapezoid_periodic, lambda t: np.stack([np.exp(np.cos(t)), 1j * t], axis=1)),
+                    (gauss_segment, lambda t: np.sqrt(t + 1e-3)[:, None] * (1 + 2j))):
+        plain, stacked = rule(f), rule(OneRow(f))
+        assert plain.value.tobytes() == stacked.value[0].tobytes()
+        assert (plain.nodes, plain.converged, plain.history) == (
+            stacked.nodes, stacked.converged, stacked.history)
+        assert plain.error_estimate == stacked.error_estimate
 
 
 @pytest.mark.parametrize("name", ["example1", "semisimple:m=3"])

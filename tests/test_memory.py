@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from point_counts import PEAK, main, point_counts
+from counts import COUNTS, PEAK, main, suite_counts
 from verdicts import _inputs
 
 from monalg import suites
@@ -95,22 +95,21 @@ def test_oracle_peak_grows_slowly_with_the_points():
 def test_point_counts_print_each_suites_peak(capsys):
     assert main(["example1"]) == 0
     header, *rows, total = capsys.readouterr().out.splitlines()
-    assert header == "example1 (seed 1): suite eval_batch rows points peak_KiB"
+    assert header == "example1 (seed 1): suite rows points products terms peak_KiB"
     table = {}
     for row in rows:
         suite, *columns = row.split()
         table[suite] = [int(column.replace(",", "")) for column in columns]
     assert list(table) == list(suites.SUITES)
-    assert all(len(columns) == 3 and columns[2] > 0 for columns in table.values())
+    assert all(len(columns) == 5 and columns[4] > 0 for columns in table.values())
     # the oracle holds at least one batch of left-multiplication matrices
     spec = _inputs("example1")[0]
-    assert table["oracle"][2] >= _BLOCK_POINTS * spec.n**2 * 16 / 1024
+    assert table["oracle"][4] >= _BLOCK_POINTS * spec.n**2 * 16 / 1024
     name, *columns = total.split()
     assert name == "total"
     assert [int(column.replace(",", "")) for column in columns] == [
-        sum(c[0] for c in table.values()), sum(c[1] for c in table.values()),
-        max(c[2] for c in table.values())]
+        *(sum(c[i] for c in table.values()) for i in range(4)), max(c[4] for c in table.values())]
     # the peak joins the counts only when asked for
-    assert point_counts("example1", suites=["cr"]) == {"cr": {"rows": 72, "points": 360}}
-    assert set(point_counts("example1", suites=["cr"], peak=True)["cr"]) == {
-        "rows", "points", PEAK}
+    assert suite_counts("example1", suites=["cr"]) == {
+        "cr": {"rows": 72, "points": 360, "products": 114, "terms": 1188}}
+    assert set(suite_counts("example1", suites=["cr"], peak=True)["cr"]) == {*COUNTS, PEAK}

@@ -1,8 +1,8 @@
-"""Machine-independent cost: rows and terms through the sparse product kernel."""
+"""Machine-independent cost: products and terms through the sparse product kernel."""
 
 import numpy as np
 import pytest
-from product_counts import product_counts, product_rows
+from counts import counting, suite_counts
 
 
 @pytest.mark.parametrize("name, series", [("example1", 2), ("chain12", 5)])
@@ -11,8 +11,8 @@ def test_oracle_suite_product_rows(name, series):
     # products each (2 at depth 2, 5 in blocks of 3 at depth 11), the
     # resolvent identity one product, and the left-multiplication matrices
     # none; every one goes through the one kernel
-    rows = product_rows(name, suites=["oracle"])["oracle"]
-    assert rows == {"_times_fixed": (2 * series + 1) * 1000}
+    counts = suite_counts(name, suites=["oracle"])["oracle"]
+    assert counts["products"] == (2 * series + 1) * 1000
 
 
 def test_oracle_suite_product_terms_on_chain12():
@@ -21,8 +21,8 @@ def test_oracle_suite_product_terms_on_chain12():
     # Horner's 3 products by N^3 the 30 whose right column is in N^3's
     # support, 100 a series; the resolvent identity, which checks the
     # series, takes all 78
-    counts = product_counts("chain12", suites=["oracle"])["oracle"]
-    assert counts == {"rows": 11 * 1000, "terms": (2 * (4 + 6 + 3 * 30) + 78) * 1000}
+    counts = suite_counts("chain12", suites=["oracle"])["oracle"]
+    assert (counts["products"], counts["terms"]) == (11 * 1000, (2 * (4 + 6 + 3 * 30) + 78) * 1000)
 
 
 def test_products_by_points_and_increments_on_chain12():
@@ -30,7 +30,6 @@ def test_products_by_points_and_increments_on_chain12():
     # zeta^3 then the 17 of that product's targets by the frame's support;
     # Morera's weights by the segments' increments, its polynomials and its
     # resolvent kernels take 1,455,000 terms on its 78,000 rows at seed 1
-    from product_counts import counting
     from verdicts import _inputs
 
     from monalg.monogenic import eval_batch, zeta_power
@@ -40,6 +39,6 @@ def test_products_by_points_and_increments_on_chain12():
     for power, terms in ((2, 11), (3, 11 + 17)):
         with counting() as counts:
             eval_batch(zeta_power(power, spec), frames["default"], xs, spec)
-        assert counts == {"rows": 10 * (power - 1), "terms": 10 * terms}
-    assert product_counts("chain12", suites=["morera"])["morera"] == {
-        "rows": 78_000, "terms": 1_455_000}
+        assert (counts["products"], counts["terms"]) == (10 * (power - 1), 10 * terms)
+    counts = suite_counts("chain12", suites=["morera"])["morera"]
+    assert (counts["products"], counts["terms"]) == (78_000, 1_455_000)

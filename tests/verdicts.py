@@ -10,6 +10,10 @@ of any verdict shows up as a diff of that file.  Rewrite the file with
 
 which prints one line per changed entry (see :func:`changed`), and name
 every changed entry, with its reason, in ``CHANGES.md``.
+
+The module also builds ``example4 + example1`` (:func:`sum_case`), an
+algebra of two blocks that each carry a radical, for the block tests and
+the digest sweep of ``tests/report_digests.py``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,8 @@ from __future__ import annotations
 import json
 import sys
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parents[1]
 LEDGER = ROOT / "tests" / "data" / "verdicts.json"
@@ -39,6 +45,53 @@ def _inputs(name: str):
         config = ExperimentConfig(algebra=name)
     spec, _, frames, options = _inputs(config)
     return spec, frames, options
+
+
+def sum_spec(*specs):
+    """The direct sum of ``specs``, an ``AlgebraSpec``: their idempotents
+    first, then each summand's radical, renumbered, with its own idempotents
+    as selectors."""
+    from monalg.algebra import AlgebraSpec
+
+    m = sum(spec.m for spec in specs)
+    products, u_map = {}, {}
+    idem, rad = 0, m  # columns placed so far
+    for spec in specs:
+        def place(i, idem=idem, rad=rad, spec=spec):  # 1-based, summand -> sum
+            return idem + i if i <= spec.m else rad + i - spec.m
+        products.update({(place(left), place(right), place(target)): value
+                         for (left, right, target), value in spec.products.items()})
+        u_map.update({place(s): place(u) for s, u in spec.u_map.items()})
+        idem, rad = idem + spec.m, rad + spec.n - spec.m
+    return AlgebraSpec(rad, m, products, u_map)
+
+
+def sum_frame(specs, frames):
+    """The summands' frames side by side, a ``Frame`` whose columns are
+    placed as :func:`sum_spec` places them."""
+    from monalg.frames import Frame
+
+    return Frame(np.concatenate([f.a[:, :s.m] for s, f in zip(specs, frames)]
+                                + [f.a[:, s.m:] for s, f in zip(specs, frames)], axis=1))
+
+
+def sum_case():
+    """``example4 + example1`` (n=10, m=2) and its frames: blocks that carry
+    a radical.  The summands' default frames side by side (``stacked``) give
+    both blocks the same spectral values, so the blocks refine alike;
+    ``default`` moves the second block's ``e_2`` slope from ``i`` to
+    ``1 + i``, which separates them."""
+    from monalg.catalog import builtin_algebra, builtin_frames
+    from monalg.frames import Frame
+
+    parts = [builtin_algebra("example4"), builtin_algebra("example1")]
+    spec = sum_spec(*parts)
+    stacked = {name: sum_frame(parts, [builtin_frames(p)[name] for p in parts])
+               for name in ("default", "in-s")}
+    separated = stacked["default"].a.copy()
+    separated[1, 1] += 1.0
+    return spec, {"default": Frame(separated), "stacked": stacked["default"],
+                  "in-s": stacked["in-s"]}
 
 
 def verdicts(reports) -> dict:
