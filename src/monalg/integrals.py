@@ -12,7 +12,10 @@ formula's reference and its shifted inverse are evaluated by
 
 :func:`line_integral`, :func:`cauchy_theorem_check` and
 :func:`cauchy_formula_check` also take a list of functions.  The functions
-of one curve are then refined as one stack, in one refinement run.  On
+of one curve are then integrated as one stack, in one run, or one stack per
+degree they state: :func:`_integrate`, the one place that chooses the rule,
+gives a function of known degree, and no factor, a rule exact for it in
+one level (:mod:`monalg.quadrature`), and refines every other.  On
 circles and segments alike each level's sums are those of ``psi(zeta)
 dzeta``, times the shifted inverse ``(zeta - zeta_c)^{-1}`` for the
 formula.  On a circle ``dzeta`` changes from node to node, and weights
@@ -60,7 +63,7 @@ from .curves import Circle2D, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
 from .frames import Frame
 from .monogenic import _restrict, eval_batch, eval_function
-from .quadrature import DEFAULT_CAP, _history, gauss_segment, trapezoid_periodic
+from .quadrature import DEFAULT_CAP, _check, _history, gauss_segment, trapezoid_periodic
 from .resolvent import inverse_many
 
 __all__ = [
@@ -79,7 +82,8 @@ __all__ = [
 
 @dataclass
 class IntegralResult:
-    """Line-integral value with quadrature diagnostics."""
+    """Line-integral value with quadrature diagnostics; ``exact`` when a
+    rule exact for the function's degree took it, with no refinement."""
 
     value: Element
     error_estimate: float
@@ -87,6 +91,7 @@ class IntegralResult:
     converged: bool
     history: list = field(default_factory=list)
     block_nodes: list | None = None
+    exact: bool = False
 
 
 @dataclass(frozen=True)
@@ -180,12 +185,15 @@ def line_integral(psi, gamma, frame: Frame, spec: AlgebraSpec,
     object with an ``eval_many`` method, or a callable ``x -> Element``.
     Circles refine by node doubling, polylines by Gauss panels bisected per
     segment, with all segments refined as one stack; ``cap`` bounds the
-    nodes of the circle or of each segment.
+    nodes of the circle or of each segment.  A function that states its
+    degree (see :func:`_integrate`) takes a rule exact for it instead.  A
+    ``tol`` or ``cap`` that :func:`quadrature._check` refuses raises
+    :class:`ValueError`, naming the value given.
 
     ``psi`` may also be a list of functions, and the result is then the list
-    of their :class:`IntegralResult`.  One refinement run integrates them as
-    a stack (:class:`_CurveStack`) that computes each level's points and
-    weight once.  Every function keeps its own convergence test,
+    of their :class:`IntegralResult`.  One run integrates them as a stack
+    (:class:`_CurveStack`, one per degree stated) that computes each level's
+    points and weight once.  Every function keeps its own convergence test,
     so each result equals, bit for bit, that of the function's own call.
     """
     psis = psi if isinstance(psi, list) else [psi]
@@ -232,16 +240,23 @@ class _CurveStack:
     and ``dzeta``; a level whose even nodes are the last level's, as the
     trapezoid's doubling makes them, takes theirs from that level and
     computes only the odd nodes'.
+
+    Functions of ``degree`` p in the point (no factor) make the stack's
+    integrands polynomials of degree p in a segment's parameter and
+    trigonometric polynomials of degree p + 1 on a circle: the stack states
+    that as its ``degree``, for the rule (``None``: no degree).
     """
 
-    def __init__(self, psis, frame, spec, curve, factor=None):
+    def __init__(self, psis, frame, spec, curve, factor=None, degree=None):
         self.psis = psis
         self.frame = frame
         self.spec = spec
         self.factor = factor
+        self.degree = degree
         if isinstance(curve, Circle2D):
             self.circle, self.pieces = curve, 1
             self._last = None  # the last level's (tau, cos, sin)
+            self.degree = None if degree is None else degree + 1
         else:
             starts, ends = curve
             self.circle, self.pieces = None, len(starts)
@@ -368,38 +383,64 @@ class _CurveStack:
         return vals.reshape(pieces.size, tau.size, -1)
 
 
-def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
-    """:func:`line_integral` of each of ``psis`` along ``gamma``, as one stack.
+def _degree(psi):
+    """The degree of ``psi`` as a polynomial in the point, when it states
+    one as an integer ``degree`` of at least 0 (a :class:`Polynomial` in
+    ``zeta`` does, ``zeta`` being linear in the point), or ``None``."""
+    degree = getattr(psi, "degree", None)
+    return degree if isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0 else None
 
-    ``factor`` multiplies every function's values at each node.  Each piece
-    refines ``psi dzeta`` to its share of ``tol``, and a result's error
-    estimate is the sum of its pieces' deltas.  On an algebra of B > 1
-    blocks each block of a piece refines to ``1 / sqrt(B)`` of the piece's
-    share; a result's ``nodes`` then sums, over the pieces, the nodes of the
-    block that refined furthest, and ``block_nodes`` sums each block's.
+
+def _integrate(psis, frame, spec, curve, tol, cap, factor=None) -> list:
+    """``(result, rows)`` of each of ``psis`` on the pieces of ``curve`` (a
+    circle, or the ``(starts, ends)`` of segments): the
+    :class:`quadrature.QuadratureResult` of its stack and its rows there.
+
+    The one place that chooses the rule.  The functions that state the same
+    degree (:func:`_degree`) form a stack of that degree, which the rule
+    integrates exactly in one level when its nodes fit; with a ``factor``,
+    or with no degree, the functions form one stack, refined.  Each piece
+    takes the tolerance ``tol``.
     """
+    rule = trapezoid_periodic if isinstance(curve, Circle2D) else gauss_segment
+    groups = {}  # a stated degree (None: none) -> its functions' indices
+    for j, psi in enumerate(psis):
+        groups.setdefault(None if factor is not None else _degree(psi), []).append(j)
+    out = [None] * len(psis)
+    for degree, js in groups.items():
+        stack = _CurveStack([psis[j] for j in js], frame, spec, curve, factor, degree)
+        res = rule(stack, tol=tol, cap=cap)
+        for i, j in enumerate(js):
+            out[j] = res, slice(i * stack.pieces, (i + 1) * stack.pieces)
+    return out
+
+
+def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
+    """:func:`line_integral` of each of ``psis`` along ``gamma``, by :func:`_integrate`.
+
+    ``factor`` multiplies every function's values at each node.  ``tol`` and
+    ``cap`` are checked first.  Each piece refines ``psi dzeta`` to its
+    share of ``tol``, and a result's error estimate is the sum of its
+    pieces' deltas.  On an algebra of B > 1 blocks each block of a piece
+    refines to ``1 / sqrt(B)`` of the piece's share; a result's ``nodes``
+    then sums, over the pieces, the nodes of the block that refined
+    furthest, and ``block_nodes`` sums each block's.
+    """
+    _check(tol, cap)
     if not psis:
         return []
     if isinstance(gamma, Circle2D):
-        curve, rule, share = gamma, trapezoid_periodic, tol
+        curve, share = gamma, tol
     else:
         segments = np.array(gamma.segments())  # (S, 2, k)
-        curve, rule, share = (segments[:, 0], segments[:, 1]), gauss_segment, tol / len(segments)
-    stack = _CurveStack(psis, frame, spec, curve, factor)
-    res = rule(stack, tol=share, cap=cap)
-    count = stack.pieces
-    out = []
-    for j in range(len(psis)):
-        rows = slice(j * count, (j + 1) * count)
-        out.append(IntegralResult(
-            Element(gamma.orientation * res.value[rows].sum(axis=0)),
-            float(res.segment_deltas[rows].sum()),
-            int(res.segment_nodes[rows].sum()),
-            bool(res.segment_converged[rows].all()),
-            _history(res.levels, rows.start, rows.stop),
-            _block_nodes(res, rows),
-        ))
-    return out
+        curve, share = (segments[:, 0], segments[:, 1]), tol / len(segments)
+    return [IntegralResult(Element(gamma.orientation * res.value[rows].sum(axis=0)),
+                           float(res.segment_deltas[rows].sum()),
+                           int(res.segment_nodes[rows].sum()),
+                           bool(res.segment_converged[rows].all()),
+                           _history(res.levels, rows.start, rows.stop),
+                           _block_nodes(res, rows), res.exact)
+            for res, rows in _integrate(psis, frame, spec, curve, share, cap, factor)]
 
 
 def _block_nodes(res, rows=slice(None)):
@@ -411,6 +452,11 @@ def _block_nodes(res, rows=slice(None)):
 def _block_diagnostics(block_nodes) -> dict:
     """A report's ``block_nodes`` key, on an algebra of several blocks only."""
     return {} if block_nodes is None else {"block_nodes": block_nodes}
+
+
+def _exact_diagnostics(exact) -> dict:
+    """A report's ``exact_rule`` key, when a rule exact for the degree took the integral."""
+    return {"exact_rule": True} if exact else {}
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -512,12 +558,15 @@ def _integral_report(name, res, residual, tolerance, reference=None,
                      **diagnostics) -> VerificationReport:
     """The report of a check on one integral ``res``, an :class:`IntegralResult`
     or a :class:`LambdaResult`: its value, and ``diagnostics`` with the
-    integral's nodes, convergence flag and refinement history, and on an
-    algebra of several blocks its ``block_nodes``."""
+    integral's nodes, convergence flag and refinement history, on an
+    algebra of several blocks its ``block_nodes``, and ``exact_rule`` when
+    a rule exact for the function's degree took it (never a lambda)."""
     return VerificationReport(name, residual, tolerance, value=res.value, reference=reference,
                               diagnostics={**diagnostics, "nodes": res.nodes,
                                            **_block_diagnostics(res.block_nodes),
-                                           "converged": res.converged, "history": res.history})
+                                           "converged": res.converged,
+                                           **_exact_diagnostics(getattr(res, "exact", False)),
+                                           "history": res.history})
 
 
 def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
@@ -558,9 +607,16 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
 
     ``triangles``, a ``(T, 3, k)`` vertex array drawn earlier, replaces the
     ``n_triangles`` draws from ``sampler``.  The 3T boundary segments are
-    refined as one stack, each up to ``cap`` nodes and to the tolerance
-    :func:`line_integral` gives it.
+    integrated as one stack by :func:`_integrate`, as :func:`line_integral`
+    integrates a polyline's: a function that states its degree takes a rule
+    exact for it, ``degree // 2 + 1`` Gauss-Legendre nodes an edge, and the
+    report then says ``exact_rule``; any other is refined, each segment up
+    to ``cap`` nodes and to the tolerance :func:`line_integral` gives it.
+    A ``cap`` that :func:`quadrature._check` refuses raises
+    :class:`ValueError` before any triangle is drawn.
     """
+    share = _LINE_TOL / 3  # line_integral's default tolerance, split over three segments
+    _check(share, cap)
     if triangles is None:
         rng = rng if rng is not None else np.random.default_rng(0)
         triangles = sampler.sample(rng, n_triangles)
@@ -568,10 +624,8 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
     if starts.ndim != 3 or starts.shape[1] != 3 or len(starts) == 0:
         raise ValueError(f"need a (T, 3, k) array of T >= 1 triangles, got shape {starts.shape}")
     k = starts.shape[2]
-    edges = _CurveStack([phi], frame, spec,
-                        (starts.reshape(-1, k), np.roll(starts, -1, axis=1).reshape(-1, k)))
-    # line_integral's default tolerance, split over three segments
-    res = gauss_segment(edges, tol=_LINE_TOL / 3, cap=cap)
+    edges = (starts.reshape(-1, k), np.roll(starts, -1, axis=1).reshape(-1, k))
+    [(res, _)] = _integrate([phi], frame, spec, edges, share, cap)
     # the orientation flips the sign of a boundary integral, not its norm
     norms = np.linalg.norm(res.value.reshape(len(starts), 3, spec.n).sum(axis=1), axis=1)
     worst = int(np.argmax(norms))
@@ -587,6 +641,7 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
             **_block_diagnostics(_block_nodes(res)),
             "worst_triangle": starts[worst].tolist(),
             "converged": res.converged,
+            **_exact_diagnostics(res.exact),
         },
     )
 

@@ -1,4 +1,4 @@
-"""Quadrature: one refinement loop, two rules.
+"""Quadrature: one refinement loop, two rules, each exact for integrands of known degree.
 
 :func:`_refine` doubles the node count per level until two successive levels
 agree or the node cap is reached; every rule defaults to the one cap
@@ -12,12 +12,19 @@ of 15 evaluations.  Integrands are vectorised, ``f(tau) -> (len(tau), d)``,
 or stacks of integrands refined together, whose columns may form blocks
 that each refine on their own; a stack gives each level an evaluator of
 its integrands by index, and one integrand is a stack of one.
+
+Integrands that state their ``degree`` in the parameter, a polynomial in
+``tau`` on [0, 1] or a trigonometric polynomial on a circle, are not
+refined: each rule then runs one level that is exact for that degree,
+``degree // 2 + 1`` Gauss-Legendre nodes or ``degree + 1`` trapezoid
+nodes, as the loop's only level.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 from numbers import Real
 
 import numpy as np
@@ -40,6 +47,15 @@ def _is_tolerance(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool) and 0 < value < math.inf
 
 
+def _check(tol, cap) -> None:
+    """Raise :class:`ValueError` for a ``cap`` that is not an integer of at
+    least 1 or a ``tol`` that is not a finite number greater than 0."""
+    if not _is_count(cap):
+        raise ValueError(f"the node cap must be an integer of at least 1, got {cap!r}")
+    if not _is_tolerance(tol):
+        raise ValueError(f"the tolerance must be a finite number greater than 0, got {tol!r}")
+
+
 @dataclass
 class QuadratureResult:
     """Value of one refinement run plus its diagnostics.
@@ -58,7 +74,8 @@ class QuadratureResult:
     integrand.  A stack refined by blocks also gives ``block_nodes``, each
     integrand's node count per block, shaped ``(integrands, blocks)``; its
     ``history`` counts a point once, however many of its blocks a level
-    evaluated there.
+    evaluated there.  ``exact`` holds when the run was one level of a rule
+    exact for the integrands' degree, with every delta 0.
     """
 
     value: np.ndarray
@@ -71,6 +88,7 @@ class QuadratureResult:
     segment_converged: np.ndarray | None = None
     levels: list = field(default_factory=list)
     block_nodes: np.ndarray | None = None
+    exact: bool = False
 
 
 def _history(levels, lo: int, hi: int) -> list:
@@ -105,7 +123,7 @@ def _groups(refining):
 
 
 def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
-            reference=None) -> QuadratureResult:
+            reference=None, exact: bool = False) -> QuadratureResult:
     """Refine ``f`` level by level; ``rule(level)`` gives nodes and their sum.
 
     ``f`` is a stack of S integrands: a sized object whose ``f.level(tau)``
@@ -151,14 +169,11 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     sum, ``error_estimate`` their largest delta and ``converged`` holds when
     all converged; ``levels`` records each level after the first once, and
     ``history`` is read from it.  An integrand's value, nodes, flag and
-    deltas do not depend on the other integrands of its stack.  A ``cap``
-    that is not an integer of at least 1, or a ``tol`` that is not a finite
-    number greater than 0, raises :class:`ValueError`.
+    deltas do not depend on the other integrands of its stack.
+
+    With ``exact``, level 0 is exact for every integrand: it is the only
+    level, and every integrand converges there, by its degree, with delta 0.
     """
-    if not _is_count(cap):
-        raise ValueError(f"the node cap must be an integer of at least 1, got {cap!r}")
-    if not _is_tolerance(tol):
-        raise ValueError(f"the tolerance must be a finite number greater than 0, got {tol!r}")
     stacked = hasattr(f, "level")
     count = len(f) if stacked else 1
     at_level = f.level if stacked else (lambda tau: lambda rows: np.asarray(f(tau))[None])
@@ -206,6 +221,8 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
                 if map_sums and refs:
                     previous = map_sums(previous, rows)
                 value = sums
+            if exact:
+                deltas[mine], converged[mine], refining[mine] = 0.0, True, False
             if previous is None:
                 continue
             change = _block_norms(sums - previous, runs)
@@ -235,7 +252,7 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     return QuadratureResult(value if stacked else value[0], float(segment_deltas.max()),
                             int(segment_nodes.sum()), bool(segment_converged.all()), history,
                             segment_deltas, segment_nodes, segment_converged, levels,
-                            None if blocks is None else nodes)
+                            None if blocks is None else nodes, exact)
 
 
 def _layout(blocks, mask):
@@ -261,6 +278,23 @@ def _block_norms(diff, runs):
     return np.sqrt(np.add.reduceat((diff.conj() * diff).real[:, order], starts, axis=1))
 
 
+def _exact_nodes(f, nodes, first: int, cap: int):
+    """The node count ``nodes(degree)`` of the rule exact for the ``degree``
+    that ``f`` states, or ``None`` when ``f`` states none or the rule is not
+    taken.  It is taken when its nodes are within ``cap``, or no more than
+    the ``first`` level's, which always runs."""
+    degree = getattr(f, "degree", None)
+    if degree is None:
+        return None
+    n = nodes(degree)
+    return n if n <= max(cap, first) else None
+
+
+def _trapezoid(n: int):
+    """``n`` equispaced nodes on [0, 2 pi) and their trapezoid sum."""
+    return np.arange(n) * (TWO_PI / n), lambda vals: vals.mean(axis=1) * TWO_PI
+
+
 # No trapezoid convergence before two doublings: the first two levels may alias.
 _TRAPEZOID_FIRST_TEST = 2
 
@@ -269,13 +303,19 @@ def trapezoid_periodic(f, tol: float = 1e-10, cap: int = DEFAULT_CAP) -> Quadrat
     """Integrate 2-pi-periodic integrands over [0, 2 pi] by node doubling.
 
     Level ``l`` has ``64 * 2^l`` equispaced nodes; ``f`` and the result are
-    as for :func:`_refine`.
+    as for :func:`_refine`.  An ``f`` whose ``degree`` attribute states that
+    its integrands are trigonometric polynomials of that degree takes
+    ``degree + 1`` nodes, exact for them (Trefethen and Weideman, SIAM Rev.
+    56, 2014), in one level, when they are within ``cap`` or at most 64.
+    A ``cap`` or ``tol`` that :func:`_check` refuses raises
+    :class:`ValueError`.
     """
-    def rule(level):
-        n = 64 * 2**level
-        return np.arange(n) * (TWO_PI / n), lambda vals: vals.mean(axis=1) * TWO_PI
-
-    return _refine(f, rule, tol, cap, first_test=_TRAPEZOID_FIRST_TEST)
+    _check(tol, cap)
+    n = _exact_nodes(f, lambda degree: degree + 1, 64, cap)
+    if n is not None:
+        return _refine(f, lambda level: _trapezoid(n), tol, cap, exact=True)
+    return _refine(f, lambda level: _trapezoid(64 * 2**level), tol, cap,
+                   first_test=_TRAPEZOID_FIRST_TEST)
 
 
 # G7/K15 Gauss-Kronrod pair on [-1, 1] (QUADPACK ``qk15``; Piessens et al.,
@@ -320,6 +360,33 @@ def _weighted_sum(weights):
     return lambda vals: np.einsum("q,sq...->s...", weights, vals)
 
 
+@lru_cache(maxsize=None)
+def _legendre(n: int):
+    """The ``n`` Gauss-Legendre nodes on [0, 1], increasing, and their
+    weights, exact for polynomials of degree ``2 n - 1``.
+
+    Newton's method on the three-term recurrence of the Legendre polynomial
+    ``P_n``, from the guesses ``cos(pi (i + 3/4) / (n + 1/2))`` (Press et
+    al., *Numerical Recipes*, ``gauleg``): ``O(n)`` memory and ``O(n^2)``
+    operations a step, no more than evaluating a polynomial of degree
+    ``2 n`` at the nodes.
+    """
+    x = np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    step = np.inf
+    for _ in range(100):
+        p, q = x, np.ones(n)  # P_k and P_{k-1} at x, from k = 1
+        for k in range(2, n + 1):
+            p, q = ((2 * k - 1) * x * p - (k - 1) * q) / k, p
+        slope = n * (x * p - q) / (x * x - 1)  # P_n'
+        if np.abs(step).max() <= 1e-15:  # the weights take the slope at the last nodes
+            break
+        step = p / slope
+        x = x - step
+    tau, weights = 0.5 * (1.0 - x), 1.0 / ((1.0 - x * x) * slope * slope)
+    tau.flags.writeable = weights.flags.writeable = False
+    return tau, weights
+
+
 def gauss_segment(f, tol: float = 1e-10, cap: int = DEFAULT_CAP) -> QuadratureResult:
     """Integrate integrands over [0, 1] by bisected G7/K15 Gauss-Kronrod panels.
 
@@ -327,8 +394,18 @@ def gauss_segment(f, tol: float = 1e-10, cap: int = DEFAULT_CAP) -> QuadratureRe
     accepted when its Kronrod sum is within ``tol`` of the 7-point Gauss sum
     embedded in the same 15 values; every later level is compared with the
     previous level's Kronrod sum.  ``f`` and the result are as for
-    :func:`_refine`.
+    :func:`_refine`.  An ``f`` whose ``degree`` attribute states that its
+    integrands are polynomials of that degree takes ``degree // 2 + 1``
+    Gauss-Legendre nodes, exact for them, in one level, when they are within
+    ``cap`` or at most 15.  A ``cap`` or ``tol`` that :func:`_check`
+    refuses raises :class:`ValueError`.
     """
+    _check(tol, cap)
+    n = _exact_nodes(f, lambda degree: degree // 2 + 1, 15, cap)
+    if n is not None:
+        tau, weights = _legendre(n)
+        return _refine(f, lambda level: (tau, _weighted_sum(weights)), tol, cap, exact=True)
+
     def rule(level):
         panels = 2**level
         width = 1.0 / panels

@@ -54,7 +54,9 @@ def _phi_set(spec: AlgebraSpec):
 
 
 class _Control:
-    """The non-monogenic necessity control ``x -> x_2 I_1``."""
+    """The non-monogenic necessity control ``x -> x_2 I_1``, linear in ``x``."""
+
+    degree = 1  # so every curve integrates it exactly
 
     def __init__(self, spec: AlgebraSpec):
         self.n = spec.n

@@ -228,13 +228,14 @@ def test_a_level_evaluates_only_the_blocks_still_refining(monkeypatch):
 
 
 @pytest.mark.parametrize("name, calls, digest", [
-    ("example1", 198, "0725001beb63f75dc16e60067d7802a7c05f57a2409b11dff301c3c19a9f83c7"),
-    ("chain12", 198, "f3c50e05f68dabadad297d880f32cb715ed19899fa8b354f1752b9156c9ecd09"),
-    ("semisimple:m=1", 192, "34dc08697b64fe356ba5e24f5d524913821709d480038cb0f12dd442804aa558"),
-])
+    ("example1", 122, "84209ad672575b54d7bd927e92cb8a2224a748cdfd76fbcd165323fd42c7e48e"),
+    ("chain12", 122, "1e4fc83b53bca46c0d5523bc3185104b505923941b6230f1dc00ead52ff1b2d9"),
+    ("semisimple:m=1", 116, "ca10e32087845474085d1605b9ddaeeb5982bdd2bcc98df6a0dbd0604833196f"),
+], ids=["example1", "chain12", "semisimple:m=1"])  # ids that a new pin does not rename
 def test_one_block_takes_the_whole_vector_calls(name, calls, digest):
     # the shape of every eval_batch result of a verify run at seed 1, as
-    # before blocks refined on their own
+    # before blocks refined on their own (polynomials and the necessity
+    # controls at their exact rules' nodes)
     spec, frames, options = _inputs(name)
     assert len(spec._blocks) == 1
     shapes = []

@@ -717,6 +717,11 @@ def test_quadratures_refuse_a_tolerance_that_is_not_a_finite_number_above_0(tol)
     for value in (True, "1e-10"):
         with pytest.raises(ValueError, match="finite number greater than 0"):
             gauss_segment(ones, tol=value)
+    # the value given is refused before a polyline splits it over its
+    # segments, and before a polynomial takes its exact rule
+    for value in (tol, True):
+        with pytest.raises(ValueError, match=f"greater than 0, got {value!r}$"):
+            line_integral([zeta(spec)], square, frame, spec, tol=value)
 
 
 @pytest.mark.parametrize("count", [0, -1])
@@ -1047,8 +1052,8 @@ def test_line_integral_list_matches_single_calls_bit_for_bit(name):
         nodes[cname] = [res.nodes for res in stacked]
         assert line_integral([], curve, frame, spec) == []
     if name == "semisimple:m=12":
-        # the kernel refines one level further than the polynomials
-        assert nodes["circle-x2x3"][:4] == [256, 256, 256, 512]
+        # the polynomials take p + 2 nodes, exact; the kernel refines to 512
+        assert nodes["circle-x2x3"][:4] == [3, 4, 5, 512]
 
 
 @pytest.mark.parametrize("name", STACK_CASES)
@@ -1113,8 +1118,10 @@ def test_reports_carry_their_integrals_diagnostics(name):
         res = line_integral(zeta_power(2, spec), curve, frame, spec)
         rep = cauchy_theorem_check(zeta_power(2, spec), curve, frame, spec)
         assert rep.value.coords.tobytes() == res.value.coords.tobytes()
+        assert res.exact and res.error_estimate == 0.0
         assert rep.diagnostics == {"quadrature_error": res.error_estimate, "nodes": res.nodes,
-                                   "converged": res.converged, "history": res.history}
+                                   "converged": res.converged, "exact_rule": True,
+                                   "history": res.history}
     lam = compute_lambda(spec, frame, _standard_circle(frame.k))
     (rep,) = [r for r in suite_lambda(spec, {"default": frame}, 0, {})
               if r.name == "lambda/deviation[default]"]
@@ -1248,8 +1255,9 @@ def test_each_evaluator_call_takes_rows_and_returns_rows_nodes_columns(monkeypat
     assert len(calls) > 20
     assert any(cols is not None for _, _, cols, _, _ in calls) == (name != "example1")
     for tau, rows, cols, shape, count in calls:
+        # the levels of the two rules, or the few nodes of an exact one
         assert np.unique(tau).size == tau.size in {64 * 2**level for level in range(11)} | {
-            15 * 2**level for level in range(13)}
+            15 * 2**level for level in range(13)} | {1, 2, 3, 4}
         assert rows.dtype.kind == "i" and rows.ndim == 1
         assert np.all(np.diff(rows) > 0) and 0 <= rows[0] and rows[-1] < count
         assert shape == (rows.size, tau.size, spec.n if cols is None else cols.size)

@@ -28,8 +28,9 @@ def test_oracle_suite_product_terms_on_chain12():
 def test_products_by_points_and_increments_on_chain12():
     # zeta^2 takes the 11 triples of the frame's support on both sides, and
     # zeta^3 then the 17 of that product's targets by the frame's support;
-    # Morera's weights by the segments' increments, its polynomials and its
-    # resolvent kernels take 1,455,000 terms on its 78,000 rows at seed 1
+    # Morera's weights by the segments' increments, its polynomials at the
+    # nodes of their exact rules and its resolvent kernels take 1,069,200
+    # terms on its 52,200 rows at seed 1
     from verdicts import _inputs
 
     from monalg.monogenic import eval_batch, zeta_power
@@ -41,4 +42,4 @@ def test_products_by_points_and_increments_on_chain12():
             eval_batch(zeta_power(power, spec), frames["default"], xs, spec)
         assert (counts["products"], counts["terms"]) == (10 * (power - 1), 10 * terms)
     counts = suite_counts("chain12", suites=["morera"])["morera"]
-    assert (counts["products"], counts["terms"]) == (78_000, 1_455_000)
+    assert (counts["products"], counts["terms"]) == (52_200, 1_069_200)
