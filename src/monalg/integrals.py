@@ -10,10 +10,11 @@ image winds once.  :func:`compute_lambda` integrates the algebra constant
 formula's reference and its shifted inverse are evaluated by
 :func:`monalg.monogenic.eval_batch`, so every check takes the same functions.
 
-:func:`line_integral`, :func:`cauchy_theorem_check` and
-:func:`cauchy_formula_check` also take a list of functions.  The functions
-of one curve are then integrated as one stack, in one run, or one stack per
-degree they state: :func:`_integrate`, the one place that chooses the rule,
+:func:`line_integral`, :func:`cauchy_theorem_check`, :func:`morera_check`
+and :func:`cauchy_formula_check` also take a list of functions.  The
+functions of one curve, or of Morera's triangle edges, are then integrated
+as one stack, in one run, or one stack per degree they state:
+:func:`_integrate`, the one place that chooses the rule,
 gives a function of known degree, and no factor, a rule exact for it in
 one level (:mod:`monalg.quadrature`), and refines every other.  On
 circles and segments alike each level's sums are those of ``psi(zeta)
@@ -21,11 +22,12 @@ dzeta``, times the shifted inverse ``(zeta - zeta_c)^{-1}`` for the
 formula.  On a circle ``dzeta`` changes from node to node, and weights
 each node; on a segment it is the constant ``(B - A) @ a``, and multiplies
 the segment's level sums, once per level.  The stack,
-:class:`_CurveStack`, is built from a circle or from the starts and ends of
-straight segments, and computes the curve's points and ``dzeta`` itself:
+:class:`_CurveStack`, is built from a circle or from the starts and
+directions ``B - A`` of straight segments, which the caller makes once for
+all its stacks, and computes the curve's points and ``dzeta`` itself:
 each level the refinement loop asks it for the values of some of its
-integrands, by index, at every node of the level.  Each level computes the
-curve's points once for all the functions, and the weight at the nodes
+integrands, by index, at every node of the level.  Each level computes a
+circle's points once for all the functions, and the weight at the nodes
 once for all the functions that refine the same blocks (below).  Each
 function keeps its own convergence test, so every result is bit for bit
 that of the function's own call.  A single function is the one-element
@@ -40,20 +42,19 @@ refining, on their sub-algebra, so its arrays hold only their columns: on
 12.  An algebra of one block, such as every algebra with ``m = 1``,
 refines the whole vector, as it always did.
 
-A function's refinement history is read from the run's level records
-(:func:`quadrature._history`), and every check on one integral, here and
-in the suites and the command line, builds its report with
-:func:`_integral_report`: the check's residual and diagnostics beside the
-integral's value, nodes, convergence flag and history.  With B > 1 blocks
-``nodes`` is that of the block that refined furthest, summed over the
-pieces, a history entry counts the curve's points evaluated and the
-largest block delta, and the diagnostics add ``block_nodes``, each block's
-nodes summed over the pieces.
+A function's result is assembled from its rows of its stack's run
+(:func:`_assemble`), and every check on one integral, Morera's too, builds
+its report with :func:`_integral_report`: the check's residual and
+diagnostics beside the integral's value, nodes, convergence flag and
+history.  With B > 1 blocks ``nodes`` is that of the block that refined
+furthest, summed over the pieces, a history entry counts the curve's
+points evaluated and the largest block delta, and the diagnostics add
+``block_nodes``, each block's nodes summed over the pieces.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -205,8 +206,9 @@ class _CurveStack:
     """F functions on the P pieces of one curve, as one stack for :func:`_refine`.
 
     The curve is a :class:`Circle2D`, one piece whose ``dzeta`` changes from
-    node to node, or the straight segments ``starts[s] -> ends[s]``, each a
-    piece whose ``dzeta`` is its constant ``(B - A) @ a``.  Integrand ``i``
+    node to node, or the straight segments ``(starts, directions)`` from
+    ``starts[s]`` to ``starts[s] + directions[s]``, each a piece whose
+    ``dzeta`` is its constant ``directions[s] @ a``.  Integrand ``i``
     is function ``i // P`` on piece ``i % P``, so each function refines on
     each piece to its own tolerance.  Every integrand's level sums are those
     of ``psi(zeta) dzeta``, times ``factor`` when one is given (the shifted
@@ -235,7 +237,9 @@ class _CurveStack:
     its pieces among ``rows``.  The points of a set of pieces, and their
     weight on a set of columns, are computed for the first function that
     needs them and kept until the level ends, for the next functions on the
-    same pieces: on a circle that is every function.  A circle computes the
+    same pieces: on a circle that is every function.  Segments with no
+    factor have no weight, and keep no points: a Morera level would keep
+    every edge's.  A circle computes the
     cosines and sines of a level's nodes once, for the points, the offsets
     and ``dzeta``; a level whose even nodes are the last level's, as the
     trapezoid's doubling makes them, takes theirs from that level and
@@ -258,9 +262,8 @@ class _CurveStack:
             self._last = None  # the last level's (tau, cos, sin)
             self.degree = None if degree is None else degree + 1
         else:
-            starts, ends = curve
-            self.circle, self.pieces = None, len(starts)
-            self.starts, self.directions = starts, ends - starts
+            self.starts, self.directions = curve
+            self.circle, self.pieces = None, len(self.starts)
             self.increments = self.directions @ frame.a
         # the block of each column is its idempotent
         self.blocks = spec._selector if len(spec._blocks) > 1 else None
@@ -310,7 +313,7 @@ class _CurveStack:
             out = []
             for j in dict.fromkeys(owners.tolist()):  # in order; each function's rows are adjacent
                 pieces = rows[owners == j] - j * self.pieces
-                at = shared.setdefault(pieces.tobytes(), {})
+                at = shared.setdefault(pieces.tobytes(), {}) if self.circle or self.factor else {}
                 out.append(self._values(tau, trig, j, pieces, at, cols))
             return out[0] if len(out) == 1 else np.concatenate(out)
 
@@ -391,16 +394,30 @@ def _degree(psi):
     return degree if isinstance(degree, int) and not isinstance(degree, bool) and degree >= 0 else None
 
 
-def _integrate(psis, frame, spec, curve, tol, cap, factor=None) -> list:
-    """``(result, rows)`` of each of ``psis`` on the pieces of ``curve`` (a
-    circle, or the ``(starts, ends)`` of segments): the
-    :class:`quadrature.QuadratureResult` of its stack and its rows there.
+def _assemble(res, rows, value) -> IntegralResult:
+    """The :class:`IntegralResult` of the integrands ``rows`` (one function's
+    pieces) of a stack's result ``res``: value ``value(res.value[rows])``,
+    the pieces' deltas, nodes and ``block_nodes`` summed, converged when all
+    are, and their history."""
+    blocks = None if res.block_nodes is None else res.block_nodes[rows].sum(axis=0).tolist()
+    return IntegralResult(value(res.value[rows]), float(res.segment_deltas[rows].sum()),
+                          int(res.segment_nodes[rows].sum()),
+                          bool(res.segment_converged[rows].all()),
+                          _history(res.levels, rows.start, rows.stop), blocks, res.exact)
+
+
+def _integrate(psis, frame, spec, curve, tol, cap, value, factor=None) -> list:
+    """The :class:`IntegralResult` of each of ``psis`` on the pieces of
+    ``curve``, a circle or the ``(starts, directions)`` of segments, its
+    value ``value`` of its pieces' integrals (see :func:`_assemble`).
 
     The one place that chooses the rule.  The functions that state the same
     degree (:func:`_degree`) form a stack of that degree, which the rule
     integrates exactly in one level when its nodes fit; with a ``factor``,
     or with no degree, the functions form one stack, refined.  Each piece
-    takes the tolerance ``tol``.
+    takes the tolerance ``tol``.  A stack multiplies the sums of each
+    evaluator call by its segments' ``dzeta`` (:meth:`_CurveStack.map_sums`),
+    and its functions are assembled before the next stack runs.
     """
     rule = trapezoid_periodic if isinstance(curve, Circle2D) else gauss_segment
     groups = {}  # a stated degree (None: none) -> its functions' indices
@@ -411,7 +428,8 @@ def _integrate(psis, frame, spec, curve, tol, cap, factor=None) -> list:
         stack = _CurveStack([psis[j] for j in js], frame, spec, curve, factor, degree)
         res = rule(stack, tol=tol, cap=cap)
         for i, j in enumerate(js):
-            out[j] = res, slice(i * stack.pieces, (i + 1) * stack.pieces)
+            out[j] = _assemble(res, slice(i * stack.pieces, (i + 1) * stack.pieces), value)
+        del stack, res  # before the next stack runs (peak memory)
     return out
 
 
@@ -420,43 +438,18 @@ def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
 
     ``factor`` multiplies every function's values at each node.  ``tol`` and
     ``cap`` are checked first.  Each piece refines ``psi dzeta`` to its
-    share of ``tol``, and a result's error estimate is the sum of its
-    pieces' deltas.  On an algebra of B > 1 blocks each block of a piece
-    refines to ``1 / sqrt(B)`` of the piece's share; a result's ``nodes``
-    then sums, over the pieces, the nodes of the block that refined
-    furthest, and ``block_nodes`` sums each block's.
+    share of ``tol``, and a result's value is the sum of its pieces'.  On
+    an algebra of B > 1 blocks each block of a piece refines to
+    ``1 / sqrt(B)`` of the piece's share.
     """
     _check(tol, cap)
-    if not psis:
-        return []
     if isinstance(gamma, Circle2D):
         curve, share = gamma, tol
     else:
         segments = np.array(gamma.segments())  # (S, 2, k)
-        curve, share = (segments[:, 0], segments[:, 1]), tol / len(segments)
-    return [IntegralResult(Element(gamma.orientation * res.value[rows].sum(axis=0)),
-                           float(res.segment_deltas[rows].sum()),
-                           int(res.segment_nodes[rows].sum()),
-                           bool(res.segment_converged[rows].all()),
-                           _history(res.levels, rows.start, rows.stop),
-                           _block_nodes(res, rows), res.exact)
-            for res, rows in _integrate(psis, frame, spec, curve, share, cap, factor)]
-
-
-def _block_nodes(res, rows=slice(None)):
-    """Each block's nodes summed over the integrands ``rows`` of a stack's
-    result, or ``None`` when the stack had one block."""
-    return None if res.block_nodes is None else res.block_nodes[rows].sum(axis=0).tolist()
-
-
-def _block_diagnostics(block_nodes) -> dict:
-    """A report's ``block_nodes`` key, on an algebra of several blocks only."""
-    return {} if block_nodes is None else {"block_nodes": block_nodes}
-
-
-def _exact_diagnostics(exact) -> dict:
-    """A report's ``exact_rule`` key, when a rule exact for the degree took the integral."""
-    return {"exact_rule": True} if exact else {}
+        curve, share = (segments[:, 0], segments[:, 1] - segments[:, 0]), tol / len(segments)
+    return _integrate(psis, frame, spec, curve, share, cap,
+                      lambda rows: Element(gamma.orientation * rows.sum(axis=0)), factor)
 
 
 # -- winding numbers ----------------------------------------------------------
@@ -560,13 +553,13 @@ def _integral_report(name, res, residual, tolerance, reference=None,
     or a :class:`LambdaResult`: its value, and ``diagnostics`` with the
     integral's nodes, convergence flag and refinement history, on an
     algebra of several blocks its ``block_nodes``, and ``exact_rule`` when
-    a rule exact for the function's degree took it (never a lambda)."""
+    a rule exact for the function's degree took it (never a lambda).  Every
+    check on an integral, Morera's included, builds its report here."""
+    fields = {"nodes": res.nodes, "block_nodes": res.block_nodes, "converged": res.converged,
+              "exact_rule": getattr(res, "exact", False) or None, "history": res.history}
+    diagnostics.update((key, v) for key, v in fields.items() if v is not None)
     return VerificationReport(name, residual, tolerance, value=res.value, reference=reference,
-                              diagnostics={**diagnostics, "nodes": res.nodes,
-                                           **_block_diagnostics(res.block_nodes),
-                                           "converged": res.converged,
-                                           **_exact_diagnostics(getattr(res, "exact", False)),
-                                           "history": res.history})
+                              diagnostics=diagnostics)
 
 
 def _max_norm_on_curve(psi, gamma, frame, spec, samples: int = 128) -> float:
@@ -602,48 +595,44 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
                  n_triangles: int = 200, tol: float = 1e-8,
                  rng: np.random.Generator | None = None,
                  triangles: np.ndarray | None = None,
-                 cap: int = DEFAULT_CAP) -> VerificationReport:
+                 cap: int = DEFAULT_CAP) -> VerificationReport | list:
     """Worst triangle-boundary integral over randomly sampled triangles.
 
     ``triangles``, a ``(T, 3, k)`` vertex array drawn earlier, replaces the
     ``n_triangles`` draws from ``sampler``.  The 3T boundary segments are
-    integrated as one stack by :func:`_integrate`, as :func:`line_integral`
-    integrates a polyline's: a function that states its degree takes a rule
-    exact for it, ``degree // 2 + 1`` Gauss-Legendre nodes an edge, and the
-    report then says ``exact_rule``; any other is refined, each segment up
-    to ``cap`` nodes and to the tolerance :func:`line_integral` gives it.
-    A ``cap`` that :func:`quadrature._check` refuses raises
-    :class:`ValueError` before any triangle is drawn.
+    integrated by :func:`_integrate`, as :func:`line_integral` integrates a
+    polyline's, each evaluator call's sums times its edges' ``dzeta``: a
+    function that states its degree takes a rule exact for it, ``degree //
+    2 + 1`` Gauss-Legendre nodes an edge (``exact_rule``); any other is
+    refined, each segment up to ``cap`` nodes and to the tolerance
+    :func:`line_integral` gives it.  The report's value is the worst
+    triangle's norm.  A ``cap`` that :func:`quadrature._check` refuses
+    raises :class:`ValueError` before any triangle is drawn.  ``phi`` may
+    be a list of functions, sharing the edges, and a list of reports, each
+    that of the function's own call, is returned.
     """
     share = _LINE_TOL / 3  # line_integral's default tolerance, split over three segments
     _check(share, cap)
     if triangles is None:
         rng = rng if rng is not None else np.random.default_rng(0)
         triangles = sampler.sample(rng, n_triangles)
-    starts = np.asarray(triangles, dtype=np.float64)
-    if starts.ndim != 3 or starts.shape[1] != 3 or len(starts) == 0:
-        raise ValueError(f"need a (T, 3, k) array of T >= 1 triangles, got shape {starts.shape}")
-    k = starts.shape[2]
-    edges = (starts.reshape(-1, k), np.roll(starts, -1, axis=1).reshape(-1, k))
-    [(res, _)] = _integrate([phi], frame, spec, edges, share, cap)
+    triangles = np.asarray(triangles, dtype=np.float64)
+    if triangles.ndim != 3 or triangles.shape[1] != 3 or len(triangles) == 0:
+        raise ValueError(f"need a (T, 3, k) array of T >= 1 triangles, got shape {triangles.shape}")
+    count, _, k = triangles.shape
+    edges = (triangles.reshape(-1, k), (np.roll(triangles, -1, axis=1) - triangles).reshape(-1, k))
+    phis = phi if isinstance(phi, list) else [phi]
     # the orientation flips the sign of a boundary integral, not its norm
-    norms = np.linalg.norm(res.value.reshape(len(starts), 3, spec.n).sum(axis=1), axis=1)
-    worst = int(np.argmax(norms))
-    return VerificationReport(
-        name="triangle-boundary-integral",
-        residual=float(norms[worst]),
-        tolerance=tol,
-        value=float(norms[worst]),
-        reference=0.0,
-        diagnostics={
-            "triangles": len(starts),
-            "nodes": res.nodes,
-            **_block_diagnostics(_block_nodes(res)),
-            "worst_triangle": starts[worst].tolist(),
-            "converged": res.converged,
-            **_exact_diagnostics(res.exact),
-        },
-    )
+    results = _integrate(phis, frame, spec, edges, share, cap, lambda rows: np.linalg.norm(
+        rows.reshape(count, 3, spec.n).sum(axis=1), axis=1))
+    reports = []
+    for res in results:
+        worst = int(np.argmax(res.value))
+        norm = float(res.value[worst])
+        reports.append(_integral_report("triangle-boundary-integral", replace(res, value=norm),
+                                        norm, tol, 0.0, triangles=count,
+                                        worst_triangle=triangles[worst].tolist()))
+    return reports if isinstance(phi, list) else reports[0]
 
 
 def cauchy_formula_check(phi, center_x, gamma, frame: Frame, spec: AlgebraSpec,

@@ -135,9 +135,10 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     level.  One integrand ``f(tau) -> (len(tau), ...)`` is refined as a
     stack of one.  A stack may also give ``f.map_sums(sums, rows)``, a
     linear map of each integrand's level sums (one row per integrand of
-    ``rows``), applied to every level's sums and to level 0's ``reference``
-    before they are compared and kept: a factor that is constant along an
-    integrand multiplies its sums, not its nodes.
+    ``rows``), applied to the sums of each evaluator call, and to level 0's
+    ``reference`` of each call, before they are compared and kept: a factor
+    that is constant along an integrand multiplies its sums, not its nodes,
+    and no product spans more integrands than one call.
     Each integrand refines until its level agrees within ``tol`` with the
     level before (from level ``first_test`` on) or its node count would
     exceed ``cap``.
@@ -177,7 +178,7 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     stacked = hasattr(f, "level")
     count = len(f) if stacked else 1
     at_level = f.level if stacked else (lambda tau: lambda rows: np.asarray(f(tau))[None])
-    map_sums = getattr(f, "map_sums", None)
+    map_sums = getattr(f, "map_sums", None) or (lambda sums, rows, cols=None: sums)
     blocks = getattr(f, "blocks", None)
     width = 1 if blocks is None else int(blocks.max()) + 1
     block_tol = tol / np.sqrt(width)
@@ -202,14 +203,17 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             extra = () if cols is None else (cols,)
             sums, refs = [], []
             for first in range(0, rows.size, per_call):
-                vals = evaluate(rows[first:first + per_call], *extra)
+                part = rows[first:first + per_call]
+                vals = evaluate(part, *extra)
                 sums.append(level_sum(vals))
                 if level == 0 and reference is not None:
                     refs.append(reference(vals))
                 del vals  # one call's values at a time
+                # this call's sums alone, so that no product spans the group
+                sums[-1] = map_sums(sums[-1], part, *extra)
+                if refs:
+                    refs[-1] = map_sums(refs[-1], part, *extra)
             sums = np.concatenate(sums)
-            if map_sums:
-                sums = map_sums(sums, rows, *extra)
             mine = (rows[:, None], taken)  # the group's integrands and blocks
             nodes[mine] = tau.size
             if level:
@@ -218,8 +222,6 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
                 value[where] = sums
             else:  # level 0 refines every block of every integrand, as one group
                 previous = np.concatenate(refs) if refs else None
-                if map_sums and refs:
-                    previous = map_sums(previous, rows)
                 value = sums
             if exact:
                 deltas[mine], converged[mine], refining[mine] = 0.0, True, False

@@ -307,17 +307,14 @@ def suite_morera(spec, frames, seed, options) -> list:
     frame = frames["default"]
     sampler = TriangleSampler(np.zeros(frame.k), 1.0)
     triangles = sampler.sample(_rng(seed, 6), options.get("triangles", 200))
-    tol = options.get("tol", 1e-8)
-    cap = options.get("nodes_cap", DEFAULT_CAP)
-    out = []
-    for name, phi in _phi_set(spec):
-        rep = morera_check(phi, frame, spec, sampler, tol=tol, triangles=triangles, cap=cap)
+    phis = _phi_set(spec)
+    # the non-monogenic necessity control joins the functions' run
+    reports = morera_check([phi for _, phi in phis] + [_Control(spec)], frame, spec, sampler,
+                           tol=options.get("tol", 1e-8), triangles=triangles,
+                           cap=options.get("nodes_cap", DEFAULT_CAP))
+    for (name, _), rep in zip(phis, reports):
         rep.name = f"morera/{name}"
-        out.append(rep)
-    control_rep = morera_check(_Control(spec), frame, spec, sampler, tol=np.inf,
-                               triangles=triangles, cap=cap)
-    out.append(_necessity_control("morera", 1e-3, control_rep.residual))
-    return out
+    return reports[:-1] + [_necessity_control("morera", 1e-3, reports[-1].residual)]
 
 
 def suite_formula(spec, frames, seed, options) -> list:

@@ -23,6 +23,18 @@ algebra or frame file, so the checkout's root is written ``<root>`` in the
 
 Names and seeds may be given: ``python3 tests/report_digests.py example1
 chain12 example4+example1 --seed 1 --seed 2``.
+
+A digest says that a file changed, not what changed.  ``--values`` prints,
+as JSON, each verify record of the same runs: its name, verdict, residual,
+tolerance, ``nodes``, ``block_nodes`` and diagnostics keys.  ``--compare``
+reads two such files and prints what moved: runs and checks added or
+removed, verdict flips, node moves and diagnostics keys added or removed,
+each with the number of runs it happened in, and the largest
+``|residual change| / tolerance`` per algebra:
+
+    python3 tests/report_digests.py --values > new.json
+    (cd OTHER_TREE && python3 tests/report_digests.py --values) > old.json
+    python3 tests/report_digests.py --compare old.json new.json
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ import hashlib
 import importlib.util
 import io
 import json
+import math
 import sys
 import tempfile
 from functools import partial
@@ -102,9 +115,10 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def digests(algebras=(*ALGEBRAS, SUM), seeds=SEEDS, principal_seeds=PRINCIPAL_SEEDS) -> list:
-    """``[(sha256, name)]`` of every report file, in a fixed order."""
-    out = []
+@contextlib.contextmanager
+def _written(algebras, seeds, principal_seeds):
+    """Write every run's report files in a temporary directory, and yield
+    ``[(label, prefix)]`` of the runs, in a fixed order."""
     with tempfile.TemporaryDirectory() as tmp:
         prefixes = []
         with contextlib.redirect_stdout(io.StringIO()):
@@ -120,10 +134,80 @@ def digests(algebras=(*ALGEBRAS, SUM), seeds=SEEDS, principal_seeds=PRINCIPAL_SE
                     prefix = Path(tmp, f"principal{seed}")
                     principal.main(seed, str(prefix))
                     prefixes.append((f"principal/seed{seed}", prefix))
+        yield prefixes
+
+
+def digests(algebras=(*ALGEBRAS, SUM), seeds=SEEDS, principal_seeds=PRINCIPAL_SEEDS) -> list:
+    """``[(sha256, name)]`` of every report file, in a fixed order."""
+    with _written(algebras, seeds, principal_seeds) as prefixes:
+        return [(_digest(Path(str(prefix) + suffix)), label + suffix)
+                for label, prefix in prefixes for suffix in SUFFIXES]
+
+
+def values(algebras=(*ALGEBRAS, SUM), seeds=SEEDS) -> dict:
+    """``{label: [record]}`` of every verify run: per check its name, verdict
+    (``passed``), residual, tolerance, ``nodes`` and ``block_nodes`` (``None``
+    where the check has none) and its sorted diagnostics ``keys``."""
+    out = {}
+    with _written(algebras, seeds, ()) as prefixes:
         for label, prefix in prefixes:
-            for suffix in SUFFIXES:
-                out.append((_digest(Path(str(prefix) + suffix)), label + suffix))
+            if label.startswith("verify/"):
+                checks = json.loads(Path(f"{prefix}.json").read_text())["checks"]
+                out[label] = [{"name": c["name"], "passed": c["passed"],
+                               "residual": c["residual"], "tolerance": c["tolerance"],
+                               "nodes": c["diagnostics"].get("nodes"),
+                               "block_nodes": c["diagnostics"].get("block_nodes"),
+                               "keys": sorted(c["diagnostics"])} for c in checks]
     return out
+
+
+def _moves(before, after):
+    """What moved in one run, each line without the run's label, and the
+    largest ``|residual change| / tolerance`` of its checks."""
+    old = {record["name"]: record for record in before}
+    new = {record["name"]: record for record in after}
+    lines = [f"check removed: {name}" for name in old if name not in new]
+    lines += [f"check added: {name}" for name in new if name not in old]
+    largest = 0.0
+    for name in (name for name in new if name in old):
+        a, b = old[name], new[name]
+        if a["passed"] != b["passed"]:
+            verdict = {True: "PASS", False: "FAIL"}
+            lines.append(f"verdict {verdict[a['passed']]} -> {verdict[b['passed']]}: {name}")
+        for key in ("nodes", "block_nodes"):
+            if a[key] != b[key]:
+                lines.append(f"{key} {a[key]} -> {b[key]}: {name}")
+        lines += [f"key removed: {name} {key}" for key in a["keys"] if key not in b["keys"]]
+        lines += [f"key added: {name} {key}" for key in b["keys"] if key not in a["keys"]]
+        if a["residual"] != b["residual"]:
+            tolerance = b["tolerance"] or a["tolerance"]
+            if None in (a["residual"], b["residual"]) or not tolerance:
+                largest = math.inf  # a residual or tolerance that is not a finite number
+            else:
+                largest = max(largest, abs(b["residual"] - a["residual"]) / tolerance)
+    return lines, largest
+
+
+def compare(old: dict, new: dict) -> list:
+    """The lines that ``--compare`` prints for two :func:`values` files."""
+    seen = {}  # a line -> the runs it happened in
+    largest = {}  # an algebra -> its largest |residual change| / tolerance
+    for label in old:
+        if label not in new:
+            seen.setdefault("run removed", []).append(label)
+    for label, after in new.items():
+        if label not in old:
+            seen.setdefault("run added", []).append(label)
+            continue
+        lines, ratio = _moves(old[label], after)
+        for line in lines:
+            seen.setdefault(line, []).append(label)
+        algebra = label.split("/")[1]
+        largest[algebra] = max(largest.get(algebra, 0.0), ratio)
+    out = [f"{line}  [{len(runs)} runs, e.g. {runs[0]}]" for line, runs in seen.items()]
+    out += [f"largest |residual change| / tolerance on {algebra}: {ratio:.3g}"
+            for algebra, ratio in largest.items()]
+    return out or ["no run in common"]
 
 
 def main(argv=None) -> int:
@@ -131,8 +215,20 @@ def main(argv=None) -> int:
     parser.add_argument("algebras", nargs="*", default=[*ALGEBRAS, SUM])
     parser.add_argument("--seed", type=int, action="append", dest="seeds",
                         help=f"verify seed, repeatable (default {SEEDS.start}..{SEEDS.stop - 1})")
+    mode = parser.add_mutually_exclusive_group()
+    mode.add_argument("--values", action="store_true",
+                      help="print each verify record's values as JSON, in place of digests")
+    mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                      help="print what moved between two --values files")
     args = parser.parse_args(argv)
+    if args.compare:
+        old, new = (json.loads(Path(path).read_text()) for path in args.compare)
+        print("\n".join(compare(old, new)))
+        return 0
     sys.path.insert(0, str(ROOT / "src"))
+    if args.values:
+        print(json.dumps(values(args.algebras, args.seeds or SEEDS), indent=1))
+        return 0
     for sha, name in digests(args.algebras, args.seeds or SEEDS):
         print(f"{sha}  {name}")
     return 0

@@ -228,9 +228,9 @@ def test_a_level_evaluates_only_the_blocks_still_refining(monkeypatch):
 
 
 @pytest.mark.parametrize("name, calls, digest", [
-    ("example1", 122, "84209ad672575b54d7bd927e92cb8a2224a748cdfd76fbcd165323fd42c7e48e"),
-    ("chain12", 122, "1e4fc83b53bca46c0d5523bc3185104b505923941b6230f1dc00ead52ff1b2d9"),
-    ("semisimple:m=1", 116, "ca10e32087845474085d1605b9ddaeeb5982bdd2bcc98df6a0dbd0604833196f"),
+    ("example1", 122, "31a6a858a1d6f170346a78c906a9b7cf6d3e2de27d18f0b5a646efaedfdf278b"),
+    ("chain12", 122, "c5eff959d4543d0f1641d594cddbea86f6246c2e2cf934c6fadda22838044169"),
+    ("semisimple:m=1", 116, "9e999133cb396fa0647ef223e4d778f527afda76350caca15d049b7a727e90df"),
 ], ids=["example1", "chain12", "semisimple:m=1"])  # ids that a new pin does not rename
 def test_one_block_takes_the_whole_vector_calls(name, calls, digest):
     # the shape of every eval_batch result of a verify run at seed 1, as

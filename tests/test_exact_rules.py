@@ -29,8 +29,15 @@ def _exponential(degree, spec):
 
 
 def _edges(triangles):
+    """The ``(starts, directions)`` of the triangles' edges, as Morera's."""
     k = triangles.shape[2]
-    return triangles.reshape(-1, k), np.roll(triangles, -1, axis=1).reshape(-1, k)
+    return triangles.reshape(-1, k), (np.roll(triangles, -1, axis=1) - triangles).reshape(-1, k)
+
+
+def _segments(polyline):
+    """The ``(starts, directions)`` of a polyline's segments."""
+    segments = np.array(polyline.segments())
+    return segments[:, 0], segments[:, 1] - segments[:, 0]
 
 
 def _refined_segments(psi, frame, spec, segments):
@@ -59,8 +66,8 @@ def test_exact_rules_match_the_adaptive_rule_refined_to_roundoff(name):
     edges = _edges(triangles)
     phis = [zeta(spec), zeta_power(2, spec), zeta_power(3, spec), _Control(spec)]
     for psi in phis:
-        [(res, _)] = _integrate([psi], frame, spec, edges, 1e-10 / 3,
-                                options.get("nodes_cap", DEFAULT_CAP))
+        [res] = _integrate([psi], frame, spec, edges, 1e-10 / 3,
+                           options.get("nodes_cap", DEFAULT_CAP), lambda rows: rows)
         assert res.exact and res.nodes == len(edges[0]) * (psi.degree // 2 + 1)
         refined, scale = _refined_segments(psi, frame, spec, edges)
         assert (np.linalg.norm(res.value - refined, axis=1) <= 1e-13 * scale).all()
@@ -71,9 +78,7 @@ def test_exact_rules_match_the_adaptive_rule_refined_to_roundoff(name):
                 assert res.nodes == psi.degree + 2
                 value, scale = _fixed_trapezoid(psi, frame, spec, curve)
             else:
-                segments = np.array(curve.segments())
-                refined, scales = _refined_segments(psi, frame, spec,
-                                                    (segments[:, 0], segments[:, 1]))
+                refined, scales = _refined_segments(psi, frame, spec, _segments(curve))
                 value, scale = refined.sum(axis=0), scales.sum()
             assert np.linalg.norm(res.value.coords - value) <= 1e-13 * scale
 
@@ -82,11 +87,10 @@ def test_a_degree_beyond_the_first_level_takes_more_nodes_exactly():
     spec, frames, _ = _inputs("example1")
     frame = frames["default"]
     square = _standard_curves(frame.k)[2][1]
-    segments = np.array(square.segments())
     psi = _exponential(31, spec)  # 16 Gauss-Legendre nodes a segment, K15 has 15
     res = line_integral(psi, square, frame, spec)
     assert (res.exact, res.nodes, res.history) == (True, 4 * 16, [])
-    refined, scales = _refined_segments(psi, frame, spec, (segments[:, 0], segments[:, 1]))
+    refined, scales = _refined_segments(psi, frame, spec, _segments(square))
     assert np.linalg.norm(res.value.coords - refined.sum(axis=0)) <= 1e-13 * scales.sum()
     circle = Circle2D(np.zeros(frame.k), 1.0, coordinate_plane(frame.k, 1, 2))
     psi = _exponential(70, spec)  # 72 trapezoid nodes, the first level has 64

@@ -1,6 +1,8 @@
 """Line integrals, windings, lambda, and the named verification checks."""
 
 import importlib
+import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,10 +46,16 @@ from monalg.monogenic import (
     zeta_power,
 )
 from monalg.predicates import theorem5_predicate
-from monalg.quadrature import _KRONROD_NODES, DEFAULT_CAP, gauss_segment, trapezoid_periodic
+from monalg.quadrature import (
+    _BLOCK_POINTS,
+    _KRONROD_NODES,
+    DEFAULT_CAP,
+    gauss_segment,
+    trapezoid_periodic,
+)
 from monalg.resolvent import _radical_series, inverse_many
 from monalg.suites import _Control, run_suites, suite_formula
-from verdicts import _inputs
+from verdicts import _inputs, sum_case
 
 
 def example1():
@@ -622,8 +630,15 @@ def test_morera_values_match_the_bare_segment_oracle(name):
 def test_morera_weights_each_segment_once_per_level(monkeypatch, name):
     # a segment's dzeta is constant: it multiplies the segment's level sums,
     # one product per active segment per level, and one more for level 0's
-    # embedded Gauss sum, where weighting the nodes would take one per node
+    # embedded Gauss sum, where weighting the nodes would take one per node;
+    # each evaluator call's sums are multiplied on their own
     from monalg import integrals
+
+    def calls(segments, nodes, sums):
+        """The rows of each product: ``sums`` per call of whole segments."""
+        per_call = max(1, _BLOCK_POINTS // nodes)
+        return [min(per_call, segments - first) for first in range(0, segments, per_call)
+                for _ in range(sums)]
 
     spec, frame = _stack_case(name)
     # triangles of radius 2 about 0 come near the pole at 2 + 2i
@@ -647,7 +662,9 @@ def test_morera_weights_each_segment_once_per_level(monkeypatch, name):
     assert res.nodes == report.diagnostics["nodes"]
     active = [len(seg) for _, seg, _ in res.levels]
     assert active  # some segments refine past level 0
-    assert rows == [3 * len(triangles)] * 2 + active
+    assert rows == calls(3 * len(triangles), 15, 2) + [
+        row for nodes, seg, _ in res.levels for row in calls(len(seg), nodes, 1)]
+    assert sum(rows) == 2 * 3 * len(triangles) + sum(active)
 
 
 def test_morera_reuses_predrawn_triangles():
@@ -1087,6 +1104,105 @@ def test_cauchy_formula_list_matches_single_calls(name):
         if name == "semisimple:m=12" and cname == "square":
             # the functions stop on different segments at different levels
             assert [rep.diagnostics["nodes"] for rep in reports][:3] == [7800, 7740, 7740]
+
+
+@pytest.mark.parametrize("name", [*STACK_CASES, "example4+example1"])
+def test_morera_list_matches_single_calls(name):
+    from monalg.suites import _phi_set, _rng
+
+    if name == "example4+example1":  # several blocks, each with a radical, on three frames
+        spec, frames = sum_case()
+    else:
+        spec, frame = _stack_case(name)
+        frames = {"default": frame}
+    for frame in frames.values():
+        sampler = TriangleSampler(np.zeros(frame.k), 1.0)
+        triangles = sampler.sample(_rng(1, 6), 200)
+        # polynomials of three degrees, the control sharing zeta's, and the
+        # kernel refined beside an eval_many object
+        phis = [phi for _, phi in _phi_set(spec)] + [_Wrapped(zeta(spec)), _Control(spec)]
+        reports = morera_check(phis, frame, spec, sampler, triangles=triangles)
+        assert len(reports) == len(phis)
+        for phi, rep in zip(phis, reports):
+            single = morera_check(phi, frame, spec, sampler, triangles=triangles)
+            assert repr(report_record(rep)) == repr(report_record(single))
+
+
+def test_the_morera_suite_makes_one_call(monkeypatch):
+    from monalg import suites
+
+    calls = []
+    check = suites.morera_check
+
+    def counted(phi, *args, **kwargs):
+        calls.append(len(phi))
+        return check(phi, *args, **kwargs)
+
+    monkeypatch.setattr(suites, "morera_check", counted)
+    spec, frames, options = _inputs("example1")
+    reports = run_suites(["morera"], spec, frames, 1, options)
+    assert calls == [5]  # zeta, zeta^2, zeta^3, the kernel and the control
+    assert [rep.name for rep in reports] == ["morera/zeta", "morera/zeta^2", "morera/zeta^3",
+                                             "morera/kernel", "morera/necessity-control"]
+
+
+@pytest.mark.parametrize("name", ["example1", "semisimple:m=8", "example4+example1"])
+def test_every_integral_record_carries_the_integrals_fields(name):
+    # _integral_report writes them all: block_nodes with several blocks,
+    # exact_rule where a polynomial took its exact rule
+    if name == "example4+example1":
+        spec, frames = sum_case()
+        options = {}
+    else:
+        spec, frames, options = _inputs(name)
+    integrals = [rep for rep in run_suites(["all"], spec, frames, 1, options)
+                 if rep.name.startswith(("cauchy/", "formula/", "morera/", "lambda/deviation["))
+                 and not rep.name.endswith("/necessity-control")]
+    assert len(integrals) == 12 + 9 + 4 + len(frames)
+    for rep in integrals:
+        keys = rep.diagnostics.keys()
+        assert {"nodes", "converged", "history"} <= keys, rep.name
+        assert ("block_nodes" in keys) == (len(spec._blocks) > 1), rep.name
+        polynomial = rep.name.startswith(("cauchy/", "morera/")) and "zeta" in rep.name
+        assert ("exact_rule" in keys) == polynomial, rep.name
+        if polynomial:
+            assert rep.diagnostics["history"] == [] and rep.diagnostics["converged"]
+    if name == "semisimple:m=8":  # the kernel refines on Morera's edges at seed 1
+        [kernel] = [rep for rep in integrals if rep.name == "morera/kernel"]
+        assert len(kernel.diagnostics["history"]) == 2
+
+
+@pytest.mark.parametrize("tol, accepted", [
+    (np.float32(1e-8), True), (np.int64(1), True), (Fraction(1, 10**8), True), (True, False),
+    (float("nan"), False), (float("inf"), False), (0, False), (-1, False),
+], ids=["float32", "int64", "Fraction", "True", "nan", "inf", "0", "-1"])
+def test_line_integrals_and_suites_take_one_rule_for_a_tolerance(tol, accepted, tmp_path):
+    # run_suites refused np.float32(1e-8), np.int64(1) and Fraction(1, 10**8),
+    # which every quadrature takes
+    from monalg.cli import ExperimentConfig
+    from monalg.io import reports_to_csv, reports_to_json, reports_to_text
+
+    spec, frames, _ = _inputs("example1")
+    frame = frames["default"]
+    square = Polyline(np.array([[1.0, 1, 0], [-1, 1, 0], [-1, -1, 0], [1, -1, 0]]), closed=True)
+    options = {"tol": tol, "triangles": 5}
+    if not accepted:
+        with pytest.raises(ValueError, match="finite number greater than 0"):
+            line_integral(zeta(spec), square, frame, spec, tol=tol)
+        with pytest.raises(SpecFormatError, match="suite option 'tol' must be a finite number"):
+            run_suites(["morera"], spec, frames, 1, options)
+        with pytest.raises(SpecFormatError, match="config field 'tol' must be a finite number"):
+            ExperimentConfig(algebra="example1", tol=tol)
+        return
+    assert line_integral(zeta(spec), square, frame, spec, tol=tol).converged
+    reports = run_suites(["cr", "morera"], spec, frames, 1, options)
+    assert reports[-2].tolerance == tol  # morera/kernel
+    # the reports and a config that holds the value are written as every run's
+    ExperimentConfig(algebra="example1", tol=tol)
+    written = json.loads(reports_to_json(reports, config=options))
+    assert written["config"]["tol"] == float(tol)
+    assert f"tol={float(tol):.3g}" in reports_to_text(reports)
+    reports_to_csv(reports, tmp_path / "reports.csv")
 
 
 @pytest.mark.parametrize("name", STACK_CASES)
