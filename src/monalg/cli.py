@@ -43,7 +43,7 @@ from .io import (
 )
 from .predicates import theorem5_predicate, theorem6_predicate, theorem7_predicate
 from .quadrature import DEFAULT_CAP, _is_count
-from .suites import SUITES, run_suites
+from .suites import SUITES, _lambda_circle, run_suites
 
 __all__ = ["ExperimentConfig", "main", "run_experiment"]
 
@@ -238,16 +238,20 @@ def _cmd_verify(args) -> int:
     return run_experiment(_config_from(args), timings=args.timings)
 
 
-def _lambda_circles(k: int):
-    """The circles ``monalg lambda`` integrates over, with their labels.
+def _lambda_circles(frame, spec):
+    """The circles ``monalg lambda`` integrates over, as ``(label, circle,
+    margin)`` triples.
 
     All embrace the origin.  The r=0.5 and r=2.0 circles are off centre:
     ``zeta^{-1} dzeta`` does not change under ``x -> c x``, so centred
     circles whose radii differ by a power of two would give the same bits
     and the variation between them would measure nothing.  In plane (1,2)
     each spectral value is a real-linear map of ``(x_1, x_2)``, so a circle
-    there winds around the origin as the centred one does.
+    there winds around the origin as the centred one does.  A ``k = 3``
+    frame with a plane of positive margin adds the lambda suite's circle in
+    that plane, the one circle with a ``margin`` (``None`` for the others).
     """
+    k = frame.k
     plane = coordinate_plane(k, 1, 2)
 
     def centre(x1, x2):
@@ -256,15 +260,18 @@ def _lambda_circles(k: int):
         return point
 
     circles = [
-        ("plane(1,2) r=0.5", Circle2D(centre(0.2, -0.1), 0.5, plane)),
-        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, plane)),
-        ("plane(1,2) r=2.0", Circle2D(centre(-0.7, 0.4), 2.0, plane)),
+        ("plane(1,2) r=0.5", Circle2D(centre(0.2, -0.1), 0.5, plane), None),
+        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, plane), None),
+        ("plane(1,2) r=2.0", Circle2D(centre(-0.7, 0.4), 2.0, plane), None),
     ]
     if k >= 3:
         tilt = np.zeros((2, k))
         tilt[0, 0] = 1.0
         tilt[1, 1], tilt[1, 2] = np.cos(0.4), np.sin(0.4)
-        circles.append(("tilted plane r=1.0", Circle2D(np.zeros(k), 1.0, tilt)))
+        circles.append(("tilted plane r=1.0", Circle2D(np.zeros(k), 1.0, tilt), None))
+    circle, margin = _lambda_circle(frame, spec)
+    if margin is not None:
+        circles.append(("widest plane r=1.0", circle, margin))
     return circles
 
 
@@ -273,19 +280,22 @@ def _cmd_lambda(args) -> int:
     spec, name, frames, _ = _inputs(config)
     tol = config.tol if config.tol is not None else 1e-8
     reports = []
-    integrated = {}  # frame -> (label, LambdaResult) pairs; a frame may have two names
+    # frame -> (label, LambdaResult, margin) triples; a frame may have two names
+    integrated = {}
     for fname, frame in frames.items():
         if frame not in integrated:
-            integrated[frame] = [(label, compute_lambda(spec, frame, circle, cap=config.nodes_cap))
-                                 for label, circle in _lambda_circles(frame.k)]
-        for label, lam in integrated[frame]:
+            integrated[frame] = [(label, compute_lambda(spec, frame, circle, cap=config.nodes_cap),
+                                  margin)
+                                 for label, circle, margin in _lambda_circles(frame, spec)]
+        for label, lam, margin in integrated[frame]:
             reports.append(_integral_report(f"lambda[{fname}][{label}]", lam,
                                             lam.deviation_from_two_pi_i, tol,
                                             windings=lam.windings,
-                                            nilpotent_residuals=lam.nilpotent_residuals))
+                                            nilpotent_residuals=lam.nilpotent_residuals,
+                                            margin=margin))
         first = integrated[frame][0][1].value.coords
         spread = max(float(np.max(np.abs(lam.value.coords - first)))
-                     for _, lam in integrated[frame])
+                     for _, lam, _ in integrated[frame])
         reports.append(
             VerificationReport(
                 f"lambda[{fname}][plane-radius-variation]",

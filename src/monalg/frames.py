@@ -18,9 +18,12 @@ from .errors import FrameError
 __all__ = [
     "Frame",
     "SpectralData",
+    "WidestPlane",
     "embed",
+    "kernel_lines",
     "spectral",
     "validate_frame",
+    "widest_plane",
 ]
 
 
@@ -143,3 +146,134 @@ def spectral(frame: Frame, x, spec: AlgebraSpec) -> SpectralData:
         invertible=not np.any(_on_locus(xi, np.linalg.norm(x))),
         min_abs_xi=float(np.min(np.abs(xi))),
     )
+
+
+# -- the plane of widest margin -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class WidestPlane:
+    """The plane of widest margin of a ``k = 3`` frame: its unit ``normal``,
+    its ``margin`` ``min_u normal . d_u / |d_u|`` over the kernel lines
+    ``d_u`` (:func:`kernel_lines`), and its orthonormal rows ``plane = (p,
+    q)``, ``p x q = normal``.  A circle in a parallel plane winds +1 in every
+    spectral image about each point it encloses."""
+
+    normal: np.ndarray
+    margin: float
+    plane: np.ndarray
+
+
+def kernel_lines(frame: Frame, spec: AlgebraSpec) -> np.ndarray:
+    """The direction ``d_u = Re a_u x Im a_u`` of the kernel of each spectral
+    map ``xi_u`` of a ``k = 3`` frame, shape ``(m, 3)``; ``a_u`` is column
+    ``u`` of ``Frame.a``.
+
+    A planar circle of unit normal ``nu`` winds ``sign(nu . d_u)`` times in
+    image ``u``, and its image flattens as ``nu . d_u / |d_u|`` falls to 0.
+    """
+    if frame.k != 3:
+        raise ValueError(f"kernel lines are lines only at k = 3, got k={frame.k}")
+    a = frame.a[:, : spec.m]
+    return np.cross(a.real.T, a.imag.T)
+
+
+def _dots(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``points @ x`` for rows in R^3, coordinate by coordinate: no BLAS
+    kernel is paged in for it."""
+    return points[:, 0] * x[0] + points[:, 1] * x[1] + points[:, 2] * x[2]
+
+
+def _affine_weights(corral: np.ndarray) -> np.ndarray:
+    """Weights, summing to 1, of the point of least norm in the affine hull
+    of the rows of ``corral``: one to four affinely independent points of
+    R^3.  Closed forms: the ends' dot products on a segment, the signed
+    areas about the origin's projection in a plane, and the signed volumes
+    about the origin in a tetrahedron."""
+    if len(corral) == 1:
+        return np.ones(1)
+    if len(corral) == 2:
+        p, q = corral
+        weights = np.array([q @ (q - p), p @ (p - q)])
+    elif len(corral) == 3:
+        a, b, c = corral
+        normal = np.cross(b - a, c - a)
+        weights = _dots(np.cross([b, c, a], [c, a, b]), normal)
+    else:
+        a, b, c, d = corral
+        weights = np.array([b @ np.cross(c, d), -(a @ np.cross(c, d)),
+                            d @ np.cross(a, b), -(c @ np.cross(a, b))])
+    return weights / weights.sum()
+
+
+def _nearest_point(points: np.ndarray) -> np.ndarray:
+    """The point of least norm in the convex hull of ``points``, rows in
+    R^3, by Wolfe's algorithm (P. Wolfe, "Finding the nearest point in a
+    polytope", Math. Programming 11, 1976); the origin when the hull holds it.
+
+    A corral of affinely independent points holds ``x`` with positive
+    weights.  Each step adds the point least along ``x``, moves ``x`` to the
+    nearest point of the corral's affine hull, and, while that point is not
+    inside the corral, stops where the segment leaves it and drops the
+    point whose weight fell to 0.  The norm of ``x`` falls at every step; the
+    search stops when no point lies below ``x``'s plane by more than
+    roundoff, or when a step fails to shorten ``x``.
+    """
+    corral, weights = [0], np.ones(1)
+    x = points[0]
+    while True:
+        dots = _dots(points, x)
+        j = int(np.argmin(dots))
+        if x @ x - dots[j] <= 1e-12 or j in corral:
+            return x
+        corral, weights = corral + [j], np.append(weights, 0.0)
+        while True:
+            target = _affine_weights(points[corral])
+            if np.all(target > 0):
+                weights = target
+                break
+            # the last point of the segment from weights to target in the corral
+            falling = np.flatnonzero(target <= 0)
+            ratios = weights[falling] / (weights[falling] - target[falling])
+            step = np.min(ratios)
+            weights = step * target + (1 - step) * weights
+            weights[falling[np.argmin(ratios)]] = 0.0
+            kept = np.flatnonzero(weights > 0)
+            corral, weights = [corral[i] for i in kept], weights[kept]
+        if len(corral) == 4:  # a tetrahedron about the origin
+            return np.zeros(3)
+        nearer = (weights[:, None] * points[corral]).sum(axis=0)
+        if nearer @ nearer >= x @ x:
+            return x
+        x = nearer
+
+
+def widest_plane(frame: Frame, spec: AlgebraSpec) -> WidestPlane | None:
+    """The plane of widest margin of a ``k = 3`` frame, or ``None`` when no
+    plane has a positive margin (the hull of the unit lines ``d_u / |d_u|``
+    holds 0, as when ``d_u = -d_v``).
+
+    The widest normal is the point of least norm in that hull
+    (:func:`_nearest_point`), normalised: at that point ``x`` every unit
+    line has ``x . d_u >= |x|^2``, with equality on the lines that hold it.
+    The margin is the normal's least dot product with the unit lines, so it
+    is the plane's own margin however the search ended.  A margin that
+    counts as zero by the locus rule (``algebra._on_locus``) is not
+    positive.  ``p`` is ``e_1`` (``e_2`` when the normal is nearer ``e_1``)
+    projected into the plane, so the normal ``e_3`` gives coordinate plane
+    (1,2).
+    """
+    lines = kernel_lines(frame, spec)
+    lines /= np.linalg.norm(lines, axis=1)[:, None]
+    nearest = _nearest_point(lines)
+    size = np.sqrt(nearest @ nearest)
+    if size == 0:
+        return None
+    normal = nearest / size
+    margin = float(np.min(_dots(lines, normal)))
+    if margin <= 0 or _on_locus(margin, 1.0):
+        return None
+    axis = np.eye(3)[0 if normal[0] ** 2 <= 0.5 else 1]
+    p = axis - (axis @ normal) * normal
+    p /= np.linalg.norm(p)
+    return WidestPlane(normal, margin, np.array([p, np.cross(normal, p)]))

@@ -553,11 +553,12 @@ def _integral_report(name, res, residual, tolerance, reference=None,
     or a :class:`LambdaResult`: its value, and ``diagnostics`` with the
     integral's nodes, convergence flag and refinement history, on an
     algebra of several blocks its ``block_nodes``, and ``exact_rule`` when
-    a rule exact for the function's degree took it (never a lambda).  Every
-    check on an integral, Morera's included, builds its report here."""
+    a rule exact for the function's degree took it (never a lambda).  A
+    diagnostic whose value is ``None`` is left out.  Every check on an
+    integral, Morera's included, builds its report here."""
     fields = {"nodes": res.nodes, "block_nodes": res.block_nodes, "converged": res.converged,
               "exact_rule": getattr(res, "exact", False) or None, "history": res.history}
-    diagnostics.update((key, v) for key, v in fields.items() if v is not None)
+    diagnostics = {key: v for key, v in {**diagnostics, **fields}.items() if v is not None}
     return VerificationReport(name, residual, tolerance, value=res.value, reference=reference,
                               diagnostics=diagnostics)
 

@@ -4,8 +4,16 @@ Each suite returns a list of reports; the union of the suites is what the
 command line runs.  Random draws always come from a generator derived from
 the experiment seed plus a per-suite tag, so reports are reproducible.
 
+The formula suite's circles and square, and the lambda suite's circle,
+lie in the plane of widest margin of a ``k = 3`` frame
+(:func:`monalg.frames.widest_plane`), oriented so that every spectral
+image winds once, and their records carry that plane's ``margin``.  Other
+frames, and ``k = 3`` frames with no plane of positive margin, keep
+coordinate plane (1,2).  The cauchy and Morera curves do not depend on the
+frame.
+
 State lives for one :func:`run_suites` call and no longer: a
-:class:`_LambdaMemo` holds each frame's lambda on the standard circle, so
+:class:`_LambdaMemo` holds each frame's lambda on the lambda circle, so
 the lambda and predicates suites integrate it once between them.  A suite
 called alone makes its own memo.  The formula suite reads no lambda: its
 reference comes from its curves' winding certificates.
@@ -20,7 +28,7 @@ import numpy as np
 from .algebra import AlgebraSpec, validate_algebra
 from .algebra import _left_mul_coords, _multiply_coords
 from .curves import Circle2D, Polyline, TriangleSampler, coordinate_plane
-from .frames import Frame, embed_many
+from .frames import Frame, embed_many, widest_plane
 from .integrals import (
     VerificationReport,
     _integral_report,
@@ -111,25 +119,45 @@ def _standard_curves(k: int):
     return curves
 
 
+def _curve_plane(frame: Frame, spec: AlgebraSpec):
+    """The plane of the formula and lambda curves, and its margin: the
+    widest plane of a ``k = 3`` frame that has one, else coordinate plane
+    (1,2) and no margin (``None``)."""
+    widest = widest_plane(frame, spec) if frame.k == 3 else None
+    if widest is None:
+        return coordinate_plane(frame.k, 1, 2), None
+    return widest.plane, widest.margin
+
+
+def _lambda_circle(frame: Frame, spec: AlgebraSpec):
+    """The lambda suite's unit circle about 0, in :func:`_curve_plane`, and its margin."""
+    plane, margin = _curve_plane(frame, spec)
+    return Circle2D(np.zeros(frame.k), 1.0, plane), margin
+
+
 class _LambdaMemo:
     """The lambda integrals of one :func:`run_suites` call, for the lambda
     and predicates suites.
 
-    ``standard`` maps a frame to its ``LambdaResult`` on the standard unit
-    circle, the only lambda the suites integrate, so its size is the number
-    of integrals made.  It is keyed by the frame, not by its name, because
+    ``integrated`` maps a frame to its ``LambdaResult`` on the lambda circle
+    (:func:`_lambda_circle`) and that circle's margin.  It is the only
+    lambda the suites integrate, so the map's size is the number of
+    integrals made.  It is keyed by the frame, not by its name, because
     one frame may have two names (a semisimple algebra's ``default`` and
     ``in-s``).
     """
 
     def __init__(self):
-        self.standard = {}
+        self.integrated = {}
 
-    def on_standard_circle(self, spec: AlgebraSpec, frame: Frame, options):
-        if frame not in self.standard:
-            self.standard[frame] = compute_lambda(spec, frame, _standard_circle(frame.k),
-                                                  cap=options.get("nodes_cap", DEFAULT_CAP))
-        return self.standard[frame]
+    def on_circle(self, spec: AlgebraSpec, frame: Frame, options):
+        """``(LambdaResult, margin)`` of ``frame``, integrated on first use."""
+        if frame not in self.integrated:
+            circle, margin = _lambda_circle(frame, spec)
+            self.integrated[frame] = (compute_lambda(spec, frame, circle,
+                                                     cap=options.get("nodes_cap", DEFAULT_CAP)),
+                                      margin)
+        return self.integrated[frame]
 
 
 # -- suites --------------------------------------------------------------------
@@ -278,13 +306,14 @@ def suite_lambda(spec, frames, seed, options, lambdas=None) -> list:
     out = []
     tol = options.get("tol", 1e-8)
     for fname, frame in frames.items():
-        lam = lambdas.on_standard_circle(spec, frame, options)
+        lam, margin = lambdas.on_circle(spec, frame, options)
         two_pi_i = 2j * np.pi
         idem_residual = float(
             np.max(np.abs(lam.idempotent_part - two_pi_i * np.ones(spec.m)))
         )
         out.append(_integral_report(f"lambda/deviation[{fname}]", lam,
-                                    lam.deviation_from_two_pi_i, tol, windings=lam.windings))
+                                    lam.deviation_from_two_pi_i, tol, windings=lam.windings,
+                                    margin=margin))
         out.append(
             VerificationReport(
                 f"lambda/idempotent-projection[{fname}]",
@@ -319,17 +348,17 @@ def suite_morera(spec, frames, seed, options) -> list:
 
 def suite_formula(spec, frames, seed, options) -> list:
     frame = frames["default"]
-    k = frame.k
-    center = np.zeros(k)
+    plane, margin = _curve_plane(frame, spec)
+    center = np.zeros(frame.k)
     center[0], center[1] = 0.2, 0.1
+    # the square's corners column by column: as a matrix product of four
+    # rows they paged in a BLAS kernel and raised the process's peak memory
+    x, y = np.array([[0.5, -0.5, -0.5, 0.5], [0.5, 0.5, -0.5, -0.5]])[:, :, None]
     curves = [
-        ("circle-r0.3", Circle2D(center, 0.3, coordinate_plane(k, 1, 2))),
-        ("circle-r0.7", Circle2D(center, 0.7, coordinate_plane(k, 1, 2))),
+        ("circle-r0.3", Circle2D(center, 0.3, plane)),
+        ("circle-r0.7", Circle2D(center, 0.7, plane)),
+        ("square", Polyline(center + x * plane[0] + y * plane[1], closed=True)),
     ]
-    square = np.zeros((4, k))
-    square[:, 0] = center[0] + np.array([0.5, -0.5, -0.5, 0.5])
-    square[:, 1] = center[1] + np.array([0.5, 0.5, -0.5, -0.5])
-    curves.append(("square", Polyline(square, closed=True)))
     phis = [("one", constant(spec.unit())), ("zeta", zeta(spec)),
             ("zeta^2", zeta_power(2, spec))]
     tol = options.get("tol", 1e-8)
@@ -339,6 +368,8 @@ def suite_formula(spec, frames, seed, options) -> list:
                                        tol=tol, cap=options.get("nodes_cap", DEFAULT_CAP))
         for (pname, _), rep in zip(phis, reports):
             rep.name = f"formula/{cname}[{pname}]"
+            if margin is not None:
+                rep.diagnostics["margin"] = margin
             out.append(rep)
     return out
 
@@ -378,7 +409,7 @@ def suite_predicates(spec, frames, seed, options, lambdas=None) -> list:
         th6 = theorem6_predicate(frame, spec)
         th7 = theorem7_predicate(frame, spec) if spec.dim_nilpotent == 4 else False
         guaranteed = th5.holds or th6 or th7
-        lam = lambdas.on_standard_circle(spec, frame, options)
+        lam, _ = lambdas.on_circle(spec, frame, options)
         if guaranteed:
             out.append(
                 VerificationReport(
@@ -428,7 +459,7 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
 
     ``names`` is a list of keys of ``SUITES``, or ``["all"]`` for every
     suite.  One :class:`_LambdaMemo` lives for this call: a frame's lambda
-    on the standard circle is integrated once and read by the lambda and
+    on the lambda circle is integrated once and read by the lambda and
     predicates suites.  When ``timings`` is a list, one row ``(suite, wall
     seconds, compute_lambda calls)`` is appended to it per suite run.  No
     suite, a suite named twice or an option key outside ``_OPTION_KINDS``
@@ -457,8 +488,8 @@ def run_suites(names, spec: AlgebraSpec, frames: dict, seed: int = 0,
         if name not in SUITES:
             raise ValueError(f"unknown suite {name!r}; known: {', '.join(SUITES)}")
         shared = {"lambdas": lambdas} if name in _LAMBDA_SUITES else {}
-        made, start = len(lambdas.standard), time.perf_counter()
+        made, start = len(lambdas.integrated), time.perf_counter()
         reports.extend(SUITES[name](spec, frames, seed, options, **shared))
         if timings is not None:
-            timings.append((name, time.perf_counter() - start, len(lambdas.standard) - made))
+            timings.append((name, time.perf_counter() - start, len(lambdas.integrated) - made))
     return reports

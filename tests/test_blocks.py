@@ -260,24 +260,36 @@ def test_block_nodes_appear_only_with_several_blocks():
 
 def test_point_counts_of_the_lambda_suite():
     # example1 refines its 5 columns as one vector; on semisimple:m=12 the
-    # standard circle evaluates 16,320 points, 195,840 component-points as
-    # one vector and 79,104 by blocks
-    for name, rows, points in (("example1", 896, 4480), ("semisimple:m=12", 16320, 79104)):
+    # lambda circle, in the widest plane, evaluates 4,032 points, 48,384
+    # component-points as one vector and 21,248 by blocks
+    for name, rows, points in (("example1", 896, 4480), ("semisimple:m=12", 4032, 21248)):
         counts = suite_counts(name, suites=["lambda"])["lambda"]
         assert (counts["rows"], counts["points"]) == (rows, points)
 
 
+def test_formula_and_lambda_rows_on_wide_algebras():
+    # a cost guard: the curves in the widest plane take these rows at seed 1;
+    # in plane (1,2) semisimple:m=20 took 955,725 for both suites
+    rows = {}
+    for name in ("semisimple:m=12", "semisimple:m=20"):
+        counts = suite_counts(name, suites=["lambda", "formula"])
+        rows[name] = (counts["lambda"]["rows"], counts["formula"]["rows"])
+    assert rows == {"semisimple:m=12": (4032, 40905), "semisimple:m=20": (4032, 75081)}
+    assert 8 * sum(rows["semisimple:m=20"]) <= 955725
+
+
 def test_blocks_evaluate_fewer_component_points_on_semisimple_m20():
-    # the lambda suite and a formula circle, against the same integrals
-    # refined as one vector
+    # lambda and a formula circle in plane (1,2), of margin 0.053, against
+    # the same integrals refined as one vector
     spec, frames, options = _inputs("semisimple:m=20")
     frame = frames["default"]
     center, circle = _formula_circle(frame.k)
+    unit = Circle2D(np.zeros(frame.k), 1.0, coordinate_plane(frame.k, 1, 2))
     phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
     points = []
     for algebra in (spec, one_block(spec)):
         with counting() as counts:
-            run_suites(["lambda"], algebra, frames, 1, options)
+            compute_lambda(algebra, frame, unit)
             cauchy_formula_check(phis, center, circle, frame, algebra)
         points.append(counts["points"])
     assert points[1] >= 2.5 * points[0]

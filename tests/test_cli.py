@@ -477,7 +477,7 @@ def test_lambda_command_circles_wind_once_on_every_builtin_frame(name):
 
     spec = builtin_algebra(name)
     for frame in builtin_frames(spec).values():
-        for label, circle in _lambda_circles(frame.k):
+        for label, circle, _ in _lambda_circles(frame, spec):
             cert = winding_certificate(circle, frame, np.zeros(frame.k), spec)
             assert cert.windings == (1,) * spec.m, (label, cert.windings)
 
@@ -497,7 +497,7 @@ def test_lambda_command_circles_match_the_closed_form(name):
               if name == "chain12" else ExperimentConfig(algebra=name))
     spec, _, frames, _ = _inputs(config)
     for frame in dict.fromkeys(frames.values()):  # a frame may have two names
-        for label, circle in _lambda_circles(frame.k):
+        for label, circle, _ in _lambda_circles(frame, spec):
             lam = compute_lambda(spec, frame, circle)
             assert lam.converged, label
             exact = np.zeros(spec.n, dtype=np.complex128)
@@ -505,11 +505,12 @@ def test_lambda_command_circles_match_the_closed_form(name):
             assert np.linalg.norm(lam.value.coords - exact) <= 1e-11, label
 
 
-@pytest.mark.parametrize("name, calls", [("semisimple:m=8", 4), ("example4", 7)])
+@pytest.mark.parametrize("name, calls", [("semisimple:m=8", 5), ("example4", 8)],
+                         ids=["semisimple:m=8", "example4"])  # ids that a new pin does not rename
 def test_lambda_command_integrates_each_frame_once(tmp_path, monkeypatch, name, calls):
     # a semisimple algebra's default and in-s names are one frame, whose
-    # four circles are integrated once; example4's two frames are distinct
-    # (four circles at k=3, three at k=2)
+    # five circles are integrated once; example4's two frames are distinct
+    # (five circles at k=3, the widest plane's among them, three at k=2)
     import monalg.cli
     from monalg.integrals import compute_lambda
 
@@ -529,7 +530,7 @@ def test_lambda_command_integrates_each_frame_once(tmp_path, monkeypatch, name, 
                 for fname in ("default", "in-s")}
     assert len(by_frame["default"]) + len(by_frame["in-s"]) == len(checks)
     if name.startswith("semisimple"):
-        assert by_frame["default"] == by_frame["in-s"] and len(by_frame["in-s"]) == 5
+        assert by_frame["default"] == by_frame["in-s"] and len(by_frame["in-s"]) == 6
 
 
 @pytest.mark.parametrize("algebra", [
@@ -539,21 +540,22 @@ def test_lambda_command_integrates_each_frame_once(tmp_path, monkeypatch, name, 
      "--frame", str(BENCH_DATA / "chain12_frame.json")],
 ], ids=["example1", "semisimple:m=3", "chain12"])
 def test_lambda_command_and_suite_report_the_standard_circle_alike(tmp_path, capsys, algebra):
-    # both integrate lambda on the unit circle in plane (1,2); the command
-    # adds the nilpotent residuals to the diagnostics
+    # both integrate lambda on the unit circle in the widest plane, and
+    # report its margin; the command adds the nilpotent residuals to the
+    # diagnostics
     records = {}
     for command in (["lambda"], ["verify", "--suite", "lambda"]):
         prefix = tmp_path / command[0]
         assert main([*command, *algebra, "--out", str(prefix)]) in (0, 1)
         records.update((c["name"], c) for c in
                        json.loads(prefix.with_suffix(".json").read_text())["checks"])
-    command = records["lambda[default][plane(1,2) r=1.0]"]
+    command = records["lambda[default][widest plane r=1.0]"]
     suite = records["lambda/deviation[default]"]
     for key in ("residual", "tolerance", "value", "reference", "passed"):
         assert command[key] == suite[key], key
     del command["diagnostics"]["nilpotent_residuals"]
     assert command["diagnostics"] == suite["diagnostics"]
-    assert suite["diagnostics"]["history"]
+    assert suite["diagnostics"]["history"] and suite["diagnostics"]["margin"] > 0
 
 
 def test_lambda_command(capsys):

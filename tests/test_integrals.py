@@ -1226,8 +1226,9 @@ def test_formula_takes_an_eval_many_integrand(name):
 @pytest.mark.parametrize("name", ["example1", "chain12"])
 def test_reports_carry_their_integrals_diagnostics(name):
     # a cauchy report and the lambda suite's deviation report hold the
-    # value, nodes, flag, history and error estimate of the integral they judge
-    from monalg.suites import _standard_circle, _standard_curves, suite_lambda
+    # value, nodes, flag, history and error estimate of the integral they
+    # judge, and the lambda report its circle's margin
+    from monalg.suites import _lambda_circle, _standard_curves, suite_lambda
 
     spec, frame = _stack_case(name)
     for _, curve in _standard_curves(frame.k):
@@ -1238,12 +1239,13 @@ def test_reports_carry_their_integrals_diagnostics(name):
         assert rep.diagnostics == {"quadrature_error": res.error_estimate, "nodes": res.nodes,
                                    "converged": res.converged, "exact_rule": True,
                                    "history": res.history}
-    lam = compute_lambda(spec, frame, _standard_circle(frame.k))
+    circle, margin = _lambda_circle(frame, spec)
+    lam = compute_lambda(spec, frame, circle)
     (rep,) = [r for r in suite_lambda(spec, {"default": frame}, 0, {})
               if r.name == "lambda/deviation[default]"]
     assert (rep.residual, rep.value.coords.tobytes()) == (lam.deviation_from_two_pi_i,
                                                           lam.value.coords.tobytes())
-    assert rep.diagnostics == {"windings": lam.windings, "nodes": lam.nodes,
+    assert rep.diagnostics == {"windings": lam.windings, "margin": margin, "nodes": lam.nodes,
                                "converged": lam.converged, "history": lam.history}
     assert lam.history
 
