@@ -33,12 +33,6 @@ targets its triples reach.  With no support named, a factor may fill every
 column and the kernel takes every triple.  The oracles, the dense
 left-multiplication matrices of :func:`_left_mul_coords` and the axiom
 checks, always do.
-
-The algebra is the direct sum of its idempotent blocks ``I_u A``: ``I_u``
-and the radical elements ``I_s`` with ``u_s = u``.  An associative algebra
-multiplies within each block, so the algebra of a union of blocks
-(:meth:`AlgebraSpec._sub`) computes the same products on its columns; a
-curve integral refines each block on its own there.
 """
 
 from __future__ import annotations
@@ -172,17 +166,10 @@ class AlgebraSpec:
     ``_left, _right, _coeffs, _starts`` hold every non-zero ``c_rsk`` and
     ``_targets`` the target of each; ``_pairs`` memoizes the sub-lists of
     :meth:`_triples`.
-
-    ``_blocks`` holds the columns of each idempotent block ``I_u A``: ``u``
-    and the radical columns ``s`` with ``u_s = u`` (0-based).  The algebra
-    is their direct sum, so every product, and every function of ``zeta``,
-    acts block by block; :meth:`_sub` gives the algebra of a union of blocks.
-    A non-zero structure constant that joins two blocks breaks
-    associativity, and such an algebra has one block of every column.
     """
 
     __slots__ = ("n", "m", "products", "u_map", "_left", "_right", "_coeffs", "_starts",
-                 "_targets", "_pairs", "_unit", "_selector", "_depth", "_blocks", "_subs")
+                 "_targets", "_pairs", "_unit", "_selector", "_depth")
 
     def __init__(self, n: int, m: int, products=None, u_map=None):
         if not (isinstance(n, int) and isinstance(m, int)):
@@ -200,8 +187,6 @@ class AlgebraSpec:
         self._unit[:m] = 1.0
         self._selector = np.array([*range(m), *(self.u_map[s] - 1 for s in range(m + 1, n + 1))])
         self._depth = self._radical_depth()
-        self._blocks = self._idempotent_blocks()
-        self._subs = {}
 
     # -- construction ------------------------------------------------------
 
@@ -322,35 +307,6 @@ class AlgebraSpec:
                 weight[target] = max(weight[target], weight[left] + weight[right])
         return min(max(weight), self.n - self.m)
 
-    def _idempotent_blocks(self) -> tuple:
-        """The columns of each block ``I_u A``, or one block of every column
-        when a non-zero structure constant joins two blocks."""
-        selector = self._selector
-        for (left, right, target), value in self.products.items():
-            if value and not selector[left - 1] == selector[right - 1] == selector[target - 1]:
-                return (tuple(range(self.n)),)
-        return tuple(tuple(np.flatnonzero(selector == u).tolist()) for u in range(self.m))
-
-    def _sub(self, cols: tuple) -> "AlgebraSpec":
-        """The algebra of the columns ``cols``, a sorted union of blocks.
-
-        Its basis is ``cols`` in order, so its idempotents come first; its
-        structure constants and selectors are this algebra's, renumbered.
-        An element restricted to ``cols`` multiplies there as it does here,
-        since no product leaves a block.  Made once per set.
-        """
-        try:
-            return self._subs[cols]
-        except KeyError:
-            index = {col: i + 1 for i, col in enumerate(cols)}  # 1-based in the sub-algebra
-            products = {(index[left - 1], index[right - 1], index[target - 1]): value
-                        for (left, right, target), value in self.products.items()
-                        if {left - 1, right - 1, target - 1} <= index.keys()}
-            u_map = {index[s]: index[int(self._selector[s])] for s in cols if s >= self.m}
-            sub = AlgebraSpec(len(cols), sum(col < self.m for col in cols), products, u_map)
-            self._subs[cols] = sub
-            return sub
-
     # -- derived data ------------------------------------------------------
 
     @property
@@ -362,10 +318,6 @@ class AlgebraSpec:
 
     def unit(self) -> Element:
         return Element(self._unit.copy())
-
-    def u_selector(self, s: int) -> int:
-        """``u_s`` for a nilpotent index ``s`` (1-based)."""
-        return self.u_map[s]
 
     def structure_coefficient(self, left: int, right: int, target: int) -> complex:
         """Coefficient of ``I_target`` in ``I_left I_right`` (nilpotent block)."""

@@ -249,7 +249,9 @@ def _lambda_circles(frame, spec):
     each spectral value is a real-linear map of ``(x_1, x_2)``, so a circle
     there winds around the origin as the centred one does.  A ``k = 3``
     frame with a plane of positive margin adds the lambda suite's circle in
-    that plane, the one circle with a ``margin`` (``None`` for the others).
+    that plane, the one circle with a ``margin`` (``None`` for the others);
+    where that plane is plane (1,2), the centred unit circle there is the
+    suite's, and takes the margin in place of a second record.
     """
     k = frame.k
     plane = coordinate_plane(k, 1, 2)
@@ -259,9 +261,11 @@ def _lambda_circles(frame, spec):
         point[:2] = x1, x2
         return point
 
+    widest, margin = _lambda_circle(frame, spec)
+    same = np.array_equal(widest.plane, plane)
     circles = [
         ("plane(1,2) r=0.5", Circle2D(centre(0.2, -0.1), 0.5, plane), None),
-        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, plane), None),
+        ("plane(1,2) r=1.0", Circle2D(np.zeros(k), 1.0, plane), margin if same else None),
         ("plane(1,2) r=2.0", Circle2D(centre(-0.7, 0.4), 2.0, plane), None),
     ]
     if k >= 3:
@@ -269,9 +273,8 @@ def _lambda_circles(frame, spec):
         tilt[0, 0] = 1.0
         tilt[1, 1], tilt[1, 2] = np.cos(0.4), np.sin(0.4)
         circles.append(("tilted plane r=1.0", Circle2D(np.zeros(k), 1.0, tilt), None))
-    circle, margin = _lambda_circle(frame, spec)
-    if margin is not None:
-        circles.append(("widest plane r=1.0", circle, margin))
+    if margin is not None and not same:
+        circles.append(("widest plane r=1.0", widest, margin))
     return circles
 
 

@@ -36,10 +36,10 @@ class Frame:
     ``_support`` holds the columns where some ``e_j`` is non-zero, the only
     ones where an embedded point can be (``None`` when that is all ``n``),
     for the sparse products of :mod:`monalg.algebra`.  ``a`` is a read-only
-    copy, so the support cannot go stale.  ``_subs`` memoizes :meth:`_sub`.
+    copy, so the support cannot go stale.
     """
 
-    __slots__ = ("k", "a", "_support", "_subs")
+    __slots__ = ("k", "a", "_support")
 
     def __init__(self, a):
         a = np.array(a, dtype=np.complex128)
@@ -50,14 +50,6 @@ class Frame:
         self.a = a
         support = tuple(np.flatnonzero(np.any(a != 0, axis=0)).tolist())
         self._support = None if len(support) == a.shape[1] else support
-        self._subs = {}
-
-    def _sub(self, cols: tuple) -> "Frame":
-        """The frame in the algebra ``AlgebraSpec._sub(cols)``: ``a`` cut to
-        the columns ``cols``, a sorted union of blocks.  Made once per set."""
-        if cols not in self._subs:
-            self._subs[cols] = Frame(self.a[:, list(cols)])
-        return self._subs[cols]
 
     @property
     def n(self) -> int:

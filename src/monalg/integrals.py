@@ -27,29 +27,17 @@ directions ``B - A`` of straight segments, which the caller makes once for
 all its stacks, and computes the curve's points and ``dzeta`` itself:
 each level the refinement loop asks it for the values of some of its
 integrands, by index, at every node of the level.  Each level computes a
-circle's points once for all the functions, and the weight at the nodes
-once for all the functions that refine the same blocks (below).  Each
-function keeps its own convergence test, so every result is bit for bit
-that of the function's own call.  A single function is the one-element
-case of the same path.
-
-On an algebra of B > 1 idempotent blocks every function of ``zeta`` acts
-block by block, and each block of each function on each piece refines on
-its own, to ``1 / sqrt(B)`` of the piece's tolerance (see
-:func:`quadrature._refine`).  A level evaluates only the blocks still
-refining, on their sub-algebra, so its arrays hold only their columns: on
-``semisimple:m=12`` the 8192-node level of a formula circle holds 3 of the
-12.  An algebra of one block, such as every algebra with ``m = 1``,
-refines the whole vector, as it always did.
+circle's points, and the weight at the nodes, once for all the functions.
+Each function on each piece refines as one vector, on every column of
+the algebra, to the piece's tolerance, and keeps its own convergence
+test, so every result is bit for bit that of the function's own call.  A
+single function is the one-element case of the same path.
 
 A function's result is assembled from its rows of its stack's run
 (:func:`_assemble`), and every check on one integral, Morera's too, builds
 its report with :func:`_integral_report`: the check's residual and
 diagnostics beside the integral's value, nodes, convergence flag and
-history.  With B > 1 blocks ``nodes`` is that of the block that refined
-furthest, summed over the pieces, a history entry counts the curve's
-points evaluated and the largest block delta, and the diagnostics add
-``block_nodes``, each block's nodes summed over the pieces.
+history.
 """
 
 from __future__ import annotations
@@ -63,7 +51,7 @@ from .algebra import _multiply_coords, _on_locus
 from .curves import Circle2D, TriangleSampler
 from .errors import EmbracingError, IntegrationError, MonalgError
 from .frames import Frame
-from .monogenic import _restrict, eval_batch, eval_function
+from .monogenic import eval_batch, eval_function
 from .quadrature import DEFAULT_CAP, _check, _history, gauss_segment, trapezoid_periodic
 from .resolvent import inverse_many
 
@@ -91,7 +79,6 @@ class IntegralResult:
     nodes: int
     converged: bool
     history: list = field(default_factory=list)
-    block_nodes: list | None = None
     exact: bool = False
 
 
@@ -104,10 +91,6 @@ class EmbraceCertificate:
     @property
     def embraces_once(self) -> bool:
         return all(w == 1 for w in self.windings)
-
-    @property
-    def orientation_reversed(self) -> bool:
-        return all(w == -1 for w in self.windings)
 
 
 @dataclass
@@ -147,7 +130,6 @@ class LambdaResult:
     nodes: int
     converged: bool
     history: list = field(default_factory=list)
-    block_nodes: list | None = None
 
 
 # -- line integrals ----------------------------------------------------------
@@ -222,28 +204,18 @@ class _CurveStack:
     factor takes the nodes relative to its ``shift``, so a small curve far
     from 0 keeps every digit of its offsets.
 
-    On an algebra of B > 1 idempotent blocks (``AlgebraSpec._blocks``) the
-    stack gives them as ``blocks``, and each block refines on its own.  A
-    level that evaluates the columns ``cols`` of some blocks evaluates on
-    their sub-algebra (:meth:`_on`): ``Frame.a`` cut to ``cols``, the
-    functions restricted by :func:`monogenic._restrict`, or evaluated whole
-    and cut to ``cols`` when they cannot be; the factor, an inverse, runs
-    there as it is.  Every array of such a level has only ``cols``, but the
-    curve's points.  One block takes the whole algebra, as it always did.
-
     :meth:`level` gives the evaluator of one level's nodes ``tau``: the
     values of the integrands ``rows`` at every node, shaped ``(rows,
     nodes, columns)``.  Its functions are evaluated one at a time, each on
     its pieces among ``rows``.  The points of a set of pieces, and their
-    weight on a set of columns, are computed for the first function that
-    needs them and kept until the level ends, for the next functions on the
-    same pieces: on a circle that is every function.  Segments with no
-    factor have no weight, and keep no points: a Morera level would keep
-    every edge's.  A circle computes the
-    cosines and sines of a level's nodes once, for the points, the offsets
-    and ``dzeta``; a level whose even nodes are the last level's, as the
-    trapezoid's doubling makes them, takes theirs from that level and
-    computes only the odd nodes'.
+    weight, are computed for the first function that needs them and kept
+    until the level ends, for the next functions on the same pieces: on a
+    circle that is every function.  Segments with no factor have no
+    weight, and keep no points: a Morera level would keep every edge's.  A
+    circle computes the cosines and sines of a level's nodes once, for the
+    points, the offsets and ``dzeta``; a level whose even nodes are the
+    last level's, as the trapezoid's doubling makes them, takes theirs from
+    that level and computes only the odd nodes'.
 
     Functions of ``degree`` p in the point (no factor) make the stack's
     integrands polynomials of degree p in a segment's parameter and
@@ -265,32 +237,9 @@ class _CurveStack:
             self.starts, self.directions = curve
             self.circle, self.pieces = None, len(self.starts)
             self.increments = self.directions @ frame.a
-        # the block of each column is its idempotent
-        self.blocks = spec._selector if len(spec._blocks) > 1 else None
-        self._subs = {}  # the columns evaluated (None: all) -> _on(cols)
 
     def __len__(self):
         return len(self.psis) * self.pieces
-
-    def _on(self, cols):
-        """``(frame, spec, evaluations)`` on the sub-algebra of the columns
-        ``cols`` (``None``: the stack's own).  ``evaluations[j]`` is
-        ``(function, frame, spec, cut)`` for function ``j``: restricted to
-        ``cols``, or the whole function, whose values are then cut to ``cut``."""
-        key = None if cols is None else cols.tobytes()
-        if key not in self._subs:
-            frame, spec, psis = self.frame, self.spec, self.psis
-            if cols is not None:
-                sub = tuple(cols.tolist())
-                frame, spec = self.frame._sub(sub), self.spec._sub(sub)
-                # the inverse is its own restriction (lambda integrates it as a function)
-                psis = [psi if isinstance(psi, _InverseIntegrand) else _restrict(psi, self.spec, cols)
-                        for psi in self.psis]
-            evaluations = [(psi, frame, spec, None) if psi is not None
-                           else (whole, self.frame, self.spec, cols)
-                           for psi, whole in zip(psis, self.psis)]
-            self._subs[key] = (frame, spec, evaluations)
-        return self._subs[key]
 
     def _trig(self, tau):
         """The cosines and sines of a circle's nodes ``tau``."""
@@ -306,28 +255,25 @@ class _CurveStack:
 
     def level(self, tau):
         trig = self._trig(tau) if self.circle else None
-        shared = {}  # a function's pieces -> their points, and their weight per set of columns
+        shared = {}  # a function's pieces -> their points and their weight
 
-        def evaluate(rows, cols=None):
+        def evaluate(rows):
             owners = rows // self.pieces  # the function of each integrand
             out = []
             for j in dict.fromkeys(owners.tolist()):  # in order; each function's rows are adjacent
                 pieces = rows[owners == j] - j * self.pieces
                 at = shared.setdefault(pieces.tobytes(), {}) if self.circle or self.factor else {}
-                out.append(self._values(tau, trig, j, pieces, at, cols))
+                out.append(self._values(tau, trig, j, pieces, at))
             return out[0] if len(out) == 1 else np.concatenate(out)
 
         return evaluate
 
-    def map_sums(self, sums, rows, cols=None):
+    def map_sums(self, sums, rows):
         """Level sums of the integrands ``rows`` times their segments' ``dzeta``."""
         if self.circle:
             return sums
-        frame, spec, _ = self._on(cols)
-        increments = self.increments[rows % self.pieces]
-        if cols is not None:
-            increments = increments[:, cols]
-        return _multiply_coords(sums, increments, spec, right=frame._support)
+        return _multiply_coords(sums, self.increments[rows % self.pieces], self.spec,
+                                right=self.frame._support)
 
     def _points(self, tau, trig, pieces, origin=0.0):
         """The points of ``pieces`` at the nodes ``tau``, one row per node of
@@ -337,9 +283,10 @@ class _CurveStack:
         points = (self.starts - origin)[pieces, None] + tau[:, None] * self.directions[pieces, None]
         return points.reshape(-1, points.shape[-1])
 
-    def _weight(self, tau, trig, pieces, frame, spec, factor):
+    def _weight(self, tau, trig, pieces):
         """The weight at the nodes: on a circle ``dzeta``, times the factor
         when there is one; on segments the factor, or ``None``."""
+        frame, spec, factor = self.frame, self.spec, self.factor
         if factor is None:
             return self.circle._tangents(*trig) @ frame.a if self.circle else None
         values = eval_batch(factor, frame, self._points(tau, trig, pieces, factor.shift), spec)
@@ -349,10 +296,10 @@ class _CurveStack:
         return _multiply_coords(values, self.circle._tangents(*trig) @ frame.a, spec,
                                 right=frame._support)
 
-    def _values(self, tau, trig, j, pieces, at, cols):
+    def _values(self, tau, trig, j, pieces, at):
         """Function ``j`` times the weight on ``pieces`` at the nodes ``tau``
-        (of cosines and sines ``trig`` on a circle), on the columns ``cols``,
-        shaped ``(pieces, nodes, columns)``.
+        (of cosines and sines ``trig`` on a circle), shaped ``(pieces,
+        nodes, columns)``.
 
         ``at`` keeps the points and the weight on these pieces for the
         level's other functions.
@@ -362,23 +309,18 @@ class _CurveStack:
                 at[name] = make()
             return at[name]
 
-        frame, spec, evaluations = self._on(cols)
-        psi, psi_frame, psi_spec, cut = evaluations[j]
-        factor = self.factor
+        frame, spec, psi, factor = self.frame, self.spec, self.psis[j], self.factor
         xs = once("points", lambda: self._points(tau, trig, pieces))
         try:
             # the weight first, so its offsets' temporaries meet no values (peak memory)
-            weight = once(("weight", None if cols is None else cols.tobytes()),
-                          lambda: self._weight(tau, trig, pieces, frame, spec, factor))
-            vals = eval_batch(psi, psi_frame, xs, psi_spec)
+            weight = once("weight", lambda: self._weight(tau, trig, pieces))
+            vals = eval_batch(psi, frame, xs, spec)
         except MonalgError as exc:
-            failed = [(psi, psi_frame, psi_spec, xs)]
+            failed = [(psi, frame, spec, xs)]
             if factor is not None:
                 failed.append((factor, frame, spec, self._points(tau, trig, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
             raise _locate_failure(failed, (pieces[:, None] + tau).ravel(), exc) from exc
-        if cut is not None:
-            vals = vals[:, cut]
         if weight is not None:
             # with no factor the weight is dzeta, which lives on the frame's support
             vals = _multiply_coords(vals, weight, spec,
@@ -397,13 +339,12 @@ def _degree(psi):
 def _assemble(res, rows, value) -> IntegralResult:
     """The :class:`IntegralResult` of the integrands ``rows`` (one function's
     pieces) of a stack's result ``res``: value ``value(res.value[rows])``,
-    the pieces' deltas, nodes and ``block_nodes`` summed, converged when all
-    are, and their history."""
-    blocks = None if res.block_nodes is None else res.block_nodes[rows].sum(axis=0).tolist()
+    the pieces' deltas and nodes summed, converged when all are, and their
+    history."""
     return IntegralResult(value(res.value[rows]), float(res.segment_deltas[rows].sum()),
                           int(res.segment_nodes[rows].sum()),
                           bool(res.segment_converged[rows].all()),
-                          _history(res.levels, rows.start, rows.stop), blocks, res.exact)
+                          _history(res.levels, rows.start, rows.stop), res.exact)
 
 
 def _integrate(psis, frame, spec, curve, tol, cap, value, factor=None) -> list:
@@ -438,9 +379,7 @@ def _line_integrals(psis, gamma, frame, spec, tol, cap, factor=None) -> list:
 
     ``factor`` multiplies every function's values at each node.  ``tol`` and
     ``cap`` are checked first.  Each piece refines ``psi dzeta`` to its
-    share of ``tol``, and a result's value is the sum of its pieces'.  On
-    an algebra of B > 1 blocks each block of a piece refines to
-    ``1 / sqrt(B)`` of the piece's share.
+    share of ``tol``, and a result's value is the sum of its pieces'.
     """
     _check(tol, cap)
     if isinstance(gamma, Circle2D):
@@ -506,11 +445,7 @@ def winding_certificate(gamma, frame: Frame, center_x, spec: AlgebraSpec) -> Emb
 
 
 class _InverseIntegrand:
-    """Batch ``(embedded x - shift)^{-1}`` from the offsets ``x - shift``; refuses the locus.
-
-    It takes any frame and algebra, so on a sub-algebra of blocks it is its
-    own restriction.
-    """
+    """Batch ``(embedded x - shift)^{-1}`` from the offsets ``x - shift``; refuses the locus."""
 
     def __init__(self, shift=0.0):
         self.shift = shift
@@ -540,7 +475,6 @@ def compute_lambda(spec: AlgebraSpec, frame: Frame, circle,
         nodes=res.nodes,
         converged=res.converged,
         history=res.history,
-        block_nodes=res.block_nodes,
     )
 
 
@@ -551,12 +485,12 @@ def _integral_report(name, res, residual, tolerance, reference=None,
                      **diagnostics) -> VerificationReport:
     """The report of a check on one integral ``res``, an :class:`IntegralResult`
     or a :class:`LambdaResult`: its value, and ``diagnostics`` with the
-    integral's nodes, convergence flag and refinement history, on an
-    algebra of several blocks its ``block_nodes``, and ``exact_rule`` when
-    a rule exact for the function's degree took it (never a lambda).  A
+    integral's nodes, convergence flag and refinement history, and
+    ``exact_rule`` when a rule exact for the function's degree took it
+    (never a lambda).  A
     diagnostic whose value is ``None`` is left out.  Every check on an
     integral, Morera's included, builds its report here."""
-    fields = {"nodes": res.nodes, "block_nodes": res.block_nodes, "converged": res.converged,
+    fields = {"nodes": res.nodes, "converged": res.converged,
               "exact_rule": getattr(res, "exact", False) or None, "history": res.history}
     diagnostics = {key: v for key, v in {**diagnostics, **fields}.items() if v is not None}
     return VerificationReport(name, residual, tolerance, value=res.value, reference=reference,

@@ -7,10 +7,8 @@ principal extension by contour integrals against the resolvent; for every
 admissible contour each residue is the same Taylor term, so it is evaluated,
 with no contour as input, as the finite expansion over the radical of
 :mod:`monalg.resolvent` with the scalars' Taylor coefficients at the
-spectral values.  Every such function acts on each idempotent block of the
-algebra on its own, and :func:`_restrict` gives it on the algebra of some
-blocks.  Finite-difference residuals of the characteristic differential
-conditions probe monogenicity numerically.
+spectral values.  Finite-difference residuals of the characteristic
+differential conditions probe monogenicity numerically.
 """
 
 from __future__ import annotations
@@ -221,28 +219,6 @@ def eval_batch(phi, frame: Frame, xs, spec: AlgebraSpec) -> np.ndarray:
             rows.append(out.coords if isinstance(out, Element) else np.asarray(out))
         return np.stack(rows).astype(np.complex128)
     raise TypeError(f"not an evaluable function: {type(phi).__name__}")
-
-
-def _restrict(phi, spec: AlgebraSpec, cols):
-    """``phi`` on the algebra ``spec._sub(cols)`` of the columns ``cols``, a
-    sorted union of blocks, or ``None`` when ``phi`` is evaluated whole and
-    its values cut to ``cols``.
-
-    A function of ``zeta`` acts block by block, so the built-in variants
-    restrict exactly: a polynomial keeps its coefficients' ``cols``, a
-    resolvent kernel is unchanged, and a principal extension keeps the
-    scalars of ``cols``.  An ``eval_many`` object or a callable, and a
-    principal extension with the wrong number of scalars, is evaluated whole.
-    """
-    if isinstance(phi, Polynomial):
-        return Polynomial(tuple(Element(c.coords[cols]) for c in phi.coeffs))
-    if isinstance(phi, ResolventKernel):
-        return phi
-    m = spec.m
-    if isinstance(phi, PrincipalExtension) and len(phi.F) == m and len(phi.G) in (0, spec.n - m):
-        return PrincipalExtension(tuple(phi.F[c] for c in cols if c < m),
-                                  tuple(phi.G[c - m] for c in cols if c >= m) if phi.G else ())
-    return None
 
 
 def _eval_polynomial(phi: Polynomial, emb: np.ndarray, spec: AlgebraSpec,

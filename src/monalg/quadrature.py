@@ -9,9 +9,9 @@ analytic periodic integrands) or bisected G7/K15 Gauss-Kronrod panels on
 level 0 from the same values: the Kronrod panels use their embedded 7-point
 Gauss sum, so a segment that is smooth enough is accepted after one level
 of 15 evaluations.  Integrands are vectorised, ``f(tau) -> (len(tau), d)``,
-or stacks of integrands refined together, whose columns may form blocks
-that each refine on their own; a stack gives each level an evaluator of
-its integrands by index, and one integrand is a stack of one.
+or stacks of integrands refined together, each integrand tested as one
+vector; a stack gives each level an evaluator of its integrands by index,
+and one integrand is a stack of one.
 
 Integrands that state their ``degree`` in the parameter, a polynomial in
 ``tau`` on [0, 1] or a trigonometric polynomial on a circle, are not
@@ -61,20 +61,16 @@ class QuadratureResult:
     """Value of one refinement run plus its diagnostics.
 
     ``levels`` holds, per level after the first, the nodes per integrand,
-    the indices of the integrands refined and their deltas (the change
-    against the previous level; with blocks, the largest change of an
-    integrand's blocks refined).  ``history`` is :func:`_history` of all
-    the integrands: one ``(points evaluated, largest delta)`` pair per level
+    the indices of the integrands refined and their deltas (the norm of the
+    change against the previous level).  ``history`` is :func:`_history` of
+    all the integrands: one ``(points evaluated, largest delta)`` pair per level
     after the first.  A level-0 test against an embedded reference adds no
     entry, so the points evaluated are ``nodes`` when ``history`` is empty
     and otherwise half the first entry's nodes plus the nodes of every
     entry (for a stack, as long as no integrand stopped at level 0).  The
     ``segment_*`` arrays hold each integrand's final delta, node count and
     convergence flag; a stack (see :func:`_refine`) has one entry per
-    integrand.  A stack refined by blocks also gives ``block_nodes``, each
-    integrand's node count per block, shaped ``(integrands, blocks)``; its
-    ``history`` counts a point once, however many of its blocks a level
-    evaluated there.  ``exact`` holds when the run was one level of a rule
+    integrand.  ``exact`` holds when the run was one level of a rule
     exact for the integrands' degree, with every delta 0.
     """
 
@@ -87,7 +83,6 @@ class QuadratureResult:
     segment_nodes: np.ndarray | None = None
     segment_converged: np.ndarray | None = None
     levels: list = field(default_factory=list)
-    block_nodes: np.ndarray | None = None
     exact: bool = False
 
 
@@ -108,20 +103,6 @@ def _history(levels, lo: int, hi: int) -> list:
 _BLOCK_POINTS = 512
 
 
-def _groups(refining):
-    """``(rows, mask)``: the integrands still refining, grouped by the mask
-    of the blocks they refine, each group's rows in order."""
-    rows = np.flatnonzero(refining.any(axis=1))
-    masks = refining[rows]
-    if (masks == masks[0]).all():
-        return [(rows, masks[0])]
-    packed = np.packbits(masks, axis=1)
-    order = np.lexsort(packed.T)  # stable: a group's rows stay in order
-    packed = packed[order]
-    starts = np.flatnonzero(np.r_[True, (packed[1:] != packed[:-1]).any(axis=1)])
-    return [(rows[group], masks[group[0]]) for group in np.split(order, starts[1:])]
-
-
 def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
             reference=None, exact: bool = False) -> QuadratureResult:
     """Refine ``f`` level by level; ``rule(level)`` gives nodes and their sum.
@@ -140,31 +121,14 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     that is constant along an integrand multiplies its sums, not its nodes,
     and no product spans more integrands than one call.
     Each integrand refines until its level agrees within ``tol`` with the
-    level before (from level ``first_test`` on) or its node count would
-    exceed ``cap``.
+    level before, as one vector (from level ``first_test`` on), or its node
+    count would exceed ``cap``.
     ``reference``, when given, maps level 0's values of each integrand,
     shaped ``(integrands, nodes, ...)``, to a reference sum that level 0 is
     tested against.  A level evaluates only the integrands still refining,
     in calls of whole integrands of about ``_BLOCK_POINTS`` points: one
     call's values hold at most ``_BLOCK_POINTS`` nodes, or one integrand's
-    nodes when it has more (a circle of 8192 nodes holds 8192), each with
-    the columns evaluated.
-
-    A stack may split its values' columns into B idempotent blocks:
-    ``f.blocks`` names the block of each column (``None``: one block).  Each
-    block of each integrand then refines on its own, until it agrees within
-    ``tol / sqrt(B)``; an integrand whose blocks' latest deltas are within
-    ``tol`` as one vector stops too, every block with it.  So every
-    integrand that converges is within ``tol`` as a whole vector, as with
-    one block, and no block is held to more than that.  A level evaluates
-    each integrand on the blocks it still refines, with those of the same
-    blocks together: the evaluator and ``map_sums`` take the sorted columns
-    of the blocks as a further argument, ``cols`` (``None``: every column),
-    and return those columns only.  An integrand's delta is the norm of its
-    blocks' deltas, its node count that of the block that refined furthest
-    (``block_nodes`` holds every block's), and it converged when every block
-    did; a level's record holds the largest delta of each integrand's blocks
-    refined there.
+    nodes when it has more (a circle of 8192 nodes holds 8192).
 
     For a stack, ``value`` has one row per integrand, ``nodes`` is their
     sum, ``error_estimate`` their largest delta and ``converged`` holds when
@@ -178,16 +142,12 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
     stacked = hasattr(f, "level")
     count = len(f) if stacked else 1
     at_level = f.level if stacked else (lambda tau: lambda rows: np.asarray(f(tau))[None])
-    map_sums = getattr(f, "map_sums", None) or (lambda sums, rows, cols=None: sums)
-    blocks = getattr(f, "blocks", None)
-    width = 1 if blocks is None else int(blocks.max()) + 1
-    block_tol = tol / np.sqrt(width)
-    layouts = {}  # a mask of blocks -> _layout(blocks, mask)
+    map_sums = getattr(f, "map_sums", None) or (lambda sums, rows: sums)
     value = None
-    deltas = np.full((count, width), np.inf)
-    nodes = np.zeros((count, width), dtype=np.int64)
-    converged = np.zeros((count, width), dtype=bool)
-    refining = np.ones((count, width), dtype=bool)
+    deltas = np.full(count, np.inf)
+    nodes = np.zeros(count, dtype=np.int64)
+    converged = np.zeros(count, dtype=bool)
+    refining = np.ones(count, dtype=bool)
     levels = []
     level = 0
     while refining.any():
@@ -195,89 +155,44 @@ def _refine(f, rule, tol: float, cap: int, first_test: int = 0,
         tau.flags.writeable = False
         evaluate = at_level(tau)
         per_call = max(1, _BLOCK_POINTS // tau.size)
-        for rows, mask in _groups(refining):
-            key = mask.tobytes()
-            if key not in layouts:
-                layouts[key] = _layout(blocks, mask)
-            cols, taken, runs = layouts[key]
-            extra = () if cols is None else (cols,)
-            sums, refs = [], []
-            for first in range(0, rows.size, per_call):
-                part = rows[first:first + per_call]
-                vals = evaluate(part, *extra)
-                sums.append(level_sum(vals))
-                if level == 0 and reference is not None:
-                    refs.append(reference(vals))
-                del vals  # one call's values at a time
-                # this call's sums alone, so that no product spans the group
-                sums[-1] = map_sums(sums[-1], part, *extra)
-                if refs:
-                    refs[-1] = map_sums(refs[-1], part, *extra)
-            sums = np.concatenate(sums)
-            mine = (rows[:, None], taken)  # the group's integrands and blocks
-            nodes[mine] = tau.size
-            if level:
-                where = rows if cols is None else (rows[:, None], cols)
-                previous = value[where]
-                value[where] = sums
-            else:  # level 0 refines every block of every integrand, as one group
-                previous = np.concatenate(refs) if refs else None
-                value = sums
-            if exact:
-                deltas[mine], converged[mine], refining[mine] = 0.0, True, False
-            if previous is None:
-                continue
-            change = _block_norms(sums - previous, runs)
-            deltas[mine] = change
-            if level >= first_test:
-                done = change <= block_tol
-                converged[mine] = done
-                refining[mine] = ~done
+        rows = np.flatnonzero(refining)
+        sums, refs = [], []
+        for first in range(0, rows.size, per_call):
+            part = rows[first:first + per_call]
+            vals = evaluate(part)
+            sums.append(level_sum(vals))
+            if level == 0 and reference is not None:
+                refs.append(reference(vals))
+            del vals  # one call's values at a time
+            # this call's sums alone, so that no product spans the level
+            sums[-1] = map_sums(sums[-1], part)
+            if refs:
+                refs[-1] = map_sums(refs[-1], part)
         del evaluate  # and with it what the level's integrands shared
-        if level:  # the record of the cells evaluated at this level
-            fresh = nodes == tau.size
-            rows = np.flatnonzero(fresh.any(axis=1))
-            levels.append((tau.size, rows, np.where(fresh, deltas, 0.0)[rows].max(axis=1)))
-        rows = np.flatnonzero(refining.any(axis=1)) if width > 1 and level >= first_test else ()
-        if len(rows):
-            # an integrand within tol as a whole vector stops, every block with it
-            whole = rows[np.linalg.norm(deltas[rows], axis=1) <= tol]
-            converged[whole] = True
-            refining[whole] = False
+        sums = np.concatenate(sums)
+        nodes[rows] = tau.size
+        if level:
+            previous = value[rows]
+            value[rows] = sums
+        else:  # level 0 evaluates every integrand
+            previous = np.concatenate(refs) if refs else None
+            value = sums
+        if exact:
+            deltas[rows], converged[rows], refining[rows] = 0.0, True, False
+        elif previous is not None:
+            change = np.linalg.norm((sums - previous).reshape(rows.size, -1), axis=1)
+            deltas[rows] = change
+            if level >= first_test:
+                done = change <= tol
+                converged[rows], refining[rows] = done, ~done
+            if level:
+                levels.append((tau.size, rows, change))
         if 2 * tau.size > cap:
             break
         level += 1
-    history = _history(levels, 0, count)
-    segment_deltas = deltas[:, 0] if width == 1 else np.linalg.norm(deltas, axis=1)
-    segment_nodes = nodes.max(axis=1)
-    segment_converged = converged.all(axis=1)
-    return QuadratureResult(value if stacked else value[0], float(segment_deltas.max()),
-                            int(segment_nodes.sum()), bool(segment_converged.all()), history,
-                            segment_deltas, segment_nodes, segment_converged, levels,
-                            None if blocks is None else nodes, exact)
-
-
-def _layout(blocks, mask):
-    """``(cols, taken, runs)`` of the blocks of ``mask``: their sorted
-    columns (``None``: every column), their indices, and the ``(order,
-    starts)`` that group their columns by block (``None``: one block)."""
-    if blocks is None:
-        return None, np.zeros(1, dtype=np.intp), None
-    cols = None if mask.all() else np.flatnonzero(mask[blocks])
-    owner = blocks if cols is None else blocks[cols]
-    order = np.argsort(owner, kind="stable")
-    owner = owner[order]
-    starts = np.flatnonzero(np.concatenate(([True], owner[1:] != owner[:-1])))
-    return cols, np.flatnonzero(mask), (order, starts)
-
-
-def _block_norms(diff, runs):
-    """The norm of each block's columns in each row of ``diff``, shape
-    ``(rows, blocks)``; ``runs`` is ``(order, starts)`` of :func:`_layout`."""
-    if runs is None:
-        return np.linalg.norm(diff.reshape(len(diff), -1), axis=1)[:, None]
-    order, starts = runs
-    return np.sqrt(np.add.reduceat((diff.conj() * diff).real[:, order], starts, axis=1))
+    return QuadratureResult(value if stacked else value[0], float(deltas.max()),
+                            int(nodes.sum()), bool(converged.all()), _history(levels, 0, count),
+                            deltas, nodes, converged, levels, exact)
 
 
 def _exact_nodes(f, nodes, first: int, cap: int):

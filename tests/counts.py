@@ -4,8 +4,7 @@ Two entries carry the work of every check.  Every integrand, the formula's
 shifted inverse and its reference go through
 :func:`monalg.monogenic.eval_batch`: a call on ``N`` points makes ``N``
 ``rows``, and ``N`` times the columns it returns ``points``
-(component-points; a level that evaluates only some idempotent blocks
-returns only their columns).  Every product of an algebra with a radical
+(component-points).  Every product of an algebra with a radical
 goes through the one sparse kernel, :func:`monalg.algebra._times_fixed`:
 the radical series calls it directly, and
 :func:`monalg.algebra._multiply_coords` calls it for every other product.

@@ -26,7 +26,7 @@ chain12 example4+example1 --seed 1 --seed 2``.
 
 A digest says that a file changed, not what changed.  ``--values`` prints,
 as JSON, each verify record of the same runs: its name, verdict, residual,
-tolerance, ``nodes``, ``block_nodes`` and diagnostics keys.  ``--compare``
+tolerance, ``nodes`` and diagnostics keys.  ``--compare``
 reads two such files and prints what moved: runs and checks added or
 removed, verdict flips, node moves and diagnostics keys added or removed,
 each with the number of runs it happened in, and the largest
@@ -146,8 +146,8 @@ def digests(algebras=(*ALGEBRAS, SUM), seeds=SEEDS, principal_seeds=PRINCIPAL_SE
 
 def values(algebras=(*ALGEBRAS, SUM), seeds=SEEDS) -> dict:
     """``{label: [record]}`` of every verify run: per check its name, verdict
-    (``passed``), residual, tolerance, ``nodes`` and ``block_nodes`` (``None``
-    where the check has none) and its sorted diagnostics ``keys``."""
+    (``passed``), residual, tolerance, ``nodes`` (``None`` where the check
+    has none) and its sorted diagnostics ``keys``."""
     out = {}
     with _written(algebras, seeds, ()) as prefixes:
         for label, prefix in prefixes:
@@ -156,7 +156,6 @@ def values(algebras=(*ALGEBRAS, SUM), seeds=SEEDS) -> dict:
                 out[label] = [{"name": c["name"], "passed": c["passed"],
                                "residual": c["residual"], "tolerance": c["tolerance"],
                                "nodes": c["diagnostics"].get("nodes"),
-                               "block_nodes": c["diagnostics"].get("block_nodes"),
                                "keys": sorted(c["diagnostics"])} for c in checks]
     return out
 
@@ -174,9 +173,8 @@ def _moves(before, after):
         if a["passed"] != b["passed"]:
             verdict = {True: "PASS", False: "FAIL"}
             lines.append(f"verdict {verdict[a['passed']]} -> {verdict[b['passed']]}: {name}")
-        for key in ("nodes", "block_nodes"):
-            if a[key] != b[key]:
-                lines.append(f"{key} {a[key]} -> {b[key]}: {name}")
+        if a["nodes"] != b["nodes"]:
+            lines.append(f"nodes {a['nodes']} -> {b['nodes']}: {name}")
         lines += [f"key removed: {name} {key}" for key in a["keys"] if key not in b["keys"]]
         lines += [f"key added: {name} {key}" for key in b["keys"] if key not in a["keys"]]
         if a["residual"] != b["residual"]:

@@ -505,12 +505,12 @@ def test_lambda_command_circles_match_the_closed_form(name):
             assert np.linalg.norm(lam.value.coords - exact) <= 1e-11, label
 
 
-@pytest.mark.parametrize("name, calls", [("semisimple:m=8", 5), ("example4", 8)],
+@pytest.mark.parametrize("name, calls", [("semisimple:m=8", 5), ("example4", 7)],
                          ids=["semisimple:m=8", "example4"])  # ids that a new pin does not rename
 def test_lambda_command_integrates_each_frame_once(tmp_path, monkeypatch, name, calls):
     # a semisimple algebra's default and in-s names are one frame, whose
     # five circles are integrated once; example4's two frames are distinct
-    # (five circles at k=3, the widest plane's among them, three at k=2)
+    # (four circles at k=3, whose widest plane is plane (1,2), three at k=2)
     import monalg.cli
     from monalg.integrals import compute_lambda
 
@@ -542,20 +542,56 @@ def test_lambda_command_integrates_each_frame_once(tmp_path, monkeypatch, name, 
 def test_lambda_command_and_suite_report_the_standard_circle_alike(tmp_path, capsys, algebra):
     # both integrate lambda on the unit circle in the widest plane, and
     # report its margin; the command adds the nilpotent residuals to the
-    # diagnostics
+    # diagnostics.  Where the widest plane is plane (1,2) (example1 and
+    # chain12), the command's centred unit circle there is that circle
     records = {}
     for command in (["lambda"], ["verify", "--suite", "lambda"]):
         prefix = tmp_path / command[0]
         assert main([*command, *algebra, "--out", str(prefix)]) in (0, 1)
         records.update((c["name"], c) for c in
                        json.loads(prefix.with_suffix(".json").read_text())["checks"])
-    command = records["lambda[default][widest plane r=1.0]"]
+    [command] = [c for name, c in records.items()
+                 if name.startswith("lambda[default][") and "margin" in c["diagnostics"]]
+    widest = "widest plane r=1.0" if algebra[1] == "semisimple:m=3" else "plane(1,2) r=1.0"
+    assert command["name"] == f"lambda[default][{widest}]"
     suite = records["lambda/deviation[default]"]
     for key in ("residual", "tolerance", "value", "reference", "passed"):
         assert command[key] == suite[key], key
     del command["diagnostics"]["nilpotent_residuals"]
     assert command["diagnostics"] == suite["diagnostics"]
     assert suite["diagnostics"]["history"] and suite["diagnostics"]["margin"] > 0
+
+
+@pytest.mark.parametrize("algebra", [
+    ["--algebra", "example1"],
+    ["--algebra", "example4"],
+    ["--algebra", "semisimple:m=3"],
+    ["--algebra", str(BENCH_DATA / "chain12.json"),
+     "--frame", str(BENCH_DATA / "chain12_frame.json")],
+], ids=["example1", "example4", "semisimple:m=3", "chain12"])
+def test_lambda_command_reports_each_circle_once(tmp_path, monkeypatch, algebra):
+    # a frame whose widest plane is plane (1,2) has its unit circle there
+    # once, not a second time as the widest plane's
+    import monalg.cli
+    from monalg.integrals import compute_lambda
+
+    circles = {}  # a frame -> the geometry of each circle integrated on it
+
+    def recorded(spec, frame, circle, **kwargs):
+        circles.setdefault(frame, []).append((circle.center.tobytes(), circle.radius,
+                                              circle.plane.tobytes(), circle.orientation))
+        return compute_lambda(spec, frame, circle, **kwargs)
+
+    monkeypatch.setattr(monalg.cli, "compute_lambda", recorded)
+    prefix = tmp_path / "lambda"
+    assert main(["lambda", *algebra, "--out", str(prefix)]) in (0, 1)
+    for made in circles.values():
+        assert len(set(made)) == len(made)
+    checks = json.loads(prefix.with_suffix(".json").read_text())["checks"]
+    for fname in {c["name"].split("]")[0] + "]" for c in checks}:
+        mine = [c for c in checks if c["name"].startswith(fname)
+                and not c["name"].endswith("[plane-radius-variation]")]
+        assert len({json.dumps(c["value"]) for c in mine}) == len(mine), fname
 
 
 def test_lambda_command(capsys):

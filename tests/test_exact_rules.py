@@ -14,7 +14,7 @@ import math
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
-from verdicts import ALGEBRAS, _inputs, sum_case
+from verdicts import ALGEBRAS, _inputs
 
 from monalg.curves import Circle2D, TriangleSampler, coordinate_plane
 from monalg.integrals import _CurveStack, _integrate, line_integral, morera_check
@@ -147,21 +147,6 @@ def test_reports_say_which_integrals_took_the_exact_rule():
             assert rep.diagnostics["exact_rule"] is True and rep.diagnostics["converged"]
             assert rep.diagnostics.get("quadrature_error", 0.0) == 0.0
             assert rep.diagnostics.get("history", []) == []
-
-
-def test_each_block_takes_the_exact_count():
-    spec, frames = sum_case()
-    frame = frames["default"]
-    square = _standard_curves(frame.k)[2][1]
-    circle = Circle2D(np.zeros(frame.k), 1.0, coordinate_plane(frame.k, 1, 2))
-    blocks = len(spec._blocks)
-    assert blocks > 1
-    for curve, nodes in ((square, 4 * 2), (circle, 5)):
-        res = line_integral(zeta_power(3, spec), curve, frame, spec)
-        assert res.exact and res.block_nodes == [nodes] * blocks and res.nodes == nodes
-    sampler = TriangleSampler(np.zeros(frame.k), 1.0)
-    rep = morera_check(zeta_power(2, spec), frame, spec, sampler, n_triangles=10)
-    assert rep.diagnostics["block_nodes"] == [30 * 2] * blocks
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 64, 200])

@@ -209,7 +209,7 @@ def test_winding_small_circle():
     assert cert.embraces_once
     rev = winding_certificate(circle.reversed(), frame, center, spec)
     assert rev.windings == (-1,)
-    assert rev.orientation_reversed and not rev.embraces_once
+    assert not rev.embraces_once
 
 
 def test_winding_far_curve():
@@ -1148,8 +1148,8 @@ def test_the_morera_suite_makes_one_call(monkeypatch):
 
 @pytest.mark.parametrize("name", ["example1", "semisimple:m=8", "example4+example1"])
 def test_every_integral_record_carries_the_integrals_fields(name):
-    # _integral_report writes them all: block_nodes with several blocks,
-    # exact_rule where a polynomial took its exact rule
+    # _integral_report writes them all, and exact_rule where a polynomial
+    # took its exact rule
     if name == "example4+example1":
         spec, frames = sum_case()
         options = {}
@@ -1162,7 +1162,6 @@ def test_every_integral_record_carries_the_integrals_fields(name):
     for rep in integrals:
         keys = rep.diagnostics.keys()
         assert {"nodes", "converged", "history"} <= keys, rep.name
-        assert ("block_nodes" in keys) == (len(spec._blocks) > 1), rep.name
         polynomial = rep.name.startswith(("cauchy/", "morera/")) and "zeta" in rep.name
         assert ("exact_rule" in keys) == polynomial, rep.name
         if polynomial:
@@ -1309,8 +1308,7 @@ def test_formula_circle_takes_each_node_cosine_once(monkeypatch, name):
     winding_certificate(circle, frame, center, spec)  # the check's own sample of the circle
     certificate, trig.nodes = trig.nodes, {"cos": 0, "sin": 0}
     reports = cauchy_formula_check(phis, center, circle, frame, spec)
-    nodes = max(max(rep.diagnostics.get("block_nodes", [rep.diagnostics["nodes"]]))
-                for rep in reports)
+    nodes = max(rep.diagnostics["nodes"] for rep in reports)
     assert nodes >= 256
     assert trig.nodes == {key: count + nodes for key, count in certificate.items()}
     assert [report_record(rep) for rep in reports] == [report_record(rep) for rep in plain]
@@ -1355,9 +1353,9 @@ def test_each_evaluator_call_takes_rows_and_returns_rows_nodes_columns(monkeypat
     def recorded(self, tau):
         evaluate = level(self, tau)
 
-        def run(rows, *cols):
-            out = evaluate(rows, *cols)
-            calls.append((tau, rows, cols[0] if cols else None, out.shape, len(self)))
+        def run(rows):
+            out = evaluate(rows)
+            calls.append((tau, rows, out.shape, len(self)))
             return out
 
         return run
@@ -1371,14 +1369,13 @@ def test_each_evaluator_call_takes_rows_and_returns_rows_nodes_columns(monkeypat
     sampler = TriangleSampler(np.zeros(frame.k), 1.0)
     morera_check(zeta_power(3, spec), frame, spec, sampler, n_triangles=30)
     assert len(calls) > 20
-    assert any(cols is not None for _, _, cols, _, _ in calls) == (name != "example1")
-    for tau, rows, cols, shape, count in calls:
+    for tau, rows, shape, count in calls:
         # the levels of the two rules, or the few nodes of an exact one
         assert np.unique(tau).size == tau.size in {64 * 2**level for level in range(11)} | {
             15 * 2**level for level in range(13)} | {1, 2, 3, 4}
         assert rows.dtype.kind == "i" and rows.ndim == 1
         assert np.all(np.diff(rows) > 0) and 0 <= rows[0] and rows[-1] < count
-        assert shape == (rows.size, tau.size, spec.n if cols is None else cols.size)
+        assert shape == (rows.size, tau.size, spec.n)
         assert rows.size * tau.size <= 512 or rows.size == 1
     # a plain integrand is a stack of one row, bit for bit
 

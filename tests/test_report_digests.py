@@ -24,8 +24,7 @@ def test_values_compare_with_what_moved():
     first = values(["example1"], [1])
     assert list(first) == ["verify/example1/seed1/default", "verify/example1/seed1/cap30"]
     record = first["verify/example1/seed1/default"][0]
-    assert set(record) == {"name", "passed", "residual", "tolerance", "nodes", "block_nodes",
-                           "keys"}
+    assert set(record) == {"name", "passed", "residual", "tolerance", "nodes", "keys"}
     assert compare(first, values(["example1"], [1])) == [
         "largest |residual change| / tolerance on example1: 0"]
     # a planted move of each kind, in one run

@@ -12,7 +12,7 @@ which prints one line per changed entry (see :func:`changed`), and name
 every changed entry, with its reason, in ``CHANGES.md``.
 
 The module also builds ``example4 + example1`` (:func:`sum_case`), an
-algebra of two blocks that each carry a radical, for the block tests and
+algebra of two blocks that each carry a radical, for the tests on sums and
 the digest sweep of ``tests/report_digests.py``.
 """
 
@@ -78,9 +78,8 @@ def sum_frame(specs, frames):
 def sum_case():
     """``example4 + example1`` (n=10, m=2) and its frames: blocks that carry
     a radical.  The summands' default frames side by side (``stacked``) give
-    both blocks the same spectral values, so the blocks refine alike;
-    ``default`` moves the second block's ``e_2`` slope from ``i`` to
-    ``1 + i``, which separates them."""
+    both blocks the same spectral values; ``default`` moves the second
+    block's ``e_2`` slope from ``i`` to ``1 + i``, which separates them."""
     from monalg.catalog import builtin_algebra, builtin_frames
     from monalg.frames import Frame
 
