@@ -389,7 +389,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command][0](args)
-    except (SpecFormatError, MonalgError, ValueError) as exc:
+    except (SpecFormatError, MonalgError, ValueError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -5,7 +5,8 @@ always closed) and polylines (open or closed).  A triangle is a closed
 three-vertex polyline with a quality measure.  All curves share ``k``,
 ``closed``, ``orientation``, ``length``, ``reversed`` and ``sample``, which
 takes a circle's point count or a polyline's points per segment.  Curves
-hold geometry only; the node cap belongs to the integral along them.
+hold finite geometry only (anything else raises :class:`ValueError`); the
+node cap belongs to the integral along them.
 Reversal flips an orientation flag instead of reshuffling vertices, so a
 reversed integral reuses the same quadrature nodes and negates term by term.
 """
@@ -52,8 +53,10 @@ class Circle2D:
         plane = np.asarray(self.plane, dtype=np.float64)
         object.__setattr__(self, "center", center)
         object.__setattr__(self, "plane", plane)
-        if self.radius <= 0:
-            raise ValueError("circle radius must be positive")
+        if not 0 < self.radius < np.inf:  # NaN fails too
+            raise ValueError(f"circle radius must be positive and finite, got {self.radius!r}")
+        if not np.isfinite(center).all():
+            raise ValueError("circle center must be finite")
         if plane.shape != (2, center.shape[0]):
             raise ValueError(f"plane must have shape (2, {center.shape[0]})")
         gram = plane @ plane.T
@@ -70,24 +73,16 @@ class Circle2D:
         """Canonical (counterclockwise-in-plane) points relative to ``origin``,
         shape (len(tau), k): exact offsets ``(center - origin) + r (cos tau p + sin tau q)``."""
         tau = np.asarray(tau, dtype=np.float64)
-        return self._points(np.cos(tau), np.sin(tau), origin)
-
-    def tangents(self, tau) -> np.ndarray:
-        """Canonical velocity d(points)/d(tau); orientation applied by callers."""
-        tau = np.asarray(tau, dtype=np.float64)
-        return self._tangents(np.cos(tau), np.sin(tau))
-
-    def _points(self, cos, sin, origin=0.0) -> np.ndarray:
-        """:meth:`points` at the nodes of cosines ``cos`` and sines ``sin``."""
-        out = cos[:, None] * self.plane[0]
-        out += sin[:, None] * self.plane[1]
+        out = np.cos(tau)[:, None] * self.plane[0]
+        out += np.sin(tau)[:, None] * self.plane[1]
         out *= self.radius
         out += self.center - origin
         return out
 
-    def _tangents(self, cos, sin) -> np.ndarray:
-        """:meth:`tangents` at the nodes of cosines ``cos`` and sines ``sin``."""
-        vel = -sin[:, None] * self.plane[0] + cos[:, None] * self.plane[1]
+    def tangents(self, tau) -> np.ndarray:
+        """Canonical velocity d(points)/d(tau); orientation applied by callers."""
+        tau = np.asarray(tau, dtype=np.float64)
+        vel = -np.sin(tau)[:, None] * self.plane[0] + np.cos(tau)[:, None] * self.plane[1]
         return self.radius * vel
 
     def length(self) -> float:
@@ -113,6 +108,8 @@ class Polyline:
         object.__setattr__(self, "vertices", vertices)
         if vertices.ndim != 2 or vertices.shape[0] < 2:
             raise ValueError("polyline needs at least two vertices")
+        if not np.isfinite(vertices).all():
+            raise ValueError("polyline vertices must be finite")
         if self.orientation not in (-1, 1):
             raise ValueError("orientation must be +1 or -1")
 

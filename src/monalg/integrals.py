@@ -211,11 +211,10 @@ class _CurveStack:
     weight, are computed for the first function that needs them and kept
     until the level ends, for the next functions on the same pieces: on a
     circle that is every function.  Segments with no factor have no
-    weight, and keep no points: a Morera level would keep every edge's.  A
-    circle computes the cosines and sines of a level's nodes once, for the
-    points, the offsets and ``dzeta``; a level whose even nodes are the
-    last level's, as the trapezoid's doubling makes them, takes theirs from
-    that level and computes only the odd nodes'.
+    weight, and keep no points: a Morera level would keep every edge's.
+    A circle level takes its points and ``dzeta`` from the circle's own
+    :meth:`~Circle2D.points` and :meth:`~Circle2D.tangents`; nothing
+    outlives a level.
 
     Functions of ``degree`` p in the point (no factor) make the stack's
     integrands polynomials of degree p in a segment's parameter and
@@ -231,7 +230,6 @@ class _CurveStack:
         self.degree = degree
         if isinstance(curve, Circle2D):
             self.circle, self.pieces = curve, 1
-            self._last = None  # the last level's (tau, cos, sin)
             self.degree = None if degree is None else degree + 1
         else:
             self.starts, self.directions = curve
@@ -241,20 +239,7 @@ class _CurveStack:
     def __len__(self):
         return len(self.psis) * self.pieces
 
-    def _trig(self, tau):
-        """The cosines and sines of a circle's nodes ``tau``."""
-        last = self._last
-        if last is not None and tau.size == 2 * last[0].size and np.array_equal(tau[::2], last[0]):
-            cos, sin = np.empty(tau.size), np.empty(tau.size)
-            cos[::2], sin[::2] = last[1], last[2]
-            cos[1::2], sin[1::2] = np.cos(tau[1::2]), np.sin(tau[1::2])
-        else:
-            cos, sin = np.cos(tau), np.sin(tau)
-        self._last = tau, cos, sin
-        return cos, sin
-
     def level(self, tau):
-        trig = self._trig(tau) if self.circle else None
         shared = {}  # a function's pieces -> their points and their weight
 
         def evaluate(rows):
@@ -263,7 +248,7 @@ class _CurveStack:
             for j in dict.fromkeys(owners.tolist()):  # in order; each function's rows are adjacent
                 pieces = rows[owners == j] - j * self.pieces
                 at = shared.setdefault(pieces.tobytes(), {}) if self.circle or self.factor else {}
-                out.append(self._values(tau, trig, j, pieces, at))
+                out.append(self._values(tau, j, pieces, at))
             return out[0] if len(out) == 1 else np.concatenate(out)
 
         return evaluate
@@ -275,31 +260,30 @@ class _CurveStack:
         return _multiply_coords(sums, self.increments[rows % self.pieces], self.spec,
                                 right=self.frame._support)
 
-    def _points(self, tau, trig, pieces, origin=0.0):
+    def _points(self, tau, pieces, origin=0.0):
         """The points of ``pieces`` at the nodes ``tau``, one row per node of
         each piece, relative to ``origin``."""
         if self.circle:
-            return self.circle._points(*trig, origin)
+            return self.circle.points(tau, origin)
         points = (self.starts - origin)[pieces, None] + tau[:, None] * self.directions[pieces, None]
         return points.reshape(-1, points.shape[-1])
 
-    def _weight(self, tau, trig, pieces):
+    def _weight(self, tau, pieces):
         """The weight at the nodes: on a circle ``dzeta``, times the factor
         when there is one; on segments the factor, or ``None``."""
         frame, spec, factor = self.frame, self.spec, self.factor
         if factor is None:
-            return self.circle._tangents(*trig) @ frame.a if self.circle else None
-        values = eval_batch(factor, frame, self._points(tau, trig, pieces, factor.shift), spec)
+            return self.circle.tangents(tau) @ frame.a if self.circle else None
+        values = eval_batch(factor, frame, self._points(tau, pieces, factor.shift), spec)
         if not self.circle:
             return values
         # dzeta after the factor, so it meets none of the factor's temporaries (peak memory)
-        return _multiply_coords(values, self.circle._tangents(*trig) @ frame.a, spec,
+        return _multiply_coords(values, self.circle.tangents(tau) @ frame.a, spec,
                                 right=frame._support)
 
-    def _values(self, tau, trig, j, pieces, at):
-        """Function ``j`` times the weight on ``pieces`` at the nodes ``tau``
-        (of cosines and sines ``trig`` on a circle), shaped ``(pieces,
-        nodes, columns)``.
+    def _values(self, tau, j, pieces, at):
+        """Function ``j`` times the weight on ``pieces`` at the nodes ``tau``,
+        shaped ``(pieces, nodes, columns)``.
 
         ``at`` keeps the points and the weight on these pieces for the
         level's other functions.
@@ -310,15 +294,15 @@ class _CurveStack:
             return at[name]
 
         frame, spec, psi, factor = self.frame, self.spec, self.psis[j], self.factor
-        xs = once("points", lambda: self._points(tau, trig, pieces))
+        xs = once("points", lambda: self._points(tau, pieces))
         try:
             # the weight first, so its offsets' temporaries meet no values (peak memory)
-            weight = once("weight", lambda: self._weight(tau, trig, pieces))
+            weight = once("weight", lambda: self._weight(tau, pieces))
             vals = eval_batch(psi, frame, xs, spec)
         except MonalgError as exc:
             failed = [(psi, frame, spec, xs)]
             if factor is not None:
-                failed.append((factor, frame, spec, self._points(tau, trig, pieces, factor.shift)))
+                failed.append((factor, frame, spec, self._points(tau, pieces, factor.shift)))
             # a node's curve parameter: its piece (0 on a circle) plus its local one
             raise _locate_failure(failed, (pieces[:, None] + tau).ravel(), exc) from exc
         if weight is not None:
@@ -533,7 +517,7 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
                  cap: int = DEFAULT_CAP) -> VerificationReport | list:
     """Worst triangle-boundary integral over randomly sampled triangles.
 
-    ``triangles``, a ``(T, 3, k)`` vertex array drawn earlier, replaces the
+    ``triangles``, a ``(T, 3, k)`` array of finite vertices, replaces the
     ``n_triangles`` draws from ``sampler``.  The 3T boundary segments are
     integrated by :func:`_integrate`, as :func:`line_integral` integrates a
     polyline's, each evaluator call's sums times its edges' ``dzeta``: a
@@ -554,6 +538,8 @@ def morera_check(phi, frame: Frame, spec: AlgebraSpec, sampler: TriangleSampler,
     triangles = np.asarray(triangles, dtype=np.float64)
     if triangles.ndim != 3 or triangles.shape[1] != 3 or len(triangles) == 0:
         raise ValueError(f"need a (T, 3, k) array of T >= 1 triangles, got shape {triangles.shape}")
+    if not np.isfinite(triangles).all():
+        raise ValueError("triangle vertices must be finite")
     count, _, k = triangles.shape
     edges = (triangles.reshape(-1, k), (np.roll(triangles, -1, axis=1) - triangles).reshape(-1, k))
     phis = phi if isinstance(phi, list) else [phi]

@@ -25,8 +25,9 @@ Names and seeds may be given: ``python3 tests/report_digests.py example1
 chain12 example4+example1 --seed 1 --seed 2``.
 
 A digest says that a file changed, not what changed.  ``--values`` prints,
-as JSON, each verify record of the same runs: its name, verdict, residual,
-tolerance, ``nodes`` and diagnostics keys.  ``--compare``
+as JSON, each record of the same ``verify``, ``lambda`` and ``predicates``
+runs: its name, verdict, residual, tolerance, ``nodes`` and diagnostics
+keys.  ``--compare``
 reads two such files and prints what moved: runs and checks added or
 removed, verdict flips, node moves and diagnostics keys added or removed,
 each with the number of runs it happened in, and the largest
@@ -145,18 +146,18 @@ def digests(algebras=(*ALGEBRAS, SUM), seeds=SEEDS, principal_seeds=PRINCIPAL_SE
 
 
 def values(algebras=(*ALGEBRAS, SUM), seeds=SEEDS) -> dict:
-    """``{label: [record]}`` of every verify run: per check its name, verdict
-    (``passed``), residual, tolerance, ``nodes`` (``None`` where the check
-    has none) and its sorted diagnostics ``keys``."""
+    """``{label: [record]}`` of every verify, lambda and predicates run: per
+    check its name, verdict (``passed``), residual, tolerance, ``nodes``
+    (``None`` where the check has none) and its sorted diagnostics
+    ``keys``."""
     out = {}
     with _written(algebras, seeds, ()) as prefixes:
         for label, prefix in prefixes:
-            if label.startswith("verify/"):
-                checks = json.loads(Path(f"{prefix}.json").read_text())["checks"]
-                out[label] = [{"name": c["name"], "passed": c["passed"],
-                               "residual": c["residual"], "tolerance": c["tolerance"],
-                               "nodes": c["diagnostics"].get("nodes"),
-                               "keys": sorted(c["diagnostics"])} for c in checks]
+            checks = json.loads(Path(f"{prefix}.json").read_text())["checks"]
+            out[label] = [{"name": c["name"], "passed": c["passed"],
+                           "residual": c["residual"], "tolerance": c["tolerance"],
+                           "nodes": c["diagnostics"].get("nodes"),
+                           "keys": sorted(c["diagnostics"])} for c in checks]
     return out
 
 
@@ -215,7 +216,7 @@ def main(argv=None) -> int:
                         help=f"verify seed, repeatable (default {SEEDS.start}..{SEEDS.stop - 1})")
     mode = parser.add_mutually_exclusive_group()
     mode.add_argument("--values", action="store_true",
-                      help="print each verify record's values as JSON, in place of digests")
+                      help="print each record's values as JSON, in place of digests")
     mode.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
                       help="print what moved between two --values files")
     args = parser.parse_args(argv)

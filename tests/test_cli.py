@@ -715,6 +715,16 @@ def test_malformed_files_exit_2_without_a_traceback(tmp_path, capsys, command, r
     assert err.startswith("error:") and "Traceback" not in err and str(path) in err
 
 
+def test_unwritable_out_exits_2_without_a_traceback(tmp_path, capsys):
+    # exit 1 means a failed check; a report that cannot be written is an error
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    out = blocker / "sub" / "report"
+    assert main(["verify", "--algebra", "example1", "--suite", "axioms", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err and str(blocker) in err
+
+
 # The checks whose tolerance --tol replaces; every other check keeps its own.
 _TOL_OVERRIDES = ("axioms/associativity-", "oracle/", "cr/residual[", "lambda/deviation[",
                   "lambda/idempotent-projection[", "lambda/nilpotent-residuals[",

@@ -13,6 +13,7 @@ from monalg.curves import (
     coordinate_plane,
     triangle_quality,
 )
+from monalg.errors import SpecFormatError
 from monalg.io import load_curve
 from monalg.quadrature import (
     _GAUSS_WEIGHTS,
@@ -291,6 +292,25 @@ def test_circle_validation():
         Circle2D(np.zeros(2), -1.0, np.eye(2))
     with pytest.raises(ValueError, match="orthonormal"):
         Circle2D(np.zeros(2), 1.0, np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_curves_refuse_non_finite_geometry(tmp_path, value):
+    # a curve off the finite space would refine every integrand to the cap
+    plane = coordinate_plane(3, 1, 2)
+    with pytest.raises(ValueError, match="radius"):
+        Circle2D(np.zeros(3), value, plane)
+    with pytest.raises(ValueError, match="center"):
+        Circle2D(np.array([0.0, value, 0.0]), 1.0, plane)
+    vertices = np.array([[0.0, 0.0], [1.0, value], [0.0, 1.0]])
+    for kind in (Polyline, Triangle):
+        with pytest.raises(ValueError, match="finite"):
+            kind(vertices)
+    path = tmp_path / "circle.json"
+    path.write_text(json.dumps({"kind": "circle2d", "center": [0, 0], "radius": value,
+                                "plane": [[1, 0], [0, 1]]}))
+    with pytest.raises(SpecFormatError, match="radius"):
+        load_curve(path)
 
 
 def test_polyline_segments_and_length():

@@ -754,6 +754,18 @@ def test_morera_refuses_no_triangles(count):
             morera_check(zeta(spec), frame, spec, sampler, triangles=empty)
 
 
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_morera_refuses_non_finite_triangles(value):
+    # a vertex off the finite space would refine its edges to the cap
+    spec = example1()
+    frame = default_frame(spec)
+    sampler = TriangleSampler(np.zeros(3), 1.0)
+    triangles = sampler.sample(np.random.default_rng(0), 4)
+    triangles[2, 1, 0] = value
+    with pytest.raises(ValueError, match="finite"):
+        morera_check(ResolventKernel(3 + 3j), frame, spec, sampler, triangles=triangles)
+
+
 def test_morera_failure_names_tau():
     # one Kronrod node of the first segment of the eleventh triangle, not
     # shared with the embedded Gauss rule, is a planted pole; the failing
@@ -1270,48 +1282,6 @@ def test_formula_list_computes_the_inverse_once_per_level(monkeypatch):
     # one inverse per level, 64 to ``nodes`` points, for all three functions
     assert sizes == [64 * 2**level for level in range(len(sizes))]
     assert sizes[-1] == nodes
-
-
-class _CountedTrig:
-    """numpy, with the nodes that ``cos`` and ``sin`` were called on counted."""
-
-    def __init__(self):
-        self.nodes = {"cos": 0, "sin": 0}
-
-    def __getattr__(self, name):
-        return getattr(np, name)
-
-    def cos(self, x):
-        self.nodes["cos"] += np.size(x)
-        return np.cos(x)
-
-    def sin(self, x):
-        self.nodes["sin"] += np.size(x)
-        return np.sin(x)
-
-
-@pytest.mark.parametrize("name", ["example1", "semisimple:m=12"])
-def test_formula_circle_takes_each_node_cosine_once(monkeypatch, name):
-    # the points, dzeta and the shifted inverse's offsets of a level share
-    # one cosine and sine per node, and a level takes its even nodes' from
-    # the level before: a run computes them at its last level's nodes only
-    from monalg import curves, integrals
-
-    spec, frame = _stack_case(name)
-    phis = [constant(spec.unit()), zeta(spec), zeta_power(2, spec)]
-    center, circles = _formula_curves(frame.k)
-    circle = circles["circle-r0.3"]
-    plain = cauchy_formula_check(phis, center, circle, frame, spec)
-    trig = _CountedTrig()
-    monkeypatch.setattr(integrals, "np", trig)
-    monkeypatch.setattr(curves, "np", trig)
-    winding_certificate(circle, frame, center, spec)  # the check's own sample of the circle
-    certificate, trig.nodes = trig.nodes, {"cos": 0, "sin": 0}
-    reports = cauchy_formula_check(phis, center, circle, frame, spec)
-    nodes = max(rep.diagnostics["nodes"] for rep in reports)
-    assert nodes >= 256
-    assert trig.nodes == {key: count + nodes for key, count in certificate.items()}
-    assert [report_record(rep) for rep in reports] == [report_record(rep) for rep in plain]
 
 
 def test_circle_levels_take_the_cosines_of_the_trapezoid_nodes_bit_for_bit():

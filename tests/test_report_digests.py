@@ -22,7 +22,8 @@ def test_values_compare_with_what_moved():
     from report_digests import compare, values
 
     first = values(["example1"], [1])
-    assert list(first) == ["verify/example1/seed1/default", "verify/example1/seed1/cap30"]
+    assert list(first) == ["verify/example1/seed1/default", "verify/example1/seed1/cap30",
+                           "lambda/example1", "predicates/example1"]
     record = first["verify/example1/seed1/default"][0]
     assert set(record) == {"name", "passed", "residual", "tolerance", "nodes", "keys"}
     assert compare(first, values(["example1"], [1])) == [
